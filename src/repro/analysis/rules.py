@@ -697,9 +697,6 @@ class RuleS1Slots(Rule):
         "QueryPlanner", "Relation", "Schema", "ExecutionPlan", "PlanNode",
         "Certifier", "Replica", "ReplicatedCluster", "ReplicatedCertifierLog",
         "BufferPool",
-        # One per cluster, like Certifier: its hot state lives in plain
-        # lists/dicts it holds, not in per-instance attribute storage.
-        "ShardedCertifier",
     })
 
     EXEMPT_BASES = frozenset({

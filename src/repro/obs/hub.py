@@ -182,8 +182,8 @@ class ObservabilityHub:
         registry = self.registry
         if registry is None:
             return
-        # Duck-typed seam: Certifier, ReplicatedCertifierLog and
-        # ShardedCertifier all expose the stats/current_version surface.
+        # Duck-typed seam: Certifier and ReplicatedCertifierLog both expose
+        # the stats/current_version surface.
         certifier: Any = cluster.certifier
         metrics = cluster.metrics
         routing = cluster.routing

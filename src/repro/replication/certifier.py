@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Type, cast)
 
-from repro.replication.writeset import CertifiedWriteSet, WriteSet
+from repro.replication.writeset import CertifiedWriteSet, WriteItem, WriteSet
 
 #: How many recent request decisions the certifier caches per origin
 #: replica, for idempotent at-least-once RPC.  A proxy keeps one round trip
@@ -48,6 +49,16 @@ class CertificationResult(NamedTuple):
     committed: bool
     version: int
     conflict_with: Optional[int] = None   # commit version of the conflicting writeset
+
+
+#: ``tuple.__new__`` builds a ``CertificationResult`` without going through
+#: NamedTuple's generated Python-level ``__new__`` -- one construction per
+#: certified request, so the wrapper shows up on the hot path.  The cast
+#: gives the call site the concrete result type.
+_RESULT_NEW = cast(
+    "Callable[[Type[CertificationResult], Tuple[bool, int, Optional[int]]],"
+    " CertificationResult]",
+    tuple.__new__)
 
 
 @dataclass
@@ -165,22 +176,14 @@ class LagSubscriptionIndex:
 class Certifier:
     """Certifies writesets, orders commits and retains the writeset log."""
 
-    #: Shard count of the conflict index / log.  The plain certifier is the
-    #: one-shard degenerate case; :class:`repro.replication.sharding.\
-    #: ShardedCertifier` overrides this, and callers that care (per-shard
-    #: cursors, vector writesets) probe ``getattr(certifier, "num_shards", 1)``.
-    num_shards = 1
-
-    def __init__(self, lag_notification_threshold: int = 25,
-                 max_log_entries: Optional[int] = None) -> None:
+    def __init__(self, lag_notification_threshold: int = 25) -> None:
         if lag_notification_threshold <= 0:
             raise ValueError("lag notification threshold must be positive")
         self.lag_notification_threshold = lag_notification_threshold
-        self.max_log_entries = max_log_entries
         #: Lag subscriptions of the live replicas (the cluster registers the
         #: proxies' applied-version cursors here); a commit batch asks
         #: :meth:`LagSubscriptionIndex.crossed` for the replicas to notify
-        #: instead of scanning every replica through :meth:`should_notify`.
+        #: instead of scanning every replica's cursor.
         self.subscriptions = LagSubscriptionIndex(lag_notification_threshold)
         self.log: List[CertifiedWriteSet] = []
         self._log_offset = 0          # version of the first retained entry minus one
@@ -215,28 +218,16 @@ class Certifier:
         return self._log_offset + 1
 
     def certify(self, writeset: WriteSet, snapshot_version: int, now: float = 0.0) -> CertificationResult:
-        """Certify a writeset executed against ``snapshot_version``.
+        """Certify a single writeset executed against ``snapshot_version``.
 
-        The write-write conflict rule of (G)SI: the transaction aborts if any
-        writeset committed after its snapshot intersects its own writeset.
+        A one-request :meth:`certify_batch` that is not counted as a batch.
         """
-        self.stats.requests += 1
-        conflict = self._find_conflict(writeset, snapshot_version)
-        if conflict is not None:
-            self.stats.aborts += 1
-            return CertificationResult(committed=False, version=self.current_version,
-                                       conflict_with=conflict)
-        version = self.current_version + 1
-        self.current_version = version
-        self.log.append(CertifiedWriteSet(version=version, writeset=writeset, commit_time=now))
-        last_writer = self._last_writer
-        for item in writeset.items:
-            relation = item.relation
-            for key in item.keys:
-                last_writer[(relation, key)] = version
-        self.stats.commits += 1
-        self._maybe_trim()
-        return CertificationResult(committed=True, version=version)
+        stats = self.stats
+        results, _ = self.certify_batch(((writeset, snapshot_version),),
+                                        self.current_version, now)
+        stats.batches -= 1
+        stats.batched_requests -= 1
+        return results[0]
 
     def certify_batch(self, requests: Sequence[Tuple[WriteSet, int]],
                       since_version: int, now: float = 0.0
@@ -249,6 +240,13 @@ class Certifier:
         later in the batch conflicts with earlier commits of the same batch
         exactly as it would had they arrived as separate requests.
 
+        The write-write conflict rule of (G)SI: a transaction aborts if any
+        writeset committed after its snapshot -- and still within the
+        retained log -- wrote one of its keys.  Each key costs one index
+        probe, and the reported ``conflict_with`` is the oldest such
+        writeset.  The index records every item's keys, so a writeset
+        carrying two items on one relation conflicts on all of them.
+
         Returns ``(results, piggyback)``: one :class:`CertificationResult`
         per request plus every writeset committed since ``since_version``
         (the requesting proxy's applied version), computed *after* the batch
@@ -256,12 +254,69 @@ class Certifier:
         piggybacked writesets before committing locally or retrying, which
         is how the paper's responses keep replicas current (Section 4.2)
         and how an aborted transaction's retry sees a fresh snapshot.
+
+        This is the certifier's hot path, and most round trips carry a
+        single request, so the loop pays no per-batch setup beyond hoisting
+        locals: stats are added once per batch and results are built with
+        ``tuple.__new__``.
         """
-        self.stats.batches += 1
-        self.stats.batched_requests += len(requests)
-        results = [self.certify(writeset, snapshot, now=now)
-                   for writeset, snapshot in requests]
+        stats = self.stats
+        count = len(requests)
+        stats.batches += 1
+        stats.batched_requests += count
+        stats.requests += count
+        last_writer = self._last_writer
+        floor = self._log_offset
+        log_append = self.log.append
+        first = version = self.current_version
+        results: List[CertificationResult] = []
+        append_result = results.append
+        new_result = _RESULT_NEW
+        result_cls = CertificationResult
+        for writeset, snapshot in requests:
+            start = snapshot if snapshot > floor else floor
+            conflict: Optional[int] = None
+            items = writeset.items
+            for item in items:
+                relation = item.relation
+                for key in item.keys:
+                    writer = last_writer.get((relation, key))
+                    if writer is not None and writer > start and \
+                            (conflict is None or writer < conflict):
+                        conflict = writer
+            if conflict is not None:
+                conflict = self._first_conflict(items, start, conflict)
+                append_result(new_result(result_cls, (False, version, conflict)))
+                continue
+            version += 1
+            log_append(CertifiedWriteSet(version, writeset, now))
+            for item in items:
+                relation = item.relation
+                for key in item.keys:
+                    last_writer[(relation, key)] = version
+            append_result(new_result(result_cls, (True, version, None)))
+        self.current_version = version
+        stats.commits += version - first
+        stats.aborts += count - (version - first)
         return results, self.writesets_since(since_version)
+
+    def _first_conflict(self, items: Sequence[WriteItem], start: int, bound: int) -> int:
+        """The oldest commit after ``start`` that wrote one of ``items``' keys.
+
+        The index only knows each key's *last* writer, and ``bound`` is the
+        oldest of those; an older writer of the same key may sit between
+        ``start`` and ``bound``.  Runs on the abort path only, so scanning
+        that stretch of the log costs nothing on commits.
+        """
+        mine = {(item.relation, key) for item in items for key in item.keys}
+        offset = self._log_offset
+        for entry in self.log[start - offset:bound - offset - 1]:
+            for item in entry.writeset.items:
+                relation = item.relation
+                for key in item.keys:
+                    if (relation, key) in mine:
+                        return entry.version
+        return bound
 
     def certify_rpc(self, origin_replica: int, request_id: int,
                     requests: Sequence[Tuple[WriteSet, int]],
@@ -311,38 +366,6 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
             del window[next(iter(window))]
         return results, piggyback
 
-    def _find_conflict(self, writeset: WriteSet, snapshot_version: int) -> Optional[int]:
-        """Index probe per written key: O(|writeset|), not O(log length).
-
-        A key conflicts when its last committed writer is newer than the
-        transaction's snapshot (and still within the retained log -- entries
-        older than the truncation horizon were never visible to the original
-        scan either).  When several keys conflict, the smallest conflicting
-        version is reported, matching the log-scan behaviour for
-        single-writer histories.
-
-        One deliberate strictness difference from the old scan: the index
-        records every item's keys, whereas the scan's ``keys_by_table()``
-        dict silently kept only the *last* item per relation, losing keys
-        when one writeset carried two items on the same relation.  No
-        shipped workload (TPC-W, RUBiS) emits such writesets, so seeded
-        results are unaffected; synthetic writesets now conflict on all of
-        their keys, as GSI requires.
-        """
-        if not writeset.items:
-            return None
-        start = max(snapshot_version, self._log_offset)
-        conflict: Optional[int] = None
-        last_writer = self._last_writer
-        for item in writeset.items:
-            relation = item.relation
-            for key in item.keys:
-                version = last_writer.get((relation, key))
-                if version is not None and version > start:
-                    if conflict is None or version < conflict:
-                        conflict = version
-        return conflict
-
     # ------------------------------------------------------------------
     # Update propagation support
     # ------------------------------------------------------------------
@@ -358,26 +381,17 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
             return self.log[start:start + limit]
         return self.log[start:]
 
-    def should_notify(self, replica_applied_version: int) -> bool:
-        """Whether a lag notification should be sent to a replica that is behind.
-
-        Legacy per-replica probe (bumps ``notifications_sent`` as a side
-        effect).  The cluster's commit path no longer calls this -- it asks
-        :attr:`subscriptions` for the replicas that crossed the threshold,
-        which is O(notified) instead of O(replicas) per commit batch -- but
-        the predicate is kept as the reference definition of "behind enough
-        to nudge" and for direct use by tests and tools."""
-        behind = self.current_version - replica_applied_version
-        if behind >= self.lag_notification_threshold:
-            self.stats.notifications_sent += 1
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Log management
     # ------------------------------------------------------------------
     def truncate(self, oldest_needed_version: int) -> int:
-        """Drop log entries no replica needs any more.  Returns entries dropped."""
+        """Drop log entries no replica needs any more.  Returns entries dropped.
+
+        Also drops the index entries whose writesets left the log: they can
+        never win a conflict check (certification floors at the offset), so
+        removing them only frees memory, keeping the index proportional to
+        the retained log's key footprint on long runs.
+        """
         if oldest_needed_version <= self._log_offset:
             return 0
         drop = min(oldest_needed_version - self._log_offset, len(self.log))
@@ -385,34 +399,12 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
             return 0
         del self.log[:drop]
         self._log_offset += drop
-        self._sweep_index()
-        return drop
-
-    def _maybe_trim(self) -> None:
-        if self.max_log_entries is None:
-            return
-        excess = len(self.log) - self.max_log_entries
-        if excess > 0:
-            del self.log[:excess]
-            self._log_offset += excess
-            # Trimming happens on the commit path, so the stale-entry sweep
-            # is amortised: only rebuild once staleness could dominate.
-            if len(self._last_writer) > 256 and \
-                    len(self._last_writer) > 8 * len(self.log):
-                self._sweep_index()
-
-    def _sweep_index(self) -> None:
-        """Drop index entries whose writesets left the log.
-
-        Entries at or below the offset can never win a conflict check
-        (``_find_conflict`` floors at the offset), so removing them only
-        frees memory; on long runs with periodic truncation this keeps the
-        index proportional to the retained log's key footprint.
-        """
         offset = self._log_offset
-        stale = [key for key, version in self._last_writer.items() if version <= offset]
+        last_writer = self._last_writer
+        stale = [key for key, version in last_writer.items() if version <= offset]
         for key in stale:
-            del self._last_writer[key]
+            del last_writer[key]
+        return drop
 
     def log_is_total_order(self) -> bool:
         """Invariant check used by tests: versions are dense and increasing."""

@@ -161,7 +161,7 @@ class ReplicaProxy:
 
     __slots__ = ("replica_id", "config", "admission", "filter_tables",
                  "applied_version", "writesets_applied", "writesets_filtered",
-                 "lag_index", "shard_cursors")
+                 "lag_index")
 
     def __init__(self, replica_id: int, config: Optional[ProxyConfig] = None) -> None:
         self.replica_id = replica_id
@@ -180,14 +180,6 @@ class ReplicaProxy:
         self.filter_tables: Optional[Set[str]] = None
         # Versions applied so far (update-propagation cursor).
         self.applied_version = 0
-        #: Per-shard position cursors into a sharded certifier's partitioned
-        #: log, or None.  Armed by the replica on its first vector pull
-        #: (when the certifier is sharded) and advanced with each pull;
-        #: invalidated (set back to None) whenever the proxy applies
-        #: writesets that arrived outside the vector path -- a piggybacked
-        #: response or a recovery replay -- since those move
-        #: ``applied_version`` without moving the per-shard positions.
-        self.shard_cursors: Optional[list] = None
         self.writesets_applied = 0
         self.writesets_filtered = 0
 
@@ -204,10 +196,6 @@ class ReplicaProxy:
     def advance(self, version: int) -> None:
         if version > self.applied_version:
             self.applied_version = version
-            # Any cursor advance invalidates the per-shard positions (they
-            # no longer correspond to applied_version); the vector pull
-            # re-arms them from its own returned positions afterwards.
-            self.shard_cursors = None
             index = self.lag_index
             if index is not None:
                 index.advanced(self.replica_id, version)

@@ -105,12 +105,6 @@ class WriteSet:
     items: Tuple[WriteItem, ...]
     origin_replica: Optional[int] = None
     snapshot_version: int = 0
-    #: Optional vector of observed per-shard commit clocks, for cross-shard
-    #: certification against a ShardedCertifier: element ``s`` is how many
-    #: commits of shard ``s`` the transaction's snapshot included.  ``None``
-    #: (the default, and always the case for the scalar in-sim round trips)
-    #: means "use the scalar ``snapshot_version``".
-    shard_versions: Optional[Tuple[int, ...]] = None
 
     @property
     def tables(self) -> Tuple[str, ...]:
@@ -144,7 +138,6 @@ class WriteSet:
             items=tuple(item for item in self.items if item.relation in wanted),
             origin_replica=self.origin_replica,
             snapshot_version=self.snapshot_version,
-            shard_versions=self.shard_versions,
         )
 
 
@@ -363,35 +356,6 @@ class DatabaseEngine:
     # ------------------------------------------------------------------
     # Remote writeset application (update propagation)
     # ------------------------------------------------------------------
-    def apply_writeset(self, writeset: WriteSet,
-                       allowed_tables: Optional[Set[str]] = None) -> TransactionWork:
-        """Apply a remote writeset to this replica.
-
-        ``allowed_tables`` implements update filtering: when given, changes
-        to tables outside the set are dropped ("the proxy ... only forwards
-        the writesets for those tables to the replica", Section 4.2.3).
-        Tables in :attr:`dropped_tables` are always filtered.
-        """
-        cpu_seconds, random_read_bytes, write_bytes = \
-            self.apply_writeset_fast(writeset, allowed_tables)
-        return TransactionWork(cpu_seconds=cpu_seconds,
-                               random_read_bytes=random_read_bytes,
-                               write_bytes=write_bytes)
-
-    def apply_writeset_fast(self, writeset: WriteSet,
-                            allowed_tables: Optional[Set[str]] = None
-                            ) -> Tuple[float, float, float]:
-        """Single-writeset convenience over :meth:`apply_writesets_fast`.
-
-        Returns ``(cpu_seconds, random_read_bytes, write_bytes)`` -- remote
-        writeset application never causes sequential reads.  Delegates to
-        the batch path so the filtering and charging semantics have exactly
-        one implementation.
-        """
-        cpu_seconds, random_read_bytes, write_bytes, _, _ = \
-            self.apply_writesets_fast((writeset,), allowed_tables)
-        return cpu_seconds, random_read_bytes, write_bytes
-
     def apply_writesets_fast(self, writesets: Sequence[WriteSet],
                              allowed_tables: Optional[Set[str]] = None
                              ) -> Tuple[float, float, float, int, int]:
@@ -405,6 +369,12 @@ class DatabaseEngine:
         proportional to the number of distinct relations, which is what made
         full-fidelity propagation (every committed writeset applied at every
         replica) affordable at paper scale.
+
+        ``allowed_tables`` implements update filtering: when given, changes
+        to tables outside the set are dropped ("the proxy ... only forwards
+        the writesets for those tables to the replica", Section 4.2.3).
+        Tables in :attr:`dropped_tables` are always filtered.  Remote
+        writeset application never causes sequential reads.
 
         Returns ``(cpu_seconds, random_read_bytes, write_bytes,
         writesets_applied, writesets_filtered)``.

@@ -52,8 +52,6 @@ def test_writesets_since_and_lag_notifications():
     entries = cert.writesets_since(2)
     assert [e.version for e in entries] == [3, 4, 5]
     assert cert.writesets_since(2, limit=1)[0].version == 3
-    assert cert.should_notify(replica_applied_version=1)
-    assert not cert.should_notify(replica_applied_version=4)
 
 
 def test_certify_batch_is_fifo_and_piggybacks_missed_writesets():

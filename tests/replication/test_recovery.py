@@ -39,6 +39,35 @@ def test_replicated_log_serves_batched_round_trips():
     assert log.log_is_total_order()
 
 
+def test_replicated_log_mirrors_only_the_commits_of_a_mixed_batch():
+    log = ReplicatedCertifierLog.create(num_backups=2)
+    log.certify(ws("a", 0), snapshot_version=0)                        # v1
+    # The middle request missed v1 and writes its key: it must abort, and
+    # no backup may replay it.
+    results, _ = log.certify_batch(
+        [(ws("a", 1), 1), (ws("a", 0), 0), (ws("a", 2), 1)], since_version=1)
+    assert [r.committed for r in results] == [True, False, True]
+    leader_log = log.leader.writesets_since(0)
+    assert [e.version for e in leader_log] == [1, 2, 3]
+    for backup in log.backups:
+        backup_log = backup.writesets_since(0)
+        assert [e.version for e in backup_log] == [1, 2, 3]
+        assert all(mine.writeset is theirs.writeset
+                   for mine, theirs in zip(backup_log, leader_log))
+    log.fail_over()
+    # The promoted backup and the remaining one still agree.
+    results, _ = log.certify_batch([(ws("a", 0), 3), (ws("a", 3), 3)], since_version=3)
+    assert [r.version for r in results] == [4, 5]
+    assert log.backups[0].current_version == 5
+
+
+def test_replicated_log_raises_when_a_backup_diverges():
+    log = ReplicatedCertifierLog.create(num_backups=1)
+    log.backups[0].certify(ws("a", 9), snapshot_version=0)   # behind the leader's back
+    with pytest.raises(RuntimeError):
+        log.certify(ws("a", 9), snapshot_version=0)
+
+
 def test_fail_over_without_backups_raises():
     log = ReplicatedCertifierLog.create(num_backups=0)
     with pytest.raises(RuntimeError):

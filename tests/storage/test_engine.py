@@ -49,21 +49,23 @@ def test_bulk_random_access_charged_as_sequential(tiny_catalog):
 
 def test_apply_writeset_respects_filter(tiny_engine, tiny_workload):
     _, writeset = tiny_engine.execute(tiny_workload.type("Write"))
-    applied = tiny_engine.apply_writeset(writeset, allowed_tables={"orders"})
-    filtered = tiny_engine.apply_writeset(writeset, allowed_tables={"users"})
-    assert applied.write_bytes > 0
-    assert filtered.write_bytes == 0
+    _, _, applied, _, _ = tiny_engine.apply_writesets_fast(
+        (writeset,), allowed_tables={"orders"})
+    _, _, filtered, _, _ = tiny_engine.apply_writesets_fast(
+        (writeset,), allowed_tables={"users"})
+    assert applied > 0
+    assert filtered == 0
     assert tiny_engine.writesets_filtered == 1
 
 
 def test_dropped_table_filters_writesets(tiny_engine, tiny_workload):
     _, writeset = tiny_engine.execute(tiny_workload.type("Write"))
     tiny_engine.drop_table("orders")
-    work = tiny_engine.apply_writeset(writeset)
-    assert work.write_bytes == 0
+    _, _, write_bytes, _, _ = tiny_engine.apply_writesets_fast((writeset,))
+    assert write_bytes == 0
     tiny_engine.restore_table("orders")
-    work = tiny_engine.apply_writeset(writeset)
-    assert work.write_bytes > 0
+    _, _, write_bytes, _, _ = tiny_engine.apply_writesets_fast((writeset,))
+    assert write_bytes > 0
 
 
 def test_writeset_conflict_detection(tiny_engine, tiny_workload):
