@@ -26,6 +26,11 @@ Scenarios:
   trip, each batch's response piggybacking the writesets committed since the
   requesting replica's applied version).  Only certification is timed,
   piggyback included, with GC quiesced; min of three runs.
+* ``storage-micro`` -- the storage layer alone: ``DatabaseEngine.execute``
+  over a pre-drawn TPC-W shopping stream on a MidDB catalog with a 442 MB
+  buffer pool (512 MB minus the 70 MB the paper reserves), with every eight
+  writesets it produces applied back through ``apply_writesets_fast``.  No
+  event loop; GC quiesced; min of three runs; executes/s under ``extra``.
 * ``dispatch-micro`` -- routing-bound microbenchmark: MALB dispatch/complete
   cycles against a high-replica-count cluster view (TPC-W type catalogue,
   48 replicas), with periodic rebalances invalidating the candidate cache,
@@ -251,6 +256,76 @@ def _certifier_batch(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
+def _storage_micro(quick: bool, obs=None) -> ScenarioTiming:
+    """Transaction execution and writeset application, with no event loop.
+
+    The transaction-type stream is drawn before the clock starts.  Every
+    run uses a fresh engine and pool on the same stream, so each run
+    repeats the same cold-start-to-thrashing trajectory: the shopping mix's
+    hot sets exceed 442 MB, so the pool fills and then evicts on most
+    misses.  The fastest of ``repeats`` runs is reported.
+    """
+    import gc
+
+    from repro.storage.buffer_pool import BufferPool
+    from repro.storage.catalog import Catalog
+    from repro.storage.engine import DatabaseEngine
+    from repro.storage.pages import mb
+    from repro.workloads.tpcw import DATABASE_SIZES, make_tpcw
+
+    executions = 60_000 if quick else 300_000
+    apply_batch = 8             # writesets per simulated pull
+    spec = make_tpcw(DATABASE_SIZES["MidDB"])
+    mix = spec.mix("shopping")
+    rng = random.Random(7)
+    stream = [spec.types[mix.sample(rng)] for _ in range(executions)]
+
+    repeats = 1 if quick else 3
+    best_wall = float("inf")
+    for _ in range(repeats):
+        pool = BufferPool(mb(512) - mb(70))
+        engine = DatabaseEngine(Catalog(schema=spec.schema), pool,
+                                rng=random.Random(11))
+        execute = engine.execute
+        apply_writesets = engine.apply_writesets_fast
+        pending = []
+        gc.collect()
+        gc.freeze()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            for txn_type in stream:
+                _, writeset = execute(txn_type)
+                if writeset is not None:
+                    pending.append(writeset)
+                    if len(pending) == apply_batch:
+                        apply_writesets(pending)
+                        pending = []
+            wall = time.perf_counter() - start
+        finally:
+            gc.enable()
+            gc.unfreeze()
+        best_wall = min(best_wall, wall)
+    stats = pool.stats
+    return ScenarioTiming(
+        name="storage-micro",
+        wall_seconds=best_wall,
+        sim_seconds=0.0,
+        events_processed=executions,
+        transactions_completed=executions,
+        # No simulated clock: the machine-dependent rate goes under extra.
+        throughput_tps=0.0,
+        extra={
+            "executes_per_sec": executions / best_wall if best_wall > 0 else 0.0,
+            "runs": float(repeats),
+            "writesets_applied": float(engine.writesets_applied),
+            "buffer_accesses": float(stats.accesses),
+            "hit_ratio": stats.hit_ratio,
+            "evicted_mb": stats.evicted_bytes / (1024.0 * 1024.0),
+        },
+    )
+
+
 def _dispatch_micro(quick: bool, obs=None) -> ScenarioTiming:
     from collections import deque
 
@@ -465,6 +540,7 @@ SCENARIOS: Dict[str, Callable[..., ScenarioTiming]] = {
     "flash-crowd": _flash_crowd,
     "certifier-micro": _certifier_micro,
     "certifier-batch": _certifier_batch,
+    "storage-micro": _storage_micro,
     "commit-fanout": _commit_fanout,
     "dispatch-micro": _dispatch_micro,
     "obs-overhead": _obs_overhead,

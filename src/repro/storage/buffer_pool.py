@@ -9,11 +9,11 @@ Tracking individual 8 KB pages of a multi-gigabyte database would be far too
 expensive for a simulator that runs hundreds of configurations, so this
 buffer pool tracks *fractional residency per relation hot set*: for every
 (relation, hot-set) pair it records how many bytes of that hot set are
-currently cached, and it maintains LRU ordering across relations.  On a
-random access the expected number of page misses is the access size times
-the non-resident fraction of the hot set; on a sequential scan, the miss
-volume is the non-resident part of the whole relation.  Evictions shave
-bytes off the least-recently-used relations.
+currently cached, and it maintains LRU ordering across relations.  On an
+access the expected number of page misses is the access size times the
+non-resident fraction of the hot set (skewed, see ``skew``); a sequential
+scan is an access that requests its whole hot set.  Evictions shave bytes
+off the least-recently-used relations.
 
 This approximation reproduces the behaviours the paper relies on:
 
@@ -25,8 +25,9 @@ This approximation reproduces the behaviours the paper relies on:
 * a large sequential scan displaces other relations' pages abruptly, which
   is exactly the "large request wipes out memory" effect that breaks LARD.
 
-Implementation notes: ``access`` is the single hottest function of the whole
-simulator (it runs several times per transaction), so per-relation state
+Implementation notes: ``access_many`` is the single hottest function of the
+whole simulator (the engine charges each transaction's compiled access plan
+through one call, about five accesses per transaction), so per-relation state
 lives in one ``__slots__`` record reached through a single ``OrderedDict``
 lookup, and the pool keeps a running residency total so neither the
 accessors nor the eviction trigger ever re-sum the relation map.  Two more
@@ -42,7 +43,11 @@ being evaluated per access.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
+
+#: One access: ``(relation, bytes_needed, hot_set_bytes, sequential)``.
+#: ``sequential`` only selects which miss total the step counts towards.
+AccessStep = Tuple[str, float, float, bool]
 
 
 class BufferPoolStats:
@@ -51,14 +56,12 @@ class BufferPoolStats:
     ``__slots__``-based: the counters are bumped on every buffer access.
     """
 
-    __slots__ = ("bytes_requested", "bytes_missed", "accesses", "scans",
-                 "evicted_bytes")
+    __slots__ = ("bytes_requested", "bytes_missed", "accesses", "evicted_bytes")
 
     def __init__(self) -> None:
         self.bytes_requested = 0.0
         self.bytes_missed = 0.0
         self.accesses = 0
-        self.scans = 0
         self.evicted_bytes = 0.0
 
     @property
@@ -197,7 +200,8 @@ class BufferPool:
 
         Returns the number of bytes that must be read from disk (expected
         miss volume).  The cached fraction of the hot set grows by the miss
-        volume, displacing least-recently-used data if necessary.
+        volume, displacing least-recently-used data if necessary.  A
+        sequential scan is an access whose request is its whole hot set.
         """
         if bytes_needed < 0:
             raise ValueError("bytes_needed must be non-negative")
@@ -205,109 +209,110 @@ class BufferPool:
             return 0.0
         if bytes_needed > hot_set_bytes:
             bytes_needed = hot_set_bytes
+        return self.access_many(((relation, bytes_needed, hot_set_bytes, False),))[0]
 
-        relations = self._relations
-        state = relations.get(relation)
-        if state is None:
-            relations[relation] = state = _RelationState(0.0, hot_set_bytes)
-            hot_total = self._hot_total + hot_set_bytes
-            self._hot_total = hot_total
-            self._maybe_evict = hot_total > self._capacity_f
-            self._mru = relation        # inserted at the MRU end
-            resident = 0.0
-        else:
-            resident = state.resident
-            if hot_set_bytes > state.hot_max:
-                hot_total = self._hot_total + (hot_set_bytes - state.hot_max)
-                self._hot_total = hot_total
-                self._maybe_evict = hot_total > self._capacity_f
-                state.hot_max = hot_set_bytes
-            if relation != self._mru:
-                relations.move_to_end(relation)
-                self._mru = relation
-        # hit fraction = min(1, resident/hot) ** skew, with the exact 0 / 1
-        # endpoints short-circuited (x**skew is by far the costliest op here
-        # and steady-state accesses to a fully resident hot set are common).
-        if resident >= hot_set_bytes:
-            miss_bytes = 0.0
-        else:
-            if resident > 0.0:
-                # Exact one-point memo per relation (see _RelationState):
-                # at a pinned operating point -- residency capped by pool
-                # capacity or the hot-set watermark -- successive accesses
-                # re-evaluate pow at identical inputs.
-                if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
-                    hit_fraction = state.pow_hit
-                else:
-                    hit_fraction = (resident / hot_set_bytes) ** self.skew
-                    state.pow_resident = resident
-                    state.pow_hot = hot_set_bytes
-                    state.pow_hit = hit_fraction
-                miss_bytes = bytes_needed * (1.0 - hit_fraction)
-            else:
-                miss_bytes = bytes_needed
+    def access_many(self, steps: Sequence[AccessStep]) -> Tuple[float, float]:
+        """Run a sequence of accesses, each exactly as :meth:`access` would.
 
-            # Bring the missed bytes into the cache.  Residency is capped at
-            # the largest hot set ever observed for the relation (not this
-            # access's hot set -- a narrow access must never shrink what is
-            # cached) and at the pool capacity.
-            new_resident = resident + miss_bytes
-            if new_resident > state.hot_max:
-                new_resident = state.hot_max
-            if new_resident > self._capacity_f:
-                new_resident = self._capacity_f
-            state.resident = new_resident
-            self._resident_total += new_resident - resident
-            if self._maybe_evict and self._resident_total > self.capacity_bytes:
-                self._evict_to_capacity(protect=relation)
-
-        stats = self.stats
-        stats.accesses += 1
-        stats.bytes_requested += bytes_needed
-        stats.bytes_missed += miss_bytes
-        return miss_bytes
-
-    def scan(self, relation: str, relation_bytes: float) -> float:
-        """Sequential scan of the whole relation.
-
-        Returns the miss volume (the non-resident part of the relation).
-        After the scan the relation is fully resident up to pool capacity.
+        Each step is ``(relation, bytes_needed, hot_set_bytes, sequential)``
+        and must already be valid: ``hot_set_bytes > 0`` and
+        ``0 <= bytes_needed <= hot_set_bytes``.  Returns the summed miss
+        volume of the random steps and of the ``sequential`` ones, each
+        added up in step order.  The byte counters are added per step in
+        step order and written back when the call returns.
         """
-        if relation_bytes <= 0:
-            return 0.0
         relations = self._relations
-        state = relations.get(relation)
-        if state is None:
-            relations[relation] = state = _RelationState(0.0, relation_bytes)
-            hot_total = self._hot_total + relation_bytes
-            self._hot_total = hot_total
-            self._maybe_evict = hot_total > self._capacity_f
-            self._mru = relation
-            resident = 0.0
-        else:
-            resident = state.resident
-            if relation_bytes > state.hot_max:
-                hot_total = self._hot_total + (relation_bytes - state.hot_max)
-                self._hot_total = hot_total
-                self._maybe_evict = hot_total > self._capacity_f
-                state.hot_max = relation_bytes
-            if relation != self._mru:
-                relations.move_to_end(relation)
-                self._mru = relation
-        miss_bytes = max(0.0, relation_bytes - resident)
-
-        new_resident = min(relation_bytes, self._capacity_f)
-        state.resident = new_resident
-        self._resident_total += new_resident - resident
-        if self._maybe_evict and self._resident_total > self.capacity_bytes:
-            self._evict_to_capacity(protect=relation)
-
+        capacity = self._capacity_f
+        skew = self.skew
         stats = self.stats
-        stats.accesses += 1
-        stats.scans += 1
-        stats.bytes_requested += relation_bytes
-        stats.bytes_missed += miss_bytes
-        return miss_bytes
+        requested = stats.bytes_requested
+        missed = stats.bytes_missed
+        random_miss = 0.0
+        sequential_miss = 0.0
+        for relation, bytes_needed, hot_set_bytes, sequential in steps:
+            state = relations.get(relation)
+            if state is None:
+                relations[relation] = state = _RelationState(0.0, hot_set_bytes)
+                hot_total = self._hot_total + hot_set_bytes
+                self._hot_total = hot_total
+                self._maybe_evict = hot_total > capacity
+                self._mru = relation        # inserted at the MRU end
+                resident = 0.0
+            else:
+                resident = state.resident
+                if hot_set_bytes > state.hot_max:
+                    hot_total = self._hot_total + (hot_set_bytes - state.hot_max)
+                    self._hot_total = hot_total
+                    self._maybe_evict = hot_total > capacity
+                    state.hot_max = hot_set_bytes
+                if relation != self._mru:
+                    relations.move_to_end(relation)
+                    self._mru = relation
+            # hit fraction = min(1, resident/hot) ** skew, with the exact 0 / 1
+            # endpoints short-circuited (x**skew is by far the costliest op
+            # here and steady-state accesses to a fully resident hot set are
+            # common).
+            if resident >= hot_set_bytes:
+                miss_bytes = 0.0
+            else:
+                if resident > 0.0:
+                    # Exact one-point memo per relation (see _RelationState):
+                    # at a pinned operating point -- residency capped by pool
+                    # capacity or the hot-set watermark -- successive accesses
+                    # re-evaluate pow at identical inputs.
+                    if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
+                        hit_fraction = state.pow_hit
+                    else:
+                        hit_fraction = (resident / hot_set_bytes) ** skew
+                        state.pow_resident = resident
+                        state.pow_hot = hot_set_bytes
+                        state.pow_hit = hit_fraction
+                    miss_bytes = bytes_needed * (1.0 - hit_fraction)
+                else:
+                    miss_bytes = bytes_needed
+
+                # Bring the missed bytes into the cache.  Residency is capped
+                # at the largest hot set ever observed for the relation (not
+                # this access's hot set -- a narrow access must never shrink
+                # what is cached) and at the pool capacity.
+                new_resident = resident + miss_bytes
+                if new_resident > state.hot_max:
+                    new_resident = state.hot_max
+                if new_resident > capacity:
+                    new_resident = capacity
+                state.resident = new_resident
+                total = self._resident_total + (new_resident - resident)
+                self._resident_total = total
+                if self._maybe_evict and total > capacity:
+                    # Fast path of _evict_to_capacity: a full pool usually
+                    # sheds the whole excess from its LRU head.  The same
+                    # float operations in the same order, so the result is
+                    # bit-identical to the general pass.
+                    excess = total - capacity
+                    head_name, head = next(iter(relations.items()))
+                    if head_name != relation and head.resident > excess:
+                        head.resident -= excess
+                        self._resident_total = total - excess
+                        evicted_before = stats.evicted_bytes
+                        stats.evicted_bytes = evicted_before + excess
+                        on_evict = self.on_evict
+                        if on_evict is not None:
+                            freed = stats.evicted_bytes - evicted_before
+                            if freed > 0:
+                                on_evict(freed)
+                    else:
+                        self._evict_to_capacity(protect=relation)
+
+            requested += bytes_needed
+            missed += miss_bytes
+            if sequential:
+                sequential_miss += miss_bytes
+            else:
+                random_miss += miss_bytes
+        stats.accesses += len(steps)
+        stats.bytes_requested = requested
+        stats.bytes_missed = missed
+        return random_miss, sequential_miss
 
     def invalidate(self, relation: str) -> float:
         """Drop all cached bytes of a relation (e.g. the table was dropped

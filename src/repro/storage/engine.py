@@ -20,17 +20,20 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.storage.buffer_pool import BufferPool
+from repro.storage.buffer_pool import AccessStep, BufferPool
 from repro.storage.catalog import Catalog
 from repro.storage.pages import PAGE_SIZE_BYTES
 from repro.storage.snapshot import SnapshotManager
-from repro.workloads.spec import AccessPattern, TableAccess, TransactionType
+from repro.workloads.spec import AccessPattern, TransactionType
 
-# Cached per-access read plan: (access, catalog version, is_scan, relation,
-# hot-set bytes, scan CPU seconds, touched bytes, index name, index touched
-# bytes, index hot-set bytes, is_bulk).  See DatabaseEngine._plan_read.
-_ReadPlan = Tuple[TableAccess, int, bool, str, float, float, float,
-                  Optional[str], float, float, bool]
+# One write spec of a compiled plan: (relation, rows, payload bytes, pages
+# dirtied, key space).
+_WritePlan = Tuple[str, int, int, int, int]
+# A transaction type compiled against one catalog version: (the type itself,
+# buffer-pool steps, CPU seconds, write-back bytes, write specs).  See
+# DatabaseEngine._compile.
+_AccessPlan = Tuple[TransactionType, Tuple[AccessStep, ...], float, float,
+                    Tuple[_WritePlan, ...]]
 
 
 class TransactionWork:
@@ -195,15 +198,13 @@ class DatabaseEngine:
         self.transactions_executed = 0
         self.writesets_applied = 0
         self.writesets_filtered = 0
-        # Per-access execution plans (sizes, hot sets, index choice) derived
-        # purely from catalog metadata.  Keyed by the identity of the spec's
-        # long-lived AccessSpec objects and invalidated whenever the catalog
-        # version changes, so a transaction type executed thousands of times
-        # does not re-derive the same constants on every execution.  The
-        # plan tuple holds the access object itself, which both pins its id
-        # and guards against identity reuse.
-        self._read_plans: Dict[int, _ReadPlan] = {}
-        self._read_plans_version = -1
+        # Transaction type name -> compiled access plan (see _compile),
+        # derived purely from catalog metadata and cleared whenever the
+        # catalog version moves.  The plan holds the type object itself, so
+        # a different type that reuses a name is recompiled, not served a
+        # stale plan.
+        self._plans: Dict[str, _AccessPlan] = {}
+        self._plans_version = -1
         # relation name -> write hot-set bytes, shared by local writes and
         # remote writeset application; cleared when the catalog version moves.
         self._write_hot_sets: Dict[str, float] = {}
@@ -218,90 +219,81 @@ class DatabaseEngine:
         Returns the resource demand and, for update types, the writeset to
         be certified and propagated.
         """
-        work = TransactionWork(cpu_seconds=txn_type.cpu_ms / 1000.0)
-
-        if self._read_plans_version != self.catalog.version:
-            self._read_plans.clear()
-            self._read_plans_version = self.catalog.version
-        for access in txn_type.reads:
-            self._execute_read(access, work)
+        version = self.catalog.version
+        if self._plans_version != version:
+            self._plans.clear()
+            self._plans_version = version
+        plan = self._plans.get(txn_type.name)
+        if plan is None or plan[0] is not txn_type:
+            plan = self._plans[txn_type.name] = self._compile(txn_type)
+        _, steps, cpu_seconds, write_bytes, writes = plan
+        random_miss, sequential_miss = self.buffer_pool.access_many(steps)
+        work = TransactionWork(cpu_seconds, random_miss, sequential_miss, write_bytes)
 
         writeset: Optional[WriteSet] = None
-        if txn_type.is_update:
-            writeset = self._execute_writes(txn_type, work)
-
+        if writes:
+            writeset = WriteSet(
+                transaction_type=txn_type.name,
+                items=tuple(WriteItem(relation, self._generate_keys(key_space, rows),
+                                      payload, pages)
+                            for relation, rows, payload, pages, key_space in writes),
+                snapshot_version=self.snapshots.applied_version,
+            )
         self.transactions_executed += 1
         return work, writeset
 
-    def _execute_read(self, access: TableAccess, work: TransactionWork) -> None:
-        """Perform one read access (the plan cache is validated by execute())."""
-        plan = self._read_plans.get(id(access))
-        if plan is None or plan[0] is not access:
-            plan = self._plan_read(access)
-            self._read_plans[id(access)] = plan
-        buffer_pool = self.buffer_pool
-        (_, _, is_scan, relation_name, hot_set,
-         scan_cpu_seconds, touched, index_name, index_touch, index_hot,
-         is_bulk) = plan
+    def _compile(self, txn_type: TransactionType) -> _AccessPlan:
+        """Derive a transaction type's buffer-pool steps and costs.
 
-        if is_scan:
-            miss = buffer_pool.access(relation_name, hot_set, hot_set)
-            work.sequential_read_bytes += miss
-            work.cpu_seconds += scan_cpu_seconds
-            return
-
-        # Random access: descend an index (if any), then fetch table pages.
-        if index_name is not None:
-            miss = buffer_pool.access(index_name, index_touch, index_hot)
-            work.random_read_bytes += miss
-        miss = buffer_pool.access(relation_name, touched, hot_set)
-        if is_bulk:
-            # Large range accesses fetch their misses with readahead-style
-            # bulk I/O rather than one seek per page.
-            work.sequential_read_bytes += miss
-        else:
-            work.random_read_bytes += miss
-
-    def _plan_read(self, access: TableAccess) -> _ReadPlan:
-        """Derive an access's cost constants from catalog metadata.
-
-        Exactly the arithmetic the execution path used to perform per
-        execution; only values that depend exclusively on the catalog (and
-        the engine's static config) are precomputed -- buffer-pool state
-        is consulted at execution time as before.
+        Only values that depend on the catalog and the engine's static
+        config are precomputed; buffer-pool state is consulted at execution
+        time.  Reads come first, in spec order: a scan touches its whole hot
+        set sequentially; a random access descends the table's smallest
+        index (if any) and then fetches table pages, as sequential bulk I/O
+        once it touches ``bulk_read_pages_threshold`` pages.  The pages each
+        write dirties must then be resident; writes cluster in a small
+        append/update region, so those reads usually hit the cache.
         """
         catalog = self.catalog
-        relation_name = access.relation
-        relation = catalog.get(relation_name)
-        if relation is None:
-            raise KeyError("engine: unknown relation %r" % (relation_name,))
-        version = catalog.version
-        size = float(catalog.size_bytes(relation_name))
-        hot_set = size * access.selectivity
-        if hot_set < PAGE_SIZE_BYTES:
-            hot_set = float(PAGE_SIZE_BYTES)
+        config = self.config
+        steps: List[AccessStep] = []
+        cpu_seconds = txn_type.cpu_ms / 1000.0
+        for access in txn_type.reads:
+            relation_name = access.relation
+            relation = catalog.get(relation_name)
+            if relation is None:
+                raise KeyError("engine: unknown relation %r" % (relation_name,))
+            hot_set = _at_least_a_page(
+                float(catalog.size_bytes(relation_name)) * access.selectivity)
+            if access.pattern is AccessPattern.SCAN:
+                steps.append((relation_name, hot_set, hot_set, True))
+                cpu_seconds += (hot_set / (1024.0 * 1024.0)) * \
+                    config.cpu_ms_per_scanned_mb / 1000.0
+                continue
+            if relation.is_table:
+                chosen = catalog.smallest_index_of(relation_name)
+                if chosen is not None:
+                    index_hot = _at_least_a_page(
+                        float(catalog.size_bytes(chosen.name)) * access.selectivity)
+                    index_touch = config.index_pages_per_lookup * PAGE_SIZE_BYTES
+                    steps.append((chosen.name, min(index_touch, index_hot),
+                                  index_hot, False))
+            touched = access.pages_per_execution * PAGE_SIZE_BYTES
+            steps.append((relation_name, min(touched, hot_set), hot_set,
+                          access.pages_per_execution >= config.bulk_read_pages_threshold))
 
-        if access.pattern is AccessPattern.SCAN:
-            scan_cpu = (hot_set / (1024.0 * 1024.0)) * \
-                self.config.cpu_ms_per_scanned_mb / 1000.0
-            return (access, version, True, relation_name, hot_set,
-                    scan_cpu, 0.0, None, 0.0, 0.0, False)
-
-        touched = access.pages_per_execution * PAGE_SIZE_BYTES
-        index_name = None
-        index_touch = 0.0
-        index_hot = 0.0
-        if relation.is_table:
-            chosen = catalog.smallest_index_of(relation_name)
-            if chosen is not None:
-                index_name = chosen.name
-                index_hot = float(catalog.size_bytes(chosen.name)) * access.selectivity
-                if index_hot < PAGE_SIZE_BYTES:
-                    index_hot = float(PAGE_SIZE_BYTES)
-                index_touch = self.config.index_pages_per_lookup * PAGE_SIZE_BYTES
-        is_bulk = access.pages_per_execution >= self.config.bulk_read_pages_threshold
-        return (access, version, False, relation_name, hot_set,
-                0.0, touched, index_name, index_touch, index_hot, is_bulk)
+        write_bytes = 0.0
+        writes: List[_WritePlan] = []
+        for write_spec in txn_type.writes:
+            relation_name = write_spec.relation
+            touched = write_spec.pages_dirtied * PAGE_SIZE_BYTES
+            hot_set = self._write_hot_set(relation_name)
+            steps.append((relation_name, min(touched, hot_set), hot_set, False))
+            write_bytes += touched
+            key_space = max(1, catalog.relpages(relation_name)) * config.key_space_per_page
+            writes.append((relation_name, write_spec.rows, write_spec.writeset_bytes,
+                           write_spec.pages_dirtied, key_space))
+        return txn_type, tuple(steps), cpu_seconds, write_bytes, tuple(writes)
 
     def _write_hot_map(self) -> Dict[str, float]:
         """Relation -> write hot-set bytes, valid for the current catalog."""
@@ -315,43 +307,13 @@ class DatabaseEngine:
         hot_map = self._write_hot_map()
         hot_set = hot_map.get(relation)
         if hot_set is None:
-            hot_set = float(self.catalog.size_bytes(relation)) * self.config.write_locality
-            if hot_set < PAGE_SIZE_BYTES:
-                hot_set = float(PAGE_SIZE_BYTES)
-            hot_map[relation] = hot_set
+            hot_set = hot_map[relation] = _at_least_a_page(
+                float(self.catalog.size_bytes(relation)) * self.config.write_locality)
         return hot_set
 
-    def _execute_writes(self, txn_type: TransactionType, work: TransactionWork) -> WriteSet:
-        items: List[WriteItem] = []
-        for write_spec in txn_type.writes:
-            touched = write_spec.pages_dirtied * PAGE_SIZE_BYTES
-            hot_set = self._write_hot_set(write_spec.relation)
-            # The pages being modified must be resident before they can be
-            # dirtied; fetching them is random read I/O, but writes cluster
-            # in a small append/update region so they usually hit the cache.
-            miss = self.buffer_pool.access(write_spec.relation, touched, hot_set)
-            work.random_read_bytes += miss
-            work.write_bytes += touched
-
-            keys = self._generate_keys(write_spec.relation, write_spec.rows)
-            items.append(
-                WriteItem(
-                    relation=write_spec.relation,
-                    keys=keys,
-                    payload_bytes=write_spec.writeset_bytes,
-                    pages_dirtied=write_spec.pages_dirtied,
-                )
-            )
-        return WriteSet(
-            transaction_type=txn_type.name,
-            items=tuple(items),
-            snapshot_version=self.snapshots.applied_version,
-        )
-
-    def _generate_keys(self, relation: str, rows: int) -> Tuple[int, ...]:
-        pages = max(1, self.catalog.relpages(relation))
-        key_space = pages * self.config.key_space_per_page
-        return tuple(self.rng.randrange(key_space) for _ in range(rows))
+    def _generate_keys(self, key_space: int, rows: int) -> Tuple[int, ...]:
+        randrange = self.rng.randrange
+        return tuple(randrange(key_space) for _ in range(rows))
 
     # ------------------------------------------------------------------
     # Remote writeset application (update propagation)
@@ -407,14 +369,15 @@ class DatabaseEngine:
         random_read_bytes = 0.0
         write_bytes = 0.0
         if touched_by_relation:
-            buffer_pool = self.buffer_pool
             hot_map = self._write_hot_map()
+            steps: List[AccessStep] = []
             for relation, touched in touched_by_relation.items():
                 hot_set = hot_map.get(relation)
                 if hot_set is None:
                     hot_set = self._write_hot_set(relation)
-                random_read_bytes += buffer_pool.access(relation, touched, hot_set)
+                steps.append((relation, min(touched, hot_set), hot_set, False))
                 write_bytes += touched
+            random_read_bytes, _ = self.buffer_pool.access_many(steps)
         self.writesets_applied += applied_count
         self.writesets_filtered += filtered_count
         return (cpu_per_item * applied_items, random_read_bytes, write_bytes,
@@ -431,3 +394,8 @@ class DatabaseEngine:
     def restore_table(self, relation: str) -> None:
         """Resume maintaining a previously dropped relation (recovery path)."""
         self.dropped_tables.discard(relation)
+
+
+def _at_least_a_page(hot_set: float) -> float:
+    """A hot set is never smaller than one page."""
+    return hot_set if hot_set >= PAGE_SIZE_BYTES else float(PAGE_SIZE_BYTES)

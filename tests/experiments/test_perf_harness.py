@@ -58,7 +58,8 @@ def test_format_table_lists_all_scenarios():
 
 def test_known_scenarios_registered():
     assert {"midsize-malb", "fig6-dynamic", "flash-crowd", "certifier-micro",
-            "certifier-batch", "dispatch-micro", "commit-fanout"} \
+            "certifier-batch", "dispatch-micro", "commit-fanout",
+            "storage-micro"} \
         <= set(SCENARIOS)
 
 

@@ -32,6 +32,7 @@ import pytest
 
 from repro.experiments.configs import golden_midsize_config, golden_update_filtering_config
 from repro.experiments.runner import build_cluster
+from repro.net.invariants import ConsistencyChecker
 
 GOLDEN_PATH = Path(__file__).with_name("golden_seeded_metrics.json")
 
@@ -46,8 +47,12 @@ FLOAT_FIELDS = (
 )
 
 
-def _fingerprint(config):
+def _fingerprint(config, arm=None):
+    """Run ``config`` and fingerprint the outcome; ``arm(cluster)``, if
+    given, runs between building the cluster and running it."""
     cluster = build_cluster(config)
+    if arm is not None:
+        arm(cluster)
     result = cluster.run(duration_s=config.duration_s, warmup_s=config.warmup_s)
     metrics = result.metrics
     return {
@@ -88,17 +93,20 @@ def test_seeded_metrics_match_goldens():
     goldens = json.loads(GOLDEN_PATH.read_text())
 
     for name, measured in fingerprints.items():
-        golden = goldens[name]
-        for field in INT_FIELDS:
-            assert measured[field] == golden[field], \
-                "%s.%s drifted: %r != golden %r" % (name, field, measured[field], golden[field])
-        assert measured["completions_by_type"] == golden["completions_by_type"], name
-        assert measured["completions_by_replica"] == golden["completions_by_replica"], name
-        for field in FLOAT_FIELDS:
-            assert measured[field] == pytest.approx(golden[field], rel=1e-9), \
-                "%s.%s drifted" % (name, field)
-        assert measured["throughput_series"] == \
-            pytest.approx(golden["throughput_series"], rel=1e-9), name
+        _assert_matches_golden(name, measured, goldens[name])
+
+
+def _assert_matches_golden(name, measured, golden):
+    for field in INT_FIELDS:
+        assert measured[field] == golden[field], \
+            "%s.%s drifted: %r != golden %r" % (name, field, measured[field], golden[field])
+    assert measured["completions_by_type"] == golden["completions_by_type"], name
+    assert measured["completions_by_replica"] == golden["completions_by_replica"], name
+    for field in FLOAT_FIELDS:
+        assert measured[field] == pytest.approx(golden[field], rel=1e-9), \
+            "%s.%s drifted" % (name, field)
+    assert measured["throughput_series"] == \
+        pytest.approx(golden["throughput_series"], rel=1e-9), name
 
 
 def test_back_to_back_runs_are_identical():
@@ -106,3 +114,18 @@ def test_back_to_back_runs_are_identical():
     same seeded scenario produce byte-identical fingerprints."""
     config = golden_midsize_config()
     assert _fingerprint(config) == _fingerprint(config)
+
+
+def test_golden_mid_holds_gsi_invariants_with_ledgers_armed():
+    """A standing invariant check on a fault-free run: the GSI audit passes
+    mid-flight (the run ends with transactions in flight), and arming the
+    apply ledgers leaves the seeded behaviour untouched."""
+    config = golden_midsize_config()
+    checkers = []
+    measured = _fingerprint(config, arm=lambda c: checkers.append(ConsistencyChecker(c)))
+    report = checkers[0].check(expect_quiesced=False)
+    assert report.ok, report.summary()
+    assert report.checked["log_entries"] > 0
+    assert report.checked["ledger_entries"] > 0
+    goldens = json.loads(GOLDEN_PATH.read_text())
+    _assert_matches_golden(config.name, measured, goldens[config.name])

@@ -9,6 +9,12 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.pages import mb
 
 
+def scan(pool, relation, relation_bytes):
+    """A sequential scan, as the engine charges one: an access that
+    requests the relation's whole hot set."""
+    return pool.access(relation, relation_bytes, relation_bytes)
+
+
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         BufferPool(0)
@@ -39,16 +45,16 @@ def test_repeated_access_converges_to_hits():
 
 def test_scan_loads_whole_relation():
     pool = BufferPool(mb(100))
-    miss = pool.scan("items", mb(30))
+    miss = scan(pool, "items", mb(30))
     assert miss == pytest.approx(mb(30))
     assert pool.resident_bytes_of("items") == pytest.approx(mb(30))
-    assert pool.scan("items", mb(30)) == pytest.approx(0.0)
+    assert scan(pool, "items", mb(30)) == pytest.approx(0.0)
 
 
 def test_large_scan_evicts_lru_relation():
     pool = BufferPool(mb(100))
-    pool.scan("users", mb(60))
-    pool.scan("orders", mb(80))          # displaces users
+    scan(pool, "users", mb(60))
+    scan(pool, "orders", mb(80))          # displaces users
     assert pool.resident_bytes <= mb(100)
     assert pool.resident_bytes_of("users") < mb(60)
     assert pool.resident_bytes_of("orders") == pytest.approx(mb(80))
@@ -56,21 +62,21 @@ def test_large_scan_evicts_lru_relation():
 
 def test_most_recent_relation_is_protected():
     pool = BufferPool(mb(100))
-    pool.scan("users", mb(90))
-    pool.scan("orders", mb(50))
+    scan(pool, "users", mb(90))
+    scan(pool, "orders", mb(50))
     # orders was accessed last: it should be fully resident.
     assert pool.resident_bytes_of("orders") == pytest.approx(mb(50))
 
 
 def test_relation_larger_than_pool_is_capped():
     pool = BufferPool(mb(64))
-    pool.scan("logs", mb(200))
+    scan(pool, "logs", mb(200))
     assert pool.resident_bytes <= mb(64) + 1
 
 
 def test_invalidate_frees_memory():
     pool = BufferPool(mb(100))
-    pool.scan("users", mb(40))
+    scan(pool, "users", mb(40))
     freed = pool.invalidate("users")
     assert freed == pytest.approx(mb(40))
     assert pool.resident_bytes == pytest.approx(0.0)
@@ -78,7 +84,7 @@ def test_invalidate_frees_memory():
 
 def test_clear_resets_pool():
     pool = BufferPool(mb(100))
-    pool.scan("users", mb(40))
+    scan(pool, "users", mb(40))
     pool.clear()
     assert pool.resident_bytes == 0.0
     assert pool.resident_relations() == []
@@ -162,7 +168,7 @@ def test_resident_total_matches_sum_after_randomized_sequences():
             hot = mb(rng.randint(1, 40))
             pool.access(relation, rng.uniform(0.0, hot), hot)
         elif op < 0.70:
-            pool.scan(relation, mb(rng.randint(1, 60)))
+            scan(pool, relation, mb(rng.randint(1, 60)))
         elif op < 0.85:
             pool.warm(relation, mb(rng.randint(0, 30)), mb(rng.randint(1, 40)))
         elif op < 0.97:

@@ -1,8 +1,11 @@
 """Unit tests for the database engine's resource-demand model."""
 
+import random
+
 import pytest
 
 from repro.storage.buffer_pool import BufferPool
+from repro.storage.catalog import Catalog
 from repro.storage.engine import DatabaseEngine, EngineConfig
 from repro.storage.pages import PAGE_SIZE_BYTES, mb
 from repro.workloads.spec import lookup, scan, transaction_type, write
@@ -80,3 +83,48 @@ def test_writeset_conflict_detection(tiny_engine, tiny_workload):
 def test_unknown_relation_raises(tiny_engine):
     with pytest.raises(KeyError):
         tiny_engine.execute(transaction_type("Bad", reads=[lookup("missing", pages=1)]))
+
+
+def test_plans_follow_catalog_resizes(tiny_workload):
+    """After a resize the next execution uses the new hot sets and key
+    space: it charges exactly what an engine built on the resized catalog
+    charges."""
+    catalog = Catalog(schema=tiny_workload.schema)
+    engine = DatabaseEngine(catalog, BufferPool(mb(512)))
+    scan_type, write_type = tiny_workload.type("Scan"), tiny_workload.type("Write")
+    engine.execute(scan_type)
+    engine.execute(write_type)
+
+    for name, size in (("items", mb(20)), ("orders", mb(2))):
+        catalog.set_size(name, size)
+    fresh_catalog = Catalog(schema=tiny_workload.schema)
+    for name, size in (("items", mb(20)), ("orders", mb(2))):
+        fresh_catalog.set_size(name, size)
+    fresh = DatabaseEngine(fresh_catalog, BufferPool(mb(512)))
+
+    for txn_type in (scan_type, write_type):
+        engine.rng, fresh.rng = random.Random(3), random.Random(3)
+        work, writeset = engine.execute(txn_type)
+        fresh_work, fresh_writeset = fresh.execute(txn_type)
+        assert engine._plans[txn_type.name] == fresh._plans[txn_type.name]
+        assert work.cpu_seconds == fresh_work.cpu_seconds
+        assert writeset == fresh_writeset
+    # The scan now covers the grown relation; the pool saw the new hot set.
+    assert engine.buffer_pool.hot_set_bytes_of("items") == float(mb(20))
+    # Writes draw keys from the shrunken table's key space: relpages times
+    # key_space_per_page.
+    (_, _, _, _, key_space), = engine._plans["Write"][4]
+    assert key_space == mb(2) // PAGE_SIZE_BYTES * EngineConfig().key_space_per_page
+    assert max(writeset.items[0].keys) < key_space
+
+
+def test_same_name_different_type_is_recompiled(tiny_catalog):
+    engine = DatabaseEngine(tiny_catalog, BufferPool(mb(256)))
+    small = transaction_type("T", reads=[scan("items")], cpu_ms=1.0)
+    large = transaction_type("T", reads=[scan("logs")], cpu_ms=1.0)
+    small_work, _ = engine.execute(small)
+    large_work, _ = engine.execute(large)
+    assert engine._plans["T"][0] is large
+    reference = DatabaseEngine(tiny_catalog, BufferPool(mb(256)))
+    assert large_work == reference.execute(large)[0]
+    assert large_work.cpu_seconds > small_work.cpu_seconds

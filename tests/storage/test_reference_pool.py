@@ -1,0 +1,374 @@
+"""Differential tests: compiled access plans against the per-access path.
+
+``ReferencePool`` keeps the buffer pool's former per-call ``access`` and
+``_evict_to_capacity`` verbatim, and ``PerAccessEngine`` the engine's former
+per-access ``execute``.  The production ``BufferPool.access_many`` and
+``DatabaseEngine.execute`` must reproduce them exactly: the same misses, the
+same counters, the same pool state and eviction callbacks, the same
+transaction work, writesets and RNG state -- compared with ``==``, not
+approximately.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.storage.buffer_pool import BufferPool, _RelationState
+from repro.storage.catalog import Catalog
+from repro.storage.engine import DatabaseEngine, TransactionWork, WriteItem, WriteSet
+from repro.storage.pages import PAGE_SIZE_BYTES, mb
+from repro.workloads.rubis import make_rubis
+from repro.workloads.spec import AccessPattern
+from repro.workloads.tpcw import DATABASE_SIZES, make_tpcw
+
+
+class ReferencePool(BufferPool):
+    """The per-call buffer pool: one ``access`` per step, general eviction."""
+
+    def access_many(self, steps):
+        random_miss = 0.0
+        sequential_miss = 0.0
+        for relation, bytes_needed, hot_set_bytes, sequential in steps:
+            miss = self.access(relation, bytes_needed, hot_set_bytes)
+            if sequential:
+                sequential_miss += miss
+            else:
+                random_miss += miss
+        return random_miss, sequential_miss
+
+    def access(self, relation, bytes_needed, hot_set_bytes):
+        if bytes_needed < 0:
+            raise ValueError("bytes_needed must be non-negative")
+        if hot_set_bytes <= 0:
+            return 0.0
+        if bytes_needed > hot_set_bytes:
+            bytes_needed = hot_set_bytes
+
+        relations = self._relations
+        state = relations.get(relation)
+        if state is None:
+            relations[relation] = state = _RelationState(0.0, hot_set_bytes)
+            hot_total = self._hot_total + hot_set_bytes
+            self._hot_total = hot_total
+            self._maybe_evict = hot_total > self._capacity_f
+            self._mru = relation
+            resident = 0.0
+        else:
+            resident = state.resident
+            if hot_set_bytes > state.hot_max:
+                hot_total = self._hot_total + (hot_set_bytes - state.hot_max)
+                self._hot_total = hot_total
+                self._maybe_evict = hot_total > self._capacity_f
+                state.hot_max = hot_set_bytes
+            if relation != self._mru:
+                relations.move_to_end(relation)
+                self._mru = relation
+        if resident >= hot_set_bytes:
+            miss_bytes = 0.0
+        else:
+            if resident > 0.0:
+                if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
+                    hit_fraction = state.pow_hit
+                else:
+                    hit_fraction = (resident / hot_set_bytes) ** self.skew
+                    state.pow_resident = resident
+                    state.pow_hot = hot_set_bytes
+                    state.pow_hit = hit_fraction
+                miss_bytes = bytes_needed * (1.0 - hit_fraction)
+            else:
+                miss_bytes = bytes_needed
+            new_resident = resident + miss_bytes
+            if new_resident > state.hot_max:
+                new_resident = state.hot_max
+            if new_resident > self._capacity_f:
+                new_resident = self._capacity_f
+            state.resident = new_resident
+            self._resident_total += new_resident - resident
+            if self._maybe_evict and self._resident_total > self.capacity_bytes:
+                self._evict_to_capacity(protect=relation)
+
+        stats = self.stats
+        stats.accesses += 1
+        stats.bytes_requested += bytes_needed
+        stats.bytes_missed += miss_bytes
+        return miss_bytes
+
+    def _evict_to_capacity(self, protect=None):
+        excess = self._resident_total - self.capacity_bytes
+        if excess <= 0:
+            return
+        relations = self._relations
+        stats = self.stats
+        evicted_before = stats.evicted_bytes
+        emptied = []
+        for name, state in relations.items():
+            if excess <= 0:
+                break
+            if name == protect:
+                continue
+            resident = state.resident
+            evicted = resident if resident < excess else excess
+            remaining = resident - evicted
+            state.resident = remaining
+            self._resident_total -= evicted
+            excess -= evicted
+            stats.evicted_bytes += evicted
+            if remaining <= 0:
+                emptied.append(name)
+        if excess > 0 and protect is not None:
+            state = relations.get(protect)
+            if state is not None:
+                resident = state.resident
+                evicted = resident if resident < excess else excess
+                remaining = resident - evicted
+                state.resident = remaining
+                self._resident_total -= evicted
+                stats.evicted_bytes += evicted
+                if remaining <= 0:
+                    emptied.append(protect)
+                    if self._mru == protect:
+                        self._mru = None
+        if emptied:
+            hot_total = self._hot_total
+            for name in emptied:
+                hot_total -= relations.pop(name).hot_max
+            if not relations:
+                self._resident_total = 0.0
+                hot_total = 0.0
+            self._hot_total = hot_total
+            self._maybe_evict = hot_total > self._capacity_f
+        on_evict = self.on_evict
+        if on_evict is not None:
+            freed = stats.evicted_bytes - evicted_before
+            if freed > 0:
+                on_evict(freed)
+
+
+class PerAccessEngine(DatabaseEngine):
+    """The engine's former execute: one pool call per access, no plan cache."""
+
+    def execute(self, txn_type):
+        catalog = self.catalog
+        config = self.config
+        pool = self.buffer_pool
+        work = TransactionWork(cpu_seconds=txn_type.cpu_ms / 1000.0)
+        for access in txn_type.reads:
+            relation = catalog.get(access.relation)
+            if relation is None:
+                raise KeyError(access.relation)
+            hot_set = float(catalog.size_bytes(access.relation)) * access.selectivity
+            if hot_set < PAGE_SIZE_BYTES:
+                hot_set = float(PAGE_SIZE_BYTES)
+            if access.pattern is AccessPattern.SCAN:
+                work.sequential_read_bytes += pool.access(access.relation, hot_set, hot_set)
+                work.cpu_seconds += (hot_set / (1024.0 * 1024.0)) * \
+                    config.cpu_ms_per_scanned_mb / 1000.0
+                continue
+            if relation.is_table:
+                chosen = catalog.smallest_index_of(access.relation)
+                if chosen is not None:
+                    index_hot = float(catalog.size_bytes(chosen.name)) * access.selectivity
+                    if index_hot < PAGE_SIZE_BYTES:
+                        index_hot = float(PAGE_SIZE_BYTES)
+                    work.random_read_bytes += pool.access(
+                        chosen.name, config.index_pages_per_lookup * PAGE_SIZE_BYTES,
+                        index_hot)
+            miss = pool.access(access.relation,
+                               access.pages_per_execution * PAGE_SIZE_BYTES, hot_set)
+            if access.pages_per_execution >= config.bulk_read_pages_threshold:
+                work.sequential_read_bytes += miss
+            else:
+                work.random_read_bytes += miss
+
+        writeset = None
+        if txn_type.is_update:
+            items = []
+            for spec in txn_type.writes:
+                touched = spec.pages_dirtied * PAGE_SIZE_BYTES
+                work.random_read_bytes += pool.access(
+                    spec.relation, touched, self._write_hot_set(spec.relation))
+                work.write_bytes += touched
+                key_space = max(1, catalog.relpages(spec.relation)) * \
+                    config.key_space_per_page
+                keys = tuple(self.rng.randrange(key_space) for _ in range(spec.rows))
+                items.append(WriteItem(spec.relation, keys, spec.writeset_bytes,
+                                       spec.pages_dirtied))
+            writeset = WriteSet(transaction_type=txn_type.name, items=tuple(items),
+                                snapshot_version=self.snapshots.applied_version)
+        self.transactions_executed += 1
+        return work, writeset
+
+
+def pool_state(pool):
+    """Everything observable about a pool, in a form ``==`` compares exactly."""
+    stats = pool.stats
+    return {
+        "relations": [(name, state.resident, state.hot_max, state.pow_resident,
+                       state.pow_hot, state.pow_hit)
+                      for name, state in pool._relations.items()],
+        "mru": pool._mru,
+        "resident_total": pool._resident_total,
+        "hot_total": pool._hot_total,
+        "maybe_evict": pool._maybe_evict,
+        "stats": (stats.accesses, stats.bytes_requested, stats.bytes_missed,
+                  stats.evicted_bytes),
+    }
+
+
+def recorded_pools(capacity):
+    """A production pool and a reference pool, each recording on_evict."""
+    pools = (BufferPool(capacity), ReferencePool(capacity))
+    records = ([], [])
+    for pool, record in zip(pools, records):
+        pool.on_evict = record.append
+    return pools, records
+
+
+# --------------------------------------------------------------------------
+# Pool level
+# --------------------------------------------------------------------------
+CAPACITY = 100.0
+
+# One step: a relation, a hot set (up to 1.6x the pool, so a protected
+# relation can outgrow it), the requested fraction of that hot set, and the
+# sequential flag.  Few relation names make repeats and growing hot sets
+# common; fresh names after an invalidate make cold relations common.
+steps_strategy = st.tuples(
+    st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.floats(min_value=0.25, max_value=1.6 * CAPACITY, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.booleans(),
+).map(lambda t: (t[0], t[1] * t[2], t[1], t[3]))
+
+batches_strategy = st.lists(
+    st.tuples(st.lists(steps_strategy, min_size=0, max_size=8),
+              st.sampled_from(["many", "one-by-one", "invalidate"])),
+    min_size=1, max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches_strategy)
+def test_access_many_matches_per_call_access(batches):
+    (pool, reference), (evictions, reference_evictions) = recorded_pools(CAPACITY)
+    for steps, mode in batches:
+        expected = reference.access_many(steps)
+        if mode == "one-by-one":
+            # The public wrapper: one single-step access_many per call.
+            random_miss = sequential_miss = 0.0
+            for relation, need, hot, sequential in steps:
+                miss = pool.access(relation, need, hot)
+                if sequential:
+                    sequential_miss += miss
+                else:
+                    random_miss += miss
+            got = (random_miss, sequential_miss)
+        else:
+            got = pool.access_many(steps)
+        assert got == expected
+        if mode == "invalidate" and steps:
+            for pool_ in (pool, reference):
+                pool_.invalidate(steps[0][0])
+        assert pool_state(pool) == pool_state(reference)
+        assert evictions == reference_evictions
+
+
+class CountingPool(BufferPool):
+    """Counts the general eviction passes the inline fast path falls back to."""
+
+    general_passes = 0
+
+    def _evict_to_capacity(self, protect=None):
+        self.general_passes += 1
+        super()._evict_to_capacity(protect)
+
+
+def test_both_eviction_paths_are_exercised_and_agree():
+    """A long seeded stream on a small pool: the LRU-head fast path and the
+    general multi-relation pass both run, and neither drifts."""
+    rng = random.Random(20261016)
+    pool, reference = CountingPool(mb(48)), ReferencePool(mb(48))
+    evictions, reference_evictions = [], []
+    pool.on_evict = evictions.append
+    reference.on_evict = reference_evictions.append
+    names = ["r%d" % i for i in range(9)]
+    for _ in range(3000):
+        steps = []
+        for _ in range(rng.randint(1, 6)):
+            hot = mb(rng.uniform(0.5, 30.0))
+            steps.append((rng.choice(names), hot * rng.random() ** 3, hot,
+                          rng.random() < 0.2))
+        assert pool.access_many(steps) == reference.access_many(steps)
+        if rng.random() < 0.02:
+            victim = rng.choice(names)
+            pool.invalidate(victim)
+            reference.invalidate(victim)
+        assert pool_state(pool) == pool_state(reference)
+    assert evictions == reference_evictions
+    # Every fast-path eviction fires on_evict; so does almost every general pass.
+    assert pool.general_passes > 100
+    assert len(evictions) - pool.general_passes > 100
+
+
+def test_access_validates_like_the_per_call_path():
+    pool, reference = BufferPool(mb(8)), ReferencePool(mb(8))
+    for pool_ in (pool, reference):
+        assert pool_.access("a", mb(1), 0.0) == 0.0          # empty hot set
+        assert pool_.access("a", mb(4), mb(2)) == mb(2)      # clamped request
+    assert pool_state(pool) == pool_state(reference)
+
+
+# --------------------------------------------------------------------------
+# Engine level
+# --------------------------------------------------------------------------
+def run_stream(spec, pool_bytes, executions, grow_every=0):
+    """Execute a seeded stream over every type of ``spec`` on both engines,
+    applying the produced writesets back in batches, and compare every
+    result and the full state after each step."""
+    # Both engines share the catalog, so growing it moves both versions.
+    catalog = Catalog(schema=spec.schema)
+    compiled = DatabaseEngine(catalog, BufferPool(pool_bytes), rng=random.Random(5))
+    per_access = PerAccessEngine(catalog, ReferencePool(pool_bytes), rng=random.Random(5))
+    names = spec.type_names()
+    order = random.Random(9)
+    pending = []
+    for i in range(executions):
+        # Every type runs at least once, then a random order mixes them.
+        name = names[i] if i < len(names) else order.choice(names)
+        txn_type = spec.type(name)
+        work, writeset = compiled.execute(txn_type)
+        expected_work, expected_writeset = per_access.execute(txn_type)
+        assert work == expected_work, name
+        assert writeset == expected_writeset, name
+        if writeset is not None:
+            pending.append(writeset)
+            if len(pending) == 6:
+                tables = sorted(r.name for r in spec.schema if r.is_table)
+                allowed = set(order.sample(tables, len(tables) // 2)) \
+                    if order.random() < 0.3 else None
+                assert compiled.apply_writesets_fast(pending, allowed) == \
+                    per_access.apply_writesets_fast(pending, allowed)
+                pending = []
+        if grow_every and i % grow_every == grow_every - 1:
+            # A new catalog version must recompile every plan.
+            table = order.choice([r.name for r in catalog.tables()])
+            catalog.grow(table, order.randrange(1, 64) * PAGE_SIZE_BYTES)
+        assert pool_state(compiled.buffer_pool) == pool_state(per_access.buffer_pool)
+        assert compiled.rng.getstate() == per_access.rng.getstate()
+        assert compiled.writesets_applied == per_access.writesets_applied
+    assert compiled.transactions_executed == per_access.transactions_executed == executions
+    return compiled.buffer_pool.stats
+
+
+def test_every_tpcw_type_matches_per_access_execution():
+    run_stream(make_tpcw(DATABASE_SIZES["MidDB"]), mb(512) - mb(70), 1500,
+               grow_every=250)
+
+
+def test_tpcw_on_a_thrashing_pool_matches_per_access_execution():
+    stats = run_stream(make_tpcw(DATABASE_SIZES["LargeDB"]), mb(64), 1500)
+    assert stats.evicted_bytes > 0
+
+
+def test_every_rubis_type_matches_per_access_execution():
+    stats = run_stream(make_rubis(), mb(24), 1500, grow_every=300)
+    assert stats.evicted_bytes > 0
