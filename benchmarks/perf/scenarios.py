@@ -31,6 +31,11 @@ Scenarios:
   buffer pool (512 MB minus the 70 MB the paper reserves), with every eight
   writesets it produces applied back through ``apply_writesets_fast``.  No
   event loop; GC quiesced; min of three runs; executes/s under ``extra``.
+* ``eventloop-micro`` -- the event loop alone: a pre-drawn stream of
+  delays and no-op bound methods pushed through ``EventQueue.push_bare``
+  and drained with ``Simulator.run_until``, with a few thousand events
+  pending at a time as in a cluster run.  No cluster; GC quiesced; min of
+  three runs; events/s under ``extra``.
 * ``dispatch-micro`` -- routing-bound microbenchmark: MALB dispatch/complete
   cycles against a high-replica-count cluster view (TPC-W type catalogue,
   48 replicas), with periodic rebalances invalidating the candidate cache,
@@ -326,6 +331,83 @@ def _storage_micro(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
+class _Component:
+    """A stand-in event owner: its ``tick`` is the no-op callback."""
+
+    __slots__ = ()
+
+    def tick(self) -> None:
+        pass
+
+
+def _eventloop_micro(quick: bool, obs=None) -> ScenarioTiming:
+    """Event-queue pushes and the ``run_until`` drain loop, nothing else.
+
+    Delays (uniform in [0, 1) simulated seconds) and callbacks (bound
+    ``tick`` methods of 16 components, cycled) are drawn before the clock
+    starts.  Each round pushes ``round_size`` of them through ``push_bare``
+    at ``now + delay`` and then runs the simulator a quarter of a simulated
+    second forward, so about four rounds' worth of events are pending at
+    any time; a last ``run_until`` drains the rest.  Every run uses a fresh
+    simulator on the same stream and the fastest of ``repeats`` runs is
+    reported.
+    """
+    import gc
+
+    from repro.sim.simulator import Simulator
+
+    events = 100_000 if quick else 500_000
+    round_size = 1000
+    rng = random.Random(13)
+    delays = [rng.random() for _ in range(events)]
+    ticks = [_Component().tick for _ in range(16)]
+    callbacks = [ticks[i % len(ticks)] for i in range(events)]
+    rounds = [(delays[i:i + round_size], callbacks[i:i + round_size])
+              for i in range(0, events, round_size)]
+
+    repeats = 1 if quick else 3
+    best_wall = float("inf")
+    for _ in range(repeats):
+        sim = Simulator()
+        push_bare = sim.queue.push_bare
+        run_until = sim.run_until
+        peak = 0
+        gc.collect()
+        gc.freeze()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            for round_delays, round_callbacks in rounds:
+                now = sim.now
+                for delay, callback in zip(round_delays, round_callbacks):
+                    push_bare(now + delay, callback)
+                if len(sim.queue) > peak:
+                    peak = len(sim.queue)
+                run_until(now + 0.25)
+            run_until(sim.now + 1.0)
+            wall = time.perf_counter() - start
+        finally:
+            gc.enable()
+            gc.unfreeze()
+        if sim.events_processed != events:
+            raise AssertionError("eventloop-micro drained %d of %d events"
+                                 % (sim.events_processed, events))
+        best_wall = min(best_wall, wall)
+    return ScenarioTiming(
+        name="eventloop-micro",
+        wall_seconds=best_wall,
+        sim_seconds=sim.now,
+        events_processed=events,
+        transactions_completed=0,
+        throughput_tps=0.0,
+        extra={
+            "events_per_sec": events / best_wall if best_wall > 0 else 0.0,
+            "runs": float(repeats),
+            "queue_peak": float(peak),
+        },
+    )
+
+
 def _dispatch_micro(quick: bool, obs=None) -> ScenarioTiming:
     from collections import deque
 
@@ -541,6 +623,7 @@ SCENARIOS: Dict[str, Callable[..., ScenarioTiming]] = {
     "certifier-micro": _certifier_micro,
     "certifier-batch": _certifier_batch,
     "storage-micro": _storage_micro,
+    "eventloop-micro": _eventloop_micro,
     "commit-fanout": _commit_fanout,
     "dispatch-micro": _dispatch_micro,
     "obs-overhead": _obs_overhead,

@@ -7,10 +7,10 @@ partitions, retries and fail-over:
 
 * **log-total-order** -- the certifier log is a dense, strictly increasing
   sequence of commit versions (and every backup mirrors the leader).
-* **no-double-certify** -- no writeset object was certified twice.  The
-  proxy builds each batch's request writesets once and reuses them across
-  RPC retries, so a duplicated or retried request that slipped past the
-  certifier's dedup cache would append the *same object* to the log twice.
+* **no-double-certify** -- no writeset object was certified twice.  Each
+  execution builds its writeset once and RPC retries resend that object, so
+  a duplicated or retried request that slipped past the certifier's dedup
+  cache would append the *same object* to the log twice.
 * **replica-prefix** -- every replica's applied state is a prefix of the
   log: its cursor never runs ahead of the certifier, and its snapshot
   manager agrees with its proxy about where that prefix ends.

@@ -154,6 +154,8 @@ class Replica:
         self.replica_id = replica_id
         self.sim = sim
         self.engine = engine
+        # Every writeset the engine builds carries this replica as its origin.
+        engine.replica_id = replica_id
         self.resources = resources
         self.certifier = certifier
         self.disk_model = disk_model or DiskModel()
@@ -192,7 +194,6 @@ class Replica:
         self._rpc_request_id = 0
         self._rpc_attempt = 0
         self._rpc_batch: Optional[List[TransactionContext]] = None
-        self._rpc_requests = None
         self.rpc_timeouts = 0
         self.rpc_retries = 0
         self.rpc_stale_responses = 0
@@ -289,30 +290,11 @@ class Replica:
             self.sim.defer(config.certification_latency_s,
                            lambda: self._complete_certification(batch, epoch))
             return
-        # RPC path: build the request writesets once, at dispatch.  Retries
-        # resend the very same objects, which is what lets the consistency
-        # checker detect a double certification as the same writeset object
-        # appearing twice in the log.
         self._next_request_id += 1
         self._rpc_request_id = self._next_request_id
         self._rpc_attempt = 0
         self._rpc_batch = batch
-        self._rpc_requests = self._build_requests(batch)
         self._send_rpc_attempt(epoch)
-
-    def _build_requests(self, batch: List[TransactionContext]) -> list:
-        """The certification request list for one batch (FIFO order)."""
-        replica_id = self.replica_id
-        requests = []
-        for ctx in batch:
-            writeset = ctx.writeset
-            requests.append((writeset.__class__(
-                transaction_type=writeset.transaction_type,
-                items=writeset.items,
-                origin_replica=replica_id,
-                snapshot_version=ctx.snapshot,
-            ), ctx.snapshot))
-        return requests
 
     def _complete_certification(self, batch: List[TransactionContext],
                                 epoch: int) -> None:
@@ -327,9 +309,9 @@ class Replica:
             # went down with the crashed controller, so dropping the batch
             # leaks nothing.  crash() reset the batcher for the next epoch.
             return
-        requests = self._build_requests(batch)
         results, piggyback = self.certifier.certify_batch(
-            requests, since_version=self.proxy.applied_version, now=self.sim.now)
+            [(ctx.writeset, ctx.snapshot) for ctx in batch],
+            since_version=self.proxy.applied_version, now=self.sim.now)
         self._deliver_certification(batch, results, piggyback)
 
     def _deliver_certification(self, batch: List[TransactionContext],
@@ -422,7 +404,10 @@ class Replica:
         self._rpc_attempt += 1
         attempt = self._rpc_attempt
         request_id = self._rpc_request_id
-        requests = self._rpc_requests
+        # Every attempt sends the writeset objects execute built, which is
+        # what lets the consistency checker detect a double certification as
+        # the same object appearing twice in the log.
+        requests = [(ctx.writeset, ctx.snapshot) for ctx in self._rpc_batch]
         config = self.proxy.config
         one_way = config.certification_latency_s / 2.0
         channel = self.channel
@@ -460,7 +445,6 @@ class Replica:
             return
         batch = self._rpc_batch
         self._rpc_batch = None
-        self._rpc_requests = None
         self._deliver_certification(batch, results, piggyback)
 
     def _rpc_timeout(self, request_id: int, attempt: int, epoch: int) -> None:
@@ -527,7 +511,6 @@ class Replica:
         """
         batch = self._rpc_batch
         self._rpc_batch = None
-        self._rpc_requests = None
         for ctx in batch:
             self._shed_certification(ctx)
         if self._cert_queue:
@@ -640,7 +623,6 @@ class Replica:
         # and late responses are fenced by the epoch.  Request ids stay
         # monotonic so post-restore round trips cannot look stale.
         self._rpc_batch = None
-        self._rpc_requests = None
         self.engine.snapshots.abort_open()
 
     # ------------------------------------------------------------------

@@ -3,15 +3,14 @@
 A writeset is "the core information required to reflect the effects of an
 update transaction's changes" (Section 4.1): which tables were changed,
 which rows (keys), and the payload to apply.  The raw
-:class:`~repro.storage.engine.WriteSet` is produced by the storage engine
-when an update transaction executes; once the certifier admits it, it gains
-a global commit version and becomes a :class:`CertifiedWriteSet`, the unit
-stored in the certifier's persistent log and propagated to replicas.
+:class:`~repro.storage.engine.WriteSet` is built once, stamped with its
+origin, when an update transaction executes; once the certifier admits that
+same object, it is wrapped with a global commit version as a
+:class:`CertifiedWriteSet`, the unit stored in the certifier's log and
+propagated to replicas.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.storage.engine import WriteItem, WriteSet
 
@@ -49,17 +48,6 @@ class CertifiedWriteSet:
     def __repr__(self) -> str:
         return ("CertifiedWriteSet(version=%r, writeset=%r, commit_time=%r)"
                 % (self.version, self.writeset, self.commit_time))
-
-    @property
-    def tables(self) -> Iterable[str]:
-        return self.writeset.tables
-
-    @property
-    def payload_bytes(self) -> int:
-        return self.writeset.payload_bytes
-
-    def conflicts_with(self, other: WriteSet) -> bool:
-        return self.writeset.conflicts_with(other)
 
 
 __all__ = ["CertifiedWriteSet", "WriteItem", "WriteSet"]

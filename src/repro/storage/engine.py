@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.storage.buffer_pool import AccessStep, BufferPool
 from repro.storage.catalog import Catalog
@@ -85,29 +85,70 @@ class TransactionWork:
         self.write_bytes += other.write_bytes
 
 
-@dataclass(frozen=True)
 class WriteItem:
-    """One table's worth of changes inside a writeset."""
+    """One table's worth of changes inside a writeset (see :class:`WriteSet`)."""
 
-    relation: str
-    keys: Tuple[int, ...]
-    payload_bytes: int
-    pages_dirtied: int
+    __slots__ = ("relation", "keys", "payload_bytes", "pages_dirtied")
+
+    def __init__(self, relation: str, keys: Tuple[int, ...], payload_bytes: int,
+                 pages_dirtied: int) -> None:
+        self.relation = relation
+        self.keys = keys
+        self.payload_bytes = payload_bytes
+        self.pages_dirtied = pages_dirtied
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WriteItem):
+            return NotImplemented
+        return (self.relation, self.keys, self.payload_bytes, self.pages_dirtied) == \
+            (other.relation, other.keys, other.payload_bytes, other.pages_dirtied)
+
+    def __hash__(self) -> int:
+        return hash((self.relation, self.keys, self.payload_bytes, self.pages_dirtied))
+
+    def __repr__(self) -> str:
+        return "WriteItem(relation=%r, keys=%r, payload_bytes=%r, pages_dirtied=%r)" % (
+            self.relation, self.keys, self.payload_bytes, self.pages_dirtied)
 
 
-@dataclass(frozen=True)
 class WriteSet:
     """The changes made by one update transaction (Section 4.1).
 
     A writeset is "the core information required to reflect the effects of
     an update transaction's changes"; it is what the proxy sends to the
     certifier and what the certifier broadcasts to the other replicas.
+    ``DatabaseEngine.execute`` builds each one once, stamped with its origin.
+
+    Writesets and their items are ``__slots__`` classes, not frozen
+    dataclasses, because one of each is built per update transaction.
+    Equality, hashing and repr match the dataclasses; treat them as immutable.
     """
 
-    transaction_type: str
-    items: Tuple[WriteItem, ...]
-    origin_replica: Optional[int] = None
-    snapshot_version: int = 0
+    __slots__ = ("transaction_type", "items", "origin_replica", "snapshot_version")
+
+    def __init__(self, transaction_type: str, items: Tuple[WriteItem, ...],
+                 origin_replica: Optional[int] = None,
+                 snapshot_version: int = 0) -> None:
+        self.transaction_type = transaction_type
+        self.items = items
+        self.origin_replica = origin_replica
+        self.snapshot_version = snapshot_version
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WriteSet):
+            return NotImplemented
+        return (self.transaction_type, self.items, self.origin_replica,
+                self.snapshot_version) == (other.transaction_type, other.items,
+                                           other.origin_replica, other.snapshot_version)
+
+    def __hash__(self) -> int:
+        return hash((self.transaction_type, self.items, self.origin_replica,
+                     self.snapshot_version))
+
+    def __repr__(self) -> str:
+        return ("WriteSet(transaction_type=%r, items=%r, origin_replica=%r, "
+                "snapshot_version=%r)" % (self.transaction_type, self.items,
+                                          self.origin_replica, self.snapshot_version))
 
     @property
     def tables(self) -> Tuple[str, ...]:
@@ -116,32 +157,6 @@ class WriteSet:
     @property
     def payload_bytes(self) -> int:
         return sum(item.payload_bytes for item in self.items)
-
-    @property
-    def pages_dirtied(self) -> int:
-        return sum(item.pages_dirtied for item in self.items)
-
-    def keys_by_table(self) -> Dict[str, Set[int]]:
-        return {item.relation: set(item.keys) for item in self.items}
-
-    def conflicts_with(self, other: "WriteSet") -> bool:
-        """Write-write conflict test used by the certifier."""
-        mine = self.keys_by_table()
-        for item in other.items:
-            keys = mine.get(item.relation)
-            if keys and keys.intersection(item.keys):
-                return True
-        return False
-
-    def restricted_to(self, tables: Iterable[str]) -> "WriteSet":
-        """The sub-writeset touching only ``tables`` (update filtering)."""
-        wanted = set(tables)
-        return WriteSet(
-            transaction_type=self.transaction_type,
-            items=tuple(item for item in self.items if item.relation in wanted),
-            origin_replica=self.origin_replica,
-            snapshot_version=self.snapshot_version,
-        )
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,8 @@ class DatabaseEngine:
         # literal is the standalone-engine default for unit tests.
         self.rng = rng or random.Random(0)  # simlint: disable=R1
         self.snapshots = SnapshotManager()
+        # Stamped on every writeset as its origin; set by Replica.__init__.
+        self.replica_id: Optional[int] = None
         self.dropped_tables: Set[str] = set()
         # Cumulative accounting for the paper's disk-I/O tables.
         self.transactions_executed = 0
@@ -217,7 +234,8 @@ class DatabaseEngine:
         """Execute one instance of ``txn_type`` against the local cache.
 
         Returns the resource demand and, for update types, the writeset to
-        be certified and propagated.
+        be certified and propagated, stamped with this engine's replica as
+        its origin and with the snapshot the transaction runs on.
         """
         version = self.catalog.version
         if self._plans_version != version:
@@ -233,11 +251,12 @@ class DatabaseEngine:
         writeset: Optional[WriteSet] = None
         if writes:
             writeset = WriteSet(
-                transaction_type=txn_type.name,
-                items=tuple(WriteItem(relation, self._generate_keys(key_space, rows),
-                                      payload, pages)
-                            for relation, rows, payload, pages, key_space in writes),
-                snapshot_version=self.snapshots.applied_version,
+                txn_type.name,
+                tuple([WriteItem(relation, self._generate_keys(key_space, rows),
+                                 payload, pages)
+                       for relation, rows, payload, pages, key_space in writes]),
+                self.replica_id,
+                self.snapshots.applied_version,
             )
         self.transactions_executed += 1
         return work, writeset
@@ -313,7 +332,7 @@ class DatabaseEngine:
 
     def _generate_keys(self, key_space: int, rows: int) -> Tuple[int, ...]:
         randrange = self.rng.randrange
-        return tuple(randrange(key_space) for _ in range(rows))
+        return tuple([randrange(key_space) for _ in range(rows)])
 
     # ------------------------------------------------------------------
     # Remote writeset application (update propagation)

@@ -59,7 +59,7 @@ def test_format_table_lists_all_scenarios():
 def test_known_scenarios_registered():
     assert {"midsize-malb", "fig6-dynamic", "flash-crowd", "certifier-micro",
             "certifier-batch", "dispatch-micro", "commit-fanout",
-            "storage-micro"} \
+            "storage-micro", "eventloop-micro"} \
         <= set(SCENARIOS)
 
 

@@ -147,6 +147,57 @@ def test_aborted_retry_commits_on_piggybacked_snapshot_without_pull():
     assert replica.proxy.writesets_applied == 1
 
 
+def record_certified_batches(replica):
+    """Wrap the direct round trip to record each batch's
+    ``(ctx.writeset, ctx.snapshot)`` pairs as the proxy sends them."""
+    sent = []
+    original = replica._complete_certification
+
+    def recording(batch, epoch):
+        sent.append([(ctx.writeset, ctx.snapshot) for ctx in batch])
+        original(batch, epoch)
+
+    replica._complete_certification = recording
+    return sent
+
+
+def test_log_entries_are_the_executed_writesets():
+    """The certifier logs the very object ``execute`` built, stamped with
+    this replica as origin and with the transaction's snapshot: no copy is
+    made on the way to certification."""
+    workload = make_fast_update_workload()
+    sim, certifier, replica = make_replica(workload, replica_id=3)
+    sent = record_certified_batches(replica)
+    outcomes = []
+    for _ in range(6):
+        replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
+    sim.run()
+    assert outcomes == [True] * 6
+    requests = [request for batch in sent for request in batch]
+    assert len(certifier.log) == len(requests) == 6
+    for entry, (writeset, snapshot) in zip(certifier.log, requests):
+        assert entry.writeset is writeset
+        assert writeset.origin_replica == replica.replica_id
+        assert writeset.snapshot_version == snapshot
+
+
+def test_retry_after_abort_certifies_a_new_writeset():
+    workload = make_conflict_workload()
+    sim, certifier, replica = make_replica(workload, key_space_per_page=1)
+    sent = record_certified_batches(replica)
+    assert certifier.certify(remote_writeset(), snapshot_version=0).committed
+    outcomes = []
+    replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
+    sim.run()
+    assert outcomes == [True] and replica.aborted == 1
+    (aborted, _), (retried, snapshot) = [batch[0] for batch in sent]
+    # The retry re-executed: a different object, on the fresh snapshot.
+    assert retried is not aborted
+    assert (aborted.snapshot_version, retried.snapshot_version) == (0, snapshot)
+    assert certifier.log[-1].writeset is retried
+    assert all(entry.writeset is not aborted for entry in certifier.log)
+
+
 def test_stale_retries_no_longer_burn_max_retries():
     """Without the piggyback every retry reran at snapshot 0 and the
     transaction failed after max_retries; now one abort suffices."""

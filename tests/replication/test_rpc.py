@@ -16,7 +16,14 @@ from repro.replication.certifier import RPC_DEDUP_WINDOW, Certifier
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.replication.proxy import ProxyConfig
 from repro.replication.recovery import ReplicatedCertifierLog
+from repro.replication.replica import Replica
 from repro.replication.writeset import WriteItem, WriteSet
+from repro.sim.metrics import MetricsCollector
+from repro.sim.resources import ReplicaResources
+from repro.sim.simulator import Simulator
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.catalog import Catalog
+from repro.storage.engine import DatabaseEngine
 from repro.storage.pages import mb
 
 from tests.conftest import make_tiny_workload
@@ -110,6 +117,61 @@ def test_certify_rpc_window_is_bounded():
     for rid in range(1, RPC_DEDUP_WINDOW * 3):
         certifier.certify_rpc(0, rid, [(ws(rid), certifier.current_version)], 0)
     assert len(certifier.rpc_cache[0].window) <= RPC_DEDUP_WINDOW
+
+
+class LoseFirstResponse:
+    """A loss-free channel except that it drops the first response leg (the
+    second message sent), so the proxy times out and retransmits a request
+    the certifier has already decided."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.sent = 0
+
+    def deliver(self, latency_s, message):
+        self.sent += 1
+        if self.sent != 2:
+            self.sim.defer(latency_s, message)
+
+    def pull_allowed(self):
+        return True
+
+
+def test_retransmission_carries_the_writesets_execute_built():
+    sim, certifier = Simulator(), Certifier()
+    workload = make_tiny_workload()
+    engine = DatabaseEngine(Catalog(schema=workload.schema), BufferPool(mb(64)))
+    replica = Replica(replica_id=2, sim=sim, engine=engine,
+                      resources=ReplicaResources.create(sim, 2),
+                      certifier=certifier, channel=LoseFirstResponse(sim))
+    replica.metrics = MetricsCollector()
+    built, arrivals = [], []
+    execute, certify_rpc = engine.execute, certifier.certify_rpc
+
+    def recording_execute(txn_type):
+        work, writeset = execute(txn_type)
+        built.append(writeset)
+        return work, writeset
+
+    def recording_certify_rpc(origin, request_id, requests, since_version, now=0.0):
+        arrivals.append((request_id, [writeset for writeset, _ in requests]))
+        return certify_rpc(origin, request_id, requests, since_version, now)
+
+    engine.execute = recording_execute
+    certifier.certify_rpc = recording_certify_rpc
+    outcomes = []
+    replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
+    sim.run()
+    assert outcomes == [True]
+    assert replica.rpc_timeouts == 1 and certifier.stats.dedup_hits == 1
+    # First send and retransmission carry the same objects: the one
+    # writeset execute built, which is also what the log holds.
+    (first_id, first), (again_id, again) = arrivals
+    assert first_id == again_id
+    assert len(built) == len(first) == len(again) == 1
+    assert first[0] is again[0] is built[0]
+    assert len(certifier.log) == 1 and certifier.log[0].writeset is built[0]
+    assert built[0].origin_replica == 2
 
 
 # ----------------------------------------------------------------------

@@ -116,11 +116,10 @@ def test_back_to_back_runs_are_identical():
     assert _fingerprint(config) == _fingerprint(config)
 
 
-def test_golden_mid_holds_gsi_invariants_with_ledgers_armed():
+def _assert_gsi_invariants_hold_with_ledgers_armed(config):
     """A standing invariant check on a fault-free run: the GSI audit passes
     mid-flight (the run ends with transactions in flight), and arming the
     apply ledgers leaves the seeded behaviour untouched."""
-    config = golden_midsize_config()
     checkers = []
     measured = _fingerprint(config, arm=lambda c: checkers.append(ConsistencyChecker(c)))
     report = checkers[0].check(expect_quiesced=False)
@@ -129,3 +128,13 @@ def test_golden_mid_holds_gsi_invariants_with_ledgers_armed():
     assert report.checked["ledger_entries"] > 0
     goldens = json.loads(GOLDEN_PATH.read_text())
     _assert_matches_golden(config.name, measured, goldens[config.name])
+
+
+def test_golden_mid_holds_gsi_invariants_with_ledgers_armed():
+    _assert_gsi_invariants_hold_with_ledgers_armed(golden_midsize_config())
+
+
+def test_golden_uf_holds_gsi_invariants_with_ledgers_armed():
+    """The update-filtering golden: the run where filtered apply meets
+    own-origin skipping, which keys off the origin ``execute`` stamps."""
+    _assert_gsi_invariants_hold_with_ledgers_armed(golden_update_filtering_config())

@@ -71,15 +71,6 @@ def test_dropped_table_filters_writesets(tiny_engine, tiny_workload):
     assert write_bytes > 0
 
 
-def test_writeset_conflict_detection(tiny_engine, tiny_workload):
-    _, ws1 = tiny_engine.execute(tiny_workload.type("Write"))
-    _, ws2 = tiny_engine.execute(tiny_workload.type("Write"))
-    # Same keys conflict with themselves, disjoint keys do not.
-    assert ws1.conflicts_with(ws1)
-    restricted = ws1.restricted_to(["users"])
-    assert restricted.items == ()
-
-
 def test_unknown_relation_raises(tiny_engine):
     with pytest.raises(KeyError):
         tiny_engine.execute(transaction_type("Bad", reads=[lookup("missing", pages=1)]))
