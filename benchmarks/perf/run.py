@@ -20,6 +20,7 @@ import sys
 
 from benchmarks.perf.harness import ScenarioTiming, format_table, write_bench_json
 from benchmarks.perf.scenarios import SCENARIOS
+from repro.experiments.runner import _suffixed
 
 
 def main(argv=None) -> int:
@@ -170,14 +171,6 @@ def _run_dsan(names, quick: bool) -> int:
 def _run_one(name: str, quick: bool):
     """Module-level worker so scenario runs pickle across a process pool."""
     return name, SCENARIOS[name](quick)
-
-
-def _suffixed(path: str, suffix: str) -> str:
-    if not suffix:
-        return path
-    if path.endswith(".json"):
-        return path[:-len(".json")] + suffix + ".json"
-    return path + suffix
 
 
 if __name__ == "__main__":

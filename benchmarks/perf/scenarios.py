@@ -32,7 +32,7 @@ Scenarios:
   writesets it produces applied back through ``apply_writesets_fast``.  No
   event loop; GC quiesced; min of three runs; executes/s under ``extra``.
 * ``eventloop-micro`` -- the event loop alone: a pre-drawn stream of
-  delays and no-op bound methods pushed through ``EventQueue.push_bare``
+  delays and no-op bound methods pushed through ``EventQueue.push``
   and drained with ``Simulator.run_until``, with a few thousand events
   pending at a time as in a cluster run.  No cluster; GC quiesced; min of
   three runs; events/s under ``extra``.
@@ -345,7 +345,7 @@ def _eventloop_micro(quick: bool, obs=None) -> ScenarioTiming:
 
     Delays (uniform in [0, 1) simulated seconds) and callbacks (bound
     ``tick`` methods of 16 components, cycled) are drawn before the clock
-    starts.  Each round pushes ``round_size`` of them through ``push_bare``
+    starts.  Each round pushes ``round_size`` of them through ``push``
     at ``now + delay`` and then runs the simulator a quarter of a simulated
     second forward, so about four rounds' worth of events are pending at
     any time; a last ``run_until`` drains the rest.  Every run uses a fresh
@@ -369,7 +369,7 @@ def _eventloop_micro(quick: bool, obs=None) -> ScenarioTiming:
     best_wall = float("inf")
     for _ in range(repeats):
         sim = Simulator()
-        push_bare = sim.queue.push_bare
+        push = sim.queue.push
         run_until = sim.run_until
         peak = 0
         gc.collect()
@@ -380,7 +380,7 @@ def _eventloop_micro(quick: bool, obs=None) -> ScenarioTiming:
             for round_delays, round_callbacks in rounds:
                 now = sim.now
                 for delay, callback in zip(round_delays, round_callbacks):
-                    push_bare(now + delay, callback)
+                    push(now + delay, callback)
                 if len(sim.queue) > peak:
                     peak = len(sim.queue)
                 run_until(now + 0.25)

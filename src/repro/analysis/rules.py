@@ -253,7 +253,7 @@ class RuleD3SetIteration(Rule):
     flags:
 
     * ``for`` loops over a known set whose body performs an order-sensitive
-      call (``defer``/``push_bare``/``append``/``heappush``/... ) or
+      call (``schedule``/``push``/``append``/``heappush``/... ) or
       ``yield``\\ s;
     * list comprehensions over a known set;
     * ``list(...)``/``tuple(...)``/``.join(...)`` applied to a known set.

@@ -16,7 +16,7 @@ model:
   it, no certified update lost or applied twice, in-flight work resolved).
 
 The default is no network model at all (``ClusterConfig.network = None``):
-round trips go through the exact single ``sim.defer`` they always used, so
+round trips go through the exact single ``sim.schedule`` they always used, so
 seeded goldens are bit-identical with the package present.
 """
 

@@ -8,7 +8,7 @@ partitioned and healed at scheduled times -- all driven by a per-channel
 seeded RNG, so a chaos campaign is exactly reproducible.
 
 The perfect configuration (all fault knobs zero, not partitioned) routes a
-message through exactly one ``sim.defer`` with no RNG draw -- the same
+message through exactly one ``sim.schedule`` with no RNG draw -- the same
 event the pre-network code scheduled -- so enabling the network package
 with a perfect channel changes neither event counts nor RNG streams.
 Clusters built with ``ClusterConfig.network = None`` never construct
@@ -141,7 +141,7 @@ class Channel:
             return False
         if not self._faulty:
             stats.delivered += 1
-            self.sim.defer(latency_s, message)
+            self.sim.schedule(latency_s, message)
             return True
         config = self.config
         rng = self._rng
@@ -157,11 +157,11 @@ class Channel:
             delay += config.reorder_delay_s
             stats.reordered += 1
         stats.delivered += 1
-        self.sim.defer(delay, message)
+        self.sim.schedule(delay, message)
         if config.duplicate_probability and rng.random() < config.duplicate_probability:
             extra = rng.random() * config.jitter_s if config.jitter_s else latency_s
             stats.duplicated += 1
-            self.sim.defer(delay + extra, message)
+            self.sim.schedule(delay + extra, message)
         return True
 
     def pull_allowed(self) -> bool:
@@ -190,7 +190,7 @@ class NetworkConfig:
     campaigns usually start perfect and inject flaky windows/partitions at
     scheduled times); ``seed`` derives each channel's independent RNG
     stream.  Assign a NetworkConfig to ``ClusterConfig.network`` to enable
-    the fault model; leave the field ``None`` for the legacy direct-defer
+    the fault model; leave the field ``None`` for the legacy direct-schedule
     path the seeded goldens pin.
     """
 

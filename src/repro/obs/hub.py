@@ -7,7 +7,8 @@ into a :class:`~repro.replication.cluster.ReplicatedCluster`:
 
 * every replica (present and future: the cluster instruments newcomers
   through ``cluster.observability``) gets ``replica.obs`` set, which arms
-  the transaction-lifecycle trace points and the pull/eviction hooks;
+  the transaction-lifecycle trace points, the pull hook and the eviction
+  counters;
 * the registry gets gauges over every existing metrics island (certifier
   stats, buffer pools, admission controllers, routing table, monitor
   samples, the metrics collector's abort-reason taxonomy);
@@ -41,32 +42,23 @@ class ObservabilityHub:
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  registry: Optional[TelemetryRegistry] = None,
-                 trace_evictions: bool = False,
                  snapshot_interval_s: Optional[float] = None) -> None:
         self.tracer = tracer
         self.registry = registry
-        #: Buffer-pool evictions fire many times per second on contended
-        #: runs; eviction *counters* are always kept, but per-eviction trace
-        #: instants are opt-in to bound trace size.
-        self.trace_evictions = trace_evictions
         self.snapshot_interval_s = snapshot_interval_s
         self.cluster: Optional["ReplicatedCluster"] = None
 
     @classmethod
     def create(cls, tracing: bool = True, telemetry: bool = True,
-               trace_evictions: bool = False,
                snapshot_interval_s: Optional[float] = None) -> "ObservabilityHub":
         return cls(tracer=Tracer() if tracing else None,
                    registry=TelemetryRegistry() if telemetry else None,
-                   trace_evictions=trace_evictions,
                    snapshot_interval_s=snapshot_interval_s)
 
     @classmethod
-    def full(cls, trace_evictions: bool = False,
-             snapshot_interval_s: Optional[float] = None) -> "ObservabilityHub":
+    def full(cls, snapshot_interval_s: Optional[float] = None) -> "ObservabilityHub":
         """Both halves enabled."""
         return cls.create(tracing=True, telemetry=True,
-                          trace_evictions=trace_evictions,
                           snapshot_interval_s=snapshot_interval_s)
 
     # ------------------------------------------------------------------
@@ -104,23 +96,17 @@ class ObservabilityHub:
             self.tracer.set_process_name(replica.replica_id,
                                          "replica %d" % replica.replica_id)
         pool = replica.engine.buffer_pool
-        pool.on_evict = self._make_evict_hook(replica)
+        pool.on_evict = self._make_evict_hook()
 
-    def _make_evict_hook(self, replica: "Replica") -> Callable[[float], None]:
+    def _make_evict_hook(self) -> Callable[[float], None]:
         registry = self.registry
         evictions = registry.counter("buffer.evictions") if registry else None
         evicted_bytes = registry.counter("buffer.evicted_bytes") if registry else None
-        tracer = self.tracer if self.trace_evictions else None
-        sim = replica.sim
-        replica_id = replica.replica_id
 
         def on_evict(freed_bytes: float) -> None:
             if evictions is not None and evicted_bytes is not None:
                 evictions.inc()
                 evicted_bytes.inc(freed_bytes)
-            if tracer is not None:
-                tracer.instant("evict", "buffer", sim.now, replica_id,
-                               args={"bytes": freed_bytes})
 
         return on_evict
 

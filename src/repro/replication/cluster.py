@@ -68,7 +68,6 @@ class ClusterConfig:
     #: (live, draining or crashed-but-restorable) has already applied, so the
     #: log stops growing without bound on long runs.  0 disables truncation.
     log_truncation_interval_s: float = 30.0
-    warm_start: bool = True
     seed: int = 1
     #: Number of synchronous certifier backups (the paper runs a leader plus
     #: two).  0 keeps the single logical certifier; > 0 wires in a
@@ -77,7 +76,7 @@ class ClusterConfig:
     certifier_backups: int = 0
     #: Unreliable-network model (:class:`repro.net.channel.NetworkConfig`).
     #: ``None`` -- the default -- builds no channels at all: certification
-    #: round trips and lag notifications take the direct loss-free defer
+    #: round trips and lag notifications take the direct loss-free schedule
     #: path, keeping every seeded golden bit-identical.  Set a config (even
     #: a perfect one) to route them over per-replica channels with
     #: schedulable partitions, drops, duplication and jitter, and to switch
@@ -233,7 +232,7 @@ class ReplicatedCluster:
         #: is present get an apply ledger armed.  Same contract as
         #: ``observability``: must exist before _build_replicas.
         self.consistency = None
-        #: The unreliable-network model, or None for the direct defer path.
+        #: The unreliable-network model, or None for the direct schedule path.
         self.network = Network(self.sim, self.config.network) \
             if self.config.network is not None else None
         self.replicas: Dict[int, Replica] = {}
@@ -361,9 +360,9 @@ class ReplicatedCluster:
                 self._pulls_scheduled.discard(replica_id)
                 return
             replica.pull_updates()
-            self.sim.defer(self.config.propagation_interval_s, tick)
+            self.sim.schedule(self.config.propagation_interval_s, tick)
 
-        self.sim.defer(self.config.propagation_interval_s, tick)
+        self.sim.schedule(self.config.propagation_interval_s, tick)
 
     def _fail_inflight(self, replica_id: int,
                        reason: str = "crash-in-flight") -> int:
@@ -464,9 +463,6 @@ class ReplicatedCluster:
     def workload(self) -> WorkloadSpec:
         return self._workload
 
-    def workload_spec(self) -> WorkloadSpec:
-        return self._workload
-
     # ------------------------------------------------------------------
     # Transaction flow
     # ------------------------------------------------------------------
@@ -493,7 +489,7 @@ class ReplicatedCluster:
         message, so the pull it triggers pays the one-way notification
         latency instead of happening instantaneously at commit time --
         ``notification_latency_s == 0`` still goes through the event queue
-        (a zero-delay defer), never through a synchronous pull inside the
+        (a zero-delay schedule), never through a synchronous pull inside the
         origin's commit processing.  At most one notification per replica is
         in flight: further commits before it lands would only tell the proxy
         what it is already about to learn.
@@ -529,7 +525,7 @@ class ReplicatedCluster:
             note = _Notification(pending, replica)
             channel = replica.channel
             if channel is None:
-                sim.defer(latency, note)
+                sim.schedule(latency, note)
             else:
                 # Notifications ride the same unreliable link as the RPCs;
                 # a lost one releases its dedup entry at the drop decision
@@ -628,11 +624,11 @@ class ReplicatedCluster:
                                     seed=self.config.seed + 7919)
         preview.sample_types(0.0, 2000)
         self.balancer.observe_mix(preview.drain_type_counts())
-        if self.config.warm_start:
-            self._warm_replicas()
+        self._warm_replicas()
         self.monitor.start()
         self.clients.start()
-        # Update propagation: every replica pulls on the proxy's interval.
+        # Update propagation: every replica pulls every
+        # ``propagation_interval_s``.
         for replica in self.replicas.values():
             self._schedule_pulls(replica)
         # Load-balancer periodic work (re-allocation, filter activation),

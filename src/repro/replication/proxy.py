@@ -35,8 +35,6 @@ class ProxyConfig:
     Attributes:
         max_concurrency: Gatekeeper limit on transactions concurrently inside
             the database; further arrivals queue in the proxy.
-        pull_interval_s: how often an idle replica asks the certifier for new
-            writesets (500 ms in the prototype).
         certification_latency_s: one round trip to the certifier (network +
             certification service time).
         max_certification_batch: how many certification requests one round
@@ -68,7 +66,6 @@ class ProxyConfig:
     """
 
     max_concurrency: int = 8
-    pull_interval_s: float = 0.5
     certification_latency_s: float = 0.004
     max_certification_batch: int = 64
     notification_latency_s: float = 0.002
@@ -81,8 +78,6 @@ class ProxyConfig:
     def __post_init__(self) -> None:
         if self.max_concurrency <= 0:
             raise ValueError("max_concurrency must be positive")
-        if self.pull_interval_s <= 0:
-            raise ValueError("pull_interval_s must be positive")
         if self.certification_latency_s < 0:
             raise ValueError("certification latency must be non-negative")
         if self.max_certification_batch <= 0:

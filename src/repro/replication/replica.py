@@ -46,7 +46,7 @@ While the certifier is unreachable the proxy sheds overflowing update
 transactions with ``certifier-unreachable`` aborts -- read-only
 transactions keep committing from the local snapshot, the GSI-faithful
 degradation.  Without a channel (the default) the round trip is the exact
-single ``sim.defer`` it always was, preserving seeded outputs bit for bit.
+single ``sim.schedule`` it always was, preserving seeded outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class Replica:
         self._cert_inflight = False
         # Unreliable-network mode (repro.net): the channel this replica's
         # certification RPCs, pulls and notifications travel over.  None --
-        # the default -- keeps the direct, loss-free defer path.
+        # the default -- keeps the direct, loss-free schedule path.
         self.channel = channel
         # At-least-once RPC state: ids are per-proxy monotonic and *never*
         # reset (not even across crash/restore), so the certifier's dedup
@@ -287,8 +287,8 @@ class Replica:
         self._cert_inflight = True
         epoch = self.epoch
         if self.channel is None:
-            self.sim.defer(config.certification_latency_s,
-                           lambda: self._complete_certification(batch, epoch))
+            self.sim.schedule(config.certification_latency_s,
+                              lambda: self._complete_certification(batch, epoch))
             return
         self._next_request_id += 1
         self._rpc_request_id = self._next_request_id
@@ -424,8 +424,8 @@ class Replica:
             channel.deliver(one_way, lambda: self._rpc_response(
                 request_id, results, piggyback, epoch))
 
-        self.sim.defer(config.rpc_timeout_s,
-                       lambda: self._rpc_timeout(request_id, attempt, epoch))
+        self.sim.schedule(config.rpc_timeout_s,
+                          lambda: self._rpc_timeout(request_id, attempt, epoch))
         channel.deliver(one_way, at_certifier)
 
     def _rpc_response(self, request_id: int, results, piggyback,
@@ -468,8 +468,8 @@ class Replica:
             self._abandon_certification()
             return
         self.rpc_retries += 1
-        self.sim.defer(self._backoff_delay(attempt, request_id),
-                       lambda: self._rpc_retry(request_id, attempt, epoch))
+        self.sim.schedule(self._backoff_delay(attempt, request_id),
+                          lambda: self._rpc_retry(request_id, attempt, epoch))
 
     def _rpc_retry(self, request_id: int, attempt: int, epoch: int) -> None:
         """The backoff elapsed: retransmit unless the round trip resolved."""

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate: event loop, resources, clients, metrics."""
 
 from repro.sim.clients import ClientConfig, ClientPopulation
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.metrics import CompletionRecord, MetricsCollector, ThroughputPoint
 from repro.sim.monitor import ClusterMonitor, LoadSample, ReplicaMonitor
 from repro.sim.resources import ReplicaResources, Resource
@@ -12,7 +12,6 @@ __all__ = [
     "ClientPopulation",
     "ClusterMonitor",
     "CompletionRecord",
-    "Event",
     "EventQueue",
     "LoadSample",
     "MetricsCollector",

@@ -14,8 +14,8 @@ database, a 16-replica cluster, or any load-balancing policy.
 
 Clients are slotted objects whose issue/complete continuations are bound
 once at construction: a client completes hundreds of thousands of
-transactions, and its continuations travel through the event queue's
-``push_bare`` fast path, so the per-transaction loop allocates nothing and
+transactions, and its continuations go straight onto the event queue with
+``EventQueue.push``, so the per-transaction loop allocates nothing and
 performs no per-transaction callback-registry lookups.
 """
 
@@ -87,13 +87,13 @@ class Client:
         pop = self.population
         pop.requests_completed += 1
         # Inline exponential think-time draw (see ClientPopulation._think_time
-        # for why the formula is spelled out); think times are never negative
-        # and never cancelled, so the continuation goes straight onto the
-        # event queue.
+        # for why the formula is spelled out); think times are never negative,
+        # so the continuation skips schedule's check and goes straight onto
+        # the event queue.
         lambd = pop._think_lambd
         think = -log(1.0 - pop._rng.random()) / lambd if lambd is not None else 0.0
         sim = pop.sim
-        sim.queue.push_bare(sim.now + think, self.issue)
+        sim.queue.push(sim.now + think, self.issue)
 
 
 class ClientPopulation:
@@ -135,7 +135,7 @@ class ClientPopulation:
             client = Client(self, client_id)
             clients.append(client)
             offset = self._rng.uniform(0.0, max(self.config.think_time_s, 0.05))
-            self.sim.defer(offset, client.issue)
+            self.sim.schedule(offset, client.issue)
 
     @property
     def active_clients(self) -> int:
@@ -161,7 +161,7 @@ class ClientPopulation:
             if client_id < count:
                 self._parked.discard(client_id)
                 offset = self._rng.uniform(0.0, max(self.config.think_time_s, 0.05))
-                self.sim.defer(offset, self._clients[client_id].issue)
+                self.sim.schedule(offset, self._clients[client_id].issue)
         self._spawn_up_to(count)
 
     def _think_time(self) -> float:

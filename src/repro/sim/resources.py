@@ -62,10 +62,9 @@ class Resource:
         self._work_accepted += service_time
         self.requests += 1
         if callback is not None:
-            # Completions are never cancelled and never lie in the past
-            # (completion >= now by construction), so the queue's bare-push
-            # fast path is used directly.
-            sim.queue.push_bare(completion, callback)
+            # Completions never lie in the past (completion >= now by
+            # construction), so they skip schedule_at's check.
+            sim.queue.push(completion, callback)
         return completion
 
     def add_background_work(self, service_time: float) -> float:

@@ -27,15 +27,13 @@ def _cb_b() -> None:
 
 
 def _toy_run(session=None, events=40):
-    """A deterministic mixed-payload run (bare, handled and cancelled)."""
+    """A deterministic run of two callbacks interleaved in time."""
     sim = Simulator()
     if session is not None:
         session.attach_simulator(sim)
     for i in range(events):
-        sim.defer(0.5 * i, _cb_a)
-    handle = sim.schedule(1.25, _cb_b)
+        sim.schedule(0.5 * i, _cb_a)
     sim.schedule(2.25, _cb_b)
-    handle.cancel()
     sim.run_until(1000.0)
     return sim
 
@@ -111,8 +109,8 @@ def test_injected_divergence_is_localized_to_the_exact_event():
         sim = Simulator()
         session.attach_simulator(sim)
         for i in range(30):
-            sim.defer(float(i), _cb_a)
-        sim.defer(10.0, _cb_b if variant else _cb_a)
+            sim.schedule(float(i), _cb_a)
+        sim.schedule(10.0, _cb_b if variant else _cb_a)
         sim.run_until(100.0)
 
     report = check_determinism(run, block_size=8)
@@ -137,9 +135,9 @@ def test_extra_event_divergence_reports_one_sided_tail():
         sim = Simulator()
         session.attach_simulator(sim)
         for i in range(5):
-            sim.defer(float(i), _cb_a)
+            sim.schedule(float(i), _cb_a)
         if extra:
-            sim.defer(50.0, _cb_b)
+            sim.schedule(50.0, _cb_b)
         sim.run_until(100.0)
 
     report = check_determinism(run, block_size=8)
@@ -182,7 +180,7 @@ def test_extra_rng_draw_is_attributed_to_its_stream():
         cluster.clients._rng.random()
         if extra_draw:
             cluster.clients._rng.random()
-        cluster.sim.defer(0.0, _cb_a)
+        cluster.sim.schedule(0.0, _cb_a)
         cluster.sim.run_until(1.0)
         return session.fingerprint()
 

@@ -46,7 +46,7 @@ def test_clean_run_passes_every_invariant():
 
 
 def test_checker_without_network_model_also_works():
-    # The ledger rides the legacy direct-defer path too; the checker is not
+    # The ledger rides the legacy direct-schedule path too; the checker is not
     # tied to channel mode.
     cluster = make_cluster(network=False)
     checker = ConsistencyChecker(cluster)

@@ -51,8 +51,6 @@ def test_invalid_configs():
     with pytest.raises(ValueError):
         ProxyConfig(max_concurrency=0)
     with pytest.raises(ValueError):
-        ProxyConfig(pull_interval_s=0)
-    with pytest.raises(ValueError):
         ProxyConfig(certification_latency_s=-1)
     with pytest.raises(ValueError):
         ProxyConfig(max_certification_batch=0)

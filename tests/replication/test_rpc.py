@@ -131,7 +131,7 @@ class LoseFirstResponse:
     def deliver(self, latency_s, message):
         self.sent += 1
         if self.sent != 2:
-            self.sim.defer(latency_s, message)
+            self.sim.schedule(latency_s, message)
 
     def pull_allowed(self):
         return True

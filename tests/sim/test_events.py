@@ -1,8 +1,20 @@
 """Tests for the event queue."""
 
+import heapq
+
 import pytest
 
 from repro.sim.events import EventQueue
+
+
+def _drain(q):
+    """Pop and run every entry in heap order, as the simulator's loops do."""
+    times = []
+    while q:
+        time, _, callback = heapq.heappop(q._heap)
+        times.append(time)
+        callback()
+    return times
 
 
 def test_events_pop_in_time_order():
@@ -11,8 +23,7 @@ def test_events_pop_in_time_order():
     q.push(2.0, lambda: order.append("b"))
     q.push(1.0, lambda: order.append("a"))
     q.push(3.0, lambda: order.append("c"))
-    while q:
-        q.pop().callback()
+    assert _drain(q) == [1.0, 2.0, 3.0]
     assert order == ["a", "b", "c"]
 
 
@@ -21,75 +32,26 @@ def test_same_time_events_fifo():
     order = []
     for name in "abc":
         q.push(1.0, lambda n=name: order.append(n))
-    while q:
-        q.pop().callback()
+    _drain(q)
     assert order == ["a", "b", "c"]
-
-
-def test_cancellation_is_lazy():
-    q = EventQueue()
-    e = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    e.cancel()
-    assert len(q) == 1
-    assert q.peek_time() == 2.0
 
 
 def test_negative_time_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):
         q.push(-1.0, lambda: None)
+    assert not q
 
 
 def test_empty_queue_behaviour():
     q = EventQueue()
-    assert q.pop() is None
-    assert q.peek_time() is None
-    assert not q
-
-
-def test_push_bare_interleaves_with_push_in_time_order():
-    q = EventQueue()
-    order = []
-    q.push(2.0, lambda: order.append("handle"))
-    q.push_bare(1.0, lambda: order.append("bare-early"))
-    q.push_bare(3.0, lambda: order.append("bare-late"))
-    assert len(q) == 3
-    while q:
-        q.pop().callback()
-    assert order == ["bare-early", "handle", "bare-late"]
-
-
-def test_pop_wraps_bare_callbacks_in_an_event():
-    q = EventQueue()
-    q.push_bare(1.5, lambda: None)
-    event = q.pop()
-    assert event.time == 1.5
-    assert not event.cancelled
-
-
-def test_cancel_is_idempotent_and_safe_after_pop():
-    q = EventQueue()
-    event = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    event.cancel()
-    event.cancel()                      # second cancel must not double-count
-    assert len(q) == 1
-    popped = q.pop()
-    popped.cancel()                     # cancelling after pop is a no-op
     assert len(q) == 0
+    assert not q
+    assert _drain(q) == []
+    q.push(0.0, lambda: None)
+    assert len(q) == 1
+    assert q
 
 
-def test_mass_cancellation_compacts_the_heap():
-    q = EventQueue()
-    events = [q.push(float(i + 1), lambda: None) for i in range(200)]
-    for event in events[:150]:
-        event.cancel()
-    assert len(q) == 50
-    # Lazy deletion is bounded: once more than half the heap is cancelled it
-    # is compacted, so the heap cannot keep a cancellation-heavy backlog.
-    assert len(q._heap) <= 2 * len(q) + 1
-    times = []
-    while q:
-        times.append(q.pop().time)
-    assert times == [float(i + 1) for i in range(150, 200)]
+def test_push_bare_is_push():
+    assert EventQueue.push_bare is EventQueue.push
