@@ -1,11 +1,11 @@
 """Perf-harness scenarios: representative paper-scale workloads, timed.
 
-Each scenario is a callable ``(quick: bool, obs=None) -> ScenarioTiming``.
+Each scenario is a callable ``(quick: bool, observer=None) -> ScenarioTiming``.
 ``quick`` shrinks the scenario for the CI smoke job; the committed
-``BENCH_*.json`` trajectories are produced with ``quick=False``.  ``obs``
-is an optional :class:`repro.obs.ObservabilityHub` attached to the
-scenario's cluster (microbenchmarks with no cluster accept and ignore it),
-so ``run.py --trace`` can capture any scenario.
+``BENCH_*.json`` trajectories are produced with ``quick=False``.
+``observer`` is an optional hub or dsan session attached to the scenario's
+cluster (microbenchmarks with no cluster accept and ignore it), so
+``run.py --trace`` and ``run.py --dsan`` can cover any scenario.
 
 Scenarios:
 
@@ -69,7 +69,7 @@ from typing import Callable, Dict
 from benchmarks.perf.harness import ScenarioTiming, time_cluster
 
 
-def _midsize(quick: bool, obs=None) -> ScenarioTiming:
+def _midsize(quick: bool, observer=None) -> ScenarioTiming:
     from dataclasses import replace
     from repro.experiments.configs import golden_midsize_config
     from repro.experiments.runner import build_cluster
@@ -77,28 +77,28 @@ def _midsize(quick: bool, obs=None) -> ScenarioTiming:
     if quick:
         config = replace(config, duration_s=60.0, warmup_s=15.0)
     cluster = build_cluster(config)
-    if obs is not None:
-        obs.attach(cluster)
+    if observer is not None:
+        cluster.attach(observer)
     return time_cluster("midsize-malb", cluster,
                         duration_s=config.duration_s, warmup_s=config.warmup_s)
 
 
-def _fig6_dynamic(quick: bool, obs=None) -> ScenarioTiming:
+def _fig6_dynamic(quick: bool, observer=None) -> ScenarioTiming:
     from repro.experiments.configs import figure6_configs
     from repro.experiments.runner import build_cluster
     dynamic = figure6_configs(phase_length_s=120.0 if quick else 400.0)[0]
     cluster = build_cluster(dynamic)
-    if obs is not None:
-        obs.attach(cluster)
+    if observer is not None:
+        cluster.attach(observer)
     return time_cluster("fig6-dynamic", cluster,
                         duration_s=dynamic.duration_s, warmup_s=dynamic.warmup_s)
 
 
-def _flash_crowd(quick: bool, obs=None) -> ScenarioTiming:
+def _flash_crowd(quick: bool, observer=None) -> ScenarioTiming:
     from repro.experiments.elasticity import flash_crowd_scenario, run_elastic_experiment
     scenario = flash_crowd_scenario(autoscale=True, with_faults=not quick)
     start = time.perf_counter()
-    result = run_elastic_experiment(scenario, observability=obs)
+    result = run_elastic_experiment(scenario, observer)
     wall = time.perf_counter() - start
     return ScenarioTiming(
         name="flash-crowd",
@@ -115,7 +115,7 @@ def _flash_crowd(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
-def _certifier_micro(quick: bool, obs=None) -> ScenarioTiming:
+def _certifier_micro(quick: bool, observer=None) -> ScenarioTiming:
     from repro.replication.certifier import Certifier
     from repro.storage.engine import WriteItem, WriteSet
 
@@ -156,7 +156,7 @@ def _certifier_micro(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
-def _certifier_batch(quick: bool, obs=None) -> ScenarioTiming:
+def _certifier_batch(quick: bool, observer=None) -> ScenarioTiming:
     """Batched certification round trips, timing certification alone.
 
     The request stream is generated before the clock starts, so only the
@@ -261,7 +261,7 @@ def _certifier_batch(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
-def _storage_micro(quick: bool, obs=None) -> ScenarioTiming:
+def _storage_micro(quick: bool, observer=None) -> ScenarioTiming:
     """Transaction execution and writeset application, with no event loop.
 
     The transaction-type stream is drawn before the clock starts.  Every
@@ -340,7 +340,7 @@ class _Component:
         pass
 
 
-def _eventloop_micro(quick: bool, obs=None) -> ScenarioTiming:
+def _eventloop_micro(quick: bool, observer=None) -> ScenarioTiming:
     """Event-queue pushes and the ``run_until`` drain loop, nothing else.
 
     Delays (uniform in [0, 1) simulated seconds) and callbacks (bound
@@ -408,7 +408,7 @@ def _eventloop_micro(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
-def _dispatch_micro(quick: bool, obs=None) -> ScenarioTiming:
+def _dispatch_micro(quick: bool, observer=None) -> ScenarioTiming:
     from collections import deque
 
     from repro.core.grouping import GroupingMethod
@@ -502,7 +502,7 @@ def _dispatch_micro(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
-def _commit_fanout(quick: bool, obs=None) -> ScenarioTiming:
+def _commit_fanout(quick: bool, observer=None) -> ScenarioTiming:
     from repro.core.baselines import LeastConnectionsBalancer
     from repro.replication.cluster import ClusterConfig, ReplicatedCluster
     from repro.storage.pages import mb
@@ -521,8 +521,8 @@ def _commit_fanout(quick: bool, obs=None) -> ScenarioTiming:
     cluster = ReplicatedCluster(workload=spec,
                                 balancer=LeastConnectionsBalancer(),
                                 config=config, mix="ordering")
-    if obs is not None:
-        obs.attach(cluster)
+    if observer is not None:
+        cluster.attach(observer)
     timing = time_cluster("commit-fanout", cluster,
                           duration_s=duration_s, warmup_s=10.0)
     stats = cluster.certifier.stats
@@ -532,7 +532,7 @@ def _commit_fanout(quick: bool, obs=None) -> ScenarioTiming:
     return timing
 
 
-def _obs_overhead(quick: bool, obs=None) -> ScenarioTiming:
+def _obs_overhead(quick: bool, observer=None) -> ScenarioTiming:
     """A/B measurement of the tracing overhead (the PR 6 acceptance number).
 
     Runs the fig6-dynamic scenario twice -- once bare, once with a full
@@ -540,7 +540,7 @@ def _obs_overhead(quick: bool, obs=None) -> ScenarioTiming:
     and reports the enabled-mode slowdown.  The returned headline numbers
     (events, wall) are the *baseline* run's, so the smoke floor keeps
     guarding the disabled path; the traced run's numbers go under
-    ``extra``.  ``obs`` is ignored: this scenario builds its own hubs.
+    ``extra``.  ``observer`` is ignored: this scenario builds its own hub.
     """
     from repro.experiments.configs import figure6_configs
     from repro.experiments.runner import build_cluster
@@ -554,8 +554,8 @@ def _obs_overhead(quick: bool, obs=None) -> ScenarioTiming:
                           warmup_s=dynamic.warmup_s)
 
     traced_cluster = build_cluster(dynamic)
-    hub = ObservabilityHub.full(snapshot_interval_s=5.0)
-    hub.attach(traced_cluster)
+    hub = ObservabilityHub(snapshot_interval_s=5.0)
+    traced_cluster.attach(hub)
     traced = time_cluster("obs-overhead-traced", traced_cluster,
                           duration_s=dynamic.duration_s,
                           warmup_s=dynamic.warmup_s)
@@ -575,7 +575,7 @@ def _obs_overhead(quick: bool, obs=None) -> ScenarioTiming:
     return timing
 
 
-def _chaos_soak(quick: bool, obs=None) -> ScenarioTiming:
+def _chaos_soak(quick: bool, observer=None) -> ScenarioTiming:
     """The seeded chaos campaign, timed and self-checking.
 
     Unlike the other scenarios this one asserts its correctness claims --
@@ -587,7 +587,7 @@ def _chaos_soak(quick: bool, obs=None) -> ScenarioTiming:
     config = chaos_soak_config(severity=0.6, seed=1,
                                duration_s=120.0 if quick else 240.0)
     start = time.perf_counter()
-    result = run_chaos(config, observability=obs)
+    result = run_chaos(config, observer)
     wall = time.perf_counter() - start
     result.report.raise_if_violated()
     if result.lost_certified_updates:

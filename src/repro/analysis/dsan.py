@@ -40,7 +40,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Events per fingerprint block.  Small enough to localize cheaply, large
 #: enough that block bookkeeping is invisible next to event execution.
@@ -122,10 +122,10 @@ class EventDetail:
 class DsanSession:
     """One run's fingerprint collector.
 
-    ``attach(cluster)`` matches :meth:`ObservabilityHub.attach`'s shape, so
-    a session can ride every harness path that takes an ``observability``
-    object (``run_experiment``, ``run_chaos``, the perf scenarios); only
-    ``attach`` is ever called on it there.
+    A cluster observer: ``cluster.attach(session)`` arms the simulator
+    probe and records the ``clients``, ``workload``, ``engine[id]`` and
+    ``channel[id]`` streams, joiners' included, so a session rides every
+    harness path that takes an ``observer``.
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
@@ -144,23 +144,30 @@ class DsanSession:
         self._rng_draws: Dict[str, int] = {}
         self.rng_labels: List[str] = []
 
-    # -- attachment ------------------------------------------------------
-    def attach(self, cluster: object,
-               snapshot_interval_s: Optional[float] = None) -> "DsanSession":
-        """Arm the cluster's simulator probe and RNG recorders."""
-        sim = getattr(cluster, "sim")
-        self.attach_simulator(sim)
-        for label, owner, attr in _rng_slots(cluster):
-            original = getattr(owner, attr, None)
-            if isinstance(original, random.Random) and \
-                    not isinstance(original, _RecordingRandom):
-                recorder = _RecordingRandom(label, self)
-                recorder.setstate(original.getstate())
-                setattr(owner, attr, recorder)
-                self._rng_hashers[label] = hashlib.blake2b(digest_size=16)
-                self._rng_draws[label] = 0
-                self.rng_labels.append(label)
-        return self
+    # -- attachment (the ClusterObserver protocol) ------------------------
+    def instrument_cluster(self, cluster: object) -> None:
+        """Arm the cluster's simulator probe and its shared RNG streams."""
+        self.attach_simulator(getattr(cluster, "sim"))
+        self._record(getattr(cluster, "clients", None), "_rng", "clients")
+        self._record(getattr(cluster, "generator", None), "_rng", "workload")
+
+    def instrument_replica(self, replica: Any) -> None:
+        """Record one replica's engine and channel RNG streams."""
+        replica_id = replica.replica_id
+        self._record(replica.engine, "rng", "engine[%d]" % replica_id)
+        self._record(replica.channel, "_rng", "channel[%d]" % replica_id)
+
+    def _record(self, owner: object, attr: str, label: str) -> None:
+        """Swap ``owner.attr`` for a recording copy of the same stream."""
+        original = getattr(owner, attr, None)
+        if isinstance(original, random.Random) and \
+                not isinstance(original, _RecordingRandom):
+            recorder = _RecordingRandom(label, self)
+            recorder.setstate(original.getstate())
+            setattr(owner, attr, recorder)
+            self._rng_hashers[label] = hashlib.blake2b(digest_size=16)
+            self._rng_draws[label] = 0
+            self.rng_labels.append(label)
 
     def attach_simulator(self, sim: object) -> "DsanSession":
         """Arm just the event probe (toy scenarios / fixture tests)."""
@@ -206,27 +213,6 @@ class DsanSession:
                 for label in self.rng_labels
             },
         }
-
-
-def _rng_slots(cluster: object) -> List[Tuple[str, object, str]]:
-    """Discover the cluster's RNG-owning slots, in a deterministic order."""
-    slots: List[Tuple[str, object, str]] = []
-    clients = getattr(cluster, "clients", None)
-    if clients is not None and hasattr(clients, "_rng"):
-        slots.append(("clients", clients, "_rng"))
-    generator = getattr(cluster, "generator", None)
-    if generator is not None and hasattr(generator, "_rng"):
-        slots.append(("workload", generator, "_rng"))
-    replicas = getattr(cluster, "replicas", None) or {}
-    for replica_id in sorted(replicas):
-        engine = getattr(replicas[replica_id], "engine", None)
-        if engine is not None and hasattr(engine, "rng"):
-            slots.append(("engine[%d]" % replica_id, engine, "rng"))
-    network = getattr(cluster, "network", None)
-    links = getattr(network, "links", None) or {}
-    for replica_id in sorted(links):
-        slots.append(("channel[%d]" % replica_id, links[replica_id], "_rng"))
-    return slots
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +368,7 @@ def _run_config(config: object) -> Callable[[DsanSession], None]:
 
     def run(session: DsanSession) -> None:
         cluster = build_cluster(config)
-        session.attach(cluster)
+        cluster.attach(session)
         cluster.run(duration_s=config.duration_s, warmup_s=config.warmup_s)
 
     return run

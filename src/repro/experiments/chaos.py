@@ -38,9 +38,11 @@ from repro.elasticity.faults import FaultInjector, FaultRecord
 from repro.experiments.elasticity import count_lost_updates, window_throughput
 from repro.experiments.runner import (
     ExperimentConfig,
+    add_observer_arguments,
     make_balancer,
     make_schedule,
     make_workload,
+    run_observed,
 )
 from repro.net.channel import NetworkConfig
 from repro.net.invariants import ConsistencyChecker, InvariantReport
@@ -302,18 +304,18 @@ def schedule_campaign(config: ChaosConfig, cluster: ReplicatedCluster,
     return timeline
 
 
-def run_chaos(config: ChaosConfig, observability=None) -> ChaosResult:
+def run_chaos(config: ChaosConfig, observer=None) -> ChaosResult:
     """Run one chaos campaign end-to-end and audit the invariants.
 
-    ``observability`` (an :class:`~repro.obs.ObservabilityHub`) captures
-    the degradation/recovery curves: attach one with a snapshot interval
-    and the telemetry registry records drops, timeouts, retries, dedup
-    hits and per-replica lag over time; tracer instants mark every fault
-    and RPC event.
+    ``observer`` is attached to the cluster before the run.  An
+    :class:`~repro.obs.ObservabilityHub` captures the degradation/recovery
+    curves: with a snapshot interval the telemetry registry records drops,
+    timeouts, retries, dedup hits and per-replica lag over time; tracer
+    instants mark every fault and RPC event.
     """
     cluster, injector, checker = build_chaos_cluster(config)
-    if observability is not None:
-        observability.attach(cluster)
+    if observer is not None:
+        cluster.attach(observer)
     timeline = schedule_campaign(config, cluster, injector)
 
     base = config.base
@@ -436,37 +438,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run a severity sweep instead of a single campaign")
     parser.add_argument("--audit-json", default=None, metavar="PATH",
                         help="write the fault audit trail + invariant report here")
-    parser.add_argument("--telemetry-json", default=None, metavar="PATH",
-                        help="write the telemetry-registry snapshot JSON here")
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="write a Chrome trace-event JSON (perfetto) here")
-    parser.add_argument("--snapshot-interval", type=float, default=5.0)
-    parser.add_argument("--dsan", action="store_true",
-                        help="determinism sanitizer: run the campaign twice "
-                             "with event-stream fingerprinting and fail on "
-                             "the first diverging event (excludes --sweep "
-                             "and the observability exports)")
+    add_observer_arguments(parser)
     args = parser.parse_args(argv)
 
     duration = 120.0 if args.quick else args.duration
 
-    if args.dsan:
-        if args.sweep is not None or args.trace or args.telemetry_json:
-            parser.error("--dsan excludes --sweep/--trace/--telemetry-json")
-        from repro.analysis.dsan import check_determinism
-
-        config = chaos_soak_config(severity=args.severity, seed=args.seed,
-                                   duration_s=duration,
-                                   num_replicas=args.replicas)
-
-        def run(session) -> None:
-            run_chaos(config, observability=session)
-
-        report = check_determinism(run)
-        print(report.format())
-        return 0 if report.deterministic else 1
-
     if args.sweep is not None:
+        if args.dsan:
+            parser.error("--dsan excludes --sweep")
         results = severity_sweep(args.sweep, seed=args.seed, duration_s=duration)
         for result in results:
             print(result.summary())
@@ -477,32 +456,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("audit trail written to %s" % args.audit_json)
         return 0 if all(r.ok for r in results) else 1
 
-    hub = None
-    if args.trace or args.telemetry_json:
-        from repro.obs import ObservabilityHub
-        hub = ObservabilityHub.create(
-            tracing=args.trace is not None,
-            telemetry=args.telemetry_json is not None,
-            snapshot_interval_s=(args.snapshot_interval
-                                 if args.telemetry_json else None),
-        )
-
     config = chaos_soak_config(severity=args.severity, seed=args.seed,
                                duration_s=duration,
                                num_replicas=args.replicas)
-    result = run_chaos(config, observability=hub)
+    result, deterministic = run_observed(
+        parser, args, lambda observer: run_chaos(config, observer))
+    if result is None:
+        return 0 if deterministic else 1
     print(result.summary())
 
     if args.audit_json:
         with open(args.audit_json, "w") as fh:
             json.dump(audit_payload(result), fh, indent=2)
         print("audit trail written to %s" % args.audit_json)
-    if args.trace:
-        hub.export_trace(args.trace)
-        print("trace written to %s" % args.trace)
-    if args.telemetry_json:
-        hub.export_telemetry(args.telemetry_json)
-        print("telemetry written to %s" % args.telemetry_json)
     return 0 if result.ok else 1
 
 

@@ -146,16 +146,16 @@ def count_lost_updates(cluster: ReplicatedCluster) -> int:
 
 
 def run_elastic_experiment(config: ElasticityConfig,
-                           observability=None) -> ElasticityResult:
+                           observer=None) -> ElasticityResult:
     """Run one elasticity scenario end-to-end.
 
-    ``observability`` (a :class:`repro.obs.ObservabilityHub`) is attached
+    ``observer`` (e.g. a :class:`repro.obs.ObservabilityHub`) is attached
     before the run, so membership churn, faults and autoscaler decisions
     land in the trace and registry; ``None`` keeps the zero-overhead path.
     """
     cluster, autoscaler, injector = build_elastic_cluster(config)
-    if observability is not None:
-        observability.attach(cluster)
+    if observer is not None:
+        cluster.attach(observer)
     base = config.base
     start_replicas = len(cluster.replicas)
 

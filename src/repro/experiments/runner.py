@@ -12,7 +12,7 @@ disk I/O per transaction, groupings and replica counts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.balancer import LoadBalancer
 from repro.core.baselines import LardBalancer, LeastConnectionsBalancer, RoundRobinBalancer
@@ -36,6 +36,9 @@ POLICIES = (
     "MALB-SCAP",
     "MALB-SC+UF",
 )
+
+#: Telemetry snapshot period (simulated seconds) of the harness CLIs.
+SNAPSHOT_INTERVAL_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -175,16 +178,16 @@ def build_cluster(config: ExperimentConfig) -> ReplicatedCluster:
 
 
 def run_experiment(config: ExperimentConfig,
-                   observability=None) -> ExperimentResult:
+                   observer=None) -> ExperimentResult:
     """Run one experiment and return its measurements.
 
-    ``observability`` (a :class:`repro.obs.ObservabilityHub`) is attached to
-    the cluster before the run; pass ``None`` (the default) for the
+    ``observer`` (e.g. a :class:`repro.obs.ObservabilityHub`) is attached
+    to the cluster before the run; pass ``None`` (the default) for the
     zero-overhead path the goldens pin.
     """
     cluster = build_cluster(config)
-    if observability is not None:
-        observability.attach(cluster)
+    if observer is not None:
+        cluster.attach(observer)
     result: RunResult = cluster.run(duration_s=config.duration_s, warmup_s=config.warmup_s)
     return ExperimentResult(
         config=config,
@@ -228,7 +231,7 @@ def named_experiment_configs() -> Dict[str, ExperimentConfig]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: run named experiments, optionally with tracing/telemetry.
+    """CLI: run named experiments, optionally traced or under dsan.
 
     Examples::
 
@@ -249,12 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override the configured run length (seconds)")
     parser.add_argument("--warmup", type=float, default=None,
                         help="override the configured warm-up (seconds)")
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="write a Chrome trace-event JSON (perfetto) here")
-    parser.add_argument("--telemetry-json", default=None, metavar="PATH",
-                        help="write the telemetry-registry snapshot JSON here")
-    parser.add_argument("--snapshot-interval", type=float, default=5.0,
-                        help="telemetry snapshot period in simulated seconds")
+    add_observer_arguments(parser)
     args = parser.parse_args(argv)
 
     named = named_experiment_configs()
@@ -264,10 +262,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     from repro.experiments.report import format_abort_breakdown, format_result_table
-    from repro.obs import ObservabilityHub
 
     results = []
-    for i, name in enumerate(args.name):
+    deterministic = True
+    for name in args.name:
         if name not in named:
             parser.error("unknown experiment %r (use --list)" % (name,))
         config = named[name]
@@ -276,31 +274,67 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.warmup is not None:
             config = replace(config, warmup_s=args.warmup)
 
-        hub = None
-        if args.trace or args.telemetry_json:
-            hub = ObservabilityHub.create(
-                tracing=args.trace is not None,
-                telemetry=args.telemetry_json is not None,
-                snapshot_interval_s=(args.snapshot_interval
-                                     if args.telemetry_json else None),
-            )
-        results.append(run_experiment(config, observability=hub))
-
         # With several experiments, suffix the export paths by run name.
         suffix = "" if len(args.name) == 1 else "." + name.replace("/", "-")
-        if args.trace:
-            path = _suffixed(args.trace, suffix)
-            hub.export_trace(path)
-            print("trace written to %s" % path)
-        if args.telemetry_json:
-            path = _suffixed(args.telemetry_json, suffix)
-            hub.export_telemetry(path)
-            print("telemetry written to %s" % path)
+        result, same = run_observed(
+            parser, args,
+            lambda observer, config=config: run_experiment(config, observer),
+            suffix)
+        deterministic = deterministic and same
+        if result is not None:
+            results.append(result)
 
-    print(format_result_table(results, title="results"))
-    print()
-    print(format_abort_breakdown(results))
-    return 0
+    if results:
+        print(format_result_table(results, title="results"))
+        print()
+        print(format_abort_breakdown(results))
+    return 0 if deterministic else 1
+
+
+def add_observer_arguments(parser) -> None:
+    """Add the observer flags shared by the runner, chaos and perf CLIs."""
+    parser.add_argument("--trace", default=None, metavar="PATH",
+                        help="write a Chrome trace-event JSON (perfetto) here")
+    parser.add_argument("--telemetry-json", default=None, metavar="PATH",
+                        help="write the telemetry-registry snapshot JSON here")
+    parser.add_argument("--dsan", action="store_true",
+                        help="determinism sanitizer: run twice and fail on "
+                             "the first diverging event (no exports)")
+
+
+def run_observed(parser, args, run: Callable[[Any], Any],
+                 suffix: str = "") -> Tuple[Any, bool]:
+    """Run ``run(observer)`` under the flags of :func:`add_observer_arguments`.
+
+    ``--dsan`` double-runs it and returns ``(None, deterministic)``;
+    otherwise ``run`` gets a hub (or ``None`` when no export was asked
+    for), the exports are written and ``(result, True)`` is returned.
+    """
+    if args.dsan:
+        if args.trace or args.telemetry_json:
+            parser.error("--dsan excludes --trace/--telemetry-json")
+        from repro.analysis.dsan import check_determinism
+
+        report = check_determinism(run)
+        print(report.format())
+        return None, report.deterministic
+
+    hub = None
+    if args.trace or args.telemetry_json:
+        from repro.obs import ObservabilityHub
+        hub = ObservabilityHub(tracing=args.trace is not None,
+                               telemetry=args.telemetry_json is not None,
+                               snapshot_interval_s=SNAPSHOT_INTERVAL_S)
+    result = run(hub)
+    if args.trace:
+        path = _suffixed(args.trace, suffix)
+        hub.export_trace(path)
+        print("trace written to %s" % path)
+    if args.telemetry_json:
+        path = _suffixed(args.telemetry_json, suffix)
+        hub.export_telemetry(path)
+        print("telemetry written to %s" % path)
+    return result, True
 
 
 def _suffixed(path: str, suffix: str) -> str:

@@ -25,7 +25,7 @@ partitions, retries and fail-over:
   transaction is still admitted, queued, certifying or tracked in the
   cluster's in-flight tables, and no lag notification is pending.
 
-Install the checker right after constructing the cluster (before the run)
+Construct the checker (it calls ``cluster.attach(self)``) before the run,
 so every replica -- including later joiners -- carries a ledger::
 
     cluster = ReplicatedCluster(...)
@@ -92,24 +92,24 @@ class InvariantReport:
 class ConsistencyChecker:
     """Audits a :class:`~repro.replication.cluster.ReplicatedCluster`.
 
-    Constructing the checker arms a per-replica apply ledger on every
-    current replica and registers itself as ``cluster.consistency`` so
-    replicas built later (elastic joiners, restarts keep theirs) are armed
-    too.  Without a checker installed no ledger exists and the apply path
-    stays on its zero-overhead fast path.
+    Constructing the checker attaches it to the cluster, which arms an
+    apply ledger on every replica, joiners included (restarts keep
+    theirs).  Without a checker no ledger exists and the apply path stays
+    on its zero-overhead fast path.
     """
 
     def __init__(self, cluster: "ReplicatedCluster") -> None:
         self.cluster = cluster
-        cluster.consistency = self
-        for replica in cluster.replicas.values():
-            self.arm(replica)
+        cluster.attach(self)
 
     @staticmethod
-    def arm(replica: "Replica") -> None:
+    def instrument_replica(replica: "Replica") -> None:
         """Give ``replica`` an apply ledger (idempotent)."""
         if replica.apply_ledger is None:
             replica.apply_ledger = {}
+
+    def instrument_cluster(self, cluster: "ReplicatedCluster") -> None:
+        """Nothing cluster-wide to arm: the audit reads state at check time."""
 
     # ------------------------------------------------------------------
     # Audit

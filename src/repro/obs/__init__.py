@@ -4,8 +4,8 @@ Usage::
 
     from repro.obs import ObservabilityHub
 
-    hub = ObservabilityHub.full()
-    hub.attach(cluster, snapshot_interval_s=5.0)
+    hub = ObservabilityHub(snapshot_interval_s=5.0)
+    cluster.attach(hub)
     cluster.run(duration_s=120.0, warmup_s=30.0)
     hub.export_trace("trace.json")          # load in ui.perfetto.dev
     hub.export_telemetry("telemetry.json")

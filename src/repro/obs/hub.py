@@ -2,13 +2,17 @@
 
 :class:`ObservabilityHub` bundles the two halves of the observability layer
 -- a :class:`~repro.obs.trace.Tracer` and a
-:class:`~repro.obs.registry.TelemetryRegistry` -- and knows how to wire them
-into a :class:`~repro.replication.cluster.ReplicatedCluster`:
+:class:`~repro.obs.registry.TelemetryRegistry` -- and is a
+:class:`~repro.replication.cluster.ClusterObserver`, so
+``cluster.attach(hub)`` wires it into a
+:class:`~repro.replication.cluster.ReplicatedCluster`:
 
-* every replica (present and future: the cluster instruments newcomers
-  through ``cluster.observability``) gets ``replica.obs`` set, which arms
+* every replica (present and future: the cluster instruments joiners
+  through its ``observers`` list) gets ``replica.obs`` set, which arms
   the transaction-lifecycle trace points, the pull hook and the eviction
   counters;
+* ``cluster.observability`` points at the hub, for the cold-path event
+  sinks of membership, faults and the autoscaler;
 * the registry gets gauges over every existing metrics island (certifier
   stats, buffer pools, admission controllers, routing table, monitor
   samples, the metrics collector's abort-reason taxonomy);
@@ -38,56 +42,34 @@ if TYPE_CHECKING:
 
 
 class ObservabilityHub:
-    """One attachable bundle of tracer + telemetry registry."""
+    """One attachable bundle of tracer + telemetry registry.
 
-    def __init__(self, tracer: Optional[Tracer] = None,
-                 registry: Optional[TelemetryRegistry] = None,
+    ``snapshot_interval_s`` schedules periodic registry snapshots: these are
+    simulator events, so leave it off when comparing against the goldens.
+    """
+
+    def __init__(self, tracing: bool = True, telemetry: bool = True,
                  snapshot_interval_s: Optional[float] = None) -> None:
-        self.tracer = tracer
-        self.registry = registry
+        self.tracer = Tracer() if tracing else None
+        self.registry = TelemetryRegistry() if telemetry else None
         self.snapshot_interval_s = snapshot_interval_s
         self.cluster: Optional["ReplicatedCluster"] = None
 
-    @classmethod
-    def create(cls, tracing: bool = True, telemetry: bool = True,
-               snapshot_interval_s: Optional[float] = None) -> "ObservabilityHub":
-        return cls(tracer=Tracer() if tracing else None,
-                   registry=TelemetryRegistry() if telemetry else None,
-                   snapshot_interval_s=snapshot_interval_s)
-
-    @classmethod
-    def full(cls, snapshot_interval_s: Optional[float] = None) -> "ObservabilityHub":
-        """Both halves enabled."""
-        return cls.create(tracing=True, telemetry=True,
-                          snapshot_interval_s=snapshot_interval_s)
-
     # ------------------------------------------------------------------
-    # Attachment
+    # Attachment (the ClusterObserver protocol)
     # ------------------------------------------------------------------
-    def attach(self, cluster: "ReplicatedCluster",
-               snapshot_interval_s: Optional[float] = None) -> "ObservabilityHub":
-        """Wire this hub into ``cluster``; returns self for chaining.
-
-        ``snapshot_interval_s`` (falling back to the constructor's value)
-        schedules periodic registry snapshots -- note these are simulator
-        events, so snapshotting changes ``events_processed``; leave it off
-        when comparing against disabled-mode goldens.
-        """
+    def instrument_cluster(self, cluster: "ReplicatedCluster") -> None:
+        """Register the gauges and the periodic snapshot (once per hub)."""
         if self.cluster is not None and self.cluster is not cluster:
             raise RuntimeError("hub is already attached to another cluster")
         self.cluster = cluster
         cluster.observability = self
-        for replica in cluster.replicas.values():
-            self.instrument_replica(replica)
-        if self.registry is not None:
-            self._register_cluster_gauges(cluster)
-        interval = snapshot_interval_s if snapshot_interval_s is not None \
-            else self.snapshot_interval_s
-        if interval is not None and self.registry is not None:
+        self._register_cluster_gauges(cluster)
+        if self.registry is not None and self.snapshot_interval_s is not None:
             registry: TelemetryRegistry = self.registry
             cluster.sim.schedule_periodic(
-                interval, lambda: registry.snapshot(cluster.sim.now))
-        return self
+                self.snapshot_interval_s,
+                lambda: registry.snapshot(cluster.sim.now))
 
     def instrument_replica(self, replica: "Replica") -> None:
         """Arm one replica's trace points (called for joiners too)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Set
 
 from repro.core.balancer import LoadBalancer
 from repro.core.routing import RoutingTable
@@ -133,6 +133,17 @@ class RunResult:
         return self.metrics.write_kb_per_transaction()
 
 
+class ClusterObserver(Protocol):
+    """Anything wired into a cluster through :meth:`ReplicatedCluster.attach`
+    (the observability hub, the dsan session, the consistency checker)."""
+
+    def instrument_replica(self, replica: Replica) -> None:
+        """Arm one replica; called for every replica, joiners included."""
+
+    def instrument_cluster(self, cluster: "ReplicatedCluster") -> None:
+        """Arm the cluster-wide state; called once, after the replicas."""
+
+
 class _Notification:
     """A lag notification in flight from the certifier to one proxy.
 
@@ -223,15 +234,12 @@ class ReplicatedCluster:
         self.monitor = ClusterMonitor(self.sim, interval=self.config.monitor_interval_s)
         self.metrics = MetricsCollector(warmup_seconds=0.0)
         #: Observability hub (repro.obs.ObservabilityHub) or None.  Set by
-        #: hub.attach(); the cold-path subsystems (membership, faults,
-        #: autoscaler) publish events through it when present.  Must exist
-        #: before _build_replicas so joiners can be instrumented uniformly.
+        #: the hub when attached; the cold-path subsystems (membership,
+        #: faults, autoscaler) publish events through it when present.
         self.observability: Optional["ObservabilityHub"] = None
-        #: Consistency checker (repro.net.invariants.ConsistencyChecker) or
-        #: None.  Installed by the checker itself; replicas built while it
-        #: is present get an apply ledger armed.  Same contract as
-        #: ``observability``: must exist before _build_replicas.
-        self.consistency = None
+        #: Everything wired in through :meth:`attach`, in attach order.
+        #: Must exist before _build_replicas so joiners are instrumented.
+        self.observers: List[ClusterObserver] = []
         #: The unreliable-network model, or None for the direct schedule path.
         self.network = Network(self.sim, self.config.network) \
             if self.config.network is not None else None
@@ -273,6 +281,14 @@ class ReplicatedCluster:
             else None)
         self.balancer.attach(self)
 
+    def attach(self, observer: ClusterObserver) -> None:
+        """Wire ``observer`` in: every replica, then the cluster; replicas
+        built later (elastic joiners) are instrumented as they are made."""
+        self.observers.append(observer)
+        for replica in self.replicas.values():
+            observer.instrument_replica(replica)
+        observer.instrument_cluster(self)
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -308,11 +324,8 @@ class ReplicatedCluster:
         )
         replica.metrics = self.metrics
         replica.on_local_commit = self._on_local_commit
-        obs = self.observability
-        if obs is not None:
-            obs.instrument_replica(replica)
-        if self.consistency is not None:
-            self.consistency.arm(replica)
+        for observer in self.observers:
+            observer.instrument_replica(replica)
         return replica
 
     def _activate_replica(self, replica: Replica) -> None:

@@ -157,7 +157,7 @@ class _FakeClients:
 
 
 class _FakeCluster:
-    """The minimum surface DsanSession.attach discovers slots on."""
+    """The minimum surface DsanSession.instrument_cluster records on."""
 
     def __init__(self, seed):
         self.sim = Simulator()
@@ -166,7 +166,7 @@ class _FakeCluster:
 
 def test_recording_rng_preserves_the_draw_sequence():
     cluster = _FakeCluster(seed=7)
-    DsanSession().attach(cluster)
+    DsanSession().instrument_cluster(cluster)
     control = random.Random(7)
     assert [cluster.clients._rng.random() for _ in range(5)] == \
         [control.random() for _ in range(5)]
@@ -176,7 +176,7 @@ def test_extra_rng_draw_is_attributed_to_its_stream():
     def run_once(extra_draw):
         session = DsanSession()
         cluster = _FakeCluster(seed=7)
-        session.attach(cluster)
+        session.instrument_cluster(cluster)
         cluster.clients._rng.random()
         if extra_draw:
             cluster.clients._rng.random()

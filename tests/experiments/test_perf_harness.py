@@ -71,7 +71,7 @@ def test_cli_rejects_unknown_scenario(capsys):
 def test_cli_floor_gate(tmp_path, monkeypatch):
     import benchmarks.perf.run as run_module
     monkeypatch.setattr(run_module, "SCENARIOS",
-                        {"demo": lambda quick: _timing(wall=100.0)})
+                        {"demo": lambda quick, observer=None: _timing(wall=100.0)})
     out = tmp_path / "bench.json"
     # 1000 events/s measured; floor of 10 passes, floor of 10000 fails.
     assert main(["--scenario", "demo", "--out", str(out),
@@ -89,13 +89,13 @@ def test_cli_trace_flags_write_exports(tmp_path, monkeypatch):
 
     captured = {}
 
-    def fake_scenario(quick, obs=None):
-        captured["obs"] = obs
-        if obs is not None and obs.tracer is not None:
-            obs.tracer.span("txn", "txn", 0.0, 1.0, 0, 1)
-        if obs is not None and obs.registry is not None:
-            obs.registry.counter("demo").inc()
-            obs.registry.snapshot(1.0)
+    def fake_scenario(quick, observer=None):
+        captured["observer"] = observer
+        if observer is not None and observer.tracer is not None:
+            observer.tracer.span("txn", "txn", 0.0, 1.0, 0, 1)
+        if observer is not None and observer.registry is not None:
+            observer.registry.counter("demo").inc()
+            observer.registry.snapshot(1.0)
         return _timing()
 
     monkeypatch.setattr(run_module, "SCENARIOS", {"demo": fake_scenario})
@@ -103,7 +103,34 @@ def test_cli_trace_flags_write_exports(tmp_path, monkeypatch):
     telemetry = tmp_path / "telemetry.json"
     assert main(["--scenario", "demo", "--trace", str(trace),
                  "--telemetry-json", str(telemetry)]) == 0
-    assert captured["obs"] is not None
+    assert captured["observer"] is not None
     payload = json.loads(trace.read_text())
     assert payload["traceEvents"]
     assert json.loads(telemetry.read_text())["snapshots"]
+
+
+@pytest.mark.parametrize("diverge,status", [(False, 0), (True, 1)])
+def test_cli_dsan_exit_status(monkeypatch, diverge, status):
+    import benchmarks.perf.run as run_module
+    from repro.sim.simulator import Simulator
+
+    calls = []
+
+    def fake_scenario(quick, observer=None):
+        calls.append(quick)
+        sim = Simulator()
+        observer.attach_simulator(sim)
+        # The diverging fake schedules one more event on every call.
+        for i in range(10 + (len(calls) if diverge else 0)):
+            sim.schedule(0.5 * i, _timing)
+        sim.run_until(100.0)
+        return _timing()
+
+    monkeypatch.setattr(run_module, "SCENARIOS", {"demo": fake_scenario})
+    assert main(["--scenario", "demo", "--dsan"]) == status
+
+
+def test_cli_dsan_rejects_exports(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["--scenario", "midsize-malb", "--dsan",
+              "--trace", str(tmp_path / "x.json")])

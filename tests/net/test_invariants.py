@@ -61,7 +61,7 @@ def test_arm_is_idempotent_and_covers_existing_replicas():
     for replica in cluster.replicas.values():
         assert replica.apply_ledger is not None
     ledger = cluster.replicas[0].apply_ledger
-    checker.arm(cluster.replicas[0])
+    checker.instrument_replica(cluster.replicas[0])
     assert cluster.replicas[0].apply_ledger is ledger
 
 

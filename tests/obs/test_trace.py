@@ -34,8 +34,8 @@ def _cluster(seed=3):
 
 def _traced_run(seed=3, duration=20.0):
     cluster = _cluster(seed=seed)
-    hub = ObservabilityHub.full()
-    hub.attach(cluster)
+    hub = ObservabilityHub()
+    cluster.attach(hub)
     cluster.run(duration_s=duration, warmup_s=5.0)
     return cluster, hub
 

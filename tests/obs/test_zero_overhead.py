@@ -15,8 +15,8 @@ from tests.sim.test_determinism_golden import _fingerprint
 
 def _fingerprint_with_hub(config):
     cluster = build_cluster(config)
-    hub = ObservabilityHub.full()
-    hub.attach(cluster)
+    hub = ObservabilityHub()
+    cluster.attach(hub)
     result = cluster.run(duration_s=config.duration_s, warmup_s=config.warmup_s)
     metrics = result.metrics
     fingerprint = {
@@ -63,8 +63,8 @@ def test_snapshot_interval_is_opt_in():
 
     config = replace(golden_midsize_config(), duration_s=30.0, warmup_s=5.0)
     cluster = build_cluster(config)
-    hub = ObservabilityHub.full()
-    hub.attach(cluster)
+    hub = ObservabilityHub()
+    cluster.attach(hub)
     cluster.run(duration_s=config.duration_s, warmup_s=config.warmup_s)
     assert hub.registry.snapshots == []
     # final_snapshot still works on demand, after the run.

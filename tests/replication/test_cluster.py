@@ -135,3 +135,32 @@ def test_truncation_floor_respects_crashed_replicas():
     assert replayed >= 0
     assert cluster.replicas[victim].proxy.applied_version == \
         cluster.certifier.current_version
+
+
+def test_attach_covers_joiners_for_every_observer():
+    """One attach seam: a replica added after the hub, the dsan session and
+    the consistency checker were attached is instrumented by all three."""
+    from repro.analysis.dsan import DsanSession
+    from repro.experiments.configs import golden_midsize_config
+    from repro.experiments.runner import build_cluster
+    from repro.net.invariants import ConsistencyChecker
+    from repro.obs import ObservabilityHub
+
+    cluster = build_cluster(golden_midsize_config())
+    hub = ObservabilityHub()
+    session = DsanSession()
+    cluster.attach(hub)
+    cluster.attach(session)
+    checker = ConsistencyChecker(cluster)
+    assert cluster.observers == [hub, session, checker]
+    assert cluster.observability is hub
+    cluster.start()
+    cluster.sim.run_until(5.0)
+
+    joiner = cluster.replicas[cluster.add_replica()]
+    assert joiner.obs is hub
+    assert joiner.apply_ledger is not None
+    label = "engine[%d]" % joiner.replica_id
+    assert getattr(joiner.engine.rng, "_dsan_label", None) == label
+    cluster.sim.run_until(10.0)
+    assert label in session.fingerprint()["rng"]
