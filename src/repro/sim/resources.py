@@ -73,7 +73,9 @@ class Resource:
             raise ValueError("service time must be non-negative")
         if service_time == 0:
             return self._busy_until
-        start = max(self.sim.now, self._busy_until)
+        now = self.sim.now
+        busy_until = self._busy_until
+        start = now if now > busy_until else busy_until
         completion = start + service_time
         self._busy_until = completion
         self._work_accepted += service_time

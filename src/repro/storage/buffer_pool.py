@@ -38,6 +38,16 @@ relation (so the common access-the-same-relation-again case skips the
 never overflow -- per-relation residency is capped at the hot watermark --
 so the eviction trigger is short-circuited to one attribute test instead of
 being evaluated per access.
+
+Within one ``access_many`` call the running state -- the MRU name, the
+residency total and the eviction flag -- lives in locals and is written back
+when the call returns.  Two calls can observe the pool mid-loop: the general
+eviction pass (``_evict_to_capacity``) and the ``on_evict`` callback.  The
+locals are written back before each of them and re-read after it, so both
+see, and may change, the live state.  A step whose hot set is fully
+resident only adds its request to the byte counter and moves on: its miss
+is exactly 0.0, and adding 0.0 to the non-negative miss totals would not
+change them.
 """
 
 from __future__ import annotations
@@ -132,8 +142,8 @@ class BufferPool:
         # place so the dict entry itself is written only on (re)insertion.
         self._relations: "OrderedDict[str, _RelationState]" = OrderedDict()
         # Running total of resident bytes across relations.  Maintained
-        # incrementally so resident_bytes/free_bytes and the eviction
-        # trigger are O(1) instead of re-summing the map on every access.
+        # incrementally so resident_bytes and the eviction trigger are
+        # O(1) instead of re-summing the map on every access.
         self._resident_total = 0.0
         # Combined hot-set watermark (sum of every tracked relation's
         # hot_max).  Residency per relation is capped at its watermark, so
@@ -159,10 +169,6 @@ class BufferPool:
         """Total bytes currently cached."""
         return self._resident_total
 
-    @property
-    def free_bytes(self) -> float:
-        return max(0.0, self.capacity_bytes - self.resident_bytes)
-
     def resident_bytes_of(self, relation: str) -> float:
         state = self._relations.get(relation)
         return state.resident if state is not None else 0.0
@@ -170,13 +176,6 @@ class BufferPool:
     def resident_relations(self) -> List[str]:
         """Relations with any cached bytes, LRU (oldest) first."""
         return [name for name, state in self._relations.items() if state.resident > 0]
-
-    def resident_fraction(self, relation: str) -> float:
-        """Fraction of the relation's hot set currently cached."""
-        state = self._relations.get(relation)
-        if state is None or state.hot_max <= 0:
-            return 0.0
-        return min(1.0, state.resident / state.hot_max)
 
     def hot_set_bytes_of(self, relation: str) -> float:
         """Largest hot set ever observed for ``relation`` (0 if untracked)."""
@@ -222,86 +221,107 @@ class BufferPool:
         step order and written back when the call returns.
         """
         relations = self._relations
+        get = relations.get
+        move_to_end = relations.move_to_end
         capacity = self._capacity_f
         skew = self.skew
         stats = self.stats
+        # Running state kept in locals; written back on return and around
+        # the two calls that can observe the pool (see the module notes).
+        mru = self._mru
+        resident_total = self._resident_total
+        maybe_evict = self._maybe_evict
         requested = stats.bytes_requested
         missed = stats.bytes_missed
         random_miss = 0.0
         sequential_miss = 0.0
         for relation, bytes_needed, hot_set_bytes, sequential in steps:
-            state = relations.get(relation)
+            state = get(relation)
             if state is None:
                 relations[relation] = state = _RelationState(0.0, hot_set_bytes)
                 hot_total = self._hot_total + hot_set_bytes
                 self._hot_total = hot_total
-                self._maybe_evict = hot_total > capacity
-                self._mru = relation        # inserted at the MRU end
+                maybe_evict = hot_total > capacity
+                mru = relation              # inserted at the MRU end
                 resident = 0.0
             else:
                 resident = state.resident
                 if hot_set_bytes > state.hot_max:
                     hot_total = self._hot_total + (hot_set_bytes - state.hot_max)
                     self._hot_total = hot_total
-                    self._maybe_evict = hot_total > capacity
+                    maybe_evict = hot_total > capacity
                     state.hot_max = hot_set_bytes
-                if relation != self._mru:
-                    relations.move_to_end(relation)
-                    self._mru = relation
-            # hit fraction = min(1, resident/hot) ** skew, with the exact 0 / 1
-            # endpoints short-circuited (x**skew is by far the costliest op
-            # here and steady-state accesses to a fully resident hot set are
-            # common).
-            if resident >= hot_set_bytes:
-                miss_bytes = 0.0
-            else:
-                if resident > 0.0:
-                    # Exact one-point memo per relation (see _RelationState):
-                    # at a pinned operating point -- residency capped by pool
-                    # capacity or the hot-set watermark -- successive accesses
-                    # re-evaluate pow at identical inputs.
-                    if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
-                        hit_fraction = state.pow_hit
-                    else:
-                        hit_fraction = (resident / hot_set_bytes) ** skew
-                        state.pow_resident = resident
-                        state.pow_hot = hot_set_bytes
-                        state.pow_hit = hit_fraction
-                    miss_bytes = bytes_needed * (1.0 - hit_fraction)
+                if relation != mru:
+                    move_to_end(relation)
+                    mru = relation
+                if resident >= hot_set_bytes:
+                    # Full hit: the miss is exactly 0.0, and adding 0.0 to
+                    # the non-negative miss totals cannot change them.
+                    requested += bytes_needed
+                    continue
+            # hit fraction = (resident/hot) ** skew; the full-hit endpoint was
+            # short-circuited above and the empty one is below (x**skew is by
+            # far the costliest op here).
+            if resident > 0.0:
+                # Exact one-point memo per relation (see _RelationState):
+                # at a pinned operating point -- residency capped by pool
+                # capacity or the hot-set watermark -- successive accesses
+                # re-evaluate pow at identical inputs.
+                if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
+                    hit_fraction = state.pow_hit
                 else:
-                    miss_bytes = bytes_needed
+                    hit_fraction = (resident / hot_set_bytes) ** skew
+                    state.pow_resident = resident
+                    state.pow_hot = hot_set_bytes
+                    state.pow_hit = hit_fraction
+                miss_bytes = bytes_needed * (1.0 - hit_fraction)
+            else:
+                miss_bytes = bytes_needed
 
-                # Bring the missed bytes into the cache.  Residency is capped
-                # at the largest hot set ever observed for the relation (not
-                # this access's hot set -- a narrow access must never shrink
-                # what is cached) and at the pool capacity.
-                new_resident = resident + miss_bytes
-                if new_resident > state.hot_max:
-                    new_resident = state.hot_max
-                if new_resident > capacity:
-                    new_resident = capacity
-                state.resident = new_resident
-                total = self._resident_total + (new_resident - resident)
-                self._resident_total = total
-                if self._maybe_evict and total > capacity:
-                    # Fast path of _evict_to_capacity: a full pool usually
-                    # sheds the whole excess from its LRU head.  The same
-                    # float operations in the same order, so the result is
-                    # bit-identical to the general pass.
-                    excess = total - capacity
-                    head_name, head = next(iter(relations.items()))
-                    if head_name != relation and head.resident > excess:
-                        head.resident -= excess
-                        self._resident_total = total - excess
-                        evicted_before = stats.evicted_bytes
-                        stats.evicted_bytes = evicted_before + excess
-                        on_evict = self.on_evict
-                        if on_evict is not None:
-                            freed = stats.evicted_bytes - evicted_before
-                            if freed > 0:
-                                on_evict(freed)
-                    else:
-                        self._evict_to_capacity(protect=relation)
+            # Bring the missed bytes into the cache.  Residency is capped at
+            # the largest hot set ever observed for the relation (not this
+            # access's hot set -- a narrow access must never shrink what is
+            # cached) and at the pool capacity.
+            new_resident = resident + miss_bytes
+            if new_resident > state.hot_max:
+                new_resident = state.hot_max
+            if new_resident > capacity:
+                new_resident = capacity
+            state.resident = new_resident
+            resident_total += new_resident - resident
+            if maybe_evict and resident_total > capacity:
+                # Fast path of _evict_to_capacity: a full pool usually sheds
+                # the whole excess from its LRU head.  The same float
+                # operations in the same order, so the result is
+                # bit-identical to the general pass.
+                excess = resident_total - capacity
+                for head_name in relations:
+                    break
+                head = relations[head_name]
+                if head_name != relation and head.resident > excess:
+                    head.resident -= excess
+                    resident_total -= excess
+                    evicted_before = stats.evicted_bytes
+                    stats.evicted_bytes = evicted_before + excess
+                    on_evict = self.on_evict
+                    if on_evict is not None:
+                        freed = stats.evicted_bytes - evicted_before
+                        if freed > 0:
+                            self._mru = mru
+                            self._resident_total = resident_total
+                            self._maybe_evict = maybe_evict
+                            on_evict(freed)
+                            mru = self._mru
+                            resident_total = self._resident_total
+                            maybe_evict = self._maybe_evict
+                else:
+                    self._mru = mru
+                    self._resident_total = resident_total
+                    self._maybe_evict = maybe_evict
+                    self._evict_to_capacity(protect=relation)
+                    mru = self._mru
+                    resident_total = self._resident_total
+                    maybe_evict = self._maybe_evict
 
             requested += bytes_needed
             missed += miss_bytes
@@ -309,6 +329,9 @@ class BufferPool:
                 sequential_miss += miss_bytes
             else:
                 random_miss += miss_bytes
+        self._mru = mru
+        self._resident_total = resident_total
+        self._maybe_evict = maybe_evict
         stats.accesses += len(steps)
         stats.bytes_requested = requested
         stats.bytes_missed = missed

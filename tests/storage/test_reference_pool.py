@@ -2,11 +2,12 @@
 
 ``ReferencePool`` keeps the buffer pool's former per-call ``access`` and
 ``_evict_to_capacity`` verbatim, and ``PerAccessEngine`` the engine's former
-per-access ``execute``.  The production ``BufferPool.access_many`` and
-``DatabaseEngine.execute`` must reproduce them exactly: the same misses, the
-same counters, the same pool state and eviction callbacks, the same
-transaction work, writesets and RNG state -- compared with ``==``, not
-approximately.
+per-access ``execute`` and per-item ``apply_writesets_fast``.  The production
+``BufferPool.access_many``, ``DatabaseEngine.execute`` and the per-shape
+``DatabaseEngine.apply_writesets_fast`` must reproduce them exactly: the same
+misses, the same counters, the same pool state and eviction callbacks, the
+same transaction work, writesets, RNG state and buffer-pool steps -- compared
+with ``==``, not approximately.
 """
 
 import random
@@ -17,8 +18,9 @@ from repro.storage.buffer_pool import BufferPool, _RelationState
 from repro.storage.catalog import Catalog
 from repro.storage.engine import DatabaseEngine, TransactionWork, WriteItem, WriteSet
 from repro.storage.pages import PAGE_SIZE_BYTES, mb
+from repro.storage.relation import Schema, table
 from repro.workloads.rubis import make_rubis
-from repro.workloads.spec import AccessPattern
+from repro.workloads.spec import AccessPattern, transaction_type, write
 from repro.workloads.tpcw import DATABASE_SIZES, make_tpcw
 
 
@@ -198,6 +200,47 @@ class PerAccessEngine(DatabaseEngine):
         self.transactions_executed += 1
         return work, writeset
 
+    def apply_writesets_fast(self, writesets, allowed_tables=None):
+        """The former per-item apply: filter and aggregate item by item."""
+        dropped = self.dropped_tables
+        cpu_per_item = self.config.cpu_ms_per_writeset_item / 1000.0
+        touched_by_relation = {}
+        applied_items = 0
+        applied_count = 0
+        filtered_count = 0
+        for writeset in writesets:
+            applied_any = False
+            for item in writeset.items:
+                relation = item.relation
+                if relation in dropped:
+                    continue
+                if allowed_tables is not None and relation not in allowed_tables:
+                    continue
+                applied_any = True
+                applied_items += 1
+                touched = item.pages_dirtied * PAGE_SIZE_BYTES
+                if relation in touched_by_relation:
+                    touched_by_relation[relation] += touched
+                else:
+                    touched_by_relation[relation] = touched
+            if applied_any:
+                applied_count += 1
+            else:
+                filtered_count += 1
+        random_read_bytes = 0.0
+        write_bytes = 0.0
+        if touched_by_relation:
+            steps = []
+            for relation, touched in touched_by_relation.items():
+                hot_set = self._write_hot_set(relation)
+                steps.append((relation, min(touched, hot_set), hot_set, False))
+                write_bytes += touched
+            random_read_bytes, _ = self.buffer_pool.access_many(steps)
+        self.writesets_applied += applied_count
+        self.writesets_filtered += filtered_count
+        return (cpu_per_item * applied_items, random_read_bytes, write_bytes,
+                applied_count, filtered_count)
+
 
 def pool_state(pool):
     """Everything observable about a pool, in a form ``==`` compares exactly."""
@@ -288,8 +331,12 @@ def test_both_eviction_paths_are_exercised_and_agree():
     rng = random.Random(20261016)
     pool, reference = CountingPool(mb(48)), ReferencePool(mb(48))
     evictions, reference_evictions = [], []
-    pool.on_evict = evictions.append
-    reference.on_evict = reference_evictions.append
+    # access_many keeps its running totals in locals; the callback must
+    # still see the live pool, exactly as the per-call path shows it.
+    pool.on_evict = lambda freed: evictions.append(
+        (freed, pool.resident_bytes, pool._mru))
+    reference.on_evict = lambda freed: reference_evictions.append(
+        (freed, reference.resident_bytes, reference._mru))
     names = ["r%d" % i for i in range(9)]
     for _ in range(3000):
         steps = []
@@ -372,3 +419,79 @@ def test_tpcw_on_a_thrashing_pool_matches_per_access_execution():
 def test_every_rubis_type_matches_per_access_execution():
     stats = run_stream(make_rubis(), mb(24), 1500, grow_every=300)
     assert stats.evicted_bytes > 0
+
+
+# --------------------------------------------------------------------------
+# Remote writeset application
+# --------------------------------------------------------------------------
+class RecordingPool(BufferPool):
+    """Records every step sequence handed to ``access_many``."""
+
+    def __init__(self, capacity_bytes):
+        super().__init__(capacity_bytes)
+        self.calls = []
+
+    def access_many(self, steps):
+        # repr keeps int and float byte counts apart.
+        self.calls.append(repr(list(steps)))
+        return super().access_many(steps)
+
+
+APPLY_RELATIONS = ["users", "orders", "items", "logs"]
+APPLY_SCHEMA = Schema.from_relations(
+    "apply", [table("users", mb(40)), table("orders", mb(60)),
+              table("items", mb(10)), table("logs", mb(80))])
+
+# One item: a relation and the pages it dirties.  Four relations and up to
+# four items make repeated relations within and across writesets common.
+item_shapes = st.lists(st.tuples(st.sampled_from(APPLY_RELATIONS),
+                                 st.integers(min_value=1, max_value=4)),
+                       min_size=1, max_size=4)
+# A writeset is ("engine", type index) -- built by the engine from a compiled
+# plan -- or ("hand", items) -- built directly, always named "T".
+writeset_choice = st.one_of(
+    st.tuples(st.just("engine"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("hand"), item_shapes))
+apply_batches = st.lists(
+    st.tuples(st.lists(writeset_choice, min_size=1, max_size=14),
+              st.one_of(st.none(), st.sets(st.sampled_from(APPLY_RELATIONS))),
+              st.sets(st.sampled_from(APPLY_RELATIONS), max_size=2)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(item_shapes, min_size=4, max_size=4), apply_batches)
+def test_apply_per_shape_matches_per_item(type_shapes, batches):
+    catalog = Catalog(schema=APPLY_SCHEMA)
+    types = [transaction_type("U%d" % i, writes=[
+        write(relation, rows=2, pages_dirtied=pages) for relation, pages in shape])
+        for i, shape in enumerate(type_shapes)]
+    builder = DatabaseEngine(catalog, BufferPool(mb(8)), rng=random.Random(1))
+    engine = DatabaseEngine(catalog, RecordingPool(mb(2)))
+    reference = PerAccessEngine(catalog, RecordingPool(mb(2)))
+    shapes = {}
+    for writeset_choices, allowed, dropped in batches:
+        writesets = []
+        for kind, value in writeset_choices:
+            if kind == "engine":
+                _, writeset = builder.execute(types[value])
+                # One plan, one shape object.
+                assert shapes.setdefault(value, writeset.shape) is writeset.shape
+            else:
+                writeset = WriteSet("T", tuple(
+                    WriteItem(relation, (1, 2), 100, pages) for relation, pages in value))
+            # A derived shape has the same steps as the engine's.
+            assert WriteSet("T", writeset.items).shape.steps == writeset.shape.steps
+            writesets.append(writeset)
+        for engine_ in (engine, reference):
+            for relation in APPLY_RELATIONS:
+                if relation in dropped:
+                    engine_.drop_table(relation)
+                else:
+                    engine_.restore_table(relation)
+        assert engine.apply_writesets_fast(writesets, allowed) == \
+            reference.apply_writesets_fast(writesets, allowed)
+        assert engine.buffer_pool.calls == reference.buffer_pool.calls
+        assert pool_state(engine.buffer_pool) == pool_state(reference.buffer_pool)
+        assert (engine.writesets_applied, engine.writesets_filtered) == \
+            (reference.writesets_applied, reference.writesets_filtered)
