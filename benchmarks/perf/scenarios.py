@@ -115,6 +115,20 @@ def _flash_crowd(quick: bool, observer=None) -> ScenarioTiming:
     )
 
 
+def _micro_shapes(tables):
+    """One shared ``WriteShape`` per relation pair of a micro writeset.
+
+    The certifier microbenchmarks hand-build two-item, one-page-per-item
+    writesets, as the engine does from a compiled plan; passing the shared
+    shape keeps each writeset from deriving its own.
+    """
+    from repro.storage.engine import WriteItem, WriteSet
+
+    return {(a, b): WriteSet("micro", (WriteItem(a, (), 256, 1),
+                                       WriteItem(b, (), 256, 1))).shape
+            for a in tables for b in tables}
+
+
 def _certifier_micro(quick: bool, observer=None) -> ScenarioTiming:
     from repro.replication.certifier import Certifier
     from repro.storage.engine import WriteItem, WriteSet
@@ -122,6 +136,7 @@ def _certifier_micro(quick: bool, observer=None) -> ScenarioTiming:
     requests = 50_000 if quick else 250_000
     key_space = 20_000
     tables = ["order_line", "orders", "cc_xacts", "item", "shopping_cart_line"]
+    shapes = _micro_shapes(tables)
     rng = random.Random(42)
     certifier = Certifier()
     # Replicas certify against snapshots a bounded number of versions old;
@@ -134,7 +149,8 @@ def _certifier_micro(quick: bool, observer=None) -> ScenarioTiming:
                       payload_bytes=256, pages_dirtied=1)
             for _ in range(2)
         )
-        writeset = WriteSet(transaction_type="micro", items=items)
+        writeset = WriteSet(transaction_type="micro", items=items,
+                            shape=shapes[items[0].relation, items[1].relation])
         snapshot = max(0, certifier.current_version - rng.randrange(8))
         certifier.certify(writeset, snapshot_version=snapshot, now=float(i))
         if i % 1000 == 999:
@@ -179,6 +195,7 @@ def _certifier_batch(quick: bool, observer=None) -> ScenarioTiming:
     key_space = 20_000
     block = 64
     tables = ["order_line", "orders", "cc_xacts", "item", "shopping_cart_line"]
+    shapes = _micro_shapes(tables)
     rng = random.Random(42)
     stream = []
     for _ in range(requests):
@@ -201,7 +218,8 @@ def _certifier_batch(quick: bool, observer=None) -> ScenarioTiming:
                 for _ in range(2)
             )
         # Each request carries how many versions its snapshot lags behind.
-        stream.append((WriteSet(transaction_type="micro", items=items),
+        stream.append((WriteSet(transaction_type="micro", items=items,
+                                shape=shapes[items[0].relation, items[1].relation]),
                        rng.randrange(8)))
     batches = [stream[i:i + batch_size] for i in range(0, requests, batch_size)]
 

@@ -221,8 +221,6 @@ class BufferPool:
         step order and written back when the call returns.
         """
         relations = self._relations
-        get = relations.get
-        move_to_end = relations.move_to_end
         capacity = self._capacity_f
         skew = self.skew
         stats = self.stats
@@ -236,7 +234,7 @@ class BufferPool:
         random_miss = 0.0
         sequential_miss = 0.0
         for relation, bytes_needed, hot_set_bytes, sequential in steps:
-            state = get(relation)
+            state = relations.get(relation)
             if state is None:
                 relations[relation] = state = _RelationState(0.0, hot_set_bytes)
                 hot_total = self._hot_total + hot_set_bytes
@@ -252,7 +250,7 @@ class BufferPool:
                     maybe_evict = hot_total > capacity
                     state.hot_max = hot_set_bytes
                 if relation != mru:
-                    move_to_end(relation)
+                    relations.move_to_end(relation)
                     mru = relation
                 if resident >= hot_set_bytes:
                     # Full hit: the miss is exactly 0.0, and adding 0.0 to

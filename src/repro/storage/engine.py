@@ -270,14 +270,9 @@ class DatabaseEngine:
 
         writeset: Optional[WriteSet] = None
         if writes:
-            # Most writes touch one row; building that key directly skips
-            # the comprehension.  The draws are the same either way.
-            randrange = self.rng.randrange
             writeset = WriteSet(
                 txn_type.name,
-                tuple([WriteItem(relation,
-                                 (randrange(key_space),) if rows == 1 else
-                                 tuple([randrange(key_space) for _ in range(rows)]),
+                tuple([WriteItem(relation, self._generate_keys(key_space, rows),
                                  payload, pages)
                        for relation, rows, payload, pages, key_space in writes]),
                 self.replica_id,
@@ -359,6 +354,10 @@ class DatabaseEngine:
                 float(self.catalog.size_bytes(relation)) * self.config.write_locality)
         return hot_set
 
+    def _generate_keys(self, key_space: int, rows: int) -> Tuple[int, ...]:
+        randrange = self.rng.randrange
+        return tuple([randrange(key_space) for _ in range(rows)])
+
     # ------------------------------------------------------------------
     # Remote writeset application (update propagation)
     # ------------------------------------------------------------------
@@ -430,9 +429,7 @@ class DatabaseEngine:
                 hot_set = hot_map.get(relation)
                 if hot_set is None:
                     hot_set = self._write_hot_set(relation)
-                # min(touched, hot_set), without the builtin call.
-                steps.append((relation, hot_set if hot_set < touched else touched,
-                              hot_set, False))
+                steps.append((relation, min(touched, hot_set), hot_set, False))
                 write_bytes += touched
             random_read_bytes, _ = self.buffer_pool.access_many(steps)
         self.writesets_applied += applied_count
