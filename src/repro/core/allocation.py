@@ -2,31 +2,33 @@
 
 Once transaction groups exist, the load balancer must decide how many
 replicas each group gets, and keep adjusting that as the workload shifts.
-The paper's mechanism, reproduced here:
+What runs here:
 
 * **Group load** -- the average of the smoothed (CPU, disk) utilisations of
   the replicas assigned to the group.
 * **Comparing loads** -- MAX(CPU, disk): the utilisation of the bottleneck
   resource, so I/O-bound and CPU-bound groups are comparable.
-* **Replica allocation** -- move a replica from the group whose *future*
-  load (current load linearly extrapolated to one fewer replica,
-  ``load * n / (n - 1)``) is smallest to the most loaded group, but only if
-  the most loaded group's utilisation is at least ``1.25x`` the donor's
-  future load (hysteresis against noisy measurements).
-* **Fast re-allocation** -- when the imbalance is large, solve the balance
-  equations ``need_g / replicas_g`` equal across groups (``need_g`` being
-  utilisation x replicas) and move several replicas at once.
+* **Group sizing** -- MALB moves replicas toward demand-proportional
+  targets (:meth:`repro.core.malb.MemoryAwareLoadBalancer._apply_demand_targets`).
+  The paper's single-replica move with ``1.25x`` hysteresis and its
+  balance-equation "fast" re-allocation are not modelled: the demand
+  targets do that job.
 * **Merging** -- two groups that each under-utilise a single replica are
   assigned one shared replica, freeing the other for the busiest group.  If
   the shared replica later becomes the most loaded in the system, the groups
   are split back apart before any other re-allocation ("the MALB-SC
   algorithm prioritizes the undoing of merging before allocating additional
   replicas", Section 5.3).
+* **Expanding and contracting** -- an overloaded group with no exclusive
+  donor spills onto the coldest machine (subject to ``1.25x`` hysteresis),
+  and gives a shared machine back once its load falls.
+
+:meth:`ReplicaAllocator.rebalance` runs split, merge, expand and contract,
+in that order, and applies the first that fires.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -55,17 +57,12 @@ class GroupLoad:
             return INFINITE_LOAD
         return self.bottleneck * self.replicas / (self.replicas - 1)
 
-    @property
-    def total_need(self) -> float:
-        """Total resource need: utilisation times replicas (for balance equations)."""
-        return self.bottleneck * self.replicas
-
 
 @dataclass
 class AllocationAction:
     """A record of one re-allocation decision, for logging and tests."""
 
-    kind: str                     # "move", "merge", "split", "fast", "none"
+    kind: str                     # "merge", "split", "expand", "contract", "join", "leave"
     detail: str
     moved_replicas: int = 0
 
@@ -73,25 +70,29 @@ class AllocationAction:
 class ReplicaAllocator:
     """Owns the group -> replicas assignment and adjusts it from load reports."""
 
-    def __init__(self, groups: Sequence[TransactionGroup], replica_ids: Sequence[int],
-                 hysteresis: float = 1.25, merge_threshold: float = 0.35,
-                 enable_merging: bool = True, enable_fast_reallocation: bool = True,
-                 fast_imbalance_ratio: float = 3.0) -> None:
+    #: an expanding group must be at least this many times hotter than the
+    #: machine it spills onto (hysteresis against noisy measurements).
+    HYSTERESIS = 1.25
+
+    #: singleton groups below this bottleneck utilisation may merge.
+    MERGE_THRESHOLD = 0.35
+
+    #: a group must be at least this hot (bottleneck utilisation) before it
+    #: may expand onto a machine it does not own (sharing).
+    EXPAND_THRESHOLD = 0.75
+
+    #: a group may give a machine back when its extrapolated load without
+    #: that machine stays below this utilisation.
+    CONTRACT_THRESHOLD = 0.5
+
+    def __init__(self, groups: Sequence[TransactionGroup], replica_ids: Sequence[int]) -> None:
         if not groups:
             raise ValueError("allocator needs at least one transaction group")
         if not replica_ids:
             raise ValueError("allocator needs at least one replica")
-        if hysteresis < 1.0:
-            raise ValueError("hysteresis must be >= 1.0")
         self.groups: Dict[str, TransactionGroup] = {g.group_id: g for g in groups}
         self.replica_ids: List[int] = sorted(replica_ids)
-        self.hysteresis = hysteresis
-        self.merge_threshold = merge_threshold
-        self.enable_merging = enable_merging
-        self.enable_fast_reallocation = enable_fast_reallocation
-        self.fast_imbalance_ratio = fast_imbalance_ratio
         self.assignment: Dict[str, List[int]] = {}
-        self.actions: List[AllocationAction] = []
         self.frozen = False
         #: assignment version: bumped whenever the group -> replicas mapping
         #: may have changed, so balancers can cache routing state derived
@@ -169,12 +170,12 @@ class ReplicaAllocator:
     def validate(self) -> None:
         """Check the assignment invariants (and publish a new version).
 
-        Every mutation path -- initial allocation, membership changes, single
-        moves, merge/split/expand/contract, fast re-allocation, and MALB's
-        demand-target moves -- ends with a ``validate()`` call, which makes
-        it the single choke point for signalling "the assignment may have
-        changed" to version-keyed caches.  A validate that changed nothing
-        only costs those caches a spurious rebuild.
+        Every mutation path -- initial allocation, membership changes,
+        merge/split/expand/contract, and MALB's demand-target moves -- ends
+        with a ``validate()`` call, which makes it the single choke point for
+        signalling "the assignment may have changed" to version-keyed
+        caches.  A validate that changed nothing only costs those caches a
+        spurious rebuild.
         """
         self.version += 1
         assigned: Set[int] = set()
@@ -193,43 +194,21 @@ class ReplicaAllocator:
     # ------------------------------------------------------------------
     # Re-allocation
     # ------------------------------------------------------------------
-    def rebalance(self, loads: Mapping[int, LoadSample]) -> AllocationAction:
+    def rebalance(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
         """One re-allocation step from the latest load report.
 
-        Order of precedence, following the paper: undo merging if the shared
-        replica is the hottest machine; otherwise merge under-utilised
-        singleton groups; otherwise, if the imbalance is dramatic, run the
-        fast re-allocation; otherwise move a single replica (with
-        hysteresis).
+        Undo merging if a shared replica is the hottest machine; otherwise
+        merge under-utilised singleton groups; otherwise let an overloaded
+        group expand onto the coldest machine; otherwise let a cooled group
+        release a shared machine.  Returns the step taken, or ``None`` when
+        frozen or when nothing fired.
         """
         if self.frozen:
-            return self._record(AllocationAction("none", "allocation frozen"))
-
-        split = self._try_split(loads)
-        if split is not None:
-            return self._record(split)
-
-        merge = self._try_merge(loads)
-        if merge is not None:
-            return self._record(merge)
-
-        if self.enable_fast_reallocation and self._is_dramatically_imbalanced(loads):
-            fast = self.fast_rebalance(loads)
-            if fast.moved_replicas > 0:
-                return self._record(fast)
-
-        move = self._try_single_move(loads)
-        if move is not None:
-            return self._record(move)
-
-        expand = self._try_expand(loads)
-        if expand is not None:
-            return self._record(expand)
-
-        contract = self._try_contract(loads)
-        if contract is not None:
-            return self._record(contract)
-        return self._record(AllocationAction("none", "balanced"))
+            return None
+        return (self._try_split(loads)
+                or self._try_merge(loads)
+                or self._try_expand(loads)
+                or self._try_contract(loads))
 
     def freeze(self) -> None:
         """Stop all re-allocation (used when update filtering is enabled;
@@ -258,9 +237,9 @@ class ReplicaAllocator:
                        key=lambda gid: (len(self.assignment[gid]), gid))
         self.assignment[group_id].append(replica_id)
         self.validate()
-        return self._record(AllocationAction(
+        return AllocationAction(
             "join", "replica %d joined group %s" % (replica_id, group_id),
-            moved_replicas=1))
+            moved_replicas=1)
 
     def remove_replica(self, replica_id: int) -> AllocationAction:
         """Retire a replica that crashed or left the cluster.
@@ -289,59 +268,12 @@ class ReplicaAllocator:
         if rehomed:
             detail += "; " + ", ".join(
                 "%s now shares replica %d" % (gid, host) for gid, host in rehomed)
-        return self._record(AllocationAction("leave", detail, moved_replicas=1))
-
-    # ------------------------------------------------------------------
-    # Single-replica move with hysteresis
-    # ------------------------------------------------------------------
-    def _try_single_move(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
-        group_loads = self.group_loads(loads)
-        if len(group_loads) < 2:
-            return None
-        most_loaded = max(group_loads, key=lambda gid: group_loads[gid].bottleneck)
-        donors = {
-            gid: gl for gid, gl in group_loads.items()
-            if gid != most_loaded and gl.replicas > 1
-        }
-        if not donors:
-            return None
-        donor = min(donors, key=lambda gid: donors[gid].future_bottleneck)
-        if group_loads[most_loaded].bottleneck < self.hysteresis * donors[donor].future_bottleneck:
-            return None
-        replica = self._pick_replica_to_release(donor, loads)
-        if replica is None:
-            return None
-        self._move_replica(replica, donor, most_loaded)
-        return AllocationAction(
-            "move",
-            "moved replica %d from %s to %s" % (replica, donor, most_loaded),
-            moved_replicas=1,
-        )
-
-    def _pick_replica_to_release(self, group_id: str, loads: Mapping[int, LoadSample]) -> Optional[int]:
-        """Choose the donor's least-loaded, unshared replica."""
-        candidates = [
-            rid for rid in self.assignment[group_id]
-            if len(self.groups_of_replica(rid)) == 1
-        ]
-        if len(candidates) <= 0 or len(self.assignment[group_id]) <= 1:
-            return None
-        if len(candidates) == len(self.assignment[group_id]) == 1:
-            return None
-        return min(candidates, key=lambda rid: (max(loads[rid].cpu, loads[rid].disk), rid))
-
-    def _move_replica(self, replica_id: int, from_group: str, to_group: str) -> None:
-        self.assignment[from_group].remove(replica_id)
-        if replica_id not in self.assignment[to_group]:
-            self.assignment[to_group].append(replica_id)
-        self.validate()
+        return AllocationAction("leave", detail, moved_replicas=1)
 
     # ------------------------------------------------------------------
     # Merging and splitting of under-utilised groups
     # ------------------------------------------------------------------
     def _try_merge(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
-        if not self.enable_merging:
-            return None
         group_loads = self.group_loads(loads)
         # Candidates: groups with exactly one replica that is not already
         # shared, whose bottleneck utilisation is below the merge threshold.
@@ -352,7 +284,7 @@ class ReplicaAllocator:
             replica = self.assignment[gid][0]
             if len(self.groups_of_replica(replica)) > 1:
                 continue
-            if gl.bottleneck < self.merge_threshold:
+            if gl.bottleneck < self.MERGE_THRESHOLD:
                 candidates.append((gl.bottleneck, gid))
         if len(candidates) < 2:
             return None
@@ -395,9 +327,12 @@ class ReplicaAllocator:
         if not donors:
             return None
         donor = min(donors, key=lambda gid: donors[gid].future_bottleneck)
-        replica = self._pick_replica_to_release(donor, loads)
-        if replica is None:
+        # The donor gives up its least-loaded replica that serves it alone.
+        unshared = [rid for rid in self.assignment[donor]
+                    if len(self.groups_of_replica(rid)) == 1]
+        if not unshared:
             return None
+        replica = min(unshared, key=lambda rid: (replica_bottleneck(rid), rid))
         # Give the second sharing group its own replica again: it leaves the
         # hot shared machine and takes the donated one (keeping any other
         # machines it had acquired, e.g. through expansion).
@@ -414,19 +349,15 @@ class ReplicaAllocator:
             moved_replicas=1,
         )
 
-    #: a group must be at least this hot (bottleneck utilisation) before it
-    #: may expand onto a machine it does not own (sharing).
-    EXPAND_THRESHOLD = 0.75
-
     def _try_expand(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
         """Let an overloaded group spill onto the least-loaded machine.
 
         When the cluster has fewer machines than groups (an elastic cluster
         scaled down, or newly grown with the newcomers claimed exclusively),
-        the classic single move has no donor: every other group would drop
+        no replica can move to the hot group: every other group would drop
         to zero replicas.  The way out is sharing in reverse -- the hottest
         group *adds* the least-loaded machine to its replica set, subject to
-        the usual hysteresis.  The split rule later undoes the sharing when
+        ``HYSTERESIS``.  The split rule later undoes the sharing when
         capacity returns.
         """
         group_loads = self.group_loads(loads)
@@ -443,7 +374,7 @@ class ReplicaAllocator:
             return max(loads[rid].cpu, loads[rid].disk)
 
         coldest = min(candidates, key=lambda rid: (replica_bottleneck(rid), rid))
-        if hot.bottleneck < self.hysteresis * max(replica_bottleneck(coldest), 0.01):
+        if hot.bottleneck < self.HYSTERESIS * max(replica_bottleneck(coldest), 0.01):
             return None
         self.assignment[most_loaded].append(coldest)
         self.validate()
@@ -453,10 +384,6 @@ class ReplicaAllocator:
             % (most_loaded, hot.bottleneck, coldest, replica_bottleneck(coldest)),
             moved_replicas=1,
         )
-
-    #: a group may give a machine back when its extrapolated load without
-    #: that machine stays below this utilisation.
-    CONTRACT_THRESHOLD = 0.5
 
     def _try_contract(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
         """Undo expansion once the pressure is gone.
@@ -492,93 +419,6 @@ class ReplicaAllocator:
         return None
 
     # ------------------------------------------------------------------
-    # Fast re-allocation via balance equations
-    # ------------------------------------------------------------------
-    def _is_dramatically_imbalanced(self, loads: Mapping[int, LoadSample]) -> bool:
-        group_loads = self.group_loads(loads)
-        bottlenecks = [gl.bottleneck for gl in group_loads.values()]
-        if len(bottlenecks) < 2:
-            return False
-        highest = max(bottlenecks)
-        lowest = min(bottlenecks)
-        if highest < 0.6:
-            return False
-        return highest >= self.fast_imbalance_ratio * max(lowest, 0.01)
-
-    def fast_rebalance(self, loads: Mapping[int, LoadSample]) -> AllocationAction:
-        """Solve the balance equations and move several replicas at once.
-
-        Shared (merged) replicas are left untouched; the equations are solved
-        over the exclusively-assigned replicas only.
-        """
-        group_loads = self.group_loads(loads)
-        shared = set(self.shared_replicas())
-        exclusive: Dict[str, List[int]] = {
-            gid: [rid for rid in replicas if rid not in shared]
-            for gid, replicas in self.assignment.items()
-        }
-        movable_total = sum(len(replicas) for replicas in exclusive.values())
-        if movable_total < 2:
-            return AllocationAction("fast", "nothing movable", moved_replicas=0)
-
-        needs = {gid: max(group_loads[gid].total_need, 1e-6) for gid in self.assignment}
-        total_need = sum(needs.values())
-        # Fractional targets proportional to need, at least one replica for
-        # every group that currently owns an exclusive replica.
-        raw = {gid: movable_total * needs[gid] / total_need for gid in needs}
-        targets = {gid: max(1, int(math.floor(raw[gid]))) if exclusive[gid] else 0
-                   for gid in needs}
-        # Fix rounding so targets sum to the movable total.
-        def remainder(gid: str) -> float:
-            return raw[gid] - math.floor(raw[gid])
-
-        while sum(targets.values()) < movable_total:
-            gid = max((g for g in targets if exclusive[g] or targets[g] > 0),
-                      key=remainder, default=None)
-            if gid is None:
-                break
-            targets[gid] += 1
-        while sum(targets.values()) > movable_total:
-            gid = max(targets, key=lambda g: (targets[g] - raw[g], targets[g]))
-            if targets[gid] <= 1:
-                # Cannot reduce below one; find another group.
-                reducible = [g for g in targets if targets[g] > 1]
-                if not reducible:
-                    break
-                gid = max(reducible, key=lambda g: targets[g] - raw[g])
-            targets[gid] -= 1
-
-        # Collect surplus replicas from groups above target.
-        pool: List[int] = []
-        moved = 0
-        for gid in sorted(self.assignment, key=lambda g: group_loads[g].bottleneck):
-            while len(exclusive[gid]) > targets.get(gid, 0) and len(self.assignment[gid]) > 1:
-                rid = min(exclusive[gid], key=lambda r: (max(loads[r].cpu, loads[r].disk), r))
-                exclusive[gid].remove(rid)
-                self.assignment[gid].remove(rid)
-                pool.append(rid)
-        # Hand them to groups below target, most loaded first.
-        for gid in sorted(self.assignment, key=lambda g: -group_loads[g].bottleneck):
-            while pool and len(exclusive[gid]) < targets.get(gid, 0):
-                rid = pool.pop()
-                exclusive[gid].append(rid)
-                self.assignment[gid].append(rid)
-                moved += 1
-        # Any leftovers go to the most loaded group.
-        if pool:
-            most_loaded = max(group_loads, key=lambda gid: group_loads[gid].bottleneck)
-            for rid in pool:
-                self.assignment[most_loaded].append(rid)
-                moved += 1
-        self.validate()
-        return AllocationAction("fast", "balance equations moved %d replicas" % moved,
-                                moved_replicas=moved)
-
-    # ------------------------------------------------------------------
-    def _record(self, action: AllocationAction) -> AllocationAction:
-        self.actions.append(action)
-        return action
-
     def describe(self) -> str:
         lines = []
         for gid in sorted(self.assignment):

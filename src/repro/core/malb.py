@@ -49,41 +49,33 @@ class MemoryAwareLoadBalancer(LoadBalancer):
             the prototype, filtering is activated only after the allocation
             has been stable for ``filtering_stabilization_s`` seconds, and
             dynamic re-allocation is then frozen.
-        enable_merging: merge groups that under-utilise their single replica
-            (the Section 5.3 ablation disables this).
-        enable_fast_reallocation: allow multi-replica moves via the balance
-            equations when the imbalance is dramatic.
-        hysteresis: re-allocation hysteresis factor (1.25 in the paper).
-        rebalance_interval_s: how often the allocator runs.
-        min_copies: availability floor used by the update-filtering plan.
-        memory_overhead_bytes: memory subtracted from each replica's RAM
-            before packing (70 MB in the paper); applied by the cluster view,
-            documented here for completeness.
+        enable_merging: run the allocator's split/merge/expand/contract step
+            once the demand targets are met (the Section 5.3 ablation
+            disables this).
+        rebalance_interval_s: how often the allocation is re-sized.
+        filtering_stabilization_s: how long the allocation must be stable
+            before update filtering activates.
+        static_allocation: size the allocation once, to the mix observed at
+            configuration time, and never adapt it.
     """
+
+    #: demand-estimate decay applied once per rebalance interval, so the
+    #: allocation tracks mix changes (Figure 6) within a few intervals.
+    DEMAND_DECAY = 0.75
 
     def __init__(self, method: GroupingMethod = GroupingMethod.MALB_SC,
                  update_filtering: bool = False,
                  enable_merging: bool = True,
-                 enable_fast_reallocation: bool = True,
-                 hysteresis: float = 1.25,
-                 merge_threshold: float = 0.35,
                  rebalance_interval_s: float = 10.0,
                  filtering_stabilization_s: float = 60.0,
-                 min_copies: int = 2,
-                 static_allocation: bool = False,
-                 queue_pressure_norm: int = 8) -> None:
+                 static_allocation: bool = False) -> None:
         super().__init__()
         self.method = method
         self.update_filtering = update_filtering
         self.enable_merging = enable_merging
-        self.enable_fast_reallocation = enable_fast_reallocation
-        self.hysteresis = hysteresis
-        self.merge_threshold = merge_threshold
         self.rebalance_interval_s = rebalance_interval_s
         self.filtering_stabilization_s = filtering_stabilization_s
-        self.min_copies = min_copies
         self.static_allocation = static_allocation
-        self.queue_pressure_norm = queue_pressure_norm
         self.name = method.value + ("+UF" if update_filtering else "")
 
         self.estimates: Dict[str, WorkingSetEstimate] = {}
@@ -97,9 +89,6 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         self._observed_counts: Dict[str, float] = {}
         self._last_move_time: float = 0.0
         self._now_hint: float = 0.0
-        #: demand-estimate decay applied once per rebalance interval, so the
-        #: allocation tracks mix changes (Figure 6) within a few intervals.
-        self.demand_decay: float = 0.75
         # type name -> candidate replica ids, rebuilt only when the allocator
         # assignment (or cluster membership) changes; the common dispatch is
         # a version check plus an argmin over the cached candidates.
@@ -112,9 +101,6 @@ class MemoryAwareLoadBalancer(LoadBalancer):
     # Start-up: estimate, group, allocate
     # ------------------------------------------------------------------
     def on_attach(self) -> None:
-        # The routing table computes queueing pressure with this policy's
-        # normaliser (Section 4.3 refinement, see _effective_loads).
-        self._require_routing().queue_pressure_norm = self.queue_pressure_norm
         self._build_configuration()
 
     def _build_configuration(self) -> None:
@@ -125,14 +111,7 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         memory = view.replica_memory_bytes()
         self.groups = build_groups(self.estimates, memory, method=self.method)
         self.group_by_type = group_of_type(self.groups)
-        self.allocator = ReplicaAllocator(
-            groups=self.groups,
-            replica_ids=view.replica_ids(),
-            hysteresis=self.hysteresis,
-            merge_threshold=self.merge_threshold,
-            enable_merging=self.enable_merging,
-            enable_fast_reallocation=self.enable_fast_reallocation,
-        )
+        self.allocator = ReplicaAllocator(groups=self.groups, replica_ids=view.replica_ids())
         if self.static_allocation:
             self.allocator.freeze()
         self._catalog_version = catalog.version
@@ -157,10 +136,8 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         """
         for name, count in type_counts.items():
             self._observed_counts[name] = self._observed_counts.get(name, 0.0) + float(count)
-        if self.allocator is not None and not self.static_allocation:
-            self._apply_demand_targets(max_moves=None)
-        elif self.allocator is not None and self.static_allocation:
-            # A static configuration is still sized once, to the mix observed
+        if self.allocator is not None:
+            # A static configuration is sized here too, to the mix observed
             # at configuration time, and then never adapted again.
             self._apply_demand_targets(max_moves=None)
 
@@ -246,8 +223,6 @@ class MemoryAwareLoadBalancer(LoadBalancer):
                 rid for rid in allocator.replicas_of(donor)
                 if len(allocator.groups_of_replica(rid)) == 1
             ]
-            if len(candidates) <= 1 and len(allocator.replicas_of(donor)) <= 1:
-                break
             if not candidates:
                 break
             replica = min(candidates, key=lambda rid: (outstanding[rid], rid))
@@ -372,7 +347,7 @@ class MemoryAwareLoadBalancer(LoadBalancer):
             if not self.static_allocation and not allocator.frozen:
                 # Age the demand estimate so the allocation follows mix changes.
                 for name in list(self._observed_counts):
-                    self._observed_counts[name] *= self.demand_decay
+                    self._observed_counts[name] *= self.DEMAND_DECAY
                 moved = self._apply_demand_targets(max_moves=2, min_deviation=2)
                 if moved == 0 and self.enable_merging:
                     # Demand targets are satisfied; let the utilisation-based
@@ -381,23 +356,18 @@ class MemoryAwareLoadBalancer(LoadBalancer):
                     # spill an overloaded group onto an idle machine when no
                     # exclusive donor exists (elastic clusters with fewer
                     # replicas than groups).
-                    loads = self._effective_loads()
-                    action = (allocator._try_split(loads)
-                              or allocator._try_merge(loads)
-                              or allocator._try_expand(loads)
-                              or allocator._try_contract(loads))
-                    if action is not None:
-                        allocator.actions.append(action)
-                        # Deliberately NOT counted as instability for the
-                        # update-filtering gate: these are bounded local
-                        # utilisation tweaks, and under steady paper-scale
-                        # load one fires almost every period -- counting
-                        # them kept pushing _last_move_time forward, so
-                        # filtering never activated and MALB-SC+UF silently
-                        # degenerated to MALB-SC (Figure 7's mechanism).
-                        # _enable_filtering recomputes the plan from the
-                        # assignment as it stands and freezes it, so a
-                        # just-merged allocation is a valid starting point.
+                    #
+                    # Deliberately NOT counted as instability for the
+                    # update-filtering gate: these are bounded local
+                    # utilisation tweaks, and under steady paper-scale load
+                    # one fires almost every period -- counting them kept
+                    # pushing _last_move_time forward, so filtering never
+                    # activated and MALB-SC+UF silently degenerated to
+                    # MALB-SC (Figure 7's mechanism).  _enable_filtering
+                    # recomputes the plan from the assignment as it stands
+                    # and freezes it, so a just-merged allocation is a valid
+                    # starting point.
+                    allocator.rebalance(self._effective_loads())
 
         if self.update_filtering and self.filter_plan is None:
             if self._filtering_active_since is None:
@@ -430,7 +400,6 @@ class MemoryAwareLoadBalancer(LoadBalancer):
             assignment=allocator.assignment,
             estimates=self.estimates,
             catalog=view.catalog(),
-            min_copies=self.min_copies,
         )
         allocator.freeze()
 

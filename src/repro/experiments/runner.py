@@ -25,17 +25,16 @@ from repro.workloads.rubis import make_rubis
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.tpcw import DATABASE_SIZES, make_tpcw
 
+#: MALB policy name -> (grouping method, update filtering).
+_MALB_POLICIES: Dict[str, Tuple[GroupingMethod, bool]] = {
+    "MALB-S": (GroupingMethod.MALB_S, False),
+    "MALB-SC": (GroupingMethod.MALB_SC, False),
+    "MALB-SCAP": (GroupingMethod.MALB_SCAP, False),
+    "MALB-SC+UF": (GroupingMethod.MALB_SC, True),
+}
+
 #: Policies accepted by :func:`make_balancer`.
-POLICIES = (
-    "Single",
-    "RoundRobin",
-    "LeastConnections",
-    "LARD",
-    "MALB-S",
-    "MALB-SC",
-    "MALB-SCAP",
-    "MALB-SC+UF",
-)
+POLICIES = ("Single", "RoundRobin", "LeastConnections", "LARD") + tuple(_MALB_POLICIES)
 
 #: Telemetry snapshot period (simulated seconds) of the harness CLIs.
 SNAPSHOT_INTERVAL_S = 5.0
@@ -62,9 +61,7 @@ class ExperimentConfig:
     schedule_phase_length_s: float = 0.0
     #: MALB options used by the ablation benches.
     malb_merging: bool = True
-    malb_fast_reallocation: bool = True
     malb_static_allocation: bool = False
-    malb_hysteresis: float = 1.25
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -106,43 +103,21 @@ def make_workload(config: ExperimentConfig) -> WorkloadSpec:
 
 def make_balancer(policy: str, config: Optional[ExperimentConfig] = None) -> LoadBalancer:
     """Instantiate the load-balancing policy named ``policy``."""
-    merging = config.malb_merging if config else True
-    fast = config.malb_fast_reallocation if config else True
-    static = config.malb_static_allocation if config else False
-    hysteresis = config.malb_hysteresis if config else 1.25
-
     if policy in ("Single", "RoundRobin"):
         return RoundRobinBalancer()
     if policy == "LeastConnections":
         return LeastConnectionsBalancer()
     if policy == "LARD":
         return LardBalancer()
-    if policy == "MALB-S":
-        return MemoryAwareLoadBalancer(method=GroupingMethod.MALB_S,
-                                       enable_merging=merging,
-                                       enable_fast_reallocation=fast,
-                                       static_allocation=static,
-                                       hysteresis=hysteresis)
-    if policy == "MALB-SC":
-        return MemoryAwareLoadBalancer(method=GroupingMethod.MALB_SC,
-                                       enable_merging=merging,
-                                       enable_fast_reallocation=fast,
-                                       static_allocation=static,
-                                       hysteresis=hysteresis)
-    if policy == "MALB-SCAP":
-        return MemoryAwareLoadBalancer(method=GroupingMethod.MALB_SCAP,
-                                       enable_merging=merging,
-                                       enable_fast_reallocation=fast,
-                                       static_allocation=static,
-                                       hysteresis=hysteresis)
-    if policy == "MALB-SC+UF":
-        return MemoryAwareLoadBalancer(method=GroupingMethod.MALB_SC,
-                                       update_filtering=True,
-                                       enable_merging=merging,
-                                       enable_fast_reallocation=fast,
-                                       static_allocation=static,
-                                       hysteresis=hysteresis)
-    raise ValueError("unknown policy %r" % (policy,))
+    if policy not in _MALB_POLICIES:
+        raise ValueError("unknown policy %r" % (policy,))
+    method, update_filtering = _MALB_POLICIES[policy]
+    return MemoryAwareLoadBalancer(
+        method=method,
+        update_filtering=update_filtering,
+        enable_merging=config.malb_merging if config else True,
+        static_allocation=config.malb_static_allocation if config else False,
+    )
 
 
 def make_cluster_config(config: ExperimentConfig) -> ClusterConfig:

@@ -61,38 +61,31 @@ def test_future_load_extrapolation():
     assert load_a.future_bottleneck == pytest.approx(0.46 * load_a.replicas / (load_a.replicas - 1))
 
 
-def test_rebalance_moves_replica_to_loaded_group():
-    alloc = ReplicaAllocator([group("hot"), group("cold")], replica_ids=range(8),
-                             enable_merging=False, enable_fast_reallocation=False)
-    loads = loads_for(alloc, {"hot": (0.95, 0.2), "cold": (0.05, 0.05)})
-    before = alloc.replica_counts()
-    action = alloc.rebalance(loads)
-    after = alloc.replica_counts()
-    assert action.kind == "move"
-    assert after["hot"] == before["hot"] + 1
-    assert after["cold"] == before["cold"] - 1
-    alloc.validate()
-
-
-def test_hysteresis_blocks_marginal_moves():
-    alloc = ReplicaAllocator([group("a"), group("b")], replica_ids=range(8),
-                             enable_merging=False, enable_fast_reallocation=False)
-    loads = loads_for(alloc, {"a": (0.50, 0.1), "b": (0.45, 0.1)})
-    action = alloc.rebalance(loads)
-    assert action.kind == "none"
-
-
 def test_donor_never_drops_to_zero_replicas():
-    alloc = ReplicaAllocator([group("a"), group("b")], replica_ids=range(2),
-                             enable_merging=False, enable_fast_reallocation=False)
-    loads = loads_for(alloc, {"a": (1.0, 1.0), "b": (0.0, 0.0)})
-    alloc.rebalance(loads)
+    groups = [group("donor"), group("p"), group("q")]
+    # p and q share replica 1, the hottest machine; the only possible donor
+    # has a single replica, so the split must decline rather than take it.
+    alloc = ReplicaAllocator(groups, replica_ids=range(2))
+    alloc.assignment = {"donor": [0], "p": [1], "q": [1]}
+    alloc.validate()
+    loads = {0: LoadSample(cpu=0.9, disk=0.1), 1: LoadSample(cpu=0.99, disk=0.9)}
+    assert alloc.rebalance(loads) is None
+    assert alloc.assignment == {"donor": [0], "p": [1], "q": [1]}
+    # With two replicas the donor gives up its least-loaded one and keeps
+    # the other.
+    alloc = ReplicaAllocator(groups, replica_ids=range(3))
+    alloc.assignment = {"donor": [0, 1], "p": [2], "q": [2]}
+    alloc.validate()
+    loads = {0: LoadSample(cpu=0.6, disk=0.1), 1: LoadSample(cpu=0.5, disk=0.1),
+             2: LoadSample(cpu=0.99, disk=0.9)}
+    assert alloc.rebalance(loads).kind == "split"
+    assert alloc.assignment == {"donor": [0], "p": [2], "q": [1]}
     assert all(count >= 1 for count in alloc.replica_counts().values())
 
 
 def test_merging_of_underutilised_singletons():
     groups = [group("busy"), group("idle1"), group("idle2")]
-    alloc = ReplicaAllocator(groups, replica_ids=range(3), enable_fast_reallocation=False)
+    alloc = ReplicaAllocator(groups, replica_ids=range(3))
     loads = loads_for(alloc, {"busy": (0.9, 0.3), "idle1": (0.05, 0.02), "idle2": (0.04, 0.02)})
     action = alloc.rebalance(loads)
     assert action.kind == "merge"
@@ -102,7 +95,7 @@ def test_merging_of_underutilised_singletons():
 
 def test_split_when_shared_replica_becomes_hottest():
     groups = [group("busy"), group("idle1"), group("idle2")]
-    alloc = ReplicaAllocator(groups, replica_ids=range(4), enable_fast_reallocation=False)
+    alloc = ReplicaAllocator(groups, replica_ids=range(4))
     loads = loads_for(alloc, {"busy": (0.9, 0.3), "idle1": (0.05, 0.02), "idle2": (0.04, 0.02)})
     alloc.rebalance(loads)                     # merge happens
     shared = alloc.shared_replicas()[0]
@@ -113,29 +106,74 @@ def test_split_when_shared_replica_becomes_hottest():
     assert alloc.shared_replicas() == []
 
 
-def test_fast_rebalance_solves_balance_equations():
-    alloc = ReplicaAllocator([group("M"), group("N")], replica_ids=range(10),
-                             enable_merging=False)
-    # Force the initial allocation into 3 / 7.
-    alloc.assignment["M"] = [0, 1, 2]
-    alloc.assignment["N"] = [3, 4, 5, 6, 7, 8, 9]
-    loads = {rid: LoadSample(cpu=0.70, disk=0.1) for rid in [0, 1, 2]}
-    loads.update({rid: LoadSample(cpu=0.10, disk=0.05) for rid in [3, 4, 5, 6, 7, 8, 9]})
-    action = alloc.fast_rebalance(loads)
-    counts = alloc.replica_counts()
-    # Paper example: needs 2.1 vs 0.7 -> 7 and 3 replicas after rounding.
-    assert counts["M"] == 7
-    assert counts["N"] == 3
-    assert action.moved_replicas >= 3
+def test_split_takes_precedence_over_merge():
+    groups = [group(gid) for gid in ("busy", "p", "q", "r", "s")]
+    alloc = ReplicaAllocator(groups, replica_ids=range(6))
+    # p and q share replica 3; r and s are idle singletons that could merge.
+    alloc.assignment = {"busy": [0, 1, 2], "p": [3], "q": [3], "r": [4], "s": [5]}
+    alloc.validate()
+    loads = {rid: LoadSample(cpu=0.5, disk=0.1) for rid in (0, 1, 2)}
+    loads[3] = LoadSample(cpu=0.99, disk=0.9)
+    loads[4] = LoadSample(cpu=0.05, disk=0.02)
+    loads[5] = LoadSample(cpu=0.04, disk=0.02)
+    assert alloc.rebalance(loads).kind == "split"
+    assert alloc.shared_replicas() == []
+    # The merge was eligible all along; it runs on the next step.
+    assert alloc.rebalance(loads).kind == "merge"
+    assert alloc.replicas_of("r") == alloc.replicas_of("s")
+
+
+def test_hot_group_expands_onto_coldest_machine():
+    alloc = ReplicaAllocator([group("hot"), group("cold")], replica_ids=range(4))
+    cold_replicas = alloc.replicas_of("cold")
+    loads = loads_for(alloc, {"hot": (0.9, 0.2)})
+    loads[cold_replicas[0]] = LoadSample(cpu=0.3, disk=0.1)
+    loads[cold_replicas[1]] = LoadSample(cpu=0.1, disk=0.1)
+    action = alloc.rebalance(loads)
+    assert action.kind == "expand"
+    assert cold_replicas[1] in alloc.replicas_of("hot")
+    assert alloc.shared_replicas() == [cold_replicas[1]]
+    assert alloc.replicas_of("cold") == cold_replicas
+
+
+def test_hysteresis_blocks_marginal_expand():
+    alloc = ReplicaAllocator([group("hot"), group("warm")], replica_ids=range(4))
+    before = {gid: alloc.replicas_of(gid) for gid in ("hot", "warm")}
+    # 0.80 is hot enough to expand, but not 1.25x the coldest machine's 0.70.
+    loads = loads_for(alloc, {"hot": (0.80, 0.1), "warm": (0.70, 0.1)})
+    assert 0.80 < ReplicaAllocator.HYSTERESIS * 0.70
+    assert alloc.rebalance(loads) is None
+    assert {gid: alloc.replicas_of(gid) for gid in ("hot", "warm")} == before
+    # Once the margin clears the hysteresis, the same group expands.
+    loads = loads_for(alloc, {"hot": (0.80, 0.1), "warm": (0.60, 0.1)})
+    assert alloc.rebalance(loads).kind == "expand"
+
+
+def test_contract_releases_shared_machine_once_load_falls():
+    alloc = ReplicaAllocator([group("hot"), group("cold")], replica_ids=range(4))
+    loads = loads_for(alloc, {"hot": (0.9, 0.2), "cold": (0.1, 0.1)})
+    assert alloc.rebalance(loads).kind == "expand"
+    assert len(alloc.shared_replicas()) == 1
+    # While the pressure lasts, nothing is given back.
+    loads = loads_for(alloc, {"hot": (0.7, 0.2), "cold": (0.6, 0.1)})
+    assert alloc.rebalance(loads) is None
+    assert len(alloc.shared_replicas()) == 1
+    # Load falls everywhere: the shared machine is released.
+    loads = loads_for(alloc, {"hot": (0.1, 0.1), "cold": (0.1, 0.1)})
+    action = alloc.rebalance(loads)
+    assert action.kind == "contract"
+    assert alloc.shared_replicas() == []
+    assert alloc.rebalance(loads) is None
+    alloc.validate()
 
 
 def test_freeze_stops_reallocation():
     alloc = ReplicaAllocator([group("hot"), group("cold")], replica_ids=range(4))
     alloc.freeze()
     loads = loads_for(alloc, {"hot": (1.0, 1.0), "cold": (0.0, 0.0)})
-    assert alloc.rebalance(loads).kind == "none"
+    assert alloc.rebalance(loads) is None
     alloc.unfreeze()
-    assert alloc.rebalance(loads).kind != "none"
+    assert alloc.rebalance(loads) is not None
 
 
 def test_validate_detects_corruption():

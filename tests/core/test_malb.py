@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.allocation import ReplicaAllocator
 from repro.core.grouping import GroupingMethod
 from repro.core.malb import MemoryAwareLoadBalancer
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
@@ -86,3 +87,35 @@ def test_describe_lists_groups():
     small_cluster(malb)
     text = malb.describe()
     assert "MALB-SC" in text
+
+
+@pytest.mark.parametrize("static", [True, False])
+def test_static_allocation_never_changes_after_initial_sizing(static):
+    malb = MemoryAwareLoadBalancer(static_allocation=static, rebalance_interval_s=2.0)
+    cluster = small_cluster(malb, replicas=6)
+    cluster.start()
+    allocator = malb.allocator
+    sized_version = allocator.version
+    cluster.sim.run_until(200.0)            # ~100 rebalance intervals
+    assert malb.allocator is allocator
+    if static:
+        assert allocator.version == sized_version
+    else:
+        assert allocator.version > sized_version
+
+
+@pytest.mark.parametrize("merging", [False, True])
+def test_disabled_merging_never_calls_the_allocator(monkeypatch, merging):
+    calls = []
+    rebalance = ReplicaAllocator.rebalance
+
+    def spy(self, loads):
+        calls.append(loads)
+        return rebalance(self, loads)
+
+    monkeypatch.setattr(ReplicaAllocator, "rebalance", spy)
+    malb = MemoryAwareLoadBalancer(enable_merging=merging, rebalance_interval_s=2.0)
+    cluster = small_cluster(malb, replicas=6)
+    cluster.start()
+    cluster.sim.run_until(200.0)
+    assert bool(calls) == merging
