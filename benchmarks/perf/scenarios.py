@@ -490,11 +490,9 @@ def _dispatch_micro(quick: bool, observer=None) -> ScenarioTiming:
         txn_type = generator.next_type(0.0)
         rid = balancer.dispatch(txn_type)
         routing.on_dispatch(rid)
-        inflight.append((rid, txn_type))
+        inflight.append(rid)
         if len(inflight) >= window:
-            done_rid, done_type = inflight.popleft()
-            routing.on_complete(done_rid)
-            balancer.on_complete(done_rid, done_type)
+            routing.on_complete(inflight.popleft())
             completed += 1
         if i % rebalance_every == rebalance_every - 1:
             balancer.ingest_mix_counts(generator.drain_type_counts())

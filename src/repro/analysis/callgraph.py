@@ -237,14 +237,6 @@ class Program:
                     sites.append(site)
         return sites
 
-    def resolve_name(self, site: CallSite) -> List[FunctionInfo]:
-        """Candidate targets of a call site (the dual of call_sites_of)."""
-        if site.is_attribute:
-            return list(self.methods_by_name.get(site.callee_name, ()))
-        info = self.module_functions.get(
-            (site.module.relpath, site.callee_name))
-        return [info] if info is not None else []
-
 
 def build_program(modules: Sequence[ModuleSource]) -> Program:
     """Convenience constructor mirroring :func:`analyze_modules`."""

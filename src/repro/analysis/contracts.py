@@ -159,13 +159,6 @@ class RuleP1ProtocolConformance(ProgramRule):
         # var -> set of possible current states (None = take entry states).
         tracked: Dict[str, Set[str]] = {}
 
-        def prior_states(var: str) -> Optional[Set[str]]:
-            if var in tracked:
-                return tracked[var]
-            if declared:
-                return set(entry)
-            return None
-
         def scan(body: List[ast.stmt], state: Dict[str, Set[str]]
                  ) -> Dict[str, Set[str]]:
             for stmt in body:

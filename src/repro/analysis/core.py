@@ -119,9 +119,6 @@ class ModuleSource:
             relpath = package_relpath(path)
         return cls(text, path=path, relpath=relpath)
 
-    def suppressed_rules_at(self, line: int) -> frozenset:
-        return self.suppressions.get(line, frozenset())
-
     def is_suppressed(self, rule: str, line: int) -> bool:
         rules = self.suppressions.get(line)
         if not rules:

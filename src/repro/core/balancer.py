@@ -16,11 +16,11 @@ could obtain (transaction type, outstanding connections, utilisation,
 catalog metadata and plans) -- never the simulator's ground truth.
 
 Load accounting is event-driven: the view carries a
-:class:`~repro.core.routing.RoutingTable` whose outstanding counters and
-effective-load scores are maintained incrementally by the admission layer's
-``on_dispatch`` / ``on_complete`` notifications (and by the monitoring
-daemons publishing samples), so a policy's ``choose_replica`` reads cached
-state instead of re-deriving it per dispatch.
+:class:`~repro.core.routing.RoutingTable` whose outstanding counters the
+cluster bumps at dispatch and each replica decrements when a transaction
+finishes or is failed (and whose load samples the monitoring daemons
+publish), so a policy's ``choose_replica`` reads cached state instead of
+re-deriving it per dispatch.  A policy is not notified per transaction.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ class LoadBalancer(abc.ABC):
         replica_id = self.choose_replica(txn_type)
         self.dispatched += 1
         return replica_id
-
-    def on_dispatch(self, replica_id: int, txn_type: TransactionType) -> None:
-        """Notification that a transaction was admitted to ``replica_id``.
-
-        The cluster maintains the shared routing table's counters itself and
-        invokes this hook only for policies that override it (checked once at
-        attach time), so the built-in policies pay nothing for it.  Override
-        to keep private per-dispatch state in sync with admissions.
-        """
-
-    def on_complete(self, replica_id: int, txn_type: TransactionType) -> None:
-        """Notification that a dispatched transaction finished at ``replica_id``."""
 
     def on_membership_change(self) -> None:
         """Notification that the cluster's replica set changed.

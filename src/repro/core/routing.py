@@ -9,9 +9,10 @@ argmin re-discovered the outstanding counters through ``getattr`` probes on
 the view.  :class:`RoutingTable` replaces all of that with state that is
 maintained *incrementally* by the events that actually change it:
 
-* ``on_dispatch`` / ``on_complete`` keep the per-replica outstanding
-  counters exact -- they are the admission layer's single source of truth,
-  also used by drain/crash accounting in the elasticity subsystem;
+* ``on_dispatch`` (called by the cluster) and ``on_complete`` (called by
+  the replica) keep the per-replica outstanding counters exact -- they are
+  the admission layer's single source of truth, also used by drain/crash
+  accounting in the elasticity subsystem;
 * membership changes (:meth:`add_replica` / :meth:`remove_replica`) bump a
   ``version`` and rebuild the cached replica-id tuple, so policies can key
   their own caches (MALB's type -> candidate-replica table) off it instead
@@ -37,6 +38,9 @@ from repro.sim.monitor import LoadSample
 
 _ZERO_SAMPLE = LoadSample()
 
+#: Outstanding transactions that count as one saturated CPU in effective_load.
+QUEUE_PRESSURE_NORM = 8
+
 
 class RoutingTable:
     """Event-maintained per-replica load accounting and membership cache.
@@ -47,13 +51,13 @@ class RoutingTable:
     crash-in-flight failures and drains: every admission calls
     :meth:`on_dispatch` exactly once, and every completion path -- commit,
     client-visible abort, or crash-time failure -- calls :meth:`on_complete`
-    exactly once (the cluster's in-flight registry guarantees at-most-once).
+    exactly once (the replica's epoch fence guarantees at-most-once).
     """
 
     __slots__ = ("version", "outstanding", "_live", "_live_set", "_samples",
-                 "_eff_cache", "queue_pressure_norm")
+                 "_eff_cache")
 
-    def __init__(self, queue_pressure_norm: int = 8) -> None:
+    def __init__(self) -> None:
         #: bumped on every membership change; policies key candidate caches
         #: off (allocator identity, allocator version, this version).
         self.version = 0
@@ -70,7 +74,6 @@ class RoutingTable:
         self._samples: Dict[int, LoadSample] = {}
         # rid -> (outstanding-at-build, sample-at-build, effective LoadSample).
         self._eff_cache: Dict[int, Tuple[int, LoadSample, LoadSample]] = {}
-        self.queue_pressure_norm = queue_pressure_norm
 
     # ------------------------------------------------------------------
     # Membership
@@ -163,7 +166,7 @@ class RoutingTable:
         cached = self._eff_cache.get(replica_id)
         if cached is not None and cached[0] == n and cached[1] is sample:
             return cached[2]
-        pressure = min(2.0, n / float(self.queue_pressure_norm))
+        pressure = min(2.0, n / float(QUEUE_PRESSURE_NORM))
         effective = LoadSample(
             cpu=max(sample.cpu, pressure if pressure > 1.0 else sample.cpu),
             disk=sample.disk,

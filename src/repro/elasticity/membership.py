@@ -67,9 +67,6 @@ class MembershipManager:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def alive_ids(self) -> List[int]:
-        return self.cluster.replica_ids()
-
     @property
     def alive_count(self) -> int:
         return len(self.cluster.replicas)
@@ -126,7 +123,7 @@ class MembershipManager:
         replica.crash()
         self.crashed[replica_id] = replica
         cluster.notify_membership_changed()
-        failed = cluster._fail_inflight(replica_id, reason="crash-in-flight")
+        failed = replica.fail_in_flight("crash-in-flight")
         cluster._purge_replica_state(replica_id)
         self._log("crash", replica_id, "failed %d in-flight transactions" % failed)
         return replica
@@ -176,7 +173,7 @@ class MembershipManager:
         if not drain or outstanding.get(replica_id, 0) == 0:
             if outstanding.get(replica_id, 0) > 0:
                 replica.crash()
-                cluster._fail_inflight(replica_id, reason="drain-straggler")
+                replica.fail_in_flight("drain-straggler")
             self._retire(replica, "immediate")
             return
         self._draining[replica_id] = replica
@@ -193,8 +190,7 @@ class MembershipManager:
             elif cluster.sim.now >= deadline:
                 self._draining.pop(replica_id)
                 replica.crash()
-                failed = cluster._fail_inflight(replica_id,
-                                                reason="drain-straggler")
+                failed = replica.fail_in_flight("drain-straggler")
                 self._retire(replica, "drain deadline, failed %d stragglers" % failed)
             else:
                 cluster.sim.schedule(self.drain_poll_interval_s, poll)
@@ -205,7 +201,7 @@ class MembershipManager:
         replica.alive = False
         self.retired[replica.replica_id] = replica
         # A retired replica never returns; erase its routing counter, any
-        # lingering load sample and its (now resolved) in-flight table.
+        # lingering load sample (its live table is already resolved).
         self.cluster._purge_replica_state(replica.replica_id)
         self._log("retired", replica.replica_id, detail)
 

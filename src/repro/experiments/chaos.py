@@ -328,7 +328,7 @@ def run_chaos(config: ChaosConfig, observer=None) -> ChaosResult:
     # transaction has resolved, so the audit sees a truly quiet cluster.
     sim = cluster.sim
     drain_deadline = sim.now + 60.0
-    while any(cluster._inflight.values()) and sim.now < drain_deadline:
+    while any(cluster.routing.outstanding.values()) and sim.now < drain_deadline:
         sim.run_until(sim.now + 2.0)
     timeline["drained_until_s"] = sim.now
 

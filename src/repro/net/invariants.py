@@ -22,8 +22,10 @@ partitions, retries and fail-over:
   ``{version: delivery_count}`` dict armed only when a checker is installed
   (the usual zero-overhead contract: no checker, no ledger, no cost).
 * **in-flight-resolved** -- after the harness quiesces the cluster, no
-  transaction is still admitted, queued, certifying or tracked in the
-  cluster's in-flight tables, and no lag notification is pending.
+  transaction is still admitted, queued, certifying or live at any replica
+  the cluster built (in service, draining, crashed or retired), the routing
+  table's outstanding counters agree with those live tables, and no lag
+  notification is pending.
 
 Construct the checker (it calls ``cluster.attach(self)``) before the run,
 so every replica -- including later joiners -- carries a ledger::
@@ -135,7 +137,7 @@ class ConsistencyChecker:
         if expect_quiesced:
             for replica in replicas:
                 self._check_replica_quiesced(report, replica)
-            self._check_cluster_quiesced(report)
+            self._check_cluster_quiesced(report, replicas)
         report.checked["replicas"] = len(replicas)
         return report
 
@@ -146,14 +148,7 @@ class ConsistencyChecker:
         membership = cluster._membership
         if membership is not None:
             replicas.extend(membership.returnable_replicas())
-        seen = set()
-        unique = []
-        for replica in replicas:
-            if replica.replica_id not in seen:
-                seen.add(replica.replica_id)
-                unique.append(replica)
-        unique.sort(key=lambda r: r.replica_id)
-        return unique
+        return sorted(replicas, key=lambda r: r.replica_id)
 
     # ------------------------------------------------------------------
     # Individual invariants
@@ -285,14 +280,22 @@ class ConsistencyChecker:
                 "%d transaction snapshot(s) still open" % open_txns,
                 replica_id))
 
-    def _check_cluster_quiesced(self, report: InvariantReport) -> None:
+    def _check_cluster_quiesced(self, report: InvariantReport,
+                                replicas: List["Replica"]) -> None:
+        """Every replica the cluster built -- ``replicas`` plus the retired
+        ones -- has an empty live table that its routing counter agrees with."""
         cluster = self.cluster
-        for replica_id, pending in cluster._inflight.items():
-            if pending:
+        if cluster._membership is not None:
+            replicas = replicas + list(cluster._membership.retired.values())
+        outstanding = cluster.routing.outstanding
+        for replica in replicas:
+            live = len(replica._live)
+            counted = outstanding.get(replica.replica_id, 0)
+            if live or counted:
                 report.violations.append(Violation(
                     "in-flight-resolved",
-                    "%d completion callback(s) still registered" % len(pending),
-                    replica_id))
+                    "%d transaction(s) still live, routing counts %d"
+                    % (live, counted), replica.replica_id))
         if cluster._notify_pending:
             report.violations.append(Violation(
                 "in-flight-resolved",

@@ -72,12 +72,6 @@ class CertifierStats:
     dedup_hits: int = 0         # retried/duplicated RPCs answered from cache
     stale_requests: int = 0     # retransmissions older than the dedup window
 
-    @property
-    def abort_rate(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.aborts / self.requests
-
 
 class _RpcDedupState:
     """Per-origin at-least-once RPC dedup state (see :meth:`Certifier.certify_rpc`).

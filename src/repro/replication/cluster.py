@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Set
 
 from repro.core.balancer import LoadBalancer
 from repro.core.routing import RoutingTable
@@ -24,7 +24,7 @@ from repro.net.channel import Network, NetworkConfig
 from repro.replication.certifier import Certifier
 from repro.replication.proxy import ProxyConfig
 from repro.replication.recovery import ReplicatedCertifierLog
-from repro.replication.replica import Replica
+from repro.replication.replica import CompletionCallback, Replica
 
 if TYPE_CHECKING:
     from repro.elasticity.membership import MembershipManager
@@ -173,41 +173,6 @@ class _Notification:
         self.pending.discard(self.replica.replica_id)
 
 
-class _InFlight:
-    """The completion continuation of one admitted transaction.
-
-    Slotted and allocated once per admission (the request path's only
-    per-transaction allocation on the cluster side); registered in the
-    replica's in-flight table until it runs, so a crash can fail every
-    registered continuation while the pop guarantees each runs at most once
-    (a late continuation of a crash-failed transaction is a no-op).
-    """
-
-    __slots__ = ("cluster", "pending", "token", "replica_id", "txn_type",
-                 "on_complete")
-
-    def __init__(self, cluster: "ReplicatedCluster", pending: Dict[int, "_InFlight"],
-                 token: int, replica_id: int, txn_type: TransactionType,
-                 on_complete: Callable[[], None]) -> None:
-        self.cluster = cluster
-        self.pending = pending
-        self.token = token
-        self.replica_id = replica_id
-        self.txn_type = txn_type
-        self.on_complete = on_complete
-
-    def __call__(self, committed: bool) -> None:
-        if self.pending.pop(self.token, None) is None:
-            return
-        cluster = self.cluster
-        replica_id = self.replica_id
-        cluster.routing.on_complete(replica_id)
-        hook = cluster._complete_hook
-        if hook is not None:
-            hook(replica_id, self.txn_type)
-        self.on_complete()
-
-
 class ReplicatedCluster:
     """Builds and runs one replicated-database configuration."""
 
@@ -248,8 +213,6 @@ class ReplicatedCluster:
         #: cache, effective loads) shared with the balancer through the view.
         self.routing = RoutingTable()
         self.monitor.on_sample = self.routing.publish_load
-        self._inflight: Dict[int, Dict[int, Callable[[bool], None]]] = {}
-        self._inflight_token = 0
         self._pulls_scheduled: Set[int] = set()
         self._notify_pending: Set[int] = set()
         self._next_replica_id = 0
@@ -268,17 +231,6 @@ class ReplicatedCluster:
             generator=self.generator,
             submit=self._submit,
         )
-        # Dispatch/complete notifications are opt-in per policy class (none
-        # of the built-in policies override the hooks), so the admission
-        # fast path does not pay a no-op Python call per transaction.
-        self._dispatch_hook = (
-            self.balancer.on_dispatch
-            if type(self.balancer).on_dispatch is not LoadBalancer.on_dispatch
-            else None)
-        self._complete_hook = (
-            self.balancer.on_complete
-            if type(self.balancer).on_complete is not LoadBalancer.on_complete
-            else None)
         self.balancer.attach(self)
 
     def attach(self, observer: ClusterObserver) -> None:
@@ -323,6 +275,7 @@ class ReplicatedCluster:
             channel=network.link(replica_id) if network is not None else None,
         )
         replica.metrics = self.metrics
+        replica.routing = self.routing
         replica.on_local_commit = self._on_local_commit
         for observer in self.observers:
             observer.instrument_replica(replica)
@@ -333,7 +286,6 @@ class ReplicatedCluster:
         replica_id = replica.replica_id
         self.replicas[replica_id] = replica
         self.routing.add_replica(replica_id)
-        self._inflight.setdefault(replica_id, {})
         self.monitor.register(replica_id, replica.resources)
         # Register the propagation cursor with the certifier's lag index so
         # commit batches can find this replica when it falls behind; every
@@ -377,36 +329,16 @@ class ReplicatedCluster:
 
         self.sim.schedule(self.config.propagation_interval_s, tick)
 
-    def _fail_inflight(self, replica_id: int,
-                       reason: str = "crash-in-flight") -> int:
-        """Fail every transaction in flight at a (crashed) replica.
-
-        The clients' completion callbacks run with ``committed=False`` so
-        closed-loop clients immediately re-issue elsewhere.  ``reason`` feeds
-        the abort-reason taxonomy ("crash-in-flight" or "drain-straggler");
-        these failures are not certification aborts, so ``metrics.aborts``
-        is untouched.  Returns the number of transactions failed.
-        """
-        pending = self._inflight.get(replica_id, {})
-        failed = 0
-        for done in list(pending.values()):
-            done(False)
-            failed += 1
-        if failed:
-            self.metrics.record_failure(reason, failed)
-        return failed
-
     def _purge_replica_state(self, replica_id: int) -> None:
         """Drop the last traces of a replica that has fully left.
 
         Deactivation intentionally keeps the routing outstanding counter (so
-        draining and crash-failing stay accountable); once the in-flight set
-        is resolved, this clears the counter, any load sample the replica
-        pushed before leaving, and its empty in-flight table, so no stale
-        state can influence later routing decisions or linger in snapshots.
+        draining and crash-failing stay accountable); once the replica's
+        live table is resolved, this clears the counter and any load sample
+        the replica pushed before leaving, so no stale state can influence
+        later routing decisions or linger in snapshots.
         """
         self.routing.purge_replica(replica_id)
-        self._inflight.pop(replica_id, None)
         # Release any lag-notification dedup entry so a restored replica can
         # be notified again; the in-flight _Notification (if any) is
         # cancel-aware and fizzles when it lands.  The certifier's RPC dedup
@@ -480,19 +412,14 @@ class ReplicatedCluster:
     # Transaction flow
     # ------------------------------------------------------------------
     def _submit(self, txn_type: TransactionType, client_id: int,
-                on_complete) -> None:
+                on_complete: CompletionCallback) -> None:
+        """Route one transaction; the replica's context is its only state."""
         replica_id = self.balancer.dispatch(txn_type)
         replica = self.replicas.get(replica_id)
         if replica is None:
             raise KeyError("balancer chose unknown replica %r" % (replica_id,))
         self.routing.on_dispatch(replica_id)
-        if self._dispatch_hook is not None:
-            self._dispatch_hook(replica_id, txn_type)
-        token = self._inflight_token = self._inflight_token + 1
-        pending = self._inflight[replica_id]
-        done = _InFlight(self, pending, token, replica_id, txn_type, on_complete)
-        pending[token] = done
-        replica.submit(txn_type, self.sim.now, done)
+        replica.submit(txn_type, self.sim.now, on_complete)
 
     def _on_local_commit(self, origin: Replica) -> None:
         """Piggyback propagation: the committing replica is already up to date;

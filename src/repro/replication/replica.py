@@ -31,9 +31,14 @@ moves through an explicit lifecycle::
   transactions for the same resources -- the contention update filtering
   removes.
 
-Every continuation is fenced by the replica's epoch: a crash bumps the
-epoch, so continuations (CPU/disk completions, the certification round
-trip) scheduled before the crash are dropped when they fire.
+The context is the only per-transaction object.  The replica keeps its
+submitted contexts in a live table, in dispatch order, until ``_finish``
+deletes them or a crash or expired drain fails them all
+(:meth:`Replica.fail_in_flight`).  Every continuation is fenced by the
+replica's epoch: a crash bumps the epoch, so continuations (CPU/disk
+completions, the certification round trip) scheduled before the crash are
+dropped when they fire.  The fence is the only at-most-once guard; a
+completion that slipped past it would raise on the missing table entry.
 
 When the replica is built with an unreliable ``channel``
 (:class:`~repro.net.channel.Channel`), the certification round trip runs as
@@ -51,7 +56,7 @@ single ``sim.schedule`` it always was, preserving seeded outputs bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.trace import CERTIFY, CPU, QUEUE, READS, STAGE_NAMES, TxnTrace
 from repro.replication.certifier import Certifier
@@ -65,21 +70,25 @@ from repro.storage.engine import DatabaseEngine, TransactionWork
 from repro.workloads.spec import TransactionType
 
 if TYPE_CHECKING:
+    from repro.core.routing import RoutingTable
     from repro.obs.hub import ObservabilityHub
 
 # Callback invoked when a submitted transaction finishes (committed=True/False).
 CompletionCallback = Callable[[bool], None]
 
+#: Attempts a transaction gets before a certification abort is final.
+MAX_RETRIES = 3
+
 
 class TransactionContext:
     """The slotted lifecycle state of one transaction at a replica.
 
-    Replaces the former per-transaction closure chain: the context is
-    allocated once at submission and reused across retries (a retry re-runs
-    the pipeline with a fresh snapshot but keeps the context, its admission
-    slot and its attempt counter).  Stage continuations are bound methods on
-    this object, so the steady-state transaction path allocates one context
-    per transaction instead of a closure per stage per attempt.
+    The only per-transaction object: allocated once at submission and
+    reused across retries (a retry re-runs the pipeline with a fresh
+    snapshot but keeps the context, its admission slot and its attempt
+    counter).  Stage continuations are bound methods on this object, so the
+    steady-state transaction path allocates one context per transaction
+    instead of a closure per stage per attempt.
     """
 
     ADMITTED = 0
@@ -150,7 +159,7 @@ class Replica:
                  resources: ReplicaResources, certifier: Certifier,
                  disk_model: Optional[DiskModel] = None,
                  proxy_config: Optional[ProxyConfig] = None,
-                 max_retries: int = 3, channel=None) -> None:
+                 channel=None) -> None:
         self.replica_id = replica_id
         self.sim = sim
         self.engine = engine
@@ -164,8 +173,12 @@ class Replica:
         # certifier's lag-subscription index, which is how commit batches
         # find lagging replicas without scanning the cluster.
         self.proxy.lag_index = getattr(certifier, "subscriptions", None)
-        self.max_retries = max_retries
         self.metrics: Optional[MetricsCollector] = None
+        # The cluster's routing table, installed like ``metrics``.
+        self.routing: Optional["RoutingTable"] = None
+        # Submitted, unfinished contexts in dispatch order (a dict, never a
+        # set: fail_in_flight fails them in the order they arrived).
+        self._live: Dict[TransactionContext, None] = {}
         # Observability hub (tracer + telemetry registry); None keeps every
         # instrumentation site on the no-op fast path, same contract as
         # ``metrics``.  Installed by ObservabilityHub.instrument_replica.
@@ -220,6 +233,7 @@ class Replica:
         if not self.alive:
             raise RuntimeError("replica %d is not alive" % (self.replica_id,))
         ctx = TransactionContext(self, txn_type, submitted_at, on_done)
+        self._live[ctx] = None
         obs = self.obs
         if obs is not None and obs.tracer is not None:
             ctx.trace = TxnTrace(submitted_at)
@@ -228,8 +242,8 @@ class Replica:
     def _start(self, ctx: TransactionContext) -> None:
         """Run (or re-run, on retry) the execution pipeline of ``ctx``."""
         if not self.alive:
-            # Crashed between admission and start (or before a retry); the
-            # cluster has already failed the transaction's callback.
+            # Crashed between admission and start (or before a retry);
+            # fail_in_flight has already failed the transaction's callback.
             return
         ctx.epoch = self.epoch
         ctx.state = TransactionContext.CPU
@@ -363,7 +377,7 @@ class Replica:
                 self._finish(ctx, committed=True)
             else:
                 self.aborted += 1
-                retrying = ctx.attempt < self.max_retries
+                retrying = ctx.attempt < MAX_RETRIES
                 reason = "certification-conflict" if retrying else "retry-exhausted"
                 if self.metrics is not None:
                     self.metrics.record_abort(reason)
@@ -544,6 +558,8 @@ class Replica:
 
     def _finish(self, ctx: TransactionContext, committed: bool,
                 already_closed: bool = False) -> None:
+        # Raises for a context that already finished or was failed.
+        del self._live[ctx]
         ctx.state = TransactionContext.DONE
         if ctx.trace is not None:
             self._trace_finish(ctx, committed)
@@ -559,7 +575,28 @@ class Replica:
                 self.disk_model.effective_write_bytes(work.write_bytes),
             )
         self.proxy.admission.release()
+        routing = self.routing
+        if routing is not None:
+            routing.on_complete(self.replica_id)
         ctx.on_done(committed)
+
+    def fail_in_flight(self, reason: str) -> int:
+        """Fail every live context back to its client (``committed=False``),
+        in dispatch order, after a crash or an expired drain has fenced
+        them.  ``reason`` goes to the abort-reason taxonomy, not to
+        ``metrics.aborts``.  Returns the number failed."""
+        live = self._live
+        self._live = {}
+        routing = self.routing
+        replica_id = self.replica_id
+        for ctx in live:
+            if routing is not None:
+                routing.on_complete(replica_id)
+            ctx.on_done(False)
+        failed = len(live)
+        if failed and self.metrics is not None:
+            self.metrics.record_failure(reason, failed)
+        return failed
 
     # ------------------------------------------------------------------
     # Tracing (no-ops unless an ObservabilityHub armed ``ctx.trace``)
@@ -607,9 +644,10 @@ class Replica:
         including the in-flight certification round trip; the admission
         controller is rebuilt so queued-but-unstarted work is discarded, and
         the certification batcher is reset (its queued contexts die with
-        their admission slots).  Durable state (the applied-version cursor)
-        survives, as it would on disk; the page cache is cleared by
-        recovery.  Idempotent while down.
+        their admission slots).  The contexts stay in the live table until
+        the membership layer calls :meth:`fail_in_flight`.  Durable state
+        (the applied-version cursor) survives, as it would on disk; the page
+        cache is cleared by recovery.  Idempotent while down.
         """
         if not self.alive:
             return

@@ -30,8 +30,9 @@ from repro.sim.simulator import Simulator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec import TransactionType
 
-# submit(transaction_type, client_id, completion_callback)
-SubmitFn = Callable[[TransactionType, int, Callable[[], None]], None]
+# submit(transaction_type, client_id, completion_callback); the callback
+# receives whether the transaction committed.
+SubmitFn = Callable[[TransactionType, int, Callable[[bool], None]], None]
 
 
 @dataclass
@@ -83,7 +84,7 @@ class Client:
         pop.requests_issued += 1
         pop.submit(txn_type, self.client_id, self.complete)
 
-    def _complete(self) -> None:
+    def _complete(self, committed: bool) -> None:
         pop = self.population
         pop.requests_completed += 1
         # Inline exponential think-time draw (see ClientPopulation._think_time

@@ -121,10 +121,6 @@ class ClusterMonitor:
             if publish is not None:
                 publish(replica_id, sample)
 
-    def sample_now(self) -> None:
-        """Force an immediate sample of every replica (used by tests)."""
-        self._sample_all()
-
     def load_of(self, replica_id: int) -> LoadSample:
         monitor = self._monitors.get(replica_id)
         if monitor is None:

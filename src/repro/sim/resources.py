@@ -112,10 +112,6 @@ class Resource:
         busy = self.busy_seconds_until(end) - start_busy
         return max(0.0, min(1.0, busy / (end - window_start)))
 
-    @property
-    def total_busy_seconds(self) -> float:
-        return self.busy_seconds_until(self.sim.now)
-
 
 @dataclass
 class ReplicaResources:

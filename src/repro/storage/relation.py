@@ -161,10 +161,6 @@ class Schema:
         """Total on-disk size of the database (tables plus indices)."""
         return sum(r.size_bytes for r in self.relations.values())
 
-    @property
-    def total_size_pages(self) -> int:
-        return pages_for_bytes(self.total_size_bytes)
-
     def sizes(self) -> Dict[str, int]:
         """Mapping of relation name to size in bytes (a copy)."""
         return {name: relation.size_bytes for name, relation in self.relations.items()}

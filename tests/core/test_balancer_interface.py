@@ -25,7 +25,6 @@ def test_default_hooks_are_neutral():
     assert balancer.preferred_relations(0) is None
     balancer.observe_mix({"Read": 10})          # ignored by baselines
     balancer.periodic(now=10.0)                  # no-op
-    balancer.on_complete(0, view.workload_spec.type("Read"))
     assert balancer.describe() == "LeastConnections"
 
 

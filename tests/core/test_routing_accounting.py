@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.malb import MemoryAwareLoadBalancer
-from repro.core.routing import RoutingTable
+from repro.core.routing import QUEUE_PRESSURE_NORM, RoutingTable
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.sim.monitor import LoadSample
 from repro.storage.engine import EngineConfig
@@ -89,21 +89,22 @@ def test_least_loaded_breaks_ties_by_lowest_id_any_order():
 
 
 def test_effective_load_folds_pressure_and_caches():
-    table = RoutingTable(queue_pressure_norm=4)
+    assert QUEUE_PRESSURE_NORM == 8
+    table = RoutingTable()
     table.add_replica(0)
     sample = LoadSample(cpu=0.3, disk=0.6)
     table.publish_load(0, sample)
     # Below the norm: pressure <= 1.0 never overrides the sample.
-    for _ in range(4):
+    for _ in range(8):
         table.on_dispatch(0)
     first = table.effective_load(0)
     assert first.cpu == 0.3 and first.disk == 0.6
     assert table.effective_load(0) is first          # cached: inputs unmoved
     # Above the norm: pressure (outstanding / norm, capped at 2) wins.
-    for _ in range(2):
+    for _ in range(4):
         table.on_dispatch(0)
     bumped = table.effective_load(0)
-    assert bumped.cpu == pytest.approx(6 / 4)
+    assert bumped.cpu == pytest.approx(12 / 8)
     assert bumped.disk == 0.6
     # A fresh monitor sample invalidates the cache too.
     table.publish_load(0, LoadSample(cpu=1.8, disk=0.1))
@@ -126,13 +127,22 @@ def _small_cluster(replicas=4, seed=3, mix="balanced", think=0.05,
     )
 
 
+def _built_replicas(cluster):
+    """Every replica the cluster built: in service, crashed, draining, retired."""
+    membership = cluster.membership
+    return (list(cluster.replicas.values()) + membership.returnable_replicas()
+            + list(membership.retired.values()))
+
+
 def _assert_counters_exact(cluster):
-    """Outstanding counters must equal the in-flight registry, exactly."""
-    for rid, pending in cluster._inflight.items():
-        assert cluster.routing.outstanding.get(rid, 0) == len(pending), \
+    """Outstanding counters must equal the replicas' live tables, exactly."""
+    replicas = _built_replicas(cluster)
+    for replica in replicas:
+        rid = replica.replica_id
+        assert cluster.routing.outstanding.get(rid, 0) == len(replica._live), \
             "replica %d: counter %d != %d in flight" % (
-                rid, cluster.routing.outstanding.get(rid, 0), len(pending))
-    total = sum(len(pending) for pending in cluster._inflight.values())
+                rid, cluster.routing.outstanding.get(rid, 0), len(replica._live))
+    total = sum(len(replica._live) for replica in replicas)
     assert total == cluster.clients.outstanding
 
 
@@ -179,10 +189,10 @@ def test_counters_exact_across_drain():
     assert victim not in cluster.replica_ids()
     cluster.sim.run_until(25.0)
     # Drained: every in-flight transaction completed, then retirement purged
-    # the replica's routing counter and in-flight table entirely.
+    # the replica's routing counter; its live table is empty.
     assert victim not in cluster.routing.outstanding
-    assert victim not in cluster._inflight
     assert victim in cluster.membership.retired
+    assert not cluster.membership.retired[victim]._live
     _assert_counters_exact(cluster)
 
 

@@ -168,8 +168,8 @@ def test_malb_replans_update_filtering_on_churn():
 def test_churn_purges_stale_replica_state():
     """After a replica fully leaves (crash or retirement), nothing about it
     may linger where routing or snapshots could read it: no monitor sample,
-    no routing-table pushed sample, no outstanding counter, no in-flight
-    table.  Regression test for the stale-sample leak on churn."""
+    no routing-table pushed sample, no outstanding counter, no live
+    transaction.  Regression test for the stale-sample leak on churn."""
     cluster = make_cluster(replicas=4)
     cluster.start()
     cluster.sim.run_until(10.0)
@@ -179,7 +179,9 @@ def test_churn_purges_stale_replica_state():
         assert rid not in cluster.routing.outstanding
         assert rid not in cluster.routing._samples
         assert rid not in cluster.routing._eff_cache
-        assert rid not in cluster._inflight
+        membership = cluster.membership
+        departed = membership.crashed.get(rid) or membership.retired[rid]
+        assert not departed._live
 
     # Crash: in-flight work fails synchronously, then the purge runs.
     cluster.crash_replica(1)

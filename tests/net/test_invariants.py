@@ -6,6 +6,7 @@ from repro.core.baselines import LeastConnectionsBalancer
 from repro.net.channel import NetworkConfig
 from repro.net.invariants import ConsistencyChecker, InvariantReport, Violation
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
+from repro.replication.replica import TransactionContext
 from repro.storage.pages import mb
 
 from tests.conftest import make_tiny_workload
@@ -141,6 +142,22 @@ def test_unquiesced_cluster_is_flagged_only_when_expected():
     assert all(v.invariant != "in-flight-resolved" for v in live.violations)
     strict = checker.check(expect_quiesced=True)
     assert any(v.invariant == "in-flight-resolved" for v in strict.violations)
+
+
+def test_leftover_live_context_on_retired_replica_is_reported():
+    cluster = make_cluster()
+    checker = ConsistencyChecker(cluster)
+    run_quiesced(cluster)
+    cluster.remove_replica(2)               # quiet, so it retires at once
+    assert 2 in cluster.membership.retired
+    assert checker.check().ok
+    retired = cluster.membership.retired[2]
+    leftover = TransactionContext(retired, cluster.workload().type("Read"),
+                                  0.0, lambda committed: None)
+    retired._live[leftover] = None
+    report = checker.check()
+    assert any(v.invariant == "in-flight-resolved" and v.replica_id == 2
+               and "still live" in v.detail for v in report.violations)
 
 
 def test_violation_and_report_formatting():

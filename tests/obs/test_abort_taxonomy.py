@@ -71,7 +71,7 @@ def test_crash_in_flight_is_classified():
     cluster.start()
     cluster.sim.run_until(10.0)
     victim = cluster.replica_ids()[0]
-    inflight_before = len(cluster._inflight[victim])
+    inflight_before = len(cluster.replicas[victim]._live)
     cluster.crash_replica(victim)
     assert cluster.metrics.abort_reasons.get("crash-in-flight", 0) == \
         inflight_before
@@ -89,11 +89,13 @@ def test_drain_stragglers_are_classified():
     cluster.membership.drain_poll_interval_s = 1e-6
     cluster.start()
     cluster.sim.run_until(10.0)
-    victim = max(cluster._inflight,
-                 key=lambda rid: len(cluster._inflight[rid]))
-    stragglers = len(cluster._inflight[victim])
+    replica = max(cluster.replicas.values(),
+                  key=lambda candidate: len(candidate._live))
+    victim = replica.replica_id
+    stragglers = len(replica._live)
     assert stragglers > 0, "scenario must have work in flight"
     cluster.remove_replica(victim, drain=True)
     cluster.sim.run_until(10.1)
     assert cluster.metrics.abort_reasons.get("drain-straggler", 0) == stragglers
-    assert victim not in cluster._inflight
+    assert victim in cluster.membership.retired
+    assert not replica._live

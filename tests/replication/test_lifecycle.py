@@ -8,8 +8,9 @@ and epoch fencing of batched requests across a crash.
 
 import pytest
 
+from repro.core.routing import RoutingTable
 from repro.replication.certifier import Certifier
-from repro.replication.replica import Replica, TransactionContext
+from repro.replication.replica import MAX_RETRIES, Replica, TransactionContext
 from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
@@ -18,7 +19,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.engine import DatabaseEngine, EngineConfig, WriteItem, WriteSet
 from repro.storage.pages import PAGE_SIZE_BYTES, mb
 from repro.storage.relation import Schema, table
-from repro.workloads.spec import Mix, WorkloadSpec, lookup, transaction_type, write
+from repro.workloads.spec import Mix, WorkloadSpec, lookup, scan, transaction_type, write
 
 from tests.conftest import make_tiny_workload
 
@@ -55,6 +56,24 @@ def make_fast_update_workload():
     }
     return WorkloadSpec(name="fast", schema=schema, types=types,
                         mixes={"w": Mix("w", {"Write": 1})})
+
+
+def make_stage_workload():
+    """Three types that park in three different stages at t = 2 ms: an
+    update certifying (0.2 ms CPU, warm pages, 4 ms round trip), a scan
+    reading a cold relation from disk, and a 20 ms computation on the CPU."""
+    schema = Schema.from_relations(
+        "stages", [table("t", mb(1)), table("cold", mb(1))])
+    types = {
+        "Update": transaction_type(
+            "Update", reads=[],
+            writes=[write("t", rows=1, bytes_per_row=50, pages_dirtied=1)],
+            cpu_ms=0.2),
+        "Scan": transaction_type("Scan", reads=[scan("cold")], cpu_ms=0.1),
+        "Compute": transaction_type("Compute", reads=[], cpu_ms=20.0),
+    }
+    return WorkloadSpec(name="stages", schema=schema, types=types,
+                        mixes={"m": Mix("m", {"Update": 1})})
 
 
 def make_replica(workload, replica_id=0, sim=None, certifier=None,
@@ -208,7 +227,7 @@ def test_stale_retries_no_longer_burn_max_retries():
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
     sim.run()
     assert outcomes == [True]
-    assert replica.aborted < replica.max_retries
+    assert replica.aborted < MAX_RETRIES
 
 
 def test_epoch_fencing_drops_batched_requests_without_leaking_slots():
@@ -271,3 +290,54 @@ def test_context_reaches_done_state():
     assert [ctx.state for ctx in contexts] == [TransactionContext.DONE] * 2
     # Contexts are slotted: no per-instance __dict__ on the hot path.
     assert not hasattr(contexts[0], "__dict__")
+
+
+def test_crash_fails_every_pending_stage_once_in_dispatch_order():
+    """A crash with a certification round trip, a disk read and a CPU
+    completion all pending: fail_in_flight calls every client back exactly
+    once, with False, in dispatch order, and the epoch fence drops the
+    pending continuations (a late one would raise in ``_finish``)."""
+    workload = make_stage_workload()
+    sim, certifier, replica = make_replica(workload)
+    replica.engine.buffer_pool.warm("t", mb(1))
+    routing = RoutingTable()
+    routing.add_replica(0)
+    replica.routing = routing
+    outcomes = []
+    names = ("Update", "Scan", "Compute")
+    for name in names:
+        routing.on_dispatch(0)
+        replica.submit(workload.type(name), submitted_at=0.0,
+                       on_done=lambda ok, name=name: outcomes.append((name, ok)))
+    sim.run_until(0.002)
+    assert [ctx.state for ctx in replica._live] == [
+        TransactionContext.CERTIFYING, TransactionContext.READS,
+        TransactionContext.CPU]
+    assert replica._cert_inflight
+    replica.crash()
+    assert replica.fail_in_flight("crash-in-flight") == 3
+    assert outcomes == [(name, False) for name in names]
+    assert routing.outstanding[0] == 0
+    assert not replica._live
+    assert replica.metrics.abort_reasons == {"crash-in-flight": 3}
+    sim.run()
+    assert outcomes == [(name, False) for name in names]
+    assert certifier.stats.requests == 0
+    assert replica.completed == 0
+
+
+def test_failed_context_cannot_finish_again():
+    """The epoch fence is the only at-most-once guard: a context that
+    fail_in_flight already failed raises if it reaches ``_finish`` again."""
+    workload = make_tiny_workload()
+    sim, _, replica = make_replica(workload)
+    outcomes = []
+    replica.submit(workload.type("Write"), submitted_at=0.0,
+                   on_done=outcomes.append)
+    (ctx,) = replica._live
+    replica.crash()
+    assert replica.fail_in_flight("crash-in-flight") == 1
+    assert outcomes == [False]
+    with pytest.raises(KeyError):
+        replica._finish(ctx, committed=False)
+    assert outcomes == [False]

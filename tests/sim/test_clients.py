@@ -14,7 +14,7 @@ def _population(tiny_workload, clients=4, think=0.1, service=0.05):
 
     def submit(txn_type, client_id, done):
         completed.append(txn_type.name)
-        sim.schedule(service, done)
+        sim.schedule(service, lambda: done(True))
 
     pop = ClientPopulation(sim, ClientConfig(clients=clients, think_time_s=think, seed=1), gen, submit)
     return sim, pop, completed
