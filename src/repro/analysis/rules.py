@@ -695,8 +695,7 @@ class RuleS1Slots(Rule):
         "Simulator", "EventQueue", "MetricsCollector", "ClusterMonitor",
         "ClientPopulation", "Catalog", "DiskModel", "DatabaseEngine",
         "QueryPlanner", "Relation", "Schema", "ExecutionPlan", "PlanNode",
-        "Certifier", "Replica", "ReplicatedCluster", "ReplicatedCertifierLog",
-        "BufferPool",
+        "Certifier", "Replica", "ReplicatedCluster", "BufferPool",
     })
 
     EXEMPT_BASES = frozenset({

@@ -2,9 +2,9 @@
 
 Drives the failure modes the paper's architecture claims to survive, inside
 a running simulation: replica crashes with later restarts (online recovery
-through :func:`~repro.replication.recovery.recover_replica`), fail-over
+through :meth:`~repro.replication.replica.Replica.recover`), fail-over
 of the replicated certifier
-(:meth:`~repro.replication.recovery.ReplicatedCertifierLog.fail_over`),
+(:meth:`~repro.replication.certifier.Certifier.fail_over`),
 and -- when the cluster runs the unreliable-network model
 (``ClusterConfig.network``) -- replica-certifier link partitions, heals
 and flaky-link windows (elevated drop/duplication/jitter for a while).
@@ -94,28 +94,26 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Certifier fail-over
     # ------------------------------------------------------------------
-    def schedule_certifier_failover(self, at_s: float,
-                                    leader_failed: bool = True) -> None:
-        """Fail the certifier leader over to a backup at ``at_s``.
+    def schedule_certifier_failover(self, at_s: float) -> None:
+        """Crash the certifier leader and fail over to a backup at ``at_s``.
 
         Requires the cluster to run a replicated certifier
-        (``ClusterConfig.certifier_backups > 0``); replicas keep talking to
-        the wrapper, so the promotion is transparent to them and no
-        certified writeset is lost.
+        (``ClusterConfig.certifier_backups > 0``).  The backup is promoted
+        in place, so replicas keep talking to the same certifier, the
+        promotion is transparent to them and no certified writeset is lost.
         """
         certifier = self.cluster.certifier
-        if not hasattr(certifier, "fail_over"):
+        if not certifier.backups:
             raise RuntimeError(
                 "cluster has a single certifier; set ClusterConfig.certifier_backups > 0"
             )
 
         def fire() -> None:
             version = certifier.current_version
-            certifier.fail_over(leader_failed=leader_failed)
+            certifier.fail_over()
             self._record("certifier-failover", NO_REPLICA,
-                         "%s at version %d, %d backups remain"
-                         % ("leader crash" if leader_failed else "planned handover",
-                            version, len(certifier.backups)))
+                         "leader crash at version %d, %d backups remain"
+                         % (version, len(certifier.backups)))
 
         self.cluster.sim.schedule_at(at_s, fire)
 

@@ -7,14 +7,17 @@ offline story into online operations on a running
 :class:`~repro.replication.cluster.ReplicatedCluster`:
 
 * **join** -- a new replica enters with a cold buffer pool and replays the
-  entire certifier log through the normal application path, so its warm-up
+  entire certifier log through the normal application path
+  (:meth:`~repro.replication.replica.Replica.recover`), so its warm-up
   cost (CPU and disk background work) is charged to the simulation;
 * **crash** -- the replica vanishes from the balancer's view, its in-flight
   transactions fail back to their clients (who re-issue elsewhere), and
   continuations already in the event queue are fenced off by the replica's
   epoch;
-* **restore** -- a crashed replica replays exactly the writesets it missed
-  and rejoins with filters cleared (the balancer re-plans them);
+* **restore** -- a crashed replica runs the same
+  :meth:`~repro.replication.replica.Replica.recover`: it replays exactly the
+  writesets it missed and rejoins with filters cleared (the balancer
+  re-plans them);
 * **leave** -- graceful drain: no new work is dispatched, in-flight work
   completes, then the replica retires.  A drain deadline bounds how long a
   slow replica can hold up a scale-down.
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.replication.recovery import recover_replica
 from repro.replication.replica import Replica
 
 if TYPE_CHECKING:
@@ -98,7 +100,7 @@ class MembershipManager:
         cluster = self.cluster
         replica = cluster._make_replica(cluster._claim_replica_id())
         cluster._activate_replica(replica)
-        replayed = recover_replica(replica, cluster.certifier)
+        replayed = replica.recover()
         cluster.notify_membership_changed()
         self._log("join", replica.replica_id,
                   "cold join, replayed %d writesets" % replayed)
@@ -140,7 +142,7 @@ class MembershipManager:
             raise KeyError("replica %r is not crashed" % (replica_id,))
         cluster = self.cluster
         replica = self.crashed.pop(replica_id)
-        replayed = recover_replica(replica, cluster.certifier)
+        replayed = replica.recover()
         replica.alive = True
         cluster._activate_replica(replica)
         cluster.notify_membership_changed()

@@ -40,9 +40,10 @@ so every replica -- including later joiners -- carries a ledger::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:
+    from repro.replication.certifier import Certifier
     from repro.replication.cluster import ReplicatedCluster
     from repro.replication.replica import Replica
 
@@ -127,13 +128,12 @@ class ConsistencyChecker:
         report = InvariantReport()
         cluster = self.cluster
         certifier = cluster.certifier
-        leader = getattr(certifier, "leader", certifier)
 
-        self._check_log(report, certifier, leader)
+        self._check_log(report, certifier)
         replicas = self._auditable_replicas()
         for replica in replicas:
             self._check_replica_prefix(report, replica, certifier)
-            self._check_apply_ledger(report, replica, leader)
+            self._check_apply_ledger(report, replica, certifier)
         if expect_quiesced:
             for replica in replicas:
                 self._check_replica_quiesced(report, replica)
@@ -153,20 +153,19 @@ class ConsistencyChecker:
     # ------------------------------------------------------------------
     # Individual invariants
     # ------------------------------------------------------------------
-    def _check_log(self, report: InvariantReport, certifier: Any,
-                   leader: Any) -> None:
-        if not leader.log_is_total_order():
+    def _check_log(self, report: InvariantReport, certifier: "Certifier") -> None:
+        if not certifier.log_is_total_order():
             report.violations.append(Violation(
                 "log-total-order",
                 "leader log versions are not dense and increasing"))
-        expected_version = leader.oldest_available_version - 1 + len(leader.log)
-        if leader.current_version != expected_version:
+        expected_version = certifier.oldest_available_version - 1 + len(certifier.log)
+        if certifier.current_version != expected_version:
             report.violations.append(Violation(
                 "log-total-order",
                 "current_version=%d but offset+len(log)=%d"
-                % (leader.current_version, expected_version)))
+                % (certifier.current_version, expected_version)))
         seen_writesets = set()
-        for entry in leader.log:
+        for entry in certifier.log:
             marker = id(entry.writeset)
             if marker in seen_writesets:
                 report.violations.append(Violation(
@@ -175,23 +174,23 @@ class ConsistencyChecker:
                     "in the log more than once"
                     % (entry.version, entry.writeset.origin_replica)))
             seen_writesets.add(marker)
-        report.checked["log_entries"] = len(leader.log)
+        report.checked["log_entries"] = len(certifier.log)
         # A replicated certifier's backups must mirror the leader exactly
         # (synchronous mirroring: no committed transaction may be lost to a
         # fail-over).
-        for i, backup in enumerate(getattr(certifier, "backups", ())):
-            if backup.current_version != leader.current_version:
+        for i, backup in enumerate(certifier.backups):
+            if backup.current_version != certifier.current_version:
                 report.violations.append(Violation(
                     "log-total-order",
                     "backup %d is at version %d, leader at %d"
-                    % (i, backup.current_version, leader.current_version)))
+                    % (i, backup.current_version, certifier.current_version)))
             if not backup.log_is_total_order():
                 report.violations.append(Violation(
                     "log-total-order",
                     "backup %d log versions are not dense and increasing" % i))
 
     def _check_replica_prefix(self, report: InvariantReport,
-                              replica: "Replica", certifier: Any) -> None:
+                              replica: "Replica", certifier: "Certifier") -> None:
         applied = replica.proxy.applied_version
         if applied > certifier.current_version:
             report.violations.append(Violation(
@@ -208,7 +207,7 @@ class ConsistencyChecker:
                 replica.replica_id))
 
     def _check_apply_ledger(self, report: InvariantReport,
-                            replica: "Replica", leader: Any) -> None:
+                            replica: "Replica", certifier: "Certifier") -> None:
         ledger = replica.apply_ledger
         if ledger is None:
             report.violations.append(Violation(
@@ -223,9 +222,9 @@ class ConsistencyChecker:
         # bypassing delivery) and the certifier's retention horizon (we can
         # only cross-check deliveries against retained log entries).
         floor = max(replica.apply_ledger_floor,
-                    leader.oldest_available_version - 1)
+                    certifier.oldest_available_version - 1)
         audited = 0
-        for entry in leader.log:
+        for entry in certifier.log:
             version = entry.version
             if version <= floor or version > applied:
                 continue

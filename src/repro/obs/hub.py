@@ -30,7 +30,7 @@ of a seeded run is bit-identical with the hub on or off.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.obs.registry import TelemetryRegistry
 from repro.obs.trace import Tracer
@@ -150,9 +150,7 @@ class ObservabilityHub:
         registry = self.registry
         if registry is None:
             return
-        # Duck-typed seam: Certifier and ReplicatedCertifierLog both expose
-        # the stats/current_version surface.
-        certifier: Any = cluster.certifier
+        certifier = cluster.certifier
         metrics = cluster.metrics
         routing = cluster.routing
 
@@ -179,10 +177,8 @@ class ObservabilityHub:
                        lambda: certifier.stats.batched_requests)
         registry.gauge("certifier.current_version",
                        lambda: certifier.current_version)
-        # cluster.certifier may be a ReplicatedCertifierLog wrapper; resolve
-        # the (possibly failed-over) leader at sample time for its log.
-        registry.gauge("certifier.log_entries",
-                       lambda: len(getattr(certifier, "leader", certifier).log))
+        # Read at sample time: a fail-over replaces the certifier's log.
+        registry.gauge("certifier.log_entries", lambda: len(certifier.log))
 
         def buffer_totals() -> Dict[str, float]:
             requested = missed = resident = evicted = 0.0

@@ -10,11 +10,6 @@ from repro.replication.cluster import (
     standalone_config,
 )
 from repro.replication.proxy import AdmissionController, ProxyConfig, ReplicaProxy
-from repro.replication.recovery import (
-    ReplicatedCertifierLog,
-    recover_replica,
-    recovery_replay_plan,
-)
 from repro.replication.replica import Replica, TransactionContext
 from repro.replication.writeset import CertifiedWriteSet, WriteItem, WriteSet
 
@@ -30,13 +25,10 @@ __all__ = [
     "ProxyConfig",
     "Replica",
     "ReplicaProxy",
-    "ReplicatedCertifierLog",
     "ReplicatedCluster",
     "RunResult",
     "TransactionContext",
     "WriteItem",
     "WriteSet",
-    "recover_replica",
-    "recovery_replay_plan",
     "standalone_config",
 ]

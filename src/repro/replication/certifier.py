@@ -11,8 +11,11 @@ creating a global order" (Section 4.1).
 The certifier here is the logical component: certification decisions, the
 log, conflict detection, lag notifications and log truncation.  Latency of
 the round trip (network plus certification service time) is modelled by the
-replica proxy, and replication of the certifier itself (a leader plus two
-backups in the paper) is captured by :mod:`repro.replication.recovery`.
+replica proxy.  The certifier is also replicated here, as in the paper (a
+leader plus two backups): every commit is mirrored to plain backup
+certifiers, and :meth:`Certifier.fail_over` promotes the most up-to-date
+backup's log in place, so replicas, stats, lag subscriptions and the RPC
+dedup cache keep talking to the same object across a leader crash.
 
 Conflict detection is indexed: alongside the log, the certifier maintains an
 inverted index mapping every ``(relation, key)`` ever written to the version
@@ -168,11 +171,18 @@ class LagSubscriptionIndex:
 
 
 class Certifier:
-    """Certifies writesets, orders commits and retains the writeset log."""
+    """Certifies writesets, orders commits and retains the writeset log.
 
-    def __init__(self, lag_notification_threshold: int = 25) -> None:
+    With ``backups > 0`` the certifier is the leader of a replicated group:
+    every commit is synchronously mirrored to ``backups`` plain certifiers,
+    so :meth:`fail_over` loses no committed transaction.
+    """
+
+    def __init__(self, lag_notification_threshold: int = 25, backups: int = 0) -> None:
         if lag_notification_threshold <= 0:
             raise ValueError("lag notification threshold must be positive")
+        if backups < 0:
+            raise ValueError("number of backups cannot be negative")
         self.lag_notification_threshold = lag_notification_threshold
         #: Lag subscriptions of the live replicas (the cluster registers the
         #: proxies' applied-version cursors here); a commit batch asks
@@ -196,6 +206,9 @@ class Certifier:
         # certified twice.  See :meth:`certify_rpc`.
         self.rpc_cache: Dict[int, _RpcDedupState] = {}
         self.stats = CertifierStats()
+        #: Synchronous mirrors of the log; :meth:`fail_over` promotes one.
+        self.backups: List[Certifier] = [
+            Certifier(lag_notification_threshold) for _ in range(backups)]
 
     # ------------------------------------------------------------------
     # Certification
@@ -292,7 +305,24 @@ class Certifier:
         self.current_version = version
         stats.commits += version - first
         stats.aborts += count - (version - first)
+        if self.backups and version > first:
+            self._mirror(first, now)
         return results, self.writesets_since(since_version)
+
+    def _mirror(self, first: int, now: float) -> None:
+        """Append the log entries committed after ``first`` to every backup.
+
+        Each writeset is certified at its commit version minus one, so it
+        conflicts with nothing the backup already holds and commits at the
+        same version as here; aborted requests never reach a backup.
+        """
+        committed = [(entry.writeset, entry.version - 1)
+                     for entry in self.log[first - self._log_offset:]]
+        for backup in self.backups:
+            mirrored, _ = backup.certify_batch(committed, backup.current_version, now)
+            for result in mirrored:
+                if not result.committed:
+                    raise RuntimeError("backup certifier diverged from the leader")
 
     def _first_conflict(self, items: Sequence[WriteItem], start: int, bound: int) -> int:
         """The oldest commit after ``start`` that wrote one of ``items``' keys.
@@ -338,9 +368,8 @@ class Certifier:
           happens within a window of :data:`RPC_DEDUP_WINDOW` retries, which
           a one-round-trip-in-flight proxy cannot exceed.
 
-        Works unbound for :class:`~repro.replication.recovery.\
-ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
-        dedup state survives certifier fail-over.
+        :meth:`fail_over` swaps only the log, so the dedup state survives
+        it: a batch retried across a fail-over is answered from cache.
         """
         cache = self.rpc_cache.get(origin_replica)
         if cache is None:
@@ -363,17 +392,14 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
     # ------------------------------------------------------------------
     # Update propagation support
     # ------------------------------------------------------------------
-    def writesets_since(self, version: int, limit: Optional[int] = None) -> List[CertifiedWriteSet]:
+    def writesets_since(self, version: int) -> List[CertifiedWriteSet]:
         """Committed writesets with versions greater than ``version``."""
         if version < self._log_offset:
             raise KeyError(
                 "replica requests version %d but the log starts at %d; recovery is required"
                 % (version, self._log_offset + 1)
             )
-        start = version - self._log_offset
-        if limit is not None:
-            return self.log[start:start + limit]
-        return self.log[start:]
+        return self.log[version - self._log_offset:]
 
     # ------------------------------------------------------------------
     # Log management
@@ -386,6 +412,8 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
         removing them only frees memory, keeping the index proportional to
         the retained log's key footprint on long runs.
         """
+        for backup in self.backups:
+            backup.truncate(oldest_needed_version)
         if oldest_needed_version <= self._log_offset:
             return 0
         drop = min(oldest_needed_version - self._log_offset, len(self.log))
@@ -399,6 +427,27 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
         for key in stale:
             del last_writer[key]
         return drop
+
+    # ------------------------------------------------------------------
+    # Replication
+    # ------------------------------------------------------------------
+    def fail_over(self) -> None:
+        """Promote the most up-to-date backup after the leader crashed.
+
+        The backup's log, offset, version and conflict index move into this
+        object, and the backup leaves the group: a crashed leader cannot
+        serve as a backup, so the group shrinks by one.  Stats, lag
+        subscriptions and the RPC dedup cache are the service's, not the
+        crashed machine's, so they stay.  Raises if no backup exists.
+        """
+        if not self.backups:
+            raise RuntimeError("no backup certifier available for fail-over")
+        best = max(self.backups, key=lambda c: c.current_version)
+        self.backups.remove(best)
+        self.log = best.log
+        self._log_offset = best._log_offset
+        self.current_version = best.current_version
+        self._last_writer = best._last_writer
 
     def log_is_total_order(self) -> bool:
         """Invariant check used by tests: versions are dense and increasing."""

@@ -23,7 +23,6 @@ from repro.core.routing import RoutingTable
 from repro.net.channel import Network, NetworkConfig
 from repro.replication.certifier import Certifier
 from repro.replication.proxy import ProxyConfig
-from repro.replication.recovery import ReplicatedCertifierLog
 from repro.replication.replica import CompletionCallback, Replica
 
 if TYPE_CHECKING:
@@ -70,9 +69,9 @@ class ClusterConfig:
     log_truncation_interval_s: float = 30.0
     seed: int = 1
     #: Number of synchronous certifier backups (the paper runs a leader plus
-    #: two).  0 keeps the single logical certifier; > 0 wires in a
-    #: :class:`~repro.replication.recovery.ReplicatedCertifierLog` so the
-    #: fault injector can fail the leader over mid-run.
+    #: two).  0 keeps the single logical certifier; > 0 mirrors its log to
+    #: that many backups so the fault injector can fail the leader over
+    #: mid-run.
     certifier_backups: int = 0
     #: Unreliable-network model (:class:`repro.net.channel.NetworkConfig`).
     #: ``None`` -- the default -- builds no channels at all: certification
@@ -192,10 +191,7 @@ class ReplicatedCluster:
         self.sim = Simulator()
         self._catalog = Catalog(schema=workload.schema)
         self._planner = QueryPlanner(catalog=self._catalog)
-        if self.config.certifier_backups > 0:
-            self.certifier = ReplicatedCertifierLog.create(self.config.certifier_backups)
-        else:
-            self.certifier = Certifier()
+        self.certifier = Certifier(backups=self.config.certifier_backups)
         self.monitor = ClusterMonitor(self.sim, interval=self.config.monitor_interval_s)
         self.metrics = MetricsCollector(warmup_seconds=0.0)
         #: Observability hub (repro.obs.ObservabilityHub) or None.  Set by

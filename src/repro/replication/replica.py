@@ -39,6 +39,9 @@ replica's epoch: a crash bumps the epoch, so continuations (CPU/disk
 completions, the certification round trip) scheduled before the crash are
 dropped when they fire.  The fence is the only at-most-once guard; a
 completion that slipped past it would raise on the missing table entry.
+A crashed replica, or a cold joiner, comes back through
+:meth:`Replica.recover`: it restarts with a cold cache and no filter, and
+replays what it missed from the certifier's log.
 
 When the replica is built with an unreliable ``channel``
 (:class:`~repro.net.channel.Channel`), the certification round trip runs as
@@ -172,7 +175,7 @@ class Replica:
         # Every cursor advance re-arms this replica's entry in the
         # certifier's lag-subscription index, which is how commit batches
         # find lagging replicas without scanning the cluster.
-        self.proxy.lag_index = getattr(certifier, "subscriptions", None)
+        self.proxy.lag_index = certifier.subscriptions
         self.metrics: Optional[MetricsCollector] = None
         # The cluster's routing table, installed like ``metrics``.
         self.routing: Optional["RoutingTable"] = None
@@ -647,7 +650,7 @@ class Replica:
         their admission slots).  The contexts stay in the live table until
         the membership layer calls :meth:`fail_in_flight`.  Durable state
         (the applied-version cursor) survives, as it would on disk; the page
-        cache is cleared by recovery.  Idempotent while down.
+        cache is cleared by :meth:`recover`.  Idempotent while down.
         """
         if not self.alive:
             return
@@ -662,6 +665,43 @@ class Replica:
         # monotonic so post-restore round trips cannot look stale.
         self._rpc_batch = None
         self.engine.snapshots.abort_open()
+
+    def recover(self) -> int:
+        """Restart the replica and bring it up to date from the certifier's log.
+
+        Standard recovery (Section 3): the buffer pool is cleared (a restart
+        loses the page cache), dropped tables are restored and the filter is
+        cleared (the replica rejoins as a full copy; the balancer may
+        re-install filters afterwards), and every writeset committed since
+        the applied version is re-applied through the normal path so its
+        resource cost is charged.  Returns the number of writesets replayed.
+        """
+        engine = self.engine
+        proxy = self.proxy
+        engine.buffer_pool.clear()
+        for table in list(engine.dropped_tables):
+            engine.restore_table(table)
+        proxy.set_filter(None)
+        # Entries below the certifier's retention horizon have been
+        # truncated; that prefix is restored from another copy in the
+        # cluster (the paper's alternative recovery source) and only the
+        # retained suffix is replayed from the log.  Affects cold joiners
+        # and replicas that crashed before a truncation; live replicas
+        # always sit above the horizon because the truncation floor tracks
+        # their applied versions.
+        horizon = self.certifier.oldest_available_version - 1
+        if proxy.applied_version < horizon:
+            proxy.advance(horizon)
+            engine.snapshots.advance(horizon)
+            # The skipped prefix was restored from another copy, not
+            # delivered over the network; lift the consistency checker's
+            # audit floor so it does not flag those versions as lost.
+            if self.apply_ledger is not None and horizon > self.apply_ledger_floor:
+                self.apply_ledger_floor = horizon
+        entries = self.certifier.writesets_since(proxy.applied_version)
+        if entries:
+            self.apply_remote_writesets(entries)
+        return len(entries)
 
     # ------------------------------------------------------------------
     # Update propagation

@@ -56,9 +56,13 @@ def test_certifier_failover_is_transparent_to_the_cluster():
     cluster = make_cluster(backups=2)
     injector = FaultInjector(cluster, seed=1)
     injector.schedule_certifier_failover(10.0)
+    dead_log = cluster.certifier.log
+    promoted_log = cluster.certifier.backups[0].log
     result = cluster.run(duration_s=30.0)
     failover = injector.records_of_kind("certifier-failover")[0]
     assert "leader crash" in failover.detail
+    assert cluster.certifier.log is promoted_log
+    assert all(backup.log is not dead_log for backup in cluster.certifier.backups)
     assert len(cluster.certifier.backups) == 1         # dead leader dropped
     # Certification kept working across the fail-over.
     assert cluster.certifier.current_version > 0

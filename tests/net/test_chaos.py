@@ -35,7 +35,7 @@ def test_build_chaos_cluster_wires_the_fault_surface():
     cluster, injector, checker = build_chaos_cluster(config)
     assert cluster.network is not None
     assert checker in cluster.observers
-    assert hasattr(cluster.certifier, "fail_over")
+    assert len(cluster.certifier.backups) == 2
     assert cluster.config.log_truncation_interval_s == 0.0
     assert cluster.config.proxy.rpc_max_attempts == config.rpc_max_attempts
     for replica in cluster.replicas.values():

@@ -16,7 +16,6 @@ from repro.core.baselines import LeastConnectionsBalancer
 from repro.replication.certifier import Certifier, LagSubscriptionIndex
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.replication.proxy import ProxyConfig
-from repro.replication.recovery import ReplicatedCertifierLog
 from repro.replication.writeset import WriteItem, WriteSet
 from repro.storage.pages import mb
 
@@ -99,12 +98,16 @@ def test_certifier_owns_an_index_matching_its_threshold():
 
 
 def test_replicated_log_subscriptions_survive_fail_over():
-    log = ReplicatedCertifierLog.create(2)
-    log.subscriptions.subscribe(1, 0)
-    log.fail_over()
+    cert = Certifier(lag_notification_threshold=7, backups=2)
+    subscriptions = cert.subscriptions
+    subscriptions.subscribe(1, 0)
+    promoted_log = cert.backups[0].log
+    cert.fail_over()
     # The index lives on the replicated service, not on the (dead) leader.
-    assert log.subscriptions.subscribed(1)
-    assert log.lag_notification_threshold == log.leader.lag_notification_threshold
+    assert cert.log is promoted_log
+    assert cert.subscriptions is subscriptions
+    assert cert.subscriptions.subscribed(1)
+    assert cert.subscriptions.threshold == cert.lag_notification_threshold == 7
 
 
 # ----------------------------------------------------------------------

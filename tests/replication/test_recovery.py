@@ -1,9 +1,8 @@
-"""Tests for replica and certifier recovery."""
+"""Tests for replica recovery and certifier fail-over."""
 
 import pytest
 
 from repro.replication.certifier import Certifier
-from repro.replication.recovery import ReplicatedCertifierLog, recover_replica, recovery_replay_plan
 from repro.storage.engine import WriteItem, WriteSet
 
 from tests.replication.test_replica import make_replica
@@ -16,95 +15,118 @@ def ws(table, key):
 
 
 def test_replicated_log_mirrors_commits_and_fails_over():
-    log = ReplicatedCertifierLog.create(num_backups=2)
+    cert = Certifier(backups=2)
     for i in range(5):
-        log.certify(ws("a", i), snapshot_version=i)
-    assert log.current_version == 5
-    old_leader = log.leader
-    new_leader = log.fail_over()
-    assert new_leader is not old_leader
-    assert new_leader.current_version == 5
+        cert.certify(ws("a", i), snapshot_version=i)
+    assert cert.current_version == 5
+    dead_log = cert.log
+    promoted_log = cert.backups[0].log
+    cert.fail_over()
+    assert cert.log is promoted_log
+    assert all(backup.log is not dead_log for backup in cert.backups)
+    assert cert.current_version == 5
 
 
 def test_replicated_log_serves_batched_round_trips():
-    log = ReplicatedCertifierLog.create(num_backups=2)
-    log.certify(ws("a", 0), snapshot_version=0)
-    results, piggyback = log.certify_batch(
+    cert = Certifier(backups=2)
+    cert.certify(ws("a", 0), snapshot_version=0)
+    results, piggyback = cert.certify_batch(
         [(ws("a", 1), 1), (ws("a", 2), 1)], since_version=0)
     assert [r.version for r in results] == [2, 3]
     assert [e.version for e in piggyback] == [1, 2, 3]
     # Batched commits are mirrored like single ones: fail-over loses nothing.
-    log.fail_over()
-    assert log.current_version == 3
-    assert log.log_is_total_order()
+    cert.fail_over()
+    assert cert.current_version == 3
+    assert cert.log_is_total_order()
 
 
 def test_replicated_log_mirrors_only_the_commits_of_a_mixed_batch():
-    log = ReplicatedCertifierLog.create(num_backups=2)
-    log.certify(ws("a", 0), snapshot_version=0)                        # v1
+    cert = Certifier(backups=2)
+    cert.certify(ws("a", 0), snapshot_version=0)                       # v1
     # The middle request missed v1 and writes its key: it must abort, and
     # no backup may replay it.
-    results, _ = log.certify_batch(
+    results, _ = cert.certify_batch(
         [(ws("a", 1), 1), (ws("a", 0), 0), (ws("a", 2), 1)], since_version=1)
     assert [r.committed for r in results] == [True, False, True]
-    leader_log = log.leader.writesets_since(0)
+    leader_log = cert.writesets_since(0)
     assert [e.version for e in leader_log] == [1, 2, 3]
-    for backup in log.backups:
+    for backup in cert.backups:
         backup_log = backup.writesets_since(0)
         assert [e.version for e in backup_log] == [1, 2, 3]
         assert all(mine.writeset is theirs.writeset
                    for mine, theirs in zip(backup_log, leader_log))
-    log.fail_over()
+    cert.fail_over()
     # The promoted backup and the remaining one still agree.
-    results, _ = log.certify_batch([(ws("a", 0), 3), (ws("a", 3), 3)], since_version=3)
+    results, _ = cert.certify_batch([(ws("a", 0), 3), (ws("a", 3), 3)], since_version=3)
     assert [r.version for r in results] == [4, 5]
-    assert log.backups[0].current_version == 5
+    assert cert.backups[0].current_version == 5
 
 
 def test_replicated_log_raises_when_a_backup_diverges():
-    log = ReplicatedCertifierLog.create(num_backups=1)
-    log.backups[0].certify(ws("a", 9), snapshot_version=0)   # behind the leader's back
-    with pytest.raises(RuntimeError):
-        log.certify(ws("a", 9), snapshot_version=0)
+    cert = Certifier(backups=1)
+    cert.backups[0].certify(ws("a", 9), snapshot_version=0)   # behind the leader's back
+    with pytest.raises(RuntimeError, match="diverged"):
+        cert.certify(ws("a", 9), snapshot_version=0)
 
 
 def test_fail_over_without_backups_raises():
-    log = ReplicatedCertifierLog.create(num_backups=0)
+    cert = Certifier(backups=0)
     with pytest.raises(RuntimeError):
-        log.fail_over()
+        cert.fail_over()
 
 
 def test_fail_over_drops_the_dead_leader_by_default():
-    log = ReplicatedCertifierLog.create(num_backups=2)
-    old_leader = log.leader
-    log.fail_over()
+    cert = Certifier(backups=2)
+    dead_log = cert.log
+    promoted_log = cert.backups[0].log
+    cert.fail_over()
     # A crashed leader cannot serve as a backup: the group shrinks.
-    assert old_leader not in log.backups
-    assert len(log.backups) == 1
+    assert cert.log is promoted_log
+    assert all(backup.log is not dead_log for backup in cert.backups)
+    assert len(cert.backups) == 1
 
 
-def test_planned_handover_keeps_the_old_leader_as_backup():
-    log = ReplicatedCertifierLog.create(num_backups=2)
-    old_leader = log.leader
-    log.fail_over(leader_failed=False)
-    assert old_leader in log.backups
-    assert len(log.backups) == 2
+def test_fail_over_keeps_the_service_stats():
+    # A fail-over swaps the crashed leader's log for a backup's; the stats
+    # are the certification service's and must not be replaced by the
+    # backup's (which counted the mirrored batches, not the real traffic).
+    cert = Certifier(lag_notification_threshold=3, backups=2)
+    for i in range(4):
+        cert.certify(ws("a", i), snapshot_version=i)
+    cert.certify_batch([(ws("a", 5), 4), (ws("a", 0), 0)], since_version=0)
+    cert.stats.notifications_sent += 1
+    before = vars(cert.stats).copy()
+    assert before["aborts"] == 1
+    cert.fail_over()
+    assert vars(cert.stats) == before
+    assert len(cert.backups) == 1
 
 
 def test_certification_continues_after_leader_crash():
-    log = ReplicatedCertifierLog.create(num_backups=2)
+    cert = Certifier(backups=2)
     for i in range(4):
-        log.certify(ws("a", i), snapshot_version=i)
-    log.fail_over()
-    result = log.certify(ws("a", 99), snapshot_version=4)
+        cert.certify(ws("a", i), snapshot_version=i)
+    cert.fail_over()
+    result = cert.certify(ws("a", 99), snapshot_version=4)
     assert result.committed
-    assert log.current_version == 5
-    assert log.log_is_total_order()
+    assert cert.current_version == 5
+    assert cert.log_is_total_order()
     # The promoted log serves propagation for lagging replicas.
-    assert [e.version for e in log.writesets_since(2)] == [3, 4, 5]
+    assert [e.version for e in cert.writesets_since(2)] == [3, 4, 5]
 
 
-def test_recover_replica_replays_missed_writesets():
+def test_fail_over_then_truncate_keeps_backups_in_step():
+    cert = Certifier(backups=2)
+    for i in range(6):
+        cert.certify(ws("a", i), snapshot_version=i)
+    cert.fail_over()
+    assert cert.truncate(oldest_needed_version=4) == 4
+    backup = cert.backups[0]
+    assert backup.oldest_available_version == cert.oldest_available_version == 5
+    assert [e.version for e in backup.writesets_since(4)] == [5, 6]
+
+
+def test_recover_replays_missed_writesets():
     sim = Simulator()
     certifier = Certifier()
     _, _, workload, origin = make_replica(0, sim, certifier)
@@ -114,8 +136,8 @@ def test_recover_replica_replays_missed_writesets():
     sim.run()
     # The crashed replica lost its cache and was behind.
     assert crashed.lag == 3
-    assert len(recovery_replay_plan(certifier, crashed.proxy.applied_version)) == 3
-    replayed = recover_replica(crashed, certifier)
+    assert len(certifier.writesets_since(crashed.proxy.applied_version)) == 3
+    replayed = crashed.recover()
     assert replayed == 3
     assert crashed.lag == 0
 
@@ -126,7 +148,7 @@ def test_recovery_restores_dropped_tables_and_clears_filters():
     _, _, workload, replica = make_replica(0, sim, certifier)
     replica.engine.drop_table("orders")
     replica.proxy.set_filter({"users"})
-    recover_replica(replica, certifier)
+    replica.recover()
     assert replica.engine.dropped_tables == set()
     assert replica.proxy.filter_tables is None
     assert replica.engine.buffer_pool.resident_bytes == 0.0
@@ -182,7 +204,7 @@ def test_recovery_replays_only_the_retained_suffix_after_truncation():
     # log (truncate(6) dropped them); recovery restores that prefix from
     # another copy (modelled as a cursor jump) and replays the retained
     # suffix 7..10 through the normal path.
-    replayed = recover_replica(replica, cert)
+    replayed = replica.recover()
     assert replayed == 4
     assert replica.proxy.applied_version == 10
     assert replica.engine.snapshots.applied_version == 10

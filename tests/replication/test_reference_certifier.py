@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.replication.certifier import Certifier
-from repro.replication.recovery import ReplicatedCertifierLog
 from repro.storage.engine import WriteItem, WriteSet
 
 
@@ -135,10 +134,10 @@ def test_certifier_matches_reference(ops):
 @settings(max_examples=100, deadline=None)
 @given(operations)
 def test_replicated_log_matches_reference(ops):
-    log = ReplicatedCertifierLog.create(num_backups=2)
-    reference = drive(log, ops)
+    certifier = Certifier(backups=2)
+    reference = drive(certifier, ops)
     # Every backup holds exactly the leader's log, aborted requests excluded.
-    for backup in log.backups:
+    for backup in certifier.backups:
         check_backup = entries(backup.writesets_since(reference.offset))
-        assert check_backup == entries(log.writesets_since(reference.offset))
+        assert check_backup == entries(certifier.writesets_since(reference.offset))
         assert backup.current_version == reference.current_version

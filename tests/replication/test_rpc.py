@@ -15,7 +15,6 @@ from repro.net.invariants import ConsistencyChecker
 from repro.replication.certifier import RPC_DEDUP_WINDOW, Certifier
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.replication.proxy import ProxyConfig
-from repro.replication.recovery import ReplicatedCertifierLog
 from repro.replication.replica import Replica
 from repro.replication.writeset import WriteItem, WriteSet
 from repro.sim.metrics import MetricsCollector
@@ -175,34 +174,36 @@ def test_retransmission_carries_the_writesets_execute_built():
 
 
 # ----------------------------------------------------------------------
-# Fail-over: the dedup cache survives on the replicated wrapper
+# Fail-over: the dedup cache survives on the replicated certifier
 # ----------------------------------------------------------------------
 def test_failover_answers_inflight_batch_from_cache():
     # Satellite: a batch certified by the old leader, retried (duplicate
     # delivery, timeout) across a fail-over, must be answered idempotently
     # by the new leader -- same results object, nothing certified twice.
-    log = ReplicatedCertifierLog.create(num_backups=2)
-    first, _ = log.certify_rpc(0, 1, [(ws(1), 0)], 0)
-    version = log.current_version
-    log.fail_over(leader_failed=True)
-    again, piggyback = log.certify_rpc(0, 1, [(ws(1), 0)], 0)
+    cert = Certifier(backups=2)
+    first, _ = cert.certify_rpc(0, 1, [(ws(1), 0)], 0)
+    version = cert.current_version
+    promoted_log = cert.backups[0].log
+    cert.fail_over()
+    assert cert.log is promoted_log
+    again, piggyback = cert.certify_rpc(0, 1, [(ws(1), 0)], 0)
     assert again is first
-    assert log.current_version == version
-    assert log.leader.log_is_total_order()
-    # The dedup-hit counter transferred with the cache to the new leader.
-    assert log.stats.dedup_hits == 1
+    assert cert.current_version == version
+    assert cert.log_is_total_order()
+    # The dedup-hit counter survives the fail-over with the cache.
+    assert cert.stats.dedup_hits == 1
     # A genuinely new request still certifies normally afterwards.
-    fresh, _ = log.certify_rpc(0, 2, [(ws(2), log.current_version)], 0)
-    assert log.current_version == version + 1
+    fresh, _ = cert.certify_rpc(0, 2, [(ws(2), cert.current_version)], 0)
+    assert cert.current_version == version + 1
 
 
 def test_failover_transfers_accumulated_dedup_counters():
-    log = ReplicatedCertifierLog.create(num_backups=1)
-    log.certify_rpc(0, 1, [(ws(1), 0)], 0)
-    log.certify_rpc(0, 1, [(ws(1), 0)], 0)      # dedup hit on the old leader
-    assert log.stats.dedup_hits == 1
-    log.fail_over(leader_failed=True)
-    assert log.stats.dedup_hits == 1            # not reset by the promotion
+    cert = Certifier(backups=1)
+    cert.certify_rpc(0, 1, [(ws(1), 0)], 0)
+    cert.certify_rpc(0, 1, [(ws(1), 0)], 0)     # dedup hit on the old leader
+    assert cert.stats.dedup_hits == 1
+    cert.fail_over()
+    assert cert.stats.dedup_hits == 1           # not reset by the promotion
 
 
 # ----------------------------------------------------------------------
