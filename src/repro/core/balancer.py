@@ -175,6 +175,16 @@ class LoadBalancer(abc.ABC):
         """
         return None
 
+    def groupings(self) -> Dict[str, List[str]]:
+        """Group id -> member transaction types; empty for policies
+        without transaction groups."""
+        return {}
+
+    def replica_counts(self) -> Dict[str, int]:
+        """Group id -> replicas currently allocated; empty for policies
+        without transaction groups."""
+        return {}
+
     def describe(self) -> str:
         """One-line description used in experiment reports."""
         return self.name

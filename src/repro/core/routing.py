@@ -102,7 +102,7 @@ class RoutingTable:
         ``remove_replica`` keeps the outstanding counter so draining and
         crash accounting can watch it reach zero; once the departure is
         resolved (drained, retired, or its in-flight set failed), the
-        membership layer calls this to drop the counter and any load sample
+        cluster calls this to drop the counter and any load sample
         a late monitor tick pushed after removal.  Not a routing change --
         the replica already left the live set -- so the version is not
         bumped.  Purging a live replica is a bug.

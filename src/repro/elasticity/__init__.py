@@ -6,10 +6,6 @@ certifier's persistent log, and Figure 6 shows the load balancer re-forming
 its allocation when the workload shifts under it.  This package makes the
 replica set itself dynamic inside a running simulation:
 
-* :mod:`repro.elasticity.membership` -- join / leave / crash / restore for
-  the :class:`~repro.replication.cluster.ReplicatedCluster`, with joining
-  replicas modelled as cold-cache catch-up from the certifier log and
-  leaving replicas draining their in-flight work;
 * :mod:`repro.elasticity.faults` -- a fault injector that schedules replica
   crashes, restarts and certifier fail-over at simulated times;
 * :mod:`repro.elasticity.autoscaler` -- a utilisation-driven policy that
@@ -19,13 +15,10 @@ replica set itself dynamic inside a running simulation:
 
 from repro.elasticity.autoscaler import Autoscaler, AutoscalerConfig, ScalingDecision
 from repro.elasticity.faults import FaultInjector, FaultRecord
-from repro.elasticity.membership import MembershipEvent, MembershipManager
 
 __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
     "FaultInjector",
     "FaultRecord",
-    "MembershipEvent",
-    "MembershipManager",
 ]

@@ -150,13 +150,13 @@ class Autoscaler:
             # replaced it); drain back down one per check.
             victim = self._pick_victim()
             if victim is not None:
-                self.cluster.membership.remove_replica(victim, drain=True)
+                self.cluster.remove_replica(victim)
                 return self._act("scale-down", replicas, replicas - 1, util, now,
                                  "above max_replicas, draining replica %d" % victim)
 
         if self._above >= config.scale_up_after and replicas < config.max_replicas:
             step = min(config.scale_up_step, config.max_replicas - replicas)
-            added = [self.cluster.membership.add_replica() for _ in range(step)]
+            added = [self.cluster.add_replica() for _ in range(step)]
             return self._act("scale-up", replicas, replicas + step, util, now,
                              "added replicas %s" % added)
 
@@ -164,7 +164,7 @@ class Autoscaler:
             victim = self._pick_victim()
             if victim is None:
                 return None
-            self.cluster.membership.remove_replica(victim, drain=True)
+            self.cluster.remove_replica(victim)
             return self._act("scale-down", replicas, replicas - 1, util, now,
                              "draining replica %d" % victim)
         return None

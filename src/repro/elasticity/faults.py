@@ -72,7 +72,7 @@ class FaultInjector:
                 return
             if target is None:
                 target = self._rng.choice(alive)
-            self.cluster.membership.crash_replica(target)
+            self.cluster.crash_replica(target)
             self._record("crash", target, "")
             if downtime_s is not None:
                 self.cluster.sim.schedule(downtime_s, lambda: self._restart(target))
@@ -84,11 +84,11 @@ class FaultInjector:
         # may have been restored by someone else, retired, or removed by the
         # autoscaler -- restore_replica would raise on a non-crashed
         # replica.  Record the skip instead so campaigns compose freely.
-        if replica_id not in self.cluster.membership.crashed:
+        if not self.cluster.is_crashed(replica_id):
             self._record("skipped", replica_id,
                          "restart target is no longer crashed")
             return
-        replayed = self.cluster.membership.restore_replica(replica_id)
+        replayed = self.cluster.restore_replica(replica_id)
         self._record("restart", replica_id, "replayed %d writesets" % replayed)
 
     # ------------------------------------------------------------------

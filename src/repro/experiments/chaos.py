@@ -344,11 +344,7 @@ def run_chaos(config: ChaosConfig, observer=None) -> ChaosResult:
     report = checker.check(expect_quiesced=True)
 
     certifier_stats = cluster.certifier.stats
-    replicas = list(cluster.replicas.values())
-    membership = cluster._membership
-    if membership is not None:
-        replicas.extend(membership.returnable_replicas())
-        replicas.extend(membership.retired.values())
+    replicas = cluster.built_replicas.values()
     rpc = {
         "timeouts": sum(r.rpc_timeouts for r in replicas),
         "retries": sum(r.rpc_retries for r in replicas),

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 from repro.elasticity.autoscaler import Autoscaler, AutoscalerConfig, ScalingDecision
 from repro.elasticity.faults import FaultInjector, FaultRecord
-from repro.elasticity.membership import MembershipEvent
 from repro.experiments.runner import (
     ExperimentConfig,
     make_balancer,
@@ -24,7 +23,7 @@ from repro.experiments.runner import (
     make_schedule,
     make_workload,
 )
-from repro.replication.cluster import ReplicatedCluster, RunResult
+from repro.replication.cluster import MembershipEvent, ReplicatedCluster, RunResult
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def run_elastic_experiment(config: ElasticityConfig,
         config=config,
         run=run,
         scaling=list(autoscaler.decisions) if autoscaler else [],
-        membership_events=list(cluster.membership.events),
+        membership_events=list(cluster.membership_events),
         faults=list(injector.records),
         start_replicas=start_replicas,
         peak_replicas=autoscaler.peak_replicas if autoscaler else start_replicas,

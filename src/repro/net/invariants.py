@@ -130,25 +130,18 @@ class ConsistencyChecker:
         certifier = cluster.certifier
 
         self._check_log(report, certifier)
-        replicas = self._auditable_replicas()
+        # Every replica that is not retired: in service, draining, or
+        # crashed but restorable (in id order).
+        replicas = cluster.returnable_replicas()
         for replica in replicas:
             self._check_replica_prefix(report, replica, certifier)
             self._check_apply_ledger(report, replica, certifier)
         if expect_quiesced:
             for replica in replicas:
                 self._check_replica_quiesced(report, replica)
-            self._check_cluster_quiesced(report, replicas)
+            self._check_cluster_quiesced(report)
         report.checked["replicas"] = len(replicas)
         return report
-
-    def _auditable_replicas(self) -> List["Replica"]:
-        """Live replicas plus crashed/draining ones that may still return."""
-        cluster = self.cluster
-        replicas = list(cluster.replicas.values())
-        membership = cluster._membership
-        if membership is not None:
-            replicas.extend(membership.returnable_replicas())
-        return sorted(replicas, key=lambda r: r.replica_id)
 
     # ------------------------------------------------------------------
     # Individual invariants
@@ -279,15 +272,12 @@ class ConsistencyChecker:
                 "%d transaction snapshot(s) still open" % open_txns,
                 replica_id))
 
-    def _check_cluster_quiesced(self, report: InvariantReport,
-                                replicas: List["Replica"]) -> None:
-        """Every replica the cluster built -- ``replicas`` plus the retired
-        ones -- has an empty live table that its routing counter agrees with."""
+    def _check_cluster_quiesced(self, report: InvariantReport) -> None:
+        """Every replica the cluster built, retired ones included, has an
+        empty live table that its routing counter agrees with."""
         cluster = self.cluster
-        if cluster._membership is not None:
-            replicas = replicas + list(cluster._membership.retired.values())
         outstanding = cluster.routing.outstanding
-        for replica in replicas:
+        for replica in cluster.built_replicas.values():
             live = len(replica._live)
             counted = outstanding.get(replica.replica_id, 0)
             if live or counted:

@@ -10,6 +10,28 @@ interface through which load-balancing policies observe the system.
 
 A cluster with ``num_replicas=1`` and a round-robin balancer doubles as the
 "Single" standalone database bar of Figures 3, 4 and 7.
+
+The cluster also owns the replica lifecycle of Section 3 ("If a replica
+crashes and later restarts, standard recovery is used ... the database can
+be restored from other copies in the cluster or by the persistent log at
+the certifier"), as online operations on a running simulation:
+
+* **join** -- a new replica enters with a cold buffer pool and replays the
+  certifier log through the normal application path
+  (:meth:`~repro.replication.replica.Replica.recover`), so its warm-up
+  cost is charged to the simulation;
+* **crash** -- the replica leaves the balancer's view, its in-flight
+  transactions fail back to their clients (who re-issue elsewhere), and
+  continuations already in the event queue are fenced by its epoch;
+* **restore** -- a crashed replica runs the same ``recover``, replaying
+  exactly the writesets it missed, and rejoins with filters cleared;
+* **leave** -- graceful drain: no new work is dispatched, in-flight work
+  completes, then the replica retires; past a deadline the stragglers are
+  failed the way a crash fails them.
+
+Every change notifies the balancer, so policies that own a replica
+assignment (MALB) reconcile at once, and appends a
+:class:`MembershipEvent` to the cluster's audit trail.
 """
 
 from __future__ import annotations
@@ -26,7 +48,6 @@ from repro.replication.proxy import ProxyConfig
 from repro.replication.replica import CompletionCallback, Replica
 
 if TYPE_CHECKING:
-    from repro.elasticity.membership import MembershipManager
     from repro.obs.hub import ObservabilityHub
 from repro.sim.clients import ClientConfig, ClientPopulation
 from repro.sim.metrics import MetricsCollector
@@ -46,6 +67,13 @@ from repro.workloads.spec import TransactionType, WorkloadSpec
 #: daemons; subtracted from physical RAM before sizing buffer pools and
 #: before bin packing (Section 4.4).
 DEFAULT_MEMORY_OVERHEAD_BYTES = mb(70)
+
+#: Seconds between checks of whether a draining replica's in-flight work
+#: has resolved.
+DRAIN_POLL_INTERVAL_S = 0.25
+#: How long a draining replica may hold up its retirement before its
+#: stragglers are failed.
+DRAIN_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -89,6 +117,13 @@ class ClusterConfig:
             raise ValueError("certifier_backups cannot be negative")
         if self.log_truncation_interval_s < 0:
             raise ValueError("log_truncation_interval_s cannot be negative")
+        # A zero pull interval would reschedule every pull tick at +0 and
+        # livelock the run at t=0; a non-positive balancer period would only
+        # fail once start() schedules it.
+        if self.propagation_interval_s <= 0:
+            raise ValueError("propagation_interval_s must be positive")
+        if self.balancer_period_s <= 0:
+            raise ValueError("balancer_period_s must be positive")
         if self.replica_ram_bytes <= self.memory_overhead_bytes:
             raise ValueError("replica RAM must exceed the fixed memory overhead")
         if self.clients_per_replica <= 0:
@@ -102,6 +137,16 @@ class ClusterConfig:
     @property
     def total_clients(self) -> int:
         return self.num_replicas * self.clients_per_replica
+
+
+@dataclass
+class MembershipEvent:
+    """One membership change, for the audit trail."""
+
+    time: float
+    kind: str          # "join", "crash", "restore", "leave", "retired"
+    replica_id: int
+    detail: str = ""
 
 
 @dataclass
@@ -204,15 +249,21 @@ class ReplicatedCluster:
         #: The unreliable-network model, or None for the direct schedule path.
         self.network = Network(self.sim, self.config.network) \
             if self.config.network is not None else None
+        #: Replicas in service: dispatchable, monitored, pulling updates.
         self.replicas: Dict[int, Replica] = {}
+        #: Every replica this cluster built, by id: in service, draining,
+        #: crashed or retired.  Ids are never reused.
+        self.built_replicas: Dict[int, Replica] = {}
+        #: Ids of built replicas that left for good; they never return.
+        self.retired: Set[int] = set()
+        #: The membership audit trail, in order.
+        self.membership_events: List[MembershipEvent] = []
         #: event-maintained routing state (outstanding counters, live-replica
         #: cache, effective loads) shared with the balancer through the view.
         self.routing = RoutingTable()
         self.monitor.on_sample = self.routing.publish_load
         self._pulls_scheduled: Set[int] = set()
         self._notify_pending: Set[int] = set()
-        self._next_replica_id = 0
-        self._membership: Optional["MembershipManager"] = None
         self._started = False
         self._build_replicas()
         self.generator = WorkloadGenerator(spec=self._workload, schedule=self.schedule,
@@ -242,15 +293,12 @@ class ReplicatedCluster:
     # ------------------------------------------------------------------
     def _build_replicas(self) -> None:
         for _ in range(self.config.num_replicas):
-            self._activate_replica(self._make_replica(self._claim_replica_id()))
+            self._activate_replica(self._make_replica())
 
-    def _claim_replica_id(self) -> int:
-        replica_id = self._next_replica_id
-        self._next_replica_id += 1
-        return replica_id
-
-    def _make_replica(self, replica_id: int) -> Replica:
-        """Build one replica machine (engine + resources + proxy), unwired."""
+    def _make_replica(self) -> Replica:
+        """Build and register the next replica machine (engine + resources
+        + proxy), not yet in service."""
+        replica_id = len(self.built_replicas)
         buffer_pool = BufferPool(capacity_bytes=self.config.buffer_bytes)
         engine = DatabaseEngine(
             catalog=self._catalog,
@@ -275,6 +323,7 @@ class ReplicatedCluster:
         replica.on_local_commit = self._on_local_commit
         for observer in self.observers:
             observer.instrument_replica(replica)
+        self.built_replicas[replica_id] = replica
         return replica
 
     def _activate_replica(self, replica: Replica) -> None:
@@ -291,13 +340,17 @@ class ReplicatedCluster:
         if self._started:
             self._schedule_pulls(replica)
 
-    def _deactivate_replica(self, replica_id: int) -> Replica:
+    def _deactivate_replica(self, replica_id: int, action: str) -> Replica:
         """Take a replica out of service (crash or graceful leave).
 
         It disappears from the balancer's view, the monitor and the
         certifier's lag-subscription index; outstanding counters are kept so
         draining and crash-failing stay accountable.
         """
+        if replica_id not in self.replicas:
+            raise KeyError("replica %r is not in service" % (replica_id,))
+        if len(self.replicas) <= 1:
+            raise RuntimeError("refusing to %s the last replica in service" % action)
         replica = self.replicas.pop(replica_id)
         self.routing.remove_replica(replica_id)
         self.monitor.unregister(replica_id)
@@ -354,31 +407,120 @@ class ReplicatedCluster:
         self._install_filters()
 
     # ------------------------------------------------------------------
-    # Live membership (elasticity)
+    # Replica lifecycle: join, crash, restore, graceful leave
     # ------------------------------------------------------------------
-    @property
-    def membership(self) -> "MembershipManager":
-        """The cluster's live-membership API (lazily constructed)."""
-        if self._membership is None:
-            from repro.elasticity.membership import MembershipManager
-            self._membership = MembershipManager(self)
-        return self._membership
+    def returnable_replicas(self) -> List[Replica]:
+        """Built replicas that are not retired: in service, draining, or
+        crashed but restorable.  All of them may still need the certifier
+        log, so all of them hold its truncation floor down."""
+        retired = self.retired
+        return [replica for replica_id, replica in self.built_replicas.items()
+                if replica_id not in retired]
+
+    def is_crashed(self, replica_id: int) -> bool:
+        """Whether ``replica_id`` crashed and may still be restored."""
+        replica = self.built_replicas.get(replica_id)
+        return (replica is not None and not replica.alive
+                and replica_id not in self.retired)
 
     def add_replica(self) -> int:
-        """Grow the cluster by one replica (cold cache, catches up from the log)."""
-        return self.membership.add_replica()
+        """Grow the cluster by one replica; returns its id.
 
-    def remove_replica(self, replica_id: int, drain: bool = True) -> None:
-        """Shrink the cluster, draining the replica's in-flight work first."""
-        self.membership.remove_replica(replica_id, drain=drain)
+        The newcomer starts with an empty buffer pool and catches up by
+        replaying every writeset in the certifier's log; the replay is
+        charged as background CPU and disk work, so a join is never free.
+        """
+        replica = self._make_replica()
+        replayed = self._recover_into_service(replica)
+        self._log_event("join", replica.replica_id,
+                        "cold join, replayed %d writesets" % replayed)
+        return replica.replica_id
 
     def crash_replica(self, replica_id: int) -> Replica:
-        """Fail a replica abruptly; its in-flight transactions are lost."""
-        return self.membership.crash_replica(replica_id)
+        """Fail a replica abruptly.
+
+        Its in-flight transactions fail back to their clients, which
+        re-issue on the surviving replicas; the balancer is reconciled
+        before those retries arrive so none of them can land on the corpse.
+        """
+        replica = self._deactivate_replica(replica_id, "crash")
+        replica.crash()
+        self.notify_membership_changed()
+        failed = replica.fail_in_flight("crash-in-flight")
+        self._purge_replica_state(replica_id)
+        self._log_event("crash", replica_id,
+                        "failed %d in-flight transactions" % failed)
+        return replica
 
     def restore_replica(self, replica_id: int) -> int:
-        """Bring a crashed replica back; returns the writesets replayed."""
-        return self.membership.restore_replica(replica_id)
+        """Restart a crashed replica and bring it back into service.
+
+        Standard recovery (Section 3): cold cache, dropped tables restored,
+        filters cleared, and exactly the writesets committed since the
+        replica's applied version replayed from the certifier's log.
+        Returns the number of writesets replayed.
+        """
+        if not self.is_crashed(replica_id):
+            raise KeyError("replica %r is not crashed" % (replica_id,))
+        replayed = self._recover_into_service(self.built_replicas[replica_id])
+        self._log_event("restore", replica_id, "replayed %d writesets" % replayed)
+        return replayed
+
+    def _recover_into_service(self, replica: Replica) -> int:
+        """The one join and restore path: replay the log, then serve."""
+        replayed = replica.recover()
+        replica.alive = True
+        self._activate_replica(replica)
+        self.notify_membership_changed()
+        return replayed
+
+    def remove_replica(self, replica_id: int) -> None:
+        """Shrink the cluster by draining one replica out of it.
+
+        New dispatches stop immediately; the replica's in-flight
+        transactions may finish before it retires.  Past the drain deadline
+        any stragglers are failed the way a crash would fail them.
+        """
+        replica = self._deactivate_replica(replica_id, "remove")
+        self.notify_membership_changed()
+        # The routing table keeps the departed replica's outstanding counter
+        # alive until its last in-flight transaction resolves, so draining
+        # stays exactly accountable after the replica left the live set.
+        outstanding = self.routing.outstanding
+        if outstanding.get(replica_id, 0) == 0:
+            self._retire(replica, "immediate")
+            return
+        self._log_event("leave", replica_id, "draining %d in-flight transactions"
+                        % outstanding[replica_id])
+        deadline = self.sim.now + DRAIN_TIMEOUT_S
+
+        def poll() -> None:
+            if outstanding.get(replica_id, 0) == 0:
+                self._retire(replica, "drained")
+            elif self.sim.now >= deadline:
+                replica.crash()
+                failed = replica.fail_in_flight("drain-straggler")
+                self._retire(replica, "drain deadline, failed %d stragglers" % failed)
+            else:
+                self.sim.schedule(DRAIN_POLL_INTERVAL_S, poll)
+
+        self.sim.schedule(DRAIN_POLL_INTERVAL_S, poll)
+
+    def _retire(self, replica: Replica, detail: str) -> None:
+        replica.alive = False
+        self.retired.add(replica.replica_id)
+        # A retired replica never returns; erase its routing counter and any
+        # lingering load sample (its live table is already resolved).
+        self._purge_replica_state(replica.replica_id)
+        self._log_event("retired", replica.replica_id, detail)
+
+    def _log_event(self, kind: str, replica_id: int, detail: str) -> None:
+        now = self.sim.now
+        self.membership_events.append(MembershipEvent(
+            time=now, kind=kind, replica_id=replica_id, detail=detail))
+        obs = self.observability
+        if obs is not None:
+            obs.membership_event(now, kind, replica_id, detail)
 
     # ------------------------------------------------------------------
     # ClusterView protocol (what the load balancer may see)
@@ -497,12 +639,10 @@ class ReplicatedCluster:
         draining, or crashed but restorable -- and (b) the oldest snapshot
         of any in-flight transaction, because certification compares a
         writeset against everything committed since its snapshot.  Retired
-        replicas never return and are excluded; membership churn from the
-        elasticity subsystem is therefore respected by construction.
+        replicas never return and are excluded, so membership churn is
+        respected by construction.
         """
-        replicas = list(self.replicas.values())
-        if self._membership is not None:
-            replicas.extend(self._membership.returnable_replicas())
+        replicas = self.returnable_replicas()
         if not replicas:
             return 0
         floor = min(replica.proxy.applied_version for replica in replicas)
@@ -593,18 +733,12 @@ class ReplicatedCluster:
         return self.collect_result()
 
     def collect_result(self) -> RunResult:
-        groupings: Dict[str, List[str]] = {}
-        replica_counts: Dict[str, int] = {}
-        if hasattr(self.balancer, "groupings"):
-            groupings = self.balancer.groupings()           # type: ignore[attr-defined]
-        if hasattr(self.balancer, "replica_counts"):
-            replica_counts = self.balancer.replica_counts()  # type: ignore[attr-defined]
         return RunResult(
             policy=self.balancer.name,
             config=self.config,
             metrics=self.metrics,
-            groupings=groupings,
-            replica_counts=replica_counts,
+            groupings=self.balancer.groupings(),
+            replica_counts=self.balancer.replica_counts(),
             certifier_aborts=self.certifier.stats.aborts,
         )
 

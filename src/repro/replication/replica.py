@@ -648,7 +648,7 @@ class Replica:
         controller is rebuilt so queued-but-unstarted work is discarded, and
         the certification batcher is reset (its queued contexts die with
         their admission slots).  The contexts stay in the live table until
-        the membership layer calls :meth:`fail_in_flight`.  Durable state
+        the cluster calls :meth:`fail_in_flight`.  Durable state
         (the applied-version cursor) survives, as it would on disk; the page
         cache is cleared by :meth:`recover`.  Idempotent while down.
         """

@@ -2,7 +2,7 @@
 
 from repro.sim.clients import ClientConfig, ClientPopulation
 from repro.sim.events import EventQueue
-from repro.sim.metrics import CompletionRecord, MetricsCollector, ThroughputPoint
+from repro.sim.metrics import MetricsCollector, ThroughputPoint
 from repro.sim.monitor import ClusterMonitor, LoadSample, ReplicaMonitor
 from repro.sim.resources import ReplicaResources, Resource
 from repro.sim.simulator import Simulator
@@ -11,7 +11,6 @@ __all__ = [
     "ClientConfig",
     "ClientPopulation",
     "ClusterMonitor",
-    "CompletionRecord",
     "EventQueue",
     "LoadSample",
     "MetricsCollector",

@@ -11,10 +11,9 @@ state).
 The collector *streams*: completions update running sums and per-type /
 per-replica / per-bucket counters, so memory is O(types x replicas +
 run length / bucket) instead of one retained record per transaction --
-paper-scale runs complete hundreds of thousands of transactions, and
-retaining a ``CompletionRecord`` for each dominated the simulator's memory
-footprint.  Set ``retain_records = True`` before a run to additionally keep
-the full per-transaction trace for debugging.
+paper-scale runs complete hundreds of thousands of transactions, and a
+record for each dominated the simulator's memory footprint.  It keeps only
+the series some experiment, export or test reads.
 """
 
 from __future__ import annotations
@@ -23,19 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.storage.pages import KB
-
-
-@dataclass
-class CompletionRecord:
-    """One completed transaction (retained only when ``retain_records``)."""
-
-    time: float
-    transaction_type: str
-    replica_id: int
-    response_time: float
-    is_update: bool
-    read_bytes: float
-    write_bytes: float
 
 
 @dataclass
@@ -56,9 +42,6 @@ class MetricsCollector:
             raise ValueError("bucket size must be positive")
         self.warmup_seconds = warmup_seconds
         self.bucket_seconds = bucket_seconds
-        #: Opt-in full per-transaction trace (debugging / fine-grained tests).
-        self.retain_records = False
-        self.records: List[CompletionRecord] = []
         self._buckets: Dict[int, int] = {}
         # Streaming aggregates over post-warmup completions.
         self._completed = 0
@@ -106,18 +89,6 @@ class MetricsCollector:
         by_replica[replica_id] = by_replica.get(replica_id, 0) + 1
         by_type = self._by_type
         by_type[transaction_type] = by_type.get(transaction_type, 0) + 1
-        if self.retain_records:
-            self.records.append(
-                CompletionRecord(
-                    time=time,
-                    transaction_type=transaction_type,
-                    replica_id=replica_id,
-                    response_time=response_time,
-                    is_update=is_update,
-                    read_bytes=read_bytes,
-                    write_bytes=write_bytes,
-                )
-            )
 
     def record_background_io(self, time: float, replica_id: int,
                              read_bytes: float, write_bytes: float) -> None:
@@ -210,12 +181,6 @@ class MetricsCollector:
 
     def completions_by_type(self) -> Dict[str, int]:
         return dict(self._by_type)
-
-    def throughput_by_replica(self) -> Dict[int, float]:
-        window = self.measurement_window()
-        if window <= 0:
-            return {}
-        return {rid: count / window for rid, count in self._by_replica.items()}
 
     # ------------------------------------------------------------------
     # Time series (Figure 6)

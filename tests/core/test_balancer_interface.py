@@ -25,6 +25,8 @@ def test_default_hooks_are_neutral():
     assert balancer.preferred_relations(0) is None
     balancer.observe_mix({"Read": 10})          # ignored by baselines
     balancer.periodic(now=10.0)                  # no-op
+    assert balancer.groupings() == {}
+    assert balancer.replica_counts() == {}
     assert balancer.describe() == "LeastConnections"
 
 

@@ -127,16 +127,9 @@ def _small_cluster(replicas=4, seed=3, mix="balanced", think=0.05,
     )
 
 
-def _built_replicas(cluster):
-    """Every replica the cluster built: in service, crashed, draining, retired."""
-    membership = cluster.membership
-    return (list(cluster.replicas.values()) + membership.returnable_replicas()
-            + list(membership.retired.values()))
-
-
 def _assert_counters_exact(cluster):
     """Outstanding counters must equal the replicas' live tables, exactly."""
-    replicas = _built_replicas(cluster)
+    replicas = cluster.built_replicas.values()
     for replica in replicas:
         rid = replica.replica_id
         assert cluster.routing.outstanding.get(rid, 0) == len(replica._live), \
@@ -185,14 +178,14 @@ def test_counters_exact_across_drain():
     cluster.start()
     cluster.sim.run_until(10.0)
     victim = cluster.replica_ids()[-1]
-    cluster.remove_replica(victim, drain=True)
+    cluster.remove_replica(victim)
     assert victim not in cluster.replica_ids()
     cluster.sim.run_until(25.0)
     # Drained: every in-flight transaction completed, then retirement purged
     # the replica's routing counter; its live table is empty.
     assert victim not in cluster.routing.outstanding
-    assert victim in cluster.membership.retired
-    assert not cluster.membership.retired[victim]._live
+    assert victim in cluster.retired
+    assert not cluster.built_replicas[victim]._live
     _assert_counters_exact(cluster)
 
 
@@ -253,7 +246,7 @@ def _churned_dispatch_trace(seed):
     # function of the seed.
     cluster.sim.schedule(8.0, cluster.add_replica)
     cluster.sim.schedule(16.0, lambda: cluster.remove_replica(
-        cluster.replica_ids()[1], drain=True))
+        cluster.replica_ids()[1]))
     cluster.sim.run_until(30.0)
     return trace
 

@@ -100,7 +100,7 @@ def test_restart_is_skip_safe_when_target_was_already_restored():
     injector = FaultInjector(cluster, seed=2)
     # Crash with a long downtime, but somebody restores the replica first.
     injector.schedule_crash(5.0, replica_id=1, downtime_s=10.0)
-    cluster.sim.schedule_at(8.0, lambda: cluster.membership.restore_replica(1))
+    cluster.sim.schedule_at(8.0, lambda: cluster.restore_replica(1))
     cluster.run(duration_s=20.0)
     kinds = [r.kind for r in injector.records]
     assert kinds == ["crash", "skipped"]

@@ -22,6 +22,10 @@ def make_cluster(balancer=None, replicas=3, backups=0, seed=7):
         mix="balanced")
 
 
+def events_of_kind(cluster, kind):
+    return [event for event in cluster.membership_events if event.kind == kind]
+
+
 def test_add_replica_joins_cold_and_catches_up():
     cluster = make_cluster()
     cluster.start()
@@ -37,7 +41,7 @@ def test_add_replica_joins_cold_and_catches_up():
     # ...and paid for it: the replay was charged to its resources.
     assert (replica.resources.cpu.background_requests
             + replica.resources.disk.background_requests) > 0
-    joins = cluster.membership.events_of_kind("join")
+    joins = events_of_kind(cluster, "join")
     assert len(joins) == 1 and joins[0].replica_id == new_id
 
 
@@ -58,7 +62,7 @@ def test_crash_fails_inflight_and_clients_reissue_elsewhere():
     completed_before = cluster.metrics.completed
     cluster.crash_replica(0)
     assert 0 not in cluster.replica_ids()
-    crash_events = cluster.membership.events_of_kind("crash")
+    crash_events = events_of_kind(cluster, "crash")
     assert len(crash_events) == 1
     # The clients keep running on the survivors.
     by_replica_before = dict(cluster.metrics.completions_by_replica())
@@ -107,13 +111,14 @@ def test_graceful_leave_drains_before_retiring():
     cluster = make_cluster()
     cluster.start()
     cluster.sim.run_until(10.0)
-    cluster.remove_replica(2, drain=True)
+    cluster.remove_replica(2)
     assert 2 not in cluster.replica_ids()
     cluster.sim.run_until(30.0)
-    retired = cluster.membership.events_of_kind("retired")
+    retired = events_of_kind(cluster, "retired")
     assert len(retired) == 1 and retired[0].replica_id == 2
     # Drained, not crashed: the replica never lost a transaction.
-    assert cluster.membership.retired[2].crashes == 0
+    assert 2 in cluster.retired
+    assert cluster.built_replicas[2].crashes == 0
     assert cluster.routing.outstanding.get(2, 0) == 0
 
 
@@ -123,6 +128,34 @@ def test_cannot_crash_or_remove_the_last_replica():
         cluster.crash_replica(0)
     with pytest.raises(RuntimeError):
         cluster.remove_replica(0)
+
+
+def test_registry_tracks_every_lifecycle_state():
+    """``built_replicas`` keeps every replica the cluster built; only a
+    crashed, unretired replica can be restored."""
+    cluster = make_cluster(replicas=3)
+    cluster.start()
+    cluster.sim.run_until(5.0)
+    new_id = cluster.add_replica()
+    cluster.crash_replica(0)
+    cluster.remove_replica(1)
+    cluster.sim.run_until(20.0)
+    assert sorted(cluster.built_replicas) == [0, 1, 2, new_id]
+    assert cluster.retired == {1}
+    assert [r.replica_id for r in cluster.returnable_replicas()] == [0, 2, new_id]
+    assert cluster.is_crashed(0)
+    assert not cluster.is_crashed(1) and not cluster.is_crashed(2)
+    for not_crashed in (1, 2, 99):
+        with pytest.raises(KeyError):
+            cluster.restore_replica(not_crashed)
+    for not_in_service in (0, 1, 99):
+        with pytest.raises(KeyError):
+            cluster.crash_replica(not_in_service)
+        with pytest.raises(KeyError):
+            cluster.remove_replica(not_in_service)
+    cluster.restore_replica(0)
+    assert not cluster.is_crashed(0)
+    assert 0 in cluster.replica_ids()
 
 
 def test_malb_reconciles_assignment_on_churn():
@@ -179,9 +212,8 @@ def test_churn_purges_stale_replica_state():
         assert rid not in cluster.routing.outstanding
         assert rid not in cluster.routing._samples
         assert rid not in cluster.routing._eff_cache
-        membership = cluster.membership
-        departed = membership.crashed.get(rid) or membership.retired[rid]
-        assert not departed._live
+        assert rid not in cluster.replicas
+        assert not cluster.built_replicas[rid]._live
 
     # Crash: in-flight work fails synchronously, then the purge runs.
     cluster.crash_replica(1)
@@ -195,9 +227,9 @@ def test_churn_purges_stale_replica_state():
     assert 1 in cluster.monitor.loads()
 
     # Graceful leave: purge runs at retirement, after the drain resolves.
-    cluster.remove_replica(2, drain=True)
+    cluster.remove_replica(2)
     cluster.sim.run_until(40.0)
-    assert 2 in cluster.membership.retired
+    assert 2 in cluster.retired
     assert_purged(2)
 
     # A replica the monitor sampled keeps publishing for the survivors only.

@@ -149,9 +149,9 @@ def test_leftover_live_context_on_retired_replica_is_reported():
     checker = ConsistencyChecker(cluster)
     run_quiesced(cluster)
     cluster.remove_replica(2)               # quiet, so it retires at once
-    assert 2 in cluster.membership.retired
+    assert 2 in cluster.retired
     assert checker.check().ok
-    retired = cluster.membership.retired[2]
+    retired = cluster.built_replicas[2]
     leftover = TransactionContext(retired, cluster.workload().type("Read"),
                                   0.0, lambda committed: None)
     retired._live[leftover] = None

@@ -7,6 +7,7 @@ failures and drain-deadline stragglers.
 """
 
 from repro.core.malb import MemoryAwareLoadBalancer
+from repro.replication import cluster as cluster_module
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.sim.metrics import MetricsCollector
 from repro.storage.engine import EngineConfig
@@ -81,12 +82,12 @@ def test_crash_in_flight_is_classified():
         + cluster.metrics.abort_reasons.get("retry-exhausted", 0)
 
 
-def test_drain_stragglers_are_classified():
+def test_drain_stragglers_are_classified(monkeypatch):
     cluster = _cluster(seed=13, clients=10, think=0.02)
     # Force the drain deadline to fire at the very first poll, before the
     # in-flight transactions can complete.
-    cluster.membership.drain_timeout_s = 1e-6
-    cluster.membership.drain_poll_interval_s = 1e-6
+    monkeypatch.setattr(cluster_module, "DRAIN_TIMEOUT_S", 1e-6)
+    monkeypatch.setattr(cluster_module, "DRAIN_POLL_INTERVAL_S", 1e-6)
     cluster.start()
     cluster.sim.run_until(10.0)
     replica = max(cluster.replicas.values(),
@@ -94,8 +95,8 @@ def test_drain_stragglers_are_classified():
     victim = replica.replica_id
     stragglers = len(replica._live)
     assert stragglers > 0, "scenario must have work in flight"
-    cluster.remove_replica(victim, drain=True)
+    cluster.remove_replica(victim)
     cluster.sim.run_until(10.1)
     assert cluster.metrics.abort_reasons.get("drain-straggler", 0) == stragglers
-    assert victim in cluster.membership.retired
+    assert victim in cluster.retired
     assert not replica._live

@@ -63,11 +63,11 @@ def test_schedule_switches_mix_during_run():
                              clients_per_replica=4, think_time_s=0.1),
         schedule=WorkloadSchedule.alternating(["readonly", "balanced"], 20.0),
     )
-    cluster.metrics.retain_records = True
-    result = cluster.run(duration_s=40.0, warmup_s=0.0)
-    updates = [r for r in result.metrics.records if r.is_update]
-    assert updates                                  # updates appear only in phase 2
-    assert min(r.time for r in updates) >= 19.0
+    # The read-only phase commits no update; the balanced phase does.
+    cluster.run(duration_s=19.0, warmup_s=0.0)
+    assert cluster.metrics.updates_completed == 0
+    cluster.run(duration_s=40.0, warmup_s=0.0)
+    assert cluster.metrics.updates_completed > 0
 
 
 def test_standalone_config_is_single_replica():
@@ -83,6 +83,11 @@ def test_config_validation():
         ClusterConfig(replica_ram_bytes=mb(10))
     with pytest.raises(ValueError):
         ClusterConfig(clients_per_replica=0)
+    for interval in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            ClusterConfig(propagation_interval_s=interval)
+        with pytest.raises(ValueError):
+            ClusterConfig(balancer_period_s=interval)
     with pytest.raises(ValueError):
         make_cluster().run(duration_s=10.0, warmup_s=20.0)
 
@@ -126,7 +131,8 @@ def test_truncation_floor_respects_crashed_replicas():
     cluster.sim.run_until(20.0)
     victim = cluster.replica_ids()[0]
     cluster.crash_replica(victim)
-    applied_at_crash = cluster.membership.crashed[victim].proxy.applied_version
+    assert cluster.is_crashed(victim)
+    applied_at_crash = cluster.built_replicas[victim].proxy.applied_version
     cluster.sim.run_until(120.0)
     # The dead replica's applied version holds the truncation floor down, so
     # it can still be restored from the log alone.

@@ -285,9 +285,9 @@ def test_request_ids_stay_monotonic_across_crash_and_restore():
     cluster.sim.run_until(10.0)
     replica = cluster.replicas[1]
     issued_before = replica._next_request_id
-    cluster.membership.crash_replica(1)
+    cluster.crash_replica(1)
     cluster.sim.run_until(15.0)
-    cluster.membership.restore_replica(1)
+    cluster.restore_replica(1)
     cluster.sim.run_until(25.0)
     assert cluster.replicas[1] is replica
     assert replica._next_request_id >= issued_before

@@ -51,7 +51,6 @@ def test_breakdowns():
     _record(m, 3.0, replica_id=1, transaction_type="B")
     assert m.completions_by_replica() == {0: 1, 1: 2}
     assert m.completions_by_type() == {"A": 1, "B": 2}
-    assert m.throughput_by_replica()[1] == pytest.approx(2 / 3.0)
 
 
 def test_throughput_series_and_moving_average():
@@ -98,14 +97,3 @@ def test_updates_completed_streams():
     _record(m, 2.0)
     _record(m, 3.0, is_update=True)
     assert m.updates_completed == 2
-
-
-def test_records_are_retained_only_on_request():
-    m = MetricsCollector()
-    _record(m, 1.0)
-    assert m.records == []               # streaming by default: no retention
-    m.retain_records = True
-    _record(m, 2.0)
-    assert len(m.records) == 1
-    assert m.records[0].time == 2.0
-    assert m.completed == 2              # aggregates unaffected by the flag
