@@ -14,6 +14,8 @@ shared by all assertions.
 import pytest
 
 from repro.experiments.elasticity import (
+    SURGE_END_S,
+    SURGE_START_S,
     ElasticityResult,
     flash_crowd_scenario,
     run_elastic_experiment,
@@ -39,14 +41,14 @@ def test_autoscaler_grows_under_the_crowd(elastic):
     assert elastic.peak_replicas > elastic.start_replicas
     assert elastic.scale_ups, "the autoscaler never scaled up"
     first_up = min(d.time for d in elastic.scale_ups)
-    assert first_up >= elastic.config.surge_start_s, \
+    assert first_up >= SURGE_START_S, \
         "scaled up before the crowd arrived (baseline mis-tuned)"
 
 
 def test_autoscaler_shrinks_back_after_the_crowd(elastic):
     assert elastic.scale_downs, "the autoscaler never scaled down"
     post_surge_downs = [d for d in elastic.scale_downs
-                        if d.time >= elastic.config.surge_end_s]
+                        if d.time >= SURGE_END_S]
     assert post_surge_downs, "no scale-down after the crowd departed"
     assert elastic.final_replicas < elastic.peak_replicas
 

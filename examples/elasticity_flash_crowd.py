@@ -13,6 +13,10 @@ Run with:  python examples/elasticity_flash_crowd.py
 """
 
 from repro.experiments.elasticity import (
+    CRASH_AT_S,
+    SURGE_CLIENTS,
+    SURGE_END_S,
+    SURGE_START_S,
     flash_crowd_scenario,
     run_elastic_experiment,
     window_throughput,
@@ -24,8 +28,7 @@ def main() -> None:
     scenario = flash_crowd_scenario(autoscale=True, with_faults=True)
     print("flash crowd: %d clients -> %d during [%.0f, %.0f) s; one crash at %.0f s"
           % (scenario.base.num_replicas * scenario.base.clients_per_replica,
-             scenario.surge_clients, scenario.surge_start_s, scenario.surge_end_s,
-             scenario.crash_at_s))
+             SURGE_CLIENTS, SURGE_START_S, SURGE_END_S, CRASH_AT_S))
     result = run_elastic_experiment(scenario)
 
     print()

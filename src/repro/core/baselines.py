@@ -25,7 +25,7 @@ re-derives them per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.balancer import LoadBalancer
 from repro.workloads.spec import TransactionType
@@ -78,7 +78,7 @@ class LardBalancer(LoadBalancer):
     The classic LARD/R algorithm [PAB+98] maintains, per target (here: per
     transaction type), a set of servers that have recently served it.
     Requests are sent to the least-loaded member of that set; if that member
-    is too busy (load above ``high_watermark``) -- or the set is empty -- the
+    is too busy (load at ``HIGH_WATERMARK``) -- or the set is empty -- the
     globally least-loaded replica is added to the set.  Members that have not
     been used for a while are dropped so a type's footprint can shrink again.
 
@@ -87,15 +87,13 @@ class LardBalancer(LoadBalancer):
     """
 
     name = "LARD"
+    #: Outstanding transactions at which a server counts as too busy.
+    HIGH_WATERMARK = 8
+    #: Outstanding transactions at or below which a server counts as idle.
+    LOW_WATERMARK = 2
 
-    def __init__(self, high_watermark: int = 8, low_watermark: int = 2,
-                 max_set_size: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if high_watermark <= low_watermark:
-            raise ValueError("high watermark must exceed low watermark")
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.max_set_size = max_set_size
         self._types: Dict[str, _LardTypeState] = {}
 
     # ------------------------------------------------------------------
@@ -120,7 +118,7 @@ class LardBalancer(LoadBalancer):
 
         chosen = routing.least_loaded(state.servers)
         outstanding = routing.outstanding
-        if outstanding[chosen] < self.high_watermark:
+        if outstanding[chosen] < self.HIGH_WATERMARK:
             return chosen
 
         # The type's current servers are overloaded: spill to the globally
@@ -128,12 +126,11 @@ class LardBalancer(LoadBalancer):
         # behaviour the paper identifies as harmful for large transactions:
         # the new replica's memory gets wiped as well.
         global_choice = routing.least_loaded(replicas)
-        if outstanding[global_choice] >= self.high_watermark:
+        if outstanding[global_choice] >= self.HIGH_WATERMARK:
             # Every replica is busy: LARD stops expanding ("turns off").
             return chosen
         if global_choice not in state.servers:
-            if self.max_set_size is None or len(state.servers) < self.max_set_size:
-                state.servers.append(global_choice)
+            state.servers.append(global_choice)
         return global_choice
 
     def periodic(self, now: float) -> None:
@@ -144,7 +141,7 @@ class LardBalancer(LoadBalancer):
                 continue
             # Drop the most idle member when the set's total load is low.
             idle = [rid for rid in state.servers
-                    if outstanding[rid] <= self.low_watermark]
+                    if outstanding[rid] <= self.LOW_WATERMARK]
             if len(idle) == len(state.servers):
                 state.servers.remove(idle[-1])
 

@@ -47,14 +47,11 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         method: which grouping method to use (MALB-S, MALB-SC, MALB-SCAP).
         update_filtering: enable the update-filtering optimisation.  Following
             the prototype, filtering is activated only after the allocation
-            has been stable for ``filtering_stabilization_s`` seconds, and
+            has been stable for ``FILTERING_STABILIZATION_S`` seconds, and
             dynamic re-allocation is then frozen.
         enable_merging: run the allocator's split/merge/expand/contract step
             once the demand targets are met (the Section 5.3 ablation
             disables this).
-        rebalance_interval_s: how often the allocation is re-sized.
-        filtering_stabilization_s: how long the allocation must be stable
-            before update filtering activates.
         static_allocation: size the allocation once, to the mix observed at
             configuration time, and never adapt it.
     """
@@ -62,19 +59,20 @@ class MemoryAwareLoadBalancer(LoadBalancer):
     #: demand-estimate decay applied once per rebalance interval, so the
     #: allocation tracks mix changes (Figure 6) within a few intervals.
     DEMAND_DECAY = 0.75
+    #: how often, in seconds, the allocation is re-sized.
+    REBALANCE_INTERVAL_S = 10.0
+    #: how long, in seconds, the allocation must be stable before update
+    #: filtering activates.
+    FILTERING_STABILIZATION_S = 60.0
 
     def __init__(self, method: GroupingMethod = GroupingMethod.MALB_SC,
                  update_filtering: bool = False,
                  enable_merging: bool = True,
-                 rebalance_interval_s: float = 10.0,
-                 filtering_stabilization_s: float = 60.0,
                  static_allocation: bool = False) -> None:
         super().__init__()
         self.method = method
         self.update_filtering = update_filtering
         self.enable_merging = enable_merging
-        self.rebalance_interval_s = rebalance_interval_s
-        self.filtering_stabilization_s = filtering_stabilization_s
         self.static_allocation = static_allocation
         self.name = method.value + ("+UF" if update_filtering else "")
 
@@ -342,7 +340,7 @@ class MemoryAwareLoadBalancer(LoadBalancer):
             allocator = self._require_allocator()
 
         self._now_hint = now
-        if now - self._last_rebalance >= self.rebalance_interval_s:
+        if now - self._last_rebalance >= self.REBALANCE_INTERVAL_S:
             self._last_rebalance = now
             if not self.static_allocation and not allocator.frozen:
                 # Age the demand estimate so the allocation follows mix changes.
@@ -372,8 +370,8 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         if self.update_filtering and self.filter_plan is None:
             if self._filtering_active_since is None:
                 self._filtering_active_since = now
-            elif (now - self._filtering_active_since >= self.filtering_stabilization_s
-                  and now - self._last_move_time >= 2 * self.rebalance_interval_s):
+            elif (now - self._filtering_active_since >= self.FILTERING_STABILIZATION_S
+                  and now - self._last_move_time >= 2 * self.REBALANCE_INTERVAL_S):
                 self._enable_filtering()
 
     def _effective_loads(self):

@@ -13,12 +13,11 @@ replica set itself dynamic inside a running simulation:
   re-allocate and re-plan update filtering on every change.
 """
 
-from repro.elasticity.autoscaler import Autoscaler, AutoscalerConfig, ScalingDecision
+from repro.elasticity.autoscaler import Autoscaler, ScalingDecision
 from repro.elasticity.faults import FaultInjector, FaultRecord
 
 __all__ = [
     "Autoscaler",
-    "AutoscalerConfig",
     "FaultInjector",
     "FaultRecord",
 ]

@@ -147,7 +147,7 @@ class FaultInjector:
         """Partition one replica's link to the certifier at ``at_s``.
 
         While partitioned the replica can neither certify updates (its RPC
-        retries time out; with ``rpc_max_attempts`` set it sheds them as
+        retries time out, and after ``RPC_MAX_ATTEMPTS`` it sheds them as
         ``certifier-unreachable``) nor pull or receive notifications --
         read-only transactions keep committing locally.  ``replica_id=None``
         picks a seeded random replica in service at fire time.  With

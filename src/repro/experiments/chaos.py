@@ -47,8 +47,28 @@ from repro.experiments.runner import (
 from repro.net.channel import NetworkConfig
 from repro.net.invariants import ConsistencyChecker, InvariantReport
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster, RunResult
-from repro.replication.proxy import ProxyConfig
 from repro.storage.pages import mb
+
+
+#: Synchronous certifier backups; phase 5 fails the leader over to one.
+CERTIFIER_BACKUPS = 2
+NET_SEED = 101
+FAULT_SEED = 11
+#: Peak fault intensities (each multiplied by the severity).
+MAX_DROP_PROBABILITY = 0.30
+MAX_DUPLICATE_PROBABILITY = 0.30
+MAX_JITTER_S = 0.004
+#: Campaign phases, as fractions of the run duration.
+FLAKY_PHASE = (0.15, 0.35)
+DUPLICATE_PHASE = (0.40, 0.50)
+PARTITION_PHASE = (0.55, 0.68)
+CRASH_STORM_AT = 0.72
+CRASH_SPACING_S = 6.0
+CRASH_DOWNTIME_S = 18.0
+CERTIFIER_FAILOVER_AT = 0.75
+#: Tail fraction of the run with clients quiesced and every link healthy,
+#: so in-flight work resolves before the invariant audit.
+QUIESCE_FRACTION = 0.12
 
 
 @dataclass(frozen=True)
@@ -65,43 +85,10 @@ class ChaosConfig:
 
     base: ExperimentConfig
     severity: float = 0.5
-    certifier_backups: int = 2
-    net_seed: int = 101
-    fault_seed: int = 11
-    #: At-least-once RPC policy installed on every proxy.
-    rpc_timeout_s: float = 0.02
-    rpc_max_attempts: int = 6
-    max_queued_certifications: int = 64
-    #: Peak fault intensities (each multiplied by ``severity``).
-    max_drop_probability: float = 0.30
-    max_duplicate_probability: float = 0.30
-    max_jitter_s: float = 0.004
-    #: Campaign phases, as fractions of the run duration.
-    flaky_phase: Tuple[float, float] = (0.15, 0.35)
-    duplicate_phase: Tuple[float, float] = (0.40, 0.50)
-    partition_phase: Tuple[float, float] = (0.55, 0.68)
-    crash_storm_at: float = 0.72
-    crash_spacing_s: float = 6.0
-    crash_downtime_s: float = 18.0
-    certifier_failover_at: Optional[float] = 0.75
-    #: Tail fraction of the run with clients quiesced and every link
-    #: healthy, so in-flight work resolves before the invariant audit.
-    quiesce_fraction: float = 0.12
 
     def __post_init__(self) -> None:
         if not 0.0 < self.severity <= 1.0:
             raise ValueError("severity must be in (0, 1]")
-        if self.rpc_max_attempts <= 0:
-            raise ValueError(
-                "chaos campaigns need finite rpc_max_attempts: an infinite "
-                "retry cannot shed during a partition, so the run never "
-                "demonstrates graceful degradation")
-        for name in ("flaky_phase", "duplicate_phase", "partition_phase"):
-            start, end = getattr(self, name)
-            if not 0.0 <= start < end <= 1.0:
-                raise ValueError("%s must be an increasing pair in [0, 1]" % name)
-        if not 0.0 < self.quiesce_fraction < 0.5:
-            raise ValueError("quiesce_fraction must be in (0, 0.5)")
 
 
 @dataclass
@@ -194,27 +181,20 @@ def build_chaos_cluster(config: ChaosConfig
 
     The cluster runs the unreliable-network model with a *perfect base
     link* (faults arrive only through scheduled windows, so the quiesced
-    tail is loss-free), a replicated certifier, finite RPC retries with a
-    bounded certification queue, and certifier-log truncation disabled so
-    the audit can cross-check every committed writeset against the full
-    log.
+    tail is loss-free), a replicated certifier, and certifier-log
+    truncation disabled so the audit can cross-check every committed
+    writeset against the full log.
     """
     base = config.base
-    proxy = ProxyConfig(
-        rpc_timeout_s=config.rpc_timeout_s,
-        rpc_max_attempts=config.rpc_max_attempts,
-        max_queued_certifications=config.max_queued_certifications,
-    )
     cluster_config = ClusterConfig(
         num_replicas=base.num_replicas,
         replica_ram_bytes=mb(base.ram_mb),
         clients_per_replica=base.clients_per_replica,
         think_time_s=base.think_time_s,
         seed=base.seed,
-        proxy=proxy,
-        certifier_backups=config.certifier_backups,
+        certifier_backups=CERTIFIER_BACKUPS,
         log_truncation_interval_s=0.0,
-        network=NetworkConfig(seed=config.net_seed),
+        network=NetworkConfig(seed=NET_SEED),
     )
     cluster = ReplicatedCluster(
         workload=make_workload(base),
@@ -227,7 +207,7 @@ def build_chaos_cluster(config: ChaosConfig
     # (nothing has been recorded yet, so the change is safe).
     cluster.metrics.bucket_seconds = 5.0
     checker = ConsistencyChecker(cluster)
-    injector = FaultInjector(cluster, seed=config.fault_seed)
+    injector = FaultInjector(cluster, seed=FAULT_SEED)
     return cluster, injector, checker
 
 
@@ -237,16 +217,16 @@ def schedule_campaign(config: ChaosConfig, cluster: ReplicatedCluster,
     severity = config.severity
     duration = config.base.duration_s
     replicas = config.base.num_replicas
-    drop = config.max_drop_probability * severity
-    dup = config.max_duplicate_probability * severity
-    jitter = config.max_jitter_s * severity
+    drop = MAX_DROP_PROBABILITY * severity
+    dup = MAX_DUPLICATE_PROBABILITY * severity
+    jitter = MAX_JITTER_S * severity
 
     timeline: Dict[str, float] = {}
 
     # Phase 1: flaky links -- drops + jitter (jitter also reorders) on a
     # severity-scaled number of randomly chosen links.
-    flaky_start = duration * config.flaky_phase[0]
-    flaky_len = duration * (config.flaky_phase[1] - config.flaky_phase[0])
+    flaky_start = duration * FLAKY_PHASE[0]
+    flaky_len = duration * (FLAKY_PHASE[1] - FLAKY_PHASE[0])
     flaky_links = max(1, round(replicas * 0.5 * severity))
     for i in range(flaky_links):
         injector.schedule_flaky_link(
@@ -259,8 +239,8 @@ def schedule_campaign(config: ChaosConfig, cluster: ReplicatedCluster,
     # Phase 2: duplicate burst -- every link duplicates heavily for a while,
     # hammering the certifier's idempotency (dedup cache) rather than
     # availability.
-    dup_start = duration * config.duplicate_phase[0]
-    dup_len = duration * (config.duplicate_phase[1] - config.duplicate_phase[0])
+    dup_start = duration * DUPLICATE_PHASE[0]
+    dup_len = duration * (DUPLICATE_PHASE[1] - DUPLICATE_PHASE[0])
     for replica_id in range(replicas):
         injector.schedule_flaky_link(
             dup_start, dup_len, replica_id=replica_id,
@@ -270,8 +250,8 @@ def schedule_campaign(config: ChaosConfig, cluster: ReplicatedCluster,
 
     # Phase 3: partition -- one replica loses its certifier link entirely;
     # graceful degradation (shed updates, keep serving reads) is on trial.
-    part_start = duration * config.partition_phase[0]
-    part_len = duration * (config.partition_phase[1] - config.partition_phase[0])
+    part_start = duration * PARTITION_PHASE[0]
+    part_len = duration * (PARTITION_PHASE[1] - PARTITION_PHASE[0])
     injector.schedule_partition(part_start, duration_s=part_len)
     timeline["partition_start_s"] = part_start
     timeline["partition_end_s"] = part_start + part_len
@@ -279,24 +259,23 @@ def schedule_campaign(config: ChaosConfig, cluster: ReplicatedCluster,
     # Phase 4: crash storm -- severity-scaled number of crashes in quick
     # succession, each restored after a downtime (skip-safe if membership
     # churn got there first).
-    storm_at = duration * config.crash_storm_at
+    storm_at = duration * CRASH_STORM_AT
     crashes = max(1, round((replicas - 1) * 0.6 * severity))
     for i in range(crashes):
-        injector.schedule_crash(storm_at + i * config.crash_spacing_s,
-                                downtime_s=config.crash_downtime_s)
+        injector.schedule_crash(storm_at + i * CRASH_SPACING_S,
+                                downtime_s=CRASH_DOWNTIME_S)
     timeline["crash_storm_s"] = storm_at
     timeline["crashes"] = crashes
 
     # Phase 5: certifier fail-over mid-recovery, with retried certification
     # RPCs answered idempotently by the new leader's inherited dedup cache.
-    if config.certifier_failover_at is not None and config.certifier_backups > 0:
-        failover_at = duration * config.certifier_failover_at
-        injector.schedule_certifier_failover(failover_at)
-        timeline["certifier_failover_s"] = failover_at
+    failover_at = duration * CERTIFIER_FAILOVER_AT
+    injector.schedule_certifier_failover(failover_at)
+    timeline["certifier_failover_s"] = failover_at
 
     # Quiesce: heal everything, then park the closed-loop clients so the
     # in-flight tail resolves before the audit.
-    quiesce_at = duration * (1.0 - config.quiesce_fraction)
+    quiesce_at = duration * (1.0 - QUIESCE_FRACTION)
     injector.schedule_heal(quiesce_at)
     cluster.sim.schedule_at(quiesce_at,
                             lambda: cluster.clients.set_active_clients(0))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from repro.elasticity.autoscaler import Autoscaler, AutoscalerConfig, ScalingDecision
+from repro.elasticity.autoscaler import Autoscaler, ScalingDecision
 from repro.elasticity.faults import FaultInjector, FaultRecord
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -26,35 +26,31 @@ from repro.experiments.runner import (
 from repro.replication.cluster import MembershipEvent, ReplicatedCluster, RunResult
 
 
+#: The flash crowd: the closed-loop population jumps to ``SURGE_CLIENTS``
+#: inside [SURGE_START_S, SURGE_END_S), then falls back.
+SURGE_START_S = 120.0
+SURGE_END_S = 300.0
+SURGE_CLIENTS = 96
+#: With faults: one replica (random victim) crashes at ``CRASH_AT_S`` and is
+#: restored after the downtime, and the certifier leader fails over to one
+#: of its backups at ``CERTIFIER_FAILOVER_AT_S``.
+CRASH_AT_S = 200.0
+CRASH_DOWNTIME_S = 25.0
+CERTIFIER_FAILOVER_AT_S = 240.0
+CERTIFIER_BACKUPS = 2
+FAULT_SEED = 11
+
+
 @dataclass(frozen=True)
 class ElasticityConfig:
     """One elasticity scenario: a base experiment plus churn on top."""
 
     base: ExperimentConfig
-    #: autoscaling policy; ``None`` runs the base cluster statically (the
-    #: comparison baseline for the flash-crowd benchmark).
-    autoscaler: Optional[AutoscalerConfig] = None
-    #: flash crowd: the closed-loop population jumps to ``surge_clients``
-    #: inside [surge_start_s, surge_end_s), then falls back.
-    surge_start_s: Optional[float] = None
-    surge_end_s: Optional[float] = None
-    surge_clients: int = 0
-    #: one injected replica crash (random victim), restored after the downtime.
-    crash_at_s: Optional[float] = None
-    crash_downtime_s: float = 20.0
-    #: certifier leader fail-over (needs ``certifier_backups`` > 0).
-    certifier_failover_at_s: Optional[float] = None
-    certifier_backups: int = 2
-    fault_seed: int = 11
-
-    def __post_init__(self) -> None:
-        if (self.surge_start_s is None) != (self.surge_end_s is None):
-            raise ValueError("surge needs both a start and an end")
-        if self.surge_start_s is not None:
-            if self.surge_end_s <= self.surge_start_s:
-                raise ValueError("surge must end after it starts")
-            if self.surge_clients <= 0:
-                raise ValueError("surge_clients must be positive")
+    #: Run the autoscaler; without it the cluster stays at its base size
+    #: (the comparison baseline for the flash-crowd benchmark).
+    autoscale: bool = True
+    #: Inject the replica crash and the certifier fail-over.
+    with_faults: bool = True
 
 
 @dataclass
@@ -100,7 +96,7 @@ def build_elastic_cluster(config: ElasticityConfig
     """
     base = config.base
     cluster_config = replace(make_cluster_config(base),
-                             certifier_backups=config.certifier_backups)
+                             certifier_backups=CERTIFIER_BACKUPS)
     cluster = ReplicatedCluster(
         workload=make_workload(base),
         balancer=make_balancer(base.policy, base),
@@ -108,10 +104,10 @@ def build_elastic_cluster(config: ElasticityConfig
         schedule=make_schedule(base),
     )
     autoscaler = None
-    if config.autoscaler is not None:
-        autoscaler = Autoscaler(cluster, config.autoscaler)
+    if config.autoscale:
+        autoscaler = Autoscaler(cluster)
         autoscaler.start()
-    injector = FaultInjector(cluster, seed=config.fault_seed)
+    injector = FaultInjector(cluster, seed=FAULT_SEED)
     return cluster, autoscaler, injector
 
 
@@ -158,29 +154,23 @@ def run_elastic_experiment(config: ElasticityConfig,
     base = config.base
     start_replicas = len(cluster.replicas)
 
-    if config.surge_start_s is not None:
-        baseline_clients = cluster.config.total_clients
+    baseline_clients = cluster.config.total_clients
 
-        def surge_on() -> None:
-            cluster.clients.set_active_clients(config.surge_clients)
+    def surge_on() -> None:
+        cluster.clients.set_active_clients(SURGE_CLIENTS)
 
-        def surge_off() -> None:
-            cluster.clients.set_active_clients(baseline_clients)
+    def surge_off() -> None:
+        cluster.clients.set_active_clients(baseline_clients)
 
-        cluster.sim.schedule_at(config.surge_start_s, surge_on)
-        cluster.sim.schedule_at(config.surge_end_s, surge_off)
+    cluster.sim.schedule_at(SURGE_START_S, surge_on)
+    cluster.sim.schedule_at(SURGE_END_S, surge_off)
 
-    if config.crash_at_s is not None:
-        injector.schedule_crash(config.crash_at_s,
-                                downtime_s=config.crash_downtime_s)
-    if config.certifier_failover_at_s is not None:
-        injector.schedule_certifier_failover(config.certifier_failover_at_s)
+    if config.with_faults:
+        injector.schedule_crash(CRASH_AT_S, downtime_s=CRASH_DOWNTIME_S)
+        injector.schedule_certifier_failover(CERTIFIER_FAILOVER_AT_S)
 
     run = cluster.run(duration_s=base.duration_s, warmup_s=base.warmup_s)
-
-    surge_tps = 0.0
-    if config.surge_start_s is not None:
-        surge_tps = window_throughput(run, config.surge_start_s, config.surge_end_s)
+    surge_tps = window_throughput(run, SURGE_START_S, SURGE_END_S)
 
     log_obj = cluster.certifier
     return ElasticityResult(
@@ -224,34 +214,5 @@ def flash_crowd_scenario(autoscale: bool = True,
         warmup_s=60.0,
         seed=seed,
     )
-    autoscaler = None
-    if autoscale:
-        autoscaler = AutoscalerConfig(
-            min_replicas=4,
-            max_replicas=8,
-            # The 4-replica baseline runs at ~0.8 now that every committed
-            # writeset is actually applied at every replica (the certification
-            # responses piggyback missed writesets instead of skipping them),
-            # so the scale-up threshold sits above that and below the >=0.93
-            # the surge produces.
-            high_watermark=0.90,
-            # Update propagation keeps every replica's disk ~50% busy even
-            # when clients are idle (the scaling limit Section 3 attacks),
-            # so the scale-down threshold sits above that floor.
-            low_watermark=0.65,
-            check_interval_s=10.0,
-            scale_up_after=2,
-            scale_down_after=2,
-            cooldown_s=30.0,
-            scale_up_step=2,
-        )
-    return ElasticityConfig(
-        base=base,
-        autoscaler=autoscaler,
-        surge_start_s=120.0,
-        surge_end_s=300.0,
-        surge_clients=96,
-        crash_at_s=200.0 if with_faults else None,
-        crash_downtime_s=25.0,
-        certifier_failover_at_s=240.0 if with_faults else None,
-    )
+    return ElasticityConfig(base=base, autoscale=autoscale,
+                            with_faults=with_faults)

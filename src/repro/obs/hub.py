@@ -163,9 +163,12 @@ class ObservabilityHub:
         registry.gauge("admission.queued_total",
                        lambda: sum(r.proxy.admission.queued
                                    for r in cluster.replicas.values()))
+        # Running totals sum over every replica the cluster built, so a
+        # crash or a retirement never makes them go down.
+        built = cluster.built_replicas
         registry.gauge("admission.admitted_total",
                        lambda: sum(r.proxy.admission.admitted_total
-                                   for r in cluster.replicas.values()))
+                                   for r in built.values()))
 
         registry.gauge("certifier.requests", lambda: certifier.stats.requests)
         registry.gauge("certifier.commits", lambda: certifier.stats.commits)
@@ -182,12 +185,14 @@ class ObservabilityHub:
 
         def buffer_totals() -> Dict[str, float]:
             requested = missed = resident = evicted = 0.0
-            for replica in cluster.replicas.values():
+            in_service = cluster.replicas
+            for replica_id, replica in built.items():
                 stats = replica.engine.buffer_pool.stats
-                requested += stats.bytes_requested
-                missed += stats.bytes_missed
-                resident += replica.engine.buffer_pool.resident_bytes
                 evicted += stats.evicted_bytes
+                if replica_id in in_service:
+                    requested += stats.bytes_requested
+                    missed += stats.bytes_missed
+                    resident += replica.engine.buffer_pool.resident_bytes
             hit_ratio = 1.0 if requested <= 0 else 1.0 - missed / requested
             return {"resident_bytes": resident, "evicted_bytes": evicted,
                     "hit_ratio": hit_ratio}
@@ -195,10 +200,10 @@ class ObservabilityHub:
         registry.gauge("buffer.totals", buffer_totals)
         registry.gauge("propagation.writesets_applied",
                        lambda: sum(r.proxy.writesets_applied
-                                   for r in cluster.replicas.values()))
+                                   for r in built.values()))
         registry.gauge("propagation.writesets_filtered",
                        lambda: sum(r.proxy.writesets_filtered
-                                   for r in cluster.replicas.values()))
+                                   for r in built.values()))
 
         registry.gauge("metrics.completed", lambda: metrics.completed)
         registry.gauge("metrics.updates_completed",
@@ -243,16 +248,16 @@ class ObservabilityHub:
             registry.gauge("net.summary", network.summary)
             registry.gauge("rpc.timeouts_total",
                            lambda: sum(r.rpc_timeouts
-                                       for r in cluster.replicas.values()))
+                                       for r in built.values()))
             registry.gauge("rpc.retries_total",
                            lambda: sum(r.rpc_retries
-                                       for r in cluster.replicas.values()))
+                                       for r in built.values()))
             registry.gauge("rpc.stale_responses_total",
                            lambda: sum(r.rpc_stale_responses
-                                       for r in cluster.replicas.values()))
+                                       for r in built.values()))
             registry.gauge("rpc.shed_unreachable_total",
                            lambda: sum(r.shed_unreachable
-                                       for r in cluster.replicas.values()))
+                                       for r in built.values()))
             registry.gauge("certifier.dedup_hits",
                            lambda: certifier.stats.dedup_hits)
             registry.gauge("certifier.stale_requests",

@@ -4,12 +4,12 @@ from repro.replication.certifier import (CertificationResult, Certifier,
                                          CertifierStats, LagSubscriptionIndex)
 from repro.replication.cluster import (
     ClusterConfig,
-    DEFAULT_MEMORY_OVERHEAD_BYTES,
+    MEMORY_OVERHEAD_BYTES,
     ReplicatedCluster,
     RunResult,
     standalone_config,
 )
-from repro.replication.proxy import AdmissionController, ProxyConfig, ReplicaProxy
+from repro.replication.proxy import AdmissionController, ReplicaProxy
 from repro.replication.replica import Replica, TransactionContext
 from repro.replication.writeset import CertifiedWriteSet, WriteItem, WriteSet
 
@@ -20,9 +20,8 @@ __all__ = [
     "Certifier",
     "CertifierStats",
     "ClusterConfig",
-    "DEFAULT_MEMORY_OVERHEAD_BYTES",
     "LagSubscriptionIndex",
-    "ProxyConfig",
+    "MEMORY_OVERHEAD_BYTES",
     "Replica",
     "ReplicaProxy",
     "ReplicatedCluster",

@@ -44,7 +44,6 @@ from repro.core.balancer import LoadBalancer
 from repro.core.routing import RoutingTable
 from repro.net.channel import Network, NetworkConfig
 from repro.replication.certifier import Certifier
-from repro.replication.proxy import ProxyConfig
 from repro.replication.replica import CompletionCallback, Replica
 
 if TYPE_CHECKING:
@@ -56,7 +55,6 @@ from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.disk import DiskModel
 from repro.storage.engine import DatabaseEngine, EngineConfig
 from repro.storage.pages import mb
 from repro.storage.planner import QueryPlanner
@@ -66,7 +64,16 @@ from repro.workloads.spec import TransactionType, WorkloadSpec
 #: Memory reserved for the OS, PostgreSQL processes, proxy and monitoring
 #: daemons; subtracted from physical RAM before sizing buffer pools and
 #: before bin packing (Section 4.4).
-DEFAULT_MEMORY_OVERHEAD_BYTES = mb(70)
+MEMORY_OVERHEAD_BYTES = mb(70)
+#: Seconds between two update pulls of a replica (the prototype's 500 ms).
+PROPAGATION_INTERVAL_S = 0.5
+#: One-way certifier-to-proxy latency of a lag notification; the pull it
+#: triggers is deferred by this much, so piggyback propagation is not free
+#: relative to the periodic pull.
+NOTIFICATION_LATENCY_S = 0.002
+#: Seconds between two runs of the balancer's periodic work (re-allocation,
+#: filter activation).
+BALANCER_PERIOD_S = 5.0
 
 #: Seconds between checks of whether a draining replica's in-flight work
 #: has resolved.
@@ -82,15 +89,9 @@ class ClusterConfig:
 
     num_replicas: int = 16
     replica_ram_bytes: int = mb(512)
-    memory_overhead_bytes: int = DEFAULT_MEMORY_OVERHEAD_BYTES
     clients_per_replica: int = 10
     think_time_s: float = 0.5
-    disk: DiskModel = field(default_factory=DiskModel)
     engine: EngineConfig = field(default_factory=EngineConfig)
-    proxy: ProxyConfig = field(default_factory=ProxyConfig)
-    monitor_interval_s: float = 5.0
-    balancer_period_s: float = 5.0
-    propagation_interval_s: float = 0.5
     #: How often the certifier log is truncated to the version every replica
     #: (live, draining or crashed-but-restorable) has already applied, so the
     #: log stops growing without bound on long runs.  0 disables truncation.
@@ -117,14 +118,7 @@ class ClusterConfig:
             raise ValueError("certifier_backups cannot be negative")
         if self.log_truncation_interval_s < 0:
             raise ValueError("log_truncation_interval_s cannot be negative")
-        # A zero pull interval would reschedule every pull tick at +0 and
-        # livelock the run at t=0; a non-positive balancer period would only
-        # fail once start() schedules it.
-        if self.propagation_interval_s <= 0:
-            raise ValueError("propagation_interval_s must be positive")
-        if self.balancer_period_s <= 0:
-            raise ValueError("balancer_period_s must be positive")
-        if self.replica_ram_bytes <= self.memory_overhead_bytes:
+        if self.replica_ram_bytes <= MEMORY_OVERHEAD_BYTES:
             raise ValueError("replica RAM must exceed the fixed memory overhead")
         if self.clients_per_replica <= 0:
             raise ValueError("clients_per_replica must be positive")
@@ -132,7 +126,7 @@ class ClusterConfig:
     @property
     def buffer_bytes(self) -> int:
         """Memory actually available for database pages at one replica."""
-        return self.replica_ram_bytes - self.memory_overhead_bytes
+        return self.replica_ram_bytes - MEMORY_OVERHEAD_BYTES
 
     @property
     def total_clients(self) -> int:
@@ -237,7 +231,7 @@ class ReplicatedCluster:
         self._catalog = Catalog(schema=workload.schema)
         self._planner = QueryPlanner(catalog=self._catalog)
         self.certifier = Certifier(backups=self.config.certifier_backups)
-        self.monitor = ClusterMonitor(self.sim, interval=self.config.monitor_interval_s)
+        self.monitor = ClusterMonitor(self.sim)
         self.metrics = MetricsCollector(warmup_seconds=0.0)
         #: Observability hub (repro.obs.ObservabilityHub) or None.  Set by
         #: the hub when attached; the cold-path subsystems (membership,
@@ -314,8 +308,6 @@ class ReplicatedCluster:
             engine=engine,
             resources=resources,
             certifier=self.certifier,
-            disk_model=self.config.disk,
-            proxy_config=self.config.proxy,
             channel=network.link(replica_id) if network is not None else None,
         )
         replica.metrics = self.metrics
@@ -374,9 +366,9 @@ class ReplicatedCluster:
                 self._pulls_scheduled.discard(replica_id)
                 return
             replica.pull_updates()
-            self.sim.schedule(self.config.propagation_interval_s, tick)
+            self.sim.schedule(PROPAGATION_INTERVAL_S, tick)
 
-        self.sim.schedule(self.config.propagation_interval_s, tick)
+        self.sim.schedule(PROPAGATION_INTERVAL_S, tick)
 
     def _purge_replica_state(self, replica_id: int) -> None:
         """Drop the last traces of a replica that has fully left.
@@ -566,7 +558,7 @@ class ReplicatedCluster:
         lag-notification scheme.  A lag notification is a certifier-to-proxy
         message, so the pull it triggers pays the one-way notification
         latency instead of happening instantaneously at commit time --
-        ``notification_latency_s == 0`` still goes through the event queue
+        a zero ``NOTIFICATION_LATENCY_S`` still goes through the event queue
         (a zero-delay schedule), never through a synchronous pull inside the
         origin's commit processing.  At most one notification per replica is
         in flight: further commits before it lands would only tell the proxy
@@ -580,7 +572,6 @@ class ReplicatedCluster:
         crossed = certifier.subscriptions.crossed(certifier.current_version)
         if not crossed:
             return
-        latency = self.config.proxy.notification_latency_s
         origin_id = origin.replica_id
         pending = self._notify_pending
         replicas = self.replicas
@@ -603,12 +594,12 @@ class ReplicatedCluster:
             note = _Notification(pending, replica)
             channel = replica.channel
             if channel is None:
-                sim.schedule(latency, note)
+                sim.schedule(NOTIFICATION_LATENCY_S, note)
             else:
                 # Notifications ride the same unreliable link as the RPCs;
                 # a lost one releases its dedup entry at the drop decision
                 # (note.drop), and the periodic pull backstops it anyway.
-                channel.deliver(latency, note, on_drop=note.drop)
+                channel.deliver(NOTIFICATION_LATENCY_S, note, on_drop=note.drop)
 
     def _install_filters(self) -> None:
         """Push the balancer's current update-filtering decision to the proxies."""
@@ -704,7 +695,7 @@ class ReplicatedCluster:
         self.monitor.start()
         self.clients.start()
         # Update propagation: every replica pulls every
-        # ``propagation_interval_s``.
+        # ``PROPAGATION_INTERVAL_S``.
         for replica in self.replicas.values():
             self._schedule_pulls(replica)
         # Load-balancer periodic work (re-allocation, filter activation),
@@ -714,7 +705,7 @@ class ReplicatedCluster:
             self.balancer.periodic(self.sim.now)
             self._install_filters()
 
-        self.sim.schedule_periodic(self.config.balancer_period_s, balancer_tick)
+        self.sim.schedule_periodic(BALANCER_PERIOD_S, balancer_tick)
         # Certifier-log truncation: without it the log retains every
         # writeset ever certified, a memory leak on long runs.
         if self.config.log_truncation_interval_s > 0:

@@ -15,85 +15,24 @@ of every database replica (Figure 1).  The proxy
 
 The proxy is deliberately free of simulator details; the
 :class:`~repro.replication.replica.Replica` wires its decisions into the
-event loop.
+event loop.  Its parameters are fixed, as in the prototype, and each is a
+constant in the module that reads it: the Gatekeeper limit here, the
+certification round trip and its RPC policy in :mod:`.replica`, the pull
+interval and lag-notification latency in :mod:`.cluster`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Optional, Set
 
 if TYPE_CHECKING:
     from repro.replication.certifier import LagSubscriptionIndex
 
 
-@dataclass
-class ProxyConfig:
-    """Proxy tunables.
-
-    Attributes:
-        max_concurrency: Gatekeeper limit on transactions concurrently inside
-            the database; further arrivals queue in the proxy.
-        certification_latency_s: one round trip to the certifier (network +
-            certification service time).
-        max_certification_batch: how many certification requests one round
-            trip may carry.  The proxy keeps at most one round trip in
-            flight; update transactions reaching certification while it is
-            outstanding join the next batch, sharing its latency.  1 sends
-            every request on its own round trip (still serialized per
-            proxy).
-        notification_latency_s: one-way certifier-to-proxy latency of a lag
-            notification; the pull it triggers is deferred by this much, so
-            piggyback propagation is not free relative to the periodic pull.
-        rpc_timeout_s: how long the proxy waits for a certification response
-            before retransmitting the round trip.  Only consulted when the
-            replica talks to the certifier over an unreliable
-            :class:`~repro.net.channel.Channel`; the default direct path
-            cannot lose messages and never times out.
-        rpc_backoff_base_s: first retry delay of the capped exponential
-            backoff (doubles per attempt, plus deterministic jitter).
-        rpc_backoff_cap_s: upper bound on the retry delay.
-        rpc_max_attempts: transmissions per round trip before the proxy
-            declares the certifier unreachable and sheds the batched update
-            transactions with ``certifier-unreachable`` aborts.  0 retries
-            forever (the round trip outlives any partition).
-        max_queued_certifications: bound on update transactions queued
-            behind the in-flight round trip; overflow is shed immediately
-            with ``certifier-unreachable``, keeping admission slots free for
-            read-only transactions while the certifier is unreachable.
-            0 is unbounded (the pre-RPC behaviour).
-    """
-
-    max_concurrency: int = 8
-    certification_latency_s: float = 0.004
-    max_certification_batch: int = 64
-    notification_latency_s: float = 0.002
-    rpc_timeout_s: float = 0.02
-    rpc_backoff_base_s: float = 0.01
-    rpc_backoff_cap_s: float = 0.5
-    rpc_max_attempts: int = 0
-    max_queued_certifications: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_concurrency <= 0:
-            raise ValueError("max_concurrency must be positive")
-        if self.certification_latency_s < 0:
-            raise ValueError("certification latency must be non-negative")
-        if self.max_certification_batch <= 0:
-            raise ValueError("max_certification_batch must be positive")
-        if self.notification_latency_s < 0:
-            raise ValueError("notification latency must be non-negative")
-        if self.rpc_timeout_s <= 0:
-            raise ValueError("rpc_timeout_s must be positive")
-        if self.rpc_backoff_base_s < 0 or self.rpc_backoff_cap_s < 0:
-            raise ValueError("RPC backoff delays must be non-negative")
-        if self.rpc_backoff_cap_s < self.rpc_backoff_base_s:
-            raise ValueError("rpc_backoff_cap_s must be >= rpc_backoff_base_s")
-        if self.rpc_max_attempts < 0:
-            raise ValueError("rpc_max_attempts cannot be negative")
-        if self.max_queued_certifications < 0:
-            raise ValueError("max_queued_certifications cannot be negative")
+#: Gatekeeper limit on transactions concurrently inside the database;
+#: further arrivals queue in the proxy.
+MAX_CONCURRENCY = 8
 
 
 class AdmissionController:
@@ -150,18 +89,24 @@ class AdmissionController:
         else:
             self.active -= 1
 
+    def reset(self) -> None:
+        """The replica crashed: every slot and waiter is gone.  The totals
+        are running counts and survive."""
+        self.active = 0
+        self.queued = 0
+        self._waiting.clear()
+
 
 class ReplicaProxy:
     """Per-replica middleware state: admission, filtering, propagation cursor."""
 
-    __slots__ = ("replica_id", "config", "admission", "filter_tables",
+    __slots__ = ("replica_id", "admission", "filter_tables",
                  "applied_version", "writesets_applied", "writesets_filtered",
                  "lag_index")
 
-    def __init__(self, replica_id: int, config: Optional[ProxyConfig] = None) -> None:
+    def __init__(self, replica_id: int) -> None:
         self.replica_id = replica_id
-        self.config = config or ProxyConfig()
-        self.admission = AdmissionController(self.config.max_concurrency)
+        self.admission = AdmissionController(MAX_CONCURRENCY)
         #: The certifier's lag-subscription index (installed by the replica):
         #: every cursor advance re-arms this proxy's notify-at version there,
         #: so commit batches find lagging replicas without scanning.  None

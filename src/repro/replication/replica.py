@@ -15,7 +15,7 @@ moves through an explicit lifecycle::
   requests, keeping at most one round trip to the certifier outstanding.
   Update transactions that reach certification while a round trip is in
   flight join the next batch, so concurrent updates share the
-  ``certification_latency_s`` they would each have paid alone
+  ``CERTIFICATION_LATENCY_S`` they would each have paid alone
   (Sections 3.2/4.2);
 * the certification response piggybacks every writeset committed since the
   replica's applied version.  The proxy applies those *before* delivering
@@ -50,11 +50,12 @@ increasing request id, is retransmitted on timeout with capped exponential
 backoff and deterministic jitter, and is answered idempotently by the
 certifier's dedup cache (:meth:`~repro.replication.certifier.Certifier.\
 certify_rpc`), so duplication and retries never certify a writeset twice.
-While the certifier is unreachable the proxy sheds overflowing update
-transactions with ``certifier-unreachable`` aborts -- read-only
-transactions keep committing from the local snapshot, the GSI-faithful
-degradation.  Without a channel (the default) the round trip is the exact
-single ``sim.schedule`` it always was, preserving seeded outputs bit for bit.
+After ``RPC_MAX_ATTEMPTS`` unanswered transmissions the proxy declares the
+certifier unreachable and sheds the batch's update transactions with
+``certifier-unreachable`` aborts -- read-only transactions keep committing
+from the local snapshot, the GSI-faithful degradation.  Without a channel
+(the default) the round trip is the exact single ``sim.schedule`` it always
+was, preserving seeded outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.trace import CERTIFY, CPU, QUEUE, READS, STAGE_NAMES, TxnTrace
 from repro.replication.certifier import Certifier
-from repro.replication.proxy import AdmissionController, ProxyConfig, ReplicaProxy
+from repro.replication.proxy import ReplicaProxy
 from repro.replication.writeset import CertifiedWriteSet
 from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
@@ -81,6 +82,21 @@ CompletionCallback = Callable[[bool], None]
 
 #: Attempts a transaction gets before a certification abort is final.
 MAX_RETRIES = 3
+#: One round trip to the certifier (network + certification service time).
+CERTIFICATION_LATENCY_S = 0.004
+#: Certification requests one round trip may carry.  The proxy keeps at most
+#: one round trip in flight; update transactions reaching certification
+#: while it is outstanding join the next batch, sharing its latency.
+MAX_CERTIFICATION_BATCH = 64
+#: Channel mode only (the direct path cannot lose messages): how long the
+#: proxy waits for a certification response before retransmitting, the
+#: first delay and the cap of the exponential backoff between attempts, and
+#: the transmissions per round trip before the certifier is declared
+#: unreachable and the batch is shed.
+RPC_TIMEOUT_S = 0.02
+RPC_BACKOFF_BASE_S = 0.01
+RPC_BACKOFF_CAP_S = 0.5
+RPC_MAX_ATTEMPTS = 6
 
 
 class TransactionContext:
@@ -160,8 +176,6 @@ class Replica:
 
     def __init__(self, replica_id: int, sim: Simulator, engine: DatabaseEngine,
                  resources: ReplicaResources, certifier: Certifier,
-                 disk_model: Optional[DiskModel] = None,
-                 proxy_config: Optional[ProxyConfig] = None,
                  channel=None) -> None:
         self.replica_id = replica_id
         self.sim = sim
@@ -170,8 +184,8 @@ class Replica:
         engine.replica_id = replica_id
         self.resources = resources
         self.certifier = certifier
-        self.disk_model = disk_model or DiskModel()
-        self.proxy = ReplicaProxy(replica_id, proxy_config)
+        self.disk_model = DiskModel()
+        self.proxy = ReplicaProxy(replica_id)
         # Every cursor advance re-arms this replica's entry in the
         # certifier's lag-subscription index, which is how commit batches
         # find lagging replicas without scanning the cluster.
@@ -277,34 +291,24 @@ class Replica:
         The proxy keeps at most one round trip to the certifier in flight;
         everything that reaches certification while one is outstanding is
         sent together when the next one departs, amortizing the round-trip
-        latency and the per-transaction event-queue traffic.
-
-        When a round trip is outstanding and the queue behind it is bounded
-        (``max_queued_certifications``, the graceful-degradation knob),
-        overflow is shed immediately as ``certifier-unreachable`` instead of
-        piling up behind a round trip that may be retrying into a partition.
+        latency and the per-transaction event-queue traffic.  The queue
+        needs no bound: every queued context holds an admission slot, and
+        so does the in-flight batch, so it never exceeds
+        ``MAX_CONCURRENCY - 1``.
         """
-        if self._cert_inflight:
-            bound = self.proxy.config.max_queued_certifications
-            if bound and len(self._cert_queue) >= bound:
-                self._shed_certification(ctx)
-                return
-            self._cert_queue.append(ctx)
-            return
         self._cert_queue.append(ctx)
-        self._dispatch_certification()
+        if not self._cert_inflight:
+            self._dispatch_certification()
 
     def _dispatch_certification(self) -> None:
         """Send one batched certification round trip (up to the batch limit)."""
-        config = self.proxy.config
-        limit = config.max_certification_batch
         queue = self._cert_queue
-        batch = queue[:limit]
-        del queue[:limit]
+        batch = queue[:MAX_CERTIFICATION_BATCH]
+        del queue[:MAX_CERTIFICATION_BATCH]
         self._cert_inflight = True
         epoch = self.epoch
         if self.channel is None:
-            self.sim.schedule(config.certification_latency_s,
+            self.sim.schedule(CERTIFICATION_LATENCY_S,
                               lambda: self._complete_certification(batch, epoch))
             return
         self._next_request_id += 1
@@ -322,9 +326,9 @@ class Replica:
         """
         if self.epoch != epoch or not self.alive:
             # The replica crashed while the round trip was in flight.  The
-            # batched transactions die uncertified; their admission slots
-            # went down with the crashed controller, so dropping the batch
-            # leaks nothing.  crash() reset the batcher for the next epoch.
+            # batched transactions die uncertified; crash() reset their
+            # admission slots and the batcher, so dropping the batch leaks
+            # nothing.
             return
         results, piggyback = self.certifier.certify_batch(
             [(ctx.writeset, ctx.snapshot) for ctx in batch],
@@ -340,15 +344,14 @@ class Replica:
         before delivering outcomes means committed transactions leave the
         replica current and aborted ones retry on a fresh snapshot.
         """
-        proxy = self.proxy
         replica_id = self.replica_id
         obs = self.obs
         tracer = obs.tracer if obs is not None else None
         if tracer is not None:
-            latency = proxy.config.certification_latency_s
             commits = sum(1 for result in results if result.committed)
             tracer.span("cert-roundtrip", "certification",
-                        self.sim.now - latency, latency, replica_id, 0,
+                        self.sim.now - CERTIFICATION_LATENCY_S,
+                        CERTIFICATION_LATENCY_S, replica_id, 0,
                         args={"batch": len(results), "commits": commits,
                               "aborts": len(results) - commits,
                               "piggybacked": len(piggyback)})
@@ -425,8 +428,7 @@ class Replica:
         # what lets the consistency checker detect a double certification as
         # the same object appearing twice in the log.
         requests = [(ctx.writeset, ctx.snapshot) for ctx in self._rpc_batch]
-        config = self.proxy.config
-        one_way = config.certification_latency_s / 2.0
+        one_way = CERTIFICATION_LATENCY_S / 2.0
         channel = self.channel
         certifier = self.certifier
 
@@ -441,7 +443,7 @@ class Replica:
             channel.deliver(one_way, lambda: self._rpc_response(
                 request_id, results, piggyback, epoch))
 
-        self.sim.schedule(config.rpc_timeout_s,
+        self.sim.schedule(RPC_TIMEOUT_S,
                           lambda: self._rpc_timeout(request_id, attempt, epoch))
         channel.deliver(one_way, at_certifier)
 
@@ -465,7 +467,7 @@ class Replica:
         self._deliver_certification(batch, results, piggyback)
 
     def _rpc_timeout(self, request_id: int, attempt: int, epoch: int) -> None:
-        """No response within ``rpc_timeout_s``: back off and retransmit."""
+        """No response within ``RPC_TIMEOUT_S``: back off and retransmit."""
         if self.epoch != epoch or not self.alive:
             return
         if not self._cert_inflight or request_id != self._rpc_request_id:
@@ -477,8 +479,7 @@ class Replica:
         if obs is not None:
             obs.rpc_event(self.replica_id, "timeout", self.sim.now,
                           {"request_id": request_id, "attempt": attempt})
-        config = self.proxy.config
-        if config.rpc_max_attempts and attempt >= config.rpc_max_attempts:
+        if attempt >= RPC_MAX_ATTEMPTS:
             # Certifier declared unreachable: shed the batch so the
             # admission slots it holds go back to (read-only) transactions
             # that can still make progress locally.
@@ -510,11 +511,9 @@ class Replica:
         fault-free channel runs stay reproducible): a hash of (request id,
         replica id, attempt) spreads delays over [delay, 1.25 * delay).
         """
-        config = self.proxy.config
-        delay = config.rpc_backoff_base_s * (2 ** (attempt - 1))
-        cap = config.rpc_backoff_cap_s
-        if delay > cap:
-            delay = cap
+        delay = RPC_BACKOFF_BASE_S * (2 ** (attempt - 1))
+        if delay > RPC_BACKOFF_CAP_S:
+            delay = RPC_BACKOFF_CAP_S
         mix = (request_id * 2654435761) ^ (self.replica_id * 40503) ^ attempt
         return delay * (1.0 + (mix % 1024) / 4096.0)
 
@@ -645,7 +644,7 @@ class Replica:
 
         The epoch bump fences every continuation already in the event queue,
         including the in-flight certification round trip; the admission
-        controller is rebuilt so queued-but-unstarted work is discarded, and
+        controller is reset so queued-but-unstarted work is discarded, and
         the certification batcher is reset (its queued contexts die with
         their admission slots).  The contexts stay in the live table until
         the cluster calls :meth:`fail_in_flight`.  Durable state
@@ -657,7 +656,7 @@ class Replica:
         self.alive = False
         self.epoch += 1
         self.crashes += 1
-        self.proxy.admission = AdmissionController(self.proxy.config.max_concurrency)
+        self.proxy.admission.reset()
         self._cert_queue = []
         self._cert_inflight = False
         # The in-flight RPC batch dies with its admission slots; its timers

@@ -17,6 +17,11 @@ from typing import Callable, Dict, List, Optional
 from repro.sim.resources import ReplicaResources, Resource
 from repro.sim.simulator import Simulator
 
+#: Seconds between two samples of every replica's resources.
+MONITOR_INTERVAL_S = 5.0
+#: Weight of the newest utilisation reading in the exponential smoothing.
+SMOOTHING = 0.5
+
 
 @dataclass
 class LoadSample:
@@ -39,14 +44,11 @@ class ReplicaMonitor:
     instances stay small and attribute access cheap at high replica counts.
     """
 
-    __slots__ = ("resources", "smoothing", "sample", "_last_time",
+    __slots__ = ("resources", "sample", "_last_time",
                  "_last_cpu_busy", "_last_disk_busy", "samples_taken")
 
-    def __init__(self, resources: ReplicaResources, smoothing: float = 0.5) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing factor must be in (0, 1]")
+    def __init__(self, resources: ReplicaResources) -> None:
         self.resources = resources
-        self.smoothing = smoothing
         self.sample = LoadSample()
         self._last_time: float = 0.0
         self._last_cpu_busy: float = 0.0
@@ -63,7 +65,7 @@ class ReplicaMonitor:
         cpu_util = min(1.0, max(0.0, (cpu_busy - self._last_cpu_busy) / window))
         disk_util = min(1.0, max(0.0, (disk_busy - self._last_disk_busy) / window))
 
-        alpha = self.smoothing
+        alpha = SMOOTHING
         if self.samples_taken == 0:
             self.sample = LoadSample(cpu=cpu_util, disk=disk_util)
         else:
@@ -88,19 +90,15 @@ class ClusterMonitor:
     polling the monitor.
     """
 
-    def __init__(self, sim: Simulator, interval: float = 5.0, smoothing: float = 0.5) -> None:
-        if interval <= 0:
-            raise ValueError("monitoring interval must be positive")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.interval = interval
-        self.smoothing = smoothing
         self._monitors: Dict[int, ReplicaMonitor] = {}
         self._started = False
         #: called as ``on_sample(replica_id, sample)`` after every sample.
         self.on_sample: Optional[Callable[[int, LoadSample], None]] = None
 
     def register(self, replica_id: int, resources: ReplicaResources) -> None:
-        self._monitors[replica_id] = ReplicaMonitor(resources, smoothing=self.smoothing)
+        self._monitors[replica_id] = ReplicaMonitor(resources)
 
     def unregister(self, replica_id: int) -> None:
         """Stop monitoring a replica that crashed or left the cluster."""
@@ -111,7 +109,7 @@ class ClusterMonitor:
         if self._started:
             return
         self._started = True
-        self.sim.schedule_periodic(self.interval, self._sample_all)
+        self.sim.schedule_periodic(MONITOR_INTERVAL_S, self._sample_all)
 
     def _sample_all(self) -> None:
         publish = self.on_sample

@@ -82,7 +82,7 @@ def test_balancer_requires_attach():
 
 def test_lard_keeps_type_affinity_when_not_overloaded():
     view = FakeView(4)
-    lard = LardBalancer(high_watermark=8)
+    lard = LardBalancer()
     lard.attach(view)
     t = view.workload_spec.type("Read")
     first = lard.dispatch(t)
@@ -92,7 +92,8 @@ def test_lard_keeps_type_affinity_when_not_overloaded():
 
 def test_lard_spills_when_server_overloaded():
     view = FakeView(4)
-    lard = LardBalancer(high_watermark=4)
+    lard = LardBalancer()
+    lard.HIGH_WATERMARK = 4
     lard.attach(view)
     t = view.workload_spec.type("Read")
     first = lard.dispatch(t)
@@ -104,7 +105,8 @@ def test_lard_spills_when_server_overloaded():
 
 def test_lard_stops_expanding_when_all_replicas_busy():
     view = FakeView(2)
-    lard = LardBalancer(high_watermark=4)
+    lard = LardBalancer()
+    lard.HIGH_WATERMARK = 4
     lard.attach(view)
     t = view.workload_spec.type("Read")
     first = lard.dispatch(t)
@@ -115,7 +117,9 @@ def test_lard_stops_expanding_when_all_replicas_busy():
 
 def test_lard_shrinks_idle_server_sets():
     view = FakeView(4)
-    lard = LardBalancer(high_watermark=2, low_watermark=1)
+    lard = LardBalancer()
+    lard.HIGH_WATERMARK = 2
+    lard.LOW_WATERMARK = 1
     lard.attach(view)
     t = view.workload_spec.type("Read")
     first = lard.dispatch(t)
@@ -125,11 +129,6 @@ def test_lard_shrinks_idle_server_sets():
     view.reset_outstanding()
     lard.periodic(now=100.0)
     assert len(lard.server_sets()["Read"]) == 1
-
-
-def test_lard_validates_watermarks():
-    with pytest.raises(ValueError):
-        LardBalancer(high_watermark=1, low_watermark=2)
 
 
 def test_different_types_can_use_different_replicas():

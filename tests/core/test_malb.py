@@ -49,8 +49,8 @@ def test_malb_runs_and_reports_groupings():
 
 
 def test_update_filtering_installs_filters_once_stable():
-    malb = MemoryAwareLoadBalancer(method=GroupingMethod.MALB_SC, update_filtering=True,
-                                   filtering_stabilization_s=5.0, rebalance_interval_s=5.0)
+    malb = MemoryAwareLoadBalancer(method=GroupingMethod.MALB_SC, update_filtering=True)
+    malb.FILTERING_STABILIZATION_S = malb.REBALANCE_INTERVAL_S = 5.0
     cluster = small_cluster(malb)
     cluster.run(duration_s=60.0, warmup_s=10.0)
     assert malb.filter_plan is not None
@@ -91,7 +91,8 @@ def test_describe_lists_groups():
 
 @pytest.mark.parametrize("static", [True, False])
 def test_static_allocation_never_changes_after_initial_sizing(static):
-    malb = MemoryAwareLoadBalancer(static_allocation=static, rebalance_interval_s=2.0)
+    malb = MemoryAwareLoadBalancer(static_allocation=static)
+    malb.REBALANCE_INTERVAL_S = 2.0
     cluster = small_cluster(malb, replicas=6)
     cluster.start()
     allocator = malb.allocator
@@ -114,7 +115,8 @@ def test_disabled_merging_never_calls_the_allocator(monkeypatch, merging):
         return rebalance(self, loads)
 
     monkeypatch.setattr(ReplicaAllocator, "rebalance", spy)
-    malb = MemoryAwareLoadBalancer(enable_merging=merging, rebalance_interval_s=2.0)
+    malb = MemoryAwareLoadBalancer(enable_merging=merging)
+    malb.REBALANCE_INTERVAL_S = 2.0
     cluster = small_cluster(malb, replicas=6)
     cluster.start()
     cluster.sim.run_until(200.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer
-from repro.elasticity.autoscaler import Autoscaler, AutoscalerConfig
+from repro.elasticity.autoscaler import Autoscaler
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.sim.monitor import LoadSample
 from repro.storage.pages import mb
@@ -27,11 +27,20 @@ def set_load(cluster, value):
 
 
 def make_autoscaler(cluster, **overrides):
-    defaults = dict(min_replicas=1, max_replicas=4, high_watermark=0.8,
-                    low_watermark=0.3, check_interval_s=5.0, scale_up_after=2,
-                    scale_down_after=2, cooldown_s=0.1, scale_up_step=1)
-    defaults.update(overrides)
-    return Autoscaler(cluster, AutoscalerConfig(**defaults))
+    """An autoscaler with test-sized bounds, thresholds and cooldown; the
+    overrides set further attributes (bounds or class constants)."""
+    autoscaler = Autoscaler(cluster)
+    settings = dict(min_replicas=1, max_replicas=4, HIGH_WATERMARK=0.8,
+                    LOW_WATERMARK=0.3, COOLDOWN_S=0.1, SCALE_UP_STEP=1)
+    settings.update(overrides)
+    for name, value in settings.items():
+        setattr(autoscaler, name, value)
+    return autoscaler
+
+
+def test_bounds_follow_the_starting_size():
+    autoscaler = Autoscaler(make_cluster(replicas=3))
+    assert (autoscaler.min_replicas, autoscaler.max_replicas) == (3, 6)
 
 
 def test_scales_up_after_consecutive_high_checks():
@@ -82,7 +91,7 @@ def test_respects_the_ceiling():
 
 def test_cooldown_blocks_back_to_back_actions():
     cluster = make_cluster(replicas=2)
-    autoscaler = make_autoscaler(cluster, cooldown_s=1000.0)
+    autoscaler = make_autoscaler(cluster, COOLDOWN_S=1000.0)
     set_load(cluster, 0.95)
     autoscaler.check()
     decision = autoscaler.check()
@@ -95,7 +104,7 @@ def test_cooldown_blocks_back_to_back_actions():
 
 def test_queue_pressure_raises_the_signal_when_utilisation_saturates():
     cluster = make_cluster(replicas=2)
-    autoscaler = make_autoscaler(cluster, queue_pressure_norm=4)
+    autoscaler = make_autoscaler(cluster, QUEUE_PRESSURE_NORM=4)
     set_load(cluster, 0.2)
     assert autoscaler.load_signal() == pytest.approx(0.2)
     for rid in cluster.replica_ids():

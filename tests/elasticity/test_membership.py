@@ -180,8 +180,9 @@ def test_malb_reconciles_assignment_on_churn():
 
 def test_malb_replans_update_filtering_on_churn():
     balancer = MemoryAwareLoadBalancer(
-        method=GroupingMethod.MALB_SC, update_filtering=True,
-        filtering_stabilization_s=5.0, rebalance_interval_s=2.0)
+        method=GroupingMethod.MALB_SC, update_filtering=True)
+    balancer.FILTERING_STABILIZATION_S = 5.0
+    balancer.REBALANCE_INTERVAL_S = 2.0
     cluster = make_cluster(balancer=balancer, replicas=4)
     cluster.start()
     cluster.sim.run_until(40.0)

@@ -83,11 +83,6 @@ def test_config_validation():
         ClusterConfig(replica_ram_bytes=mb(10))
     with pytest.raises(ValueError):
         ClusterConfig(clients_per_replica=0)
-    for interval in (0.0, -0.5):
-        with pytest.raises(ValueError):
-            ClusterConfig(propagation_interval_s=interval)
-        with pytest.raises(ValueError):
-            ClusterConfig(balancer_period_s=interval)
     with pytest.raises(ValueError):
         make_cluster().run(duration_s=10.0, warmup_s=20.0)
 

@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer
 from repro.replication.certifier import Certifier, LagSubscriptionIndex
+from repro.replication import cluster as cluster_module
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
-from repro.replication.proxy import ProxyConfig
+from repro.replication.replica import MAX_CERTIFICATION_BATCH
 from repro.replication.writeset import WriteItem, WriteSet
 from repro.storage.pages import mb
 
@@ -196,11 +197,10 @@ def test_subscription_index_matches_scan_on_churned_membership():
 # ----------------------------------------------------------------------
 # Cluster wiring
 # ----------------------------------------------------------------------
-def _make_cluster(replicas=3, **proxy_kwargs):
+def _make_cluster(replicas=3):
     config = ClusterConfig(
         num_replicas=replicas, replica_ram_bytes=mb(128),
         clients_per_replica=4, think_time_s=0.1, seed=2,
-        proxy=ProxyConfig(**proxy_kwargs),
     )
     return ReplicatedCluster(workload=make_tiny_workload(),
                              balancer=LeastConnectionsBalancer(),
@@ -219,11 +219,12 @@ def _commit_writesets(certifier, count, origin_replica=0):
         assert result.committed
 
 
-def test_zero_latency_notification_is_deferred_not_synchronous():
-    """With notification_latency_s == 0 the pull must still go through the
+def test_zero_latency_notification_is_deferred_not_synchronous(monkeypatch):
+    """With NOTIFICATION_LATENCY_S == 0 the pull must still go through the
     event queue (same dedup as the deferred path), never run synchronously
     inside the origin's commit processing."""
-    cluster = _make_cluster(replicas=3, notification_latency_s=0.0)
+    monkeypatch.setattr(cluster_module, "NOTIFICATION_LATENCY_S", 0.0)
+    cluster = _make_cluster(replicas=3)
     certifier = cluster.certifier
     threshold = certifier.lag_notification_threshold
     _commit_writesets(certifier, threshold + 2)
@@ -291,4 +292,4 @@ def test_notifications_still_bound_lag_end_to_end():
     assert certifier.stats.notifications_sent >= 0
     for replica in cluster.replicas.values():
         assert replica.lag <= certifier.lag_notification_threshold + \
-            cluster.config.proxy.max_certification_batch
+            MAX_CERTIFICATION_BATCH

@@ -9,6 +9,7 @@ and epoch fencing of batched requests across a crash.
 import pytest
 
 from repro.core.routing import RoutingTable
+from repro.replication import replica as replica_module
 from repro.replication.certifier import Certifier
 from repro.replication.replica import MAX_RETRIES, Replica, TransactionContext
 from repro.sim.metrics import MetricsCollector
@@ -257,11 +258,10 @@ def test_epoch_fencing_drops_batched_requests_without_leaking_slots():
     assert replica.proxy.admission.active == 0
 
 
-def test_batch_limit_splits_oversized_batches():
+def test_batch_limit_splits_oversized_batches(monkeypatch):
+    monkeypatch.setattr(replica_module, "MAX_CERTIFICATION_BATCH", 2)
     workload = make_fast_update_workload()
     sim, certifier, replica = make_replica(workload)
-    replica.proxy.config = type(replica.proxy.config)(
-        max_concurrency=16, max_certification_batch=2)
     replica.proxy.admission.max_concurrency = 16
     outcomes = []
     for _ in range(8):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.replication.proxy import AdmissionController, ProxyConfig, ReplicaProxy
+from repro.replication.proxy import AdmissionController, ReplicaProxy
 
 
 class _Task:
@@ -48,14 +48,6 @@ def test_release_without_admit_raises():
 def test_invalid_configs():
     with pytest.raises(ValueError):
         AdmissionController(0)
-    with pytest.raises(ValueError):
-        ProxyConfig(max_concurrency=0)
-    with pytest.raises(ValueError):
-        ProxyConfig(certification_latency_s=-1)
-    with pytest.raises(ValueError):
-        ProxyConfig(max_certification_batch=0)
-    with pytest.raises(ValueError):
-        ProxyConfig(notification_latency_s=-1)
 
 
 def test_filtering_state():

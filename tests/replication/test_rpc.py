@@ -12,9 +12,10 @@ import pytest
 from repro.core.baselines import LeastConnectionsBalancer
 from repro.net.channel import ChannelConfig, NetworkConfig
 from repro.net.invariants import ConsistencyChecker
+from repro.replication import replica as replica_module
 from repro.replication.certifier import RPC_DEDUP_WINDOW, Certifier
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
-from repro.replication.proxy import ProxyConfig
+from repro.replication.proxy import MAX_CONCURRENCY
 from repro.replication.replica import Replica
 from repro.replication.writeset import WriteItem, WriteSet
 from repro.sim.metrics import MetricsCollector
@@ -36,13 +37,12 @@ def ws(key, origin=0):
         origin_replica=origin)
 
 
-def make_cluster(replicas=3, link=None, net_seed=0, proxy=None, mix="balanced",
-                 **kwargs):
+def make_cluster(replicas=3, link=None, net_seed=0, mix="balanced",
+                 clients_per_replica=4, **kwargs):
     config = ClusterConfig(
         num_replicas=replicas, replica_ram_bytes=mb(128),
-        clients_per_replica=4, think_time_s=0.1, seed=2,
+        clients_per_replica=clients_per_replica, think_time_s=0.1, seed=2,
         log_truncation_interval_s=0.0,
-        proxy=proxy or ProxyConfig(),
         network=NetworkConfig(link=link or ChannelConfig(), seed=net_seed),
         **kwargs)
     return ReplicatedCluster(workload=make_tiny_workload(),
@@ -238,8 +238,7 @@ def test_duplicating_channel_hits_the_dedup_cache():
 
 
 def test_partitioned_replica_sheds_updates_but_serves_reads():
-    proxy = ProxyConfig(rpc_max_attempts=4, max_queued_certifications=8)
-    cluster = make_cluster(proxy=proxy)
+    cluster = make_cluster()
     checker = ConsistencyChecker(cluster)
     during = {}
 
@@ -265,17 +264,56 @@ def test_partitioned_replica_sheds_updates_but_serves_reads():
     assert replica.shed_unreachable not in (None, 0)
 
 
-def test_infinite_attempts_outlive_a_short_partition():
-    # rpc_max_attempts=0 retries forever; a partition shorter than the run
-    # just delays certification instead of shedding anything.
-    proxy = ProxyConfig(rpc_max_attempts=0)
-    cluster = make_cluster(proxy=proxy)
+def test_attempt_horizon_separates_delay_from_shedding():
+    # RPC_MAX_ATTEMPTS transmissions span about 0.45 s of timeouts plus
+    # backoff: a shorter partition only delays certification, a longer one
+    # strands the round trip and sheds its batch.
+    cluster = make_cluster()
     checker = ConsistencyChecker(cluster)
-    cluster.sim.schedule_at(10.0, lambda: cluster.network.partition(1))
-    cluster.sim.schedule_at(14.0, lambda: cluster.network.heal(1))
+    network = cluster.network
+    replica = cluster.replicas[1]
+    after_short = {}
+
+    def record_short():
+        after_short["shed"] = replica.shed_unreachable
+        after_short["retries"] = replica.rpc_retries
+
+    cluster.sim.schedule_at(10.0, lambda: network.partition(1))
+    cluster.sim.schedule_at(10.2, lambda: network.heal(1))
+    cluster.sim.schedule_at(15.0, record_short)
+    cluster.sim.schedule_at(18.0, lambda: network.partition(1))
+    cluster.sim.schedule_at(20.0, lambda: network.heal(1))
     quiesce_and_audit(cluster, checker, 30.0)
-    assert cluster.replicas[1].shed_unreachable == 0
-    assert cluster.replicas[1].rpc_retries > 0
+    assert after_short["shed"] == 0
+    assert after_short["retries"] > 0
+    assert replica.shed_unreachable > 0
+
+
+def test_certification_queue_never_outgrows_the_admission_slots(monkeypatch):
+    # Every queued context holds an admission slot and so does the batch in
+    # flight, so the queue behind a stranded round trip stays below
+    # MAX_CONCURRENCY even with the replica's link down for seconds.
+    monkeypatch.setattr(replica_module, "RPC_MAX_ATTEMPTS", 1000)
+    cluster = make_cluster(replicas=2, clients_per_replica=16)
+    replica = cluster.replicas[0]
+    enqueue = replica._enqueue_certification
+    queue_lengths = []
+    certifying = []
+
+    def sampled_enqueue(ctx):
+        enqueue(ctx)
+        queue_lengths.append(len(replica._cert_queue))
+        certifying.append(len(replica._cert_queue) + len(replica._rpc_batch))
+
+    replica._enqueue_certification = sampled_enqueue
+    cluster.sim.schedule_at(5.0, lambda: cluster.network.partition(0))
+    cluster.sim.schedule_at(15.0, lambda: cluster.network.heal(0))
+    cluster.run(duration_s=20.0)
+    assert max(queue_lengths) <= MAX_CONCURRENCY - 1
+    # The partition saturated the admission slots with updates awaiting
+    # certification, so the bound was under full pressure.
+    assert max(certifying) == MAX_CONCURRENCY
+    assert replica.shed_unreachable == 0
 
 
 def test_request_ids_stay_monotonic_across_crash_and_restore():

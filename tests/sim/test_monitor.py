@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import monitor as monitor_module
 from repro.sim.monitor import ClusterMonitor, LoadSample, ReplicaMonitor
 from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
@@ -12,10 +13,11 @@ def test_load_sample_bottleneck():
     assert LoadSample(cpu=0.9, disk=0.1).bottleneck == 0.9
 
 
-def test_monitor_measures_utilisation():
+def test_monitor_measures_utilisation(monkeypatch):
+    monkeypatch.setattr(monitor_module, "SMOOTHING", 1.0)
     sim = Simulator()
     res = ReplicaResources.create(sim, 0)
-    monitor = ReplicaMonitor(res, smoothing=1.0)
+    monitor = ReplicaMonitor(res)
     res.cpu.acquire(5.0)
     res.disk.acquire(2.0)
     sim.run_until(10.0)
@@ -27,7 +29,7 @@ def test_monitor_measures_utilisation():
 def test_monitor_smooths_samples():
     sim = Simulator()
     res = ReplicaResources.create(sim, 0)
-    monitor = ReplicaMonitor(res, smoothing=0.5)
+    monitor = ReplicaMonitor(res)
     res.cpu.acquire(10.0)
     sim.run_until(10.0)
     monitor.take_sample(10.0)            # cpu=1.0
@@ -38,7 +40,7 @@ def test_monitor_smooths_samples():
 
 def test_cluster_monitor_periodic_sampling():
     sim = Simulator()
-    monitor = ClusterMonitor(sim, interval=5.0, smoothing=1.0)
+    monitor = ClusterMonitor(sim)
     res = ReplicaResources.create(sim, 0)
     monitor.register(0, res)
     monitor.start()
@@ -49,10 +51,3 @@ def test_cluster_monitor_periodic_sampling():
     with pytest.raises(KeyError):
         monitor.load_of(9)
 
-
-def test_invalid_parameters():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        ClusterMonitor(sim, interval=0)
-    with pytest.raises(ValueError):
-        ReplicaMonitor(ReplicaResources.create(sim, 0), smoothing=0.0)

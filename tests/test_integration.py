@@ -59,9 +59,11 @@ def test_malb_separates_the_two_large_types():
 
 def test_update_filtering_reduces_write_io():
     plain = run_policy(MemoryAwareLoadBalancer(method=GroupingMethod.MALB_SC))
-    filtered = run_policy(MemoryAwareLoadBalancer(
-        method=GroupingMethod.MALB_SC, update_filtering=True,
-        filtering_stabilization_s=10.0, rebalance_interval_s=5.0))
+    filtering = MemoryAwareLoadBalancer(method=GroupingMethod.MALB_SC,
+                                        update_filtering=True)
+    filtering.FILTERING_STABILIZATION_S = 10.0
+    filtering.REBALANCE_INTERVAL_S = 5.0
+    filtered = run_policy(filtering)
     assert filtered.write_kb_per_txn <= plain.write_kb_per_txn + 0.5
 
 
