@@ -33,10 +33,10 @@ def main() -> None:
     print()
     print("%-8s %10s %10s   %s" % ("replica", "applied", "filtered", "tables kept up to date"))
     for replica_id, replica in sorted(cluster.replicas.items()):
-        tables = replica.proxy.filter_tables
+        tables = replica.filter_tables
         label = "ALL (filtering not active)" if tables is None else ", ".join(sorted(tables))
-        print("%-8d %10d %10d   %s" % (replica_id, replica.proxy.writesets_applied,
-                                       replica.proxy.writesets_filtered, label))
+        print("%-8d %10d %10d   %s" % (replica_id, replica.writesets_applied,
+                                       replica.writesets_filtered, label))
 
 
 if __name__ == "__main__":

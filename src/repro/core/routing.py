@@ -152,11 +152,10 @@ class RoutingTable:
         no longer distinguishes an overloaded group from a merely busy one;
         the outstanding-connection count (which the balancer sees anyway,
         Section 4.3) is folded in as additional pressure.  The outstanding
-        counter subsumes the proxy admission queue: everything dispatched
-        but not yet completed -- queued at admission, inside the database,
-        or certifying -- counts, so no consumer needs to re-sample the
-        per-replica ``AdmissionController.queued`` depth (itself a
-        maintained plain attribute) to see queueing build up.  The result is
+        counter subsumes the admission queue: everything dispatched but not
+        yet completed -- queued at admission, inside the database, or
+        certifying -- counts, so no consumer needs to re-sample the depth
+        of each replica's ``waiting`` queue to see queueing build up.  The result is
         cached per replica; the cache key embeds the outstanding count and
         the published sample, so dispatch/complete/publish events invalidate
         it implicitly and a read never recomputes unless the inputs moved.

@@ -136,7 +136,7 @@ def count_lost_updates(cluster: ReplicatedCluster) -> int:
     version = cluster.certifier.current_version
     for replica in cluster.replicas.values():
         replica.pull_updates()
-        lost += max(0, version - replica.proxy.applied_version)
+        lost += max(0, version - replica.applied_version)
     return lost
 
 

@@ -12,8 +12,7 @@ partitions, retries and fail-over:
   a duplicated or retried request that slipped past the certifier's dedup
   cache would append the *same object* to the log twice.
 * **replica-prefix** -- every replica's applied state is a prefix of the
-  log: its cursor never runs ahead of the certifier, and its snapshot
-  manager agrees with its proxy about where that prefix ends.
+  log: its cursor never runs ahead of the certifier.
 * **apply-exactly-once** -- within the audited window, every committed
   writeset at or below a replica's cursor was delivered to it exactly once
   (own-origin writesets exactly zero times: their effects are local), no
@@ -184,19 +183,12 @@ class ConsistencyChecker:
 
     def _check_replica_prefix(self, report: InvariantReport,
                               replica: "Replica", certifier: "Certifier") -> None:
-        applied = replica.proxy.applied_version
+        applied = replica.applied_version
         if applied > certifier.current_version:
             report.violations.append(Violation(
                 "replica-prefix",
                 "applied_version %d is ahead of the certifier's %d"
                 % (applied, certifier.current_version),
-                replica.replica_id))
-        snapshot_applied = replica.engine.snapshots.applied_version
-        if snapshot_applied != applied:
-            report.violations.append(Violation(
-                "replica-prefix",
-                "snapshot manager applied=%d disagrees with proxy applied=%d"
-                % (snapshot_applied, applied),
                 replica.replica_id))
 
     def _check_apply_ledger(self, report: InvariantReport,
@@ -209,7 +201,7 @@ class ConsistencyChecker:
                 replica.replica_id))
             return
         replica_id = replica.replica_id
-        applied = replica.proxy.applied_version
+        applied = replica.applied_version
         # Audit window: versions above both the replica's ledger floor
         # (recovery may restore a truncated prefix from another copy,
         # bypassing delivery) and the certifier's retention horizon (we can
@@ -259,12 +251,11 @@ class ConsistencyChecker:
                 "certification still in flight (inflight=%s queued=%d)"
                 % (replica._cert_inflight, len(replica._cert_queue)),
                 replica_id))
-        admission = replica.proxy.admission
-        if replica.alive and (admission.active or admission.queued):
+        if replica.alive and (replica.active or replica.waiting):
             report.violations.append(Violation(
                 "in-flight-resolved",
-                "admission controller not drained (active=%d queued=%d)"
-                % (admission.active, admission.queued), replica_id))
+                "admission not drained (active=%d queued=%d)"
+                % (replica.active, len(replica.waiting)), replica_id))
         open_txns = replica.engine.snapshots.active_transactions
         if replica.alive and open_txns:
             report.violations.append(Violation(

@@ -14,7 +14,7 @@
 * ``cluster.observability`` points at the hub, for the cold-path event
   sinks of membership, faults and the autoscaler;
 * the registry gets gauges over every existing metrics island (certifier
-  stats, buffer pools, admission controllers, routing table, monitor
+  stats, buffer pools, admission queues, routing table, monitor
   samples, the metrics collector's abort-reason taxonomy);
 * optionally, a periodic simulator event snapshots the registry into a
   time-bucketed series.
@@ -127,7 +127,7 @@ class ObservabilityHub:
     def rpc_event(self, replica_id: int, kind: str, now: float,
                   args: Optional[Dict[str, object]] = None) -> None:
         """An at-least-once certification RPC event (timeout, retry,
-        stale-response, shed) at one proxy.  Only fired in channel mode."""
+        stale-response, shed) at one replica.  Only fired in channel mode."""
         if self.registry is not None:
             self.registry.counter("rpc.%s" % kind).inc()
         if self.tracer is not None:
@@ -160,14 +160,16 @@ class ObservabilityHub:
         registry.gauge("cluster.outstanding_total",
                        lambda: sum(routing.outstanding.get(rid, 0)
                                    for rid in routing.replica_ids()))
-        registry.gauge("admission.queued_total",
-                       lambda: sum(r.proxy.admission.queued
+        # A depth, not a running total: transactions waiting for an
+        # admission slot right now, over the replicas in service.
+        registry.gauge("admission.queued",
+                       lambda: sum(len(r.waiting)
                                    for r in cluster.replicas.values()))
         # Running totals sum over every replica the cluster built, so a
         # crash or a retirement never makes them go down.
         built = cluster.built_replicas
         registry.gauge("admission.admitted_total",
-                       lambda: sum(r.proxy.admission.admitted_total
+                       lambda: sum(r.admitted_total
                                    for r in built.values()))
 
         registry.gauge("certifier.requests", lambda: certifier.stats.requests)
@@ -199,10 +201,10 @@ class ObservabilityHub:
 
         registry.gauge("buffer.totals", buffer_totals)
         registry.gauge("propagation.writesets_applied",
-                       lambda: sum(r.proxy.writesets_applied
+                       lambda: sum(r.writesets_applied
                                    for r in built.values()))
         registry.gauge("propagation.writesets_filtered",
-                       lambda: sum(r.proxy.writesets_filtered
+                       lambda: sum(r.writesets_filtered
                                    for r in built.values()))
 
         registry.gauge("metrics.completed", lambda: metrics.completed)
@@ -231,9 +233,9 @@ class ObservabilityHub:
                 sample = loads.get(rid)
                 detail[str(rid)] = {
                     "outstanding": routing.outstanding.get(rid, 0),
-                    "queued": replica.proxy.admission.queued,
+                    "queued": len(replica.waiting),
                     "lag": replica.lag,
-                    "applied_version": replica.proxy.applied_version,
+                    "applied_version": replica.applied_version,
                     "buffer_resident_bytes": pool.resident_bytes,
                     "buffer_hit_ratio": pool.stats.hit_ratio,
                     "cpu": sample.cpu if sample is not None else 0.0,

@@ -1,7 +1,7 @@
 """Unified telemetry registry: counters, sampled gauges and snapshots.
 
 The simulator accumulated metrics islands as it grew -- ``CertifierStats``,
-``BufferPoolStats``, the admission controller's queue counters, the routing
+``BufferPoolStats``, the replicas' admission counters, the routing
 table's outstanding counts, the monitor's smoothed samples, the
 membership/fault/autoscaler audit trails.  The registry gives them one
 publication surface:

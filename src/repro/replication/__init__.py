@@ -1,4 +1,4 @@
-"""Tashkent replication substrate: writesets, certifier, proxies, replicas, cluster."""
+"""Tashkent replication substrate: writesets, certifier, replicas, cluster."""
 
 from repro.replication.certifier import (CertificationResult, Certifier,
                                          CertifierStats, LagSubscriptionIndex)
@@ -9,12 +9,10 @@ from repro.replication.cluster import (
     RunResult,
     standalone_config,
 )
-from repro.replication.proxy import AdmissionController, ReplicaProxy
 from repro.replication.replica import Replica, TransactionContext
 from repro.replication.writeset import CertifiedWriteSet, WriteItem, WriteSet
 
 __all__ = [
-    "AdmissionController",
     "CertificationResult",
     "CertifiedWriteSet",
     "Certifier",
@@ -23,7 +21,6 @@ __all__ = [
     "LagSubscriptionIndex",
     "MEMORY_OVERHEAD_BYTES",
     "Replica",
-    "ReplicaProxy",
     "ReplicatedCluster",
     "RunResult",
     "TransactionContext",

@@ -98,7 +98,7 @@ class LagSubscriptionIndex:
     falls ``lag_notification_threshold`` versions behind the certifier
     (Section 4.2).  The naive implementation re-derived that per commit
     batch by scanning *every* live replica's applied cursor -- O(replicas)
-    work on the commit path.  This index inverts the check: each proxy
+    work on the commit path.  This index inverts the check: each replica
     registers its applied-version cursor, which maps to the version at
     which the replica will cross the threshold (``applied + threshold``,
     the *notify-at* version).  Those notify-at versions live in a min-heap,

@@ -326,9 +326,9 @@ class ReplicatedCluster:
         self.monitor.register(replica_id, replica.resources)
         # Register the propagation cursor with the certifier's lag index so
         # commit batches can find this replica when it falls behind; every
-        # subsequent proxy.advance re-arms the entry.
+        # subsequent Replica._advance re-arms the entry.
         self.certifier.subscriptions.subscribe(replica_id,
-                                               replica.proxy.applied_version)
+                                               replica.applied_version)
         if self._started:
             self._schedule_pulls(replica)
 
@@ -565,7 +565,7 @@ class ReplicatedCluster:
         what it is already about to learn.
 
         The replicas to notify come from the certifier's lag-subscription
-        index: each proxy's cursor is bucketed by the version at which it
+        index: each replica's cursor is bucketed by the version at which it
         crosses the notification threshold, so this costs O(notified), not
         O(replicas), per certification batch."""
         certifier = self.certifier
@@ -602,9 +602,9 @@ class ReplicatedCluster:
                 channel.deliver(NOTIFICATION_LATENCY_S, note, on_drop=note.drop)
 
     def _install_filters(self) -> None:
-        """Push the balancer's current update-filtering decision to the proxies."""
+        """Push the balancer's current update-filtering decision to the replicas."""
         for replica_id, replica in self.replicas.items():
-            replica.proxy.set_filter(self.balancer.filter_tables(replica_id))
+            replica.set_filter(self.balancer.filter_tables(replica_id))
 
     def _drain_mix_counts(self) -> None:
         """Stream the generator's issue counters to the balancer in batch.
@@ -636,7 +636,7 @@ class ReplicatedCluster:
         replicas = self.returnable_replicas()
         if not replicas:
             return 0
-        floor = min(replica.proxy.applied_version for replica in replicas)
+        floor = min(replica.applied_version for replica in replicas)
         for replica in replicas:
             oldest = replica.engine.snapshots.oldest_active_snapshot()
             if oldest is not None and oldest < floor:

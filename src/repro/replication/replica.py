@@ -1,4 +1,19 @@
-"""One database replica: engine + proxy + CPU/disk resources + GSI commit path.
+"""One database replica: the paper's per-replica proxy, engine and resources.
+
+Tashkent is "pure replication middleware": a transparent proxy sits in front
+of every database replica (Figure 1).  :class:`Replica` is that proxy plus
+the database it fronts.  It
+
+* performs admission control with the Gatekeeper algorithm so bursts do not
+  overload the database [ENTZ04]: at most ``MAX_CONCURRENCY`` transactions
+  run inside the database, and further arrivals wait in a FIFO queue;
+* forwards certification requests to the certifier -- batched, with at most
+  one round trip in flight -- and applies the remote writesets piggybacked
+  on the response before committing or retrying;
+* pulls new updates periodically (every 500 ms in the prototype) when the
+  replica has been idle, and reacts to the certifier's lag notifications;
+* and, for Tashkent+, stores the update-filtering table list and forwards
+  only the writesets for those tables to the database (Section 4.2.3).
 
 The replica wires the storage engine's resource demands into the event loop.
 Each transaction is tracked by a slotted :class:`TransactionContext` that
@@ -6,19 +21,19 @@ moves through an explicit lifecycle::
 
     ADMITTED -> CPU -> READS -> CERTIFYING -> DONE
 
-* a transaction admitted by the proxy executes against the local buffer
-  pool, queues for the CPU, then queues for the disk channel to read its
-  misses (ADMITTED -> CPU -> READS);
+* an admitted transaction executes against the local buffer pool, queues
+  for the CPU, then queues for the disk channel to read its misses
+  (ADMITTED -> CPU -> READS);
 * read-only transactions then commit locally (GSI lets them run entirely at
   the replica, Section 4.1);
-* update transactions enter CERTIFYING: the proxy batches certification
+* update transactions enter CERTIFYING: the replica batches certification
   requests, keeping at most one round trip to the certifier outstanding.
   Update transactions that reach certification while a round trip is in
   flight join the next batch, so concurrent updates share the
   ``CERTIFICATION_LATENCY_S`` they would each have paid alone
   (Sections 3.2/4.2);
 * the certification response piggybacks every writeset committed since the
-  replica's applied version.  The proxy applies those *before* delivering
+  replica's applied version.  The replica applies those *before* delivering
   outcomes, so a committed transaction leaves the replica current and an
   aborted transaction retries against a fresh snapshot instead of burning
   its retries on the same stale one while waiting for the 500 ms pull;
@@ -30,6 +45,11 @@ moves through an explicit lifecycle::
   background CPU and disk work, competing with the replica's foreground
   transactions for the same resources -- the contention update filtering
   removes.
+
+The applied-version cursor is stored once, in the engine's
+:class:`~repro.storage.snapshot.SnapshotManager` (snapshots begin and
+writesets are stamped from it); :attr:`Replica.applied_version` reads it and
+:meth:`Replica._advance` is the one place that moves it.
 
 The context is the only per-transaction object.  The replica keeps its
 submitted contexts in a live table, in dispatch order, until ``_finish``
@@ -45,12 +65,12 @@ replays what it missed from the certifier's log.
 
 When the replica is built with an unreliable ``channel``
 (:class:`~repro.net.channel.Channel`), the certification round trip runs as
-an *at-least-once RPC*: each batch gets a per-proxy monotonically
+an *at-least-once RPC*: each batch gets a per-replica monotonically
 increasing request id, is retransmitted on timeout with capped exponential
 backoff and deterministic jitter, and is answered idempotently by the
 certifier's dedup cache (:meth:`~repro.replication.certifier.Certifier.\
 certify_rpc`), so duplication and retries never certify a writeset twice.
-After ``RPC_MAX_ATTEMPTS`` unanswered transmissions the proxy declares the
+After ``RPC_MAX_ATTEMPTS`` unanswered transmissions the replica declares the
 certifier unreachable and sheds the batch's update transactions with
 ``certifier-unreachable`` aborts -- read-only transactions keep committing
 from the local snapshot, the GSI-faithful degradation.  Without a channel
@@ -60,11 +80,12 @@ was, preserving seeded outputs bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from collections import deque
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Sequence, Set)
 
 from repro.obs.trace import CERTIFY, CPU, QUEUE, READS, STAGE_NAMES, TxnTrace
 from repro.replication.certifier import Certifier
-from repro.replication.proxy import ReplicaProxy
 from repro.replication.writeset import CertifiedWriteSet
 from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
@@ -80,16 +101,19 @@ if TYPE_CHECKING:
 # Callback invoked when a submitted transaction finishes (committed=True/False).
 CompletionCallback = Callable[[bool], None]
 
+#: Gatekeeper limit on transactions concurrently inside the database;
+#: further arrivals wait in the replica's FIFO ``waiting`` queue.
+MAX_CONCURRENCY = 8
 #: Attempts a transaction gets before a certification abort is final.
 MAX_RETRIES = 3
 #: One round trip to the certifier (network + certification service time).
 CERTIFICATION_LATENCY_S = 0.004
-#: Certification requests one round trip may carry.  The proxy keeps at most
-#: one round trip in flight; update transactions reaching certification
+#: Certification requests one round trip may carry.  The replica keeps at
+#: most one round trip in flight; update transactions reaching certification
 #: while it is outstanding join the next batch, sharing its latency.
 MAX_CERTIFICATION_BATCH = 64
 #: Channel mode only (the direct path cannot lose messages): how long the
-#: proxy waits for a certification response before retransmitting, the
+#: replica waits for a certification response before retransmitting, the
 #: first delay and the cap of the exponential backoff between attempts, and
 #: the transmissions per round trip before the certifier is declared
 #: unreachable and the batch is shed.
@@ -138,10 +162,6 @@ class TransactionContext:
         self.trace: Optional[TxnTrace] = None
 
     # Stage continuations (scheduled on resources / the event queue) -------
-    def start(self) -> None:
-        """Admission-controller callback: the transaction got its slot."""
-        self.replica._start(self)
-
     def after_cpu(self) -> None:
         replica = self.replica
         if replica.epoch != self.epoch:
@@ -185,11 +205,20 @@ class Replica:
         self.resources = resources
         self.certifier = certifier
         self.disk_model = DiskModel()
-        self.proxy = ReplicaProxy(replica_id)
-        # Every cursor advance re-arms this replica's entry in the
-        # certifier's lag-subscription index, which is how commit batches
-        # find lagging replicas without scanning the cluster.
-        self.proxy.lag_index = certifier.subscriptions
+        # Gatekeeper admission: contexts holding one of the MAX_CONCURRENCY
+        # slots, the FIFO of contexts waiting for one, and a running count
+        # of slots granted.
+        self.active = 0
+        self.waiting: Deque[TransactionContext] = deque()
+        self.admitted_total = 0
+        # Update filtering: the single source of truth for which tables'
+        # writesets reach the database.  None means apply everything; a set
+        # means apply only those tables.  The predicate is evaluated per
+        # item by ``engine.apply_writesets_fast`` (which also drops tables
+        # in ``dropped_tables``); nothing else re-implements it.
+        self.filter_tables: Optional[Set[str]] = None
+        self.writesets_applied = 0
+        self.writesets_filtered = 0
         self.metrics: Optional[MetricsCollector] = None
         # The cluster's routing table, installed like ``metrics``.
         self.routing: Optional["RoutingTable"] = None
@@ -208,7 +237,7 @@ class Replica:
         self.completed = 0
         self.committed_updates = 0
         self.aborted = 0
-        # Per-proxy certification batching: transactions that reached
+        # Certification batching: transactions that reached
         # CERTIFYING and are waiting for the next round trip, plus whether a
         # round trip is currently in flight.
         self._cert_queue: List[TransactionContext] = []
@@ -217,7 +246,7 @@ class Replica:
         # certification RPCs, pulls and notifications travel over.  None --
         # the default -- keeps the direct, loss-free schedule path.
         self.channel = channel
-        # At-least-once RPC state: ids are per-proxy monotonic and *never*
+        # At-least-once RPC state: ids are per-replica monotonic and *never*
         # reset (not even across crash/restore), so the certifier's dedup
         # cache can tell a fresh request from a wandering retransmission.
         self._next_request_id = 0
@@ -242,11 +271,12 @@ class Replica:
         self.crashes = 0
 
     # ------------------------------------------------------------------
-    # Transaction submission
+    # Transaction submission and admission
     # ------------------------------------------------------------------
     def submit(self, txn_type: TransactionType, submitted_at: float,
                on_done: CompletionCallback) -> None:
-        """Accept a transaction from the load balancer."""
+        """Accept a transaction from the load balancer and admit it: start
+        it now if a slot is free, otherwise queue it (FIFO)."""
         if not self.alive:
             raise RuntimeError("replica %d is not alive" % (self.replica_id,))
         ctx = TransactionContext(self, txn_type, submitted_at, on_done)
@@ -254,7 +284,16 @@ class Replica:
         obs = self.obs
         if obs is not None and obs.tracer is not None:
             ctx.trace = TxnTrace(submitted_at)
-        self.proxy.admission.admit(ctx)
+        if self.active < MAX_CONCURRENCY:
+            self.active += 1
+            self.admitted_total += 1
+            self._start(ctx)
+        else:
+            self.waiting.append(ctx)
+
+    def set_filter(self, tables: Optional[Set[str]]) -> None:
+        """Install (or clear) the update-filtering table list."""
+        self.filter_tables = set(tables) if tables is not None else None
 
     def _start(self, ctx: TransactionContext) -> None:
         """Run (or re-run, on retry) the execution pipeline of ``ctx``."""
@@ -283,12 +322,12 @@ class Replica:
             ctx.after_cpu()
 
     # ------------------------------------------------------------------
-    # Certification (batched per proxy)
+    # Certification (batched per replica)
     # ------------------------------------------------------------------
     def _enqueue_certification(self, ctx: TransactionContext) -> None:
         """Queue ``ctx`` for the next certification round trip.
 
-        The proxy keeps at most one round trip to the certifier in flight;
+        The replica keeps at most one round trip to the certifier in flight;
         everything that reaches certification while one is outstanding is
         sent together when the next one departs, amortizing the round-trip
         latency and the per-transaction event-queue traffic.  The queue
@@ -322,7 +361,7 @@ class Replica:
         """The direct (loss-free) round trip returned: certify and deliver.
 
         The requests are certified in FIFO order, so commit versions respect
-        the order in which this proxy's transactions reached certification.
+        the order in which this replica's transactions reached certification.
         """
         if self.epoch != epoch or not self.alive:
             # The replica crashed while the round trip was in flight.  The
@@ -332,14 +371,14 @@ class Replica:
             return
         results, piggyback = self.certifier.certify_batch(
             [(ctx.writeset, ctx.snapshot) for ctx in batch],
-            since_version=self.proxy.applied_version, now=self.sim.now)
+            since_version=self.applied_version, now=self.sim.now)
         self._deliver_certification(batch, results, piggyback)
 
     def _deliver_certification(self, batch: List[TransactionContext],
                                results, piggyback) -> None:
         """Apply one round trip's outcome: piggyback, commits, aborts, next batch.
 
-        The response carries every writeset committed since the proxy's
+        The response carries every writeset committed since the replica's
         applied version (including this batch's own commits); applying them
         before delivering outcomes means committed transactions leave the
         replica current and aborted ones retry on a fresh snapshot.
@@ -435,9 +474,9 @@ class Replica:
         def at_certifier() -> None:
             results, piggyback = certifier.certify_rpc(
                 self.replica_id, request_id, requests,
-                since_version=self.proxy.applied_version, now=self.sim.now)
+                since_version=self.applied_version, now=self.sim.now)
             if results is None:
-                # Stale retransmission from a round trip this proxy has
+                # Stale retransmission from a round trip this replica has
                 # already resolved; the certifier refused to re-certify it.
                 return
             channel.deliver(one_way, lambda: self._rpc_response(
@@ -506,7 +545,7 @@ class Replica:
     def _backoff_delay(self, attempt: int, request_id: int) -> float:
         """Capped exponential backoff with deterministic jitter.
 
-        The jitter decorrelates the proxies' retry storms after a shared
+        The jitter decorrelates the replicas' retry storms after a shared
         partition heals without consuming any RNG stream (seeded outputs of
         fault-free channel runs stay reproducible): a hash of (request id,
         replica id, attempt) spreads delays over [delay, 1.25 * delay).
@@ -576,7 +615,15 @@ class Replica:
                 ctx.txn_type.is_update, work.read_bytes,
                 self.disk_model.effective_write_bytes(work.write_bytes),
             )
-        self.proxy.admission.release()
+        # Hand the slot straight to the head of the queue (``active`` never
+        # dips and re-climbs), so the queue is non-empty only while every
+        # slot is taken.
+        waiting = self.waiting
+        if waiting:
+            self.admitted_total += 1
+            self._start(waiting.popleft())
+        else:
+            self.active -= 1
         routing = self.routing
         if routing is not None:
             routing.on_complete(self.replica_id)
@@ -644,8 +691,8 @@ class Replica:
 
         The epoch bump fences every continuation already in the event queue,
         including the in-flight certification round trip; the admission
-        controller is reset so queued-but-unstarted work is discarded, and
-        the certification batcher is reset (its queued contexts die with
+        slots and queue are reset so queued-but-unstarted work is discarded,
+        and the certification batcher is reset (its queued contexts die with
         their admission slots).  The contexts stay in the live table until
         the cluster calls :meth:`fail_in_flight`.  Durable state
         (the applied-version cursor) survives, as it would on disk; the page
@@ -656,7 +703,8 @@ class Replica:
         self.alive = False
         self.epoch += 1
         self.crashes += 1
-        self.proxy.admission.reset()
+        self.active = 0
+        self.waiting.clear()
         self._cert_queue = []
         self._cert_inflight = False
         # The in-flight RPC batch dies with its admission slots; its timers
@@ -676,11 +724,10 @@ class Replica:
         resource cost is charged.  Returns the number of writesets replayed.
         """
         engine = self.engine
-        proxy = self.proxy
         engine.buffer_pool.clear()
         for table in list(engine.dropped_tables):
             engine.restore_table(table)
-        proxy.set_filter(None)
+        self.set_filter(None)
         # Entries below the certifier's retention horizon have been
         # truncated; that prefix is restored from another copy in the
         # cluster (the paper's alternative recovery source) and only the
@@ -689,15 +736,14 @@ class Replica:
         # always sit above the horizon because the truncation floor tracks
         # their applied versions.
         horizon = self.certifier.oldest_available_version - 1
-        if proxy.applied_version < horizon:
-            proxy.advance(horizon)
-            engine.snapshots.advance(horizon)
+        if self.applied_version < horizon:
+            self._advance(horizon)
             # The skipped prefix was restored from another copy, not
             # delivered over the network; lift the consistency checker's
             # audit floor so it does not flag those versions as lost.
             if self.apply_ledger is not None and horizon > self.apply_ledger_floor:
                 self.apply_ledger_floor = horizon
-        entries = self.certifier.writesets_since(proxy.applied_version)
+        entries = self.certifier.writesets_since(self.applied_version)
         if entries:
             self.apply_remote_writesets(entries)
         return len(entries)
@@ -709,21 +755,20 @@ class Replica:
         """Apply a batch of committed writesets from the certifier.
 
         Writesets originating at this replica are skipped (their effects are
-        already local); the rest are applied subject to the proxy's update
-        filter (``proxy.filter_tables``, the single source of filtering
-        truth, evaluated per item by the engine).  The buffer-pool effects,
+        already local); the rest are applied subject to the update filter
+        (``filter_tables``, the single source of filtering truth, evaluated
+        per item by the engine).  The buffer-pool effects,
         CPU time, disk service time and background-I/O accounting are all
         aggregated over the batch (per relation, by
         ``engine.apply_writesets_fast``) and charged once -- a pull that
         returns dozens of writesets used to pay per-entry resource
         bookkeeping, which showed up as a hot path on paper-scale runs.
         """
-        proxy = self.proxy
         engine = self.engine
         replica_id = self.replica_id
         ledger = self.apply_ledger
         to_apply = None
-        applied_version = proxy.applied_version
+        applied_version = engine.snapshots.applied_version
         for entry in entries:
             version = entry.version
             if version <= applied_version:
@@ -743,11 +788,11 @@ class Replica:
         if to_apply is not None:
             disk_model = self.disk_model
             cpu_seconds, read_bytes, write_bytes, applications, filtered = \
-                engine.apply_writesets_fast(to_apply, proxy.filter_tables)
+                engine.apply_writesets_fast(to_apply, self.filter_tables)
             if applications:
-                proxy.writesets_applied += applications
+                self.writesets_applied += applications
             if filtered:
-                proxy.writesets_filtered += filtered
+                self.writesets_filtered += filtered
             io_seconds = disk_model.read_seconds(read_bytes, 0.0) \
                 + disk_model.write_seconds(write_bytes)
             if cpu_seconds > 0:
@@ -761,11 +806,21 @@ class Replica:
                     read_bytes=read_bytes,
                     write_bytes=disk_model.effective_write_bytes(write_bytes),
                 )
-        if applied_version > proxy.applied_version:
-            # Cursors are committed once per batch; versions inside a batch
-            # ascend, so the final advance is equivalent to per-entry ones.
-            proxy.advance(applied_version)
-            engine.snapshots.advance(applied_version)
+        # The cursor is committed once per batch; versions inside a batch
+        # ascend, so the final advance is equivalent to per-entry ones.
+        self._advance(applied_version)
+
+    def _advance(self, version: int) -> None:
+        """Move the applied-version cursor forward to ``version`` (never back).
+
+        Every advance re-arms this replica's entry in the certifier's
+        lag-subscription index, which is how commit batches find lagging
+        replicas without scanning the cluster.
+        """
+        snapshots = self.engine.snapshots
+        if version > snapshots.applied_version:
+            snapshots.advance(version)
+            self.certifier.subscriptions.advanced(self.replica_id, version)
 
     def pull_updates(self, trigger: str = "periodic") -> int:
         """Fetch and apply all writesets committed since our applied version.
@@ -782,7 +837,7 @@ class Replica:
             # Partitioned or the exchange was lost; the periodic pull loop
             # is the retry, so nothing further to arrange.
             return 0
-        entries = self.certifier.writesets_since(self.proxy.applied_version)
+        entries = self.certifier.writesets_since(self.applied_version)
         if entries:
             self.apply_remote_writesets(entries)
         obs = self.obs
@@ -794,8 +849,13 @@ class Replica:
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def applied_version(self) -> int:
+        """Version of the last certifier-log entry this replica applied."""
+        return self.engine.snapshots.applied_version
+
+    @property
     def lag(self) -> int:
-        return self.certifier.current_version - self.proxy.applied_version
+        return self.certifier.current_version - self.applied_version
 
     def describe(self) -> str:
         return "replica %d: completed=%d updates=%d aborted=%d lag=%d" % (

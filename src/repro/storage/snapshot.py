@@ -10,9 +10,8 @@ wrote (write-write conflict).
 The global side of the protocol -- certification, the commit log and the
 conflict check -- lives in :mod:`repro.replication.certifier`.  This module
 provides the *replica-local* bookkeeping: which global version the replica
-has applied so far, which snapshot version each in-flight transaction reads
-from, and helpers to decide whether a transaction's snapshot is stale with
-respect to a given committed version.
+has applied so far (the replica's one applied-version cursor) and which
+snapshot version each in-flight transaction reads from.
 """
 
 from __future__ import annotations
@@ -33,42 +32,22 @@ class SnapshotManager:
     runs once per applied writeset batch.
     """
 
-    __slots__ = ("applied_version", "_snapshots", "_last_session_version")
+    __slots__ = ("applied_version", "_snapshots")
 
     def __init__(self, applied_version: int = 0) -> None:
         self.applied_version = applied_version
         self._snapshots: Dict[int, int] = {}
-        self._last_session_version: Dict[str, int] = {}
 
-    def begin(self, txn_id: int, session: Optional[str] = None) -> int:
-        """Record the snapshot version for a starting transaction.
-
-        With session consistency (Section 4.2.1) a client session must not
-        observe a snapshot older than the last version it has itself seen;
-        if the replica lags behind the session, the transaction still starts
-        but its snapshot is pinned to the session's version, modelling the
-        wait-or-redirect behaviour of the prototype.
-        """
+    def begin(self, txn_id: int) -> int:
+        """Record and return the snapshot version of a starting transaction:
+        the current applied version."""
         snapshot = self.applied_version
-        if session is not None:
-            snapshot = max(snapshot, self._last_session_version.get(session, 0))
         self._snapshots[txn_id] = snapshot
         return snapshot
 
-    def snapshot_of(self, txn_id: int) -> int:
-        if txn_id not in self._snapshots:
-            raise KeyError("unknown transaction id %r" % (txn_id,))
-        return self._snapshots[txn_id]
-
-    def finish(self, txn_id: int, session: Optional[str] = None,
-               commit_version: Optional[int] = None) -> None:
-        """Forget a finished transaction and update its session's horizon."""
-        snapshot = self._snapshots.pop(txn_id, 0)
-        if session is not None:
-            seen = commit_version if commit_version is not None else snapshot
-            previous = self._last_session_version.get(session, 0)
-            if seen > previous:
-                self._last_session_version[session] = seen
+    def finish(self, txn_id: int) -> None:
+        """Forget a finished transaction."""
+        self._snapshots.pop(txn_id, None)
 
     def advance(self, version: int) -> None:
         """Note that the replica has applied writesets up to ``version``."""
@@ -85,10 +64,6 @@ class SnapshotManager:
         count = len(self._snapshots)
         self._snapshots.clear()
         return count
-
-    def lag(self, certified_version: int) -> int:
-        """How many committed writesets this replica has not yet applied."""
-        return max(0, certified_version - self.applied_version)
 
     @property
     def active_transactions(self) -> int:

@@ -54,8 +54,9 @@ def test_update_filtering_installs_filters_once_stable():
     cluster = small_cluster(malb)
     cluster.run(duration_s=60.0, warmup_s=10.0)
     assert malb.filter_plan is not None
-    # At least one replica proxy actually received a filter list.
-    assert any(rep.proxy.filtering_enabled for rep in cluster.replicas.values())
+    # At least one replica actually received a filter list.
+    assert any(rep.filter_tables is not None
+               for rep in cluster.replicas.values())
     # Allocation is frozen once filtering is on (Section 4.2.3).
     assert malb.allocator.frozen
 
@@ -65,7 +66,7 @@ def test_no_filtering_without_the_flag():
     cluster = small_cluster(malb)
     cluster.run(duration_s=30.0, warmup_s=5.0)
     assert malb.filter_plan is None
-    assert all(rep.proxy.filter_tables is None for rep in cluster.replicas.values())
+    assert all(rep.filter_tables is None for rep in cluster.replicas.values())
 
 
 def test_demand_targets_favour_frequent_types():

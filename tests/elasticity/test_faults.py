@@ -69,7 +69,7 @@ def test_certifier_failover_is_transparent_to_the_cluster():
     assert cluster.certifier.log_is_total_order()
     for replica in cluster.replicas.values():
         replica.pull_updates()
-        assert replica.proxy.applied_version == cluster.certifier.current_version
+        assert replica.applied_version == cluster.certifier.current_version
     assert result.metrics.completed > 0
 
 
@@ -120,7 +120,7 @@ def test_scheduled_partition_heals_itself_after_duration():
     assert cluster.network.partitioned_ids() == ()
     # After healing, the replica caught back up.
     cluster.replicas[1].pull_updates()
-    assert cluster.replicas[1].proxy.applied_version == \
+    assert cluster.replicas[1].applied_version == \
         cluster.certifier.current_version
 
 
@@ -190,5 +190,5 @@ def test_dropped_notification_releases_the_dedup_slot():
     cluster.network.heal(1)
     cluster.sim.run_until(20.0)
     cluster.replicas[1].pull_updates()
-    assert cluster.replicas[1].proxy.applied_version == \
+    assert cluster.replicas[1].applied_version == \
         cluster.certifier.current_version

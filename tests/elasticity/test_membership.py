@@ -37,7 +37,7 @@ def test_add_replica_joins_cold_and_catches_up():
     assert new_id in cluster.replica_ids()
     replica = cluster.replicas[new_id]
     # The newcomer replayed the whole log and is up to date...
-    assert replica.proxy.applied_version >= version_at_join
+    assert replica.applied_version >= version_at_join
     # ...and paid for it: the replay was charged to its resources.
     assert (replica.resources.cpu.background_requests
             + replica.resources.disk.background_requests) > 0
@@ -81,9 +81,9 @@ def test_crashed_replica_is_not_dispatchable_and_pulls_nothing():
     cluster.start()
     cluster.sim.run_until(5.0)
     replica = cluster.crash_replica(1)
-    version = replica.proxy.applied_version
+    version = replica.applied_version
     cluster.sim.run_until(20.0)
-    assert replica.proxy.applied_version == version      # no pulls while down
+    assert replica.applied_version == version      # no pulls while down
     assert not replica.alive
 
 
@@ -92,14 +92,14 @@ def test_restore_replays_exactly_the_missed_writesets():
     cluster.start()
     cluster.sim.run_until(5.0)
     replica = cluster.crash_replica(1)
-    applied_at_crash = replica.proxy.applied_version
+    applied_at_crash = replica.applied_version
     cluster.sim.run_until(20.0)
     missed = cluster.certifier.current_version - applied_at_crash
     assert missed > 0
     replayed = cluster.restore_replica(1)
     assert replayed == missed
     assert replica.alive
-    assert replica.proxy.applied_version == cluster.certifier.current_version
+    assert replica.applied_version == cluster.certifier.current_version
     assert 1 in cluster.replica_ids()
     # Back in rotation: it completes transactions again.
     completed = replica.completed
@@ -196,7 +196,7 @@ def test_malb_replans_update_filtering_on_churn():
                                min_copies=2) == []
     # Proxies of live replicas carry the new plan.
     for rid, replica in cluster.replicas.items():
-        assert replica.proxy.filter_tables == balancer.filter_plan.tables_for(rid)
+        assert replica.filter_tables == balancer.filter_plan.tables_for(rid)
 
 
 def test_churn_purges_stale_replica_state():

@@ -40,7 +40,7 @@ def test_updates_propagate_to_all_replicas():
     version = cluster.certifier.current_version
     assert version > 0
     for replica in cluster.replicas.values():
-        assert version - replica.proxy.applied_version <= 30
+        assert version - replica.applied_version <= 30
 
 
 def test_update_fraction_matches_mix():
@@ -108,7 +108,7 @@ def test_certifier_log_is_truncated_periodically():
     # Every live replica is still above the truncation horizon, so update
     # propagation never needs recovery.
     for replica in cluster.replicas.values():
-        assert replica.proxy.applied_version >= cert.oldest_available_version - 1
+        assert replica.applied_version >= cert.oldest_available_version - 1
         replica.pull_updates()
 
 
@@ -127,14 +127,14 @@ def test_truncation_floor_respects_crashed_replicas():
     victim = cluster.replica_ids()[0]
     cluster.crash_replica(victim)
     assert cluster.is_crashed(victim)
-    applied_at_crash = cluster.built_replicas[victim].proxy.applied_version
+    applied_at_crash = cluster.built_replicas[victim].applied_version
     cluster.sim.run_until(120.0)
     # The dead replica's applied version holds the truncation floor down, so
     # it can still be restored from the log alone.
     assert cluster.certifier.oldest_available_version - 1 <= applied_at_crash
     replayed = cluster.restore_replica(victim)
     assert replayed >= 0
-    assert cluster.replicas[victim].proxy.applied_version == \
+    assert cluster.replicas[victim].applied_version == \
         cluster.certifier.current_version
 
 

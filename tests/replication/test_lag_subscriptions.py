@@ -235,8 +235,8 @@ def test_zero_latency_notification_is_deferred_not_synchronous(monkeypatch):
 
     # Nothing pulled synchronously: the lagging replicas' cursors are
     # untouched until the event queue runs, and both are marked in flight.
-    assert cluster.replicas[1].proxy.applied_version == 0
-    assert cluster.replicas[2].proxy.applied_version == 0
+    assert cluster.replicas[1].applied_version == 0
+    assert cluster.replicas[2].applied_version == 0
     assert cluster._notify_pending == {1, 2}
     assert certifier.stats.notifications_sent == before + 2
 
@@ -247,8 +247,8 @@ def test_zero_latency_notification_is_deferred_not_synchronous(monkeypatch):
 
     cluster.sim.run(max_events=10)
     assert cluster._notify_pending == set()
-    assert cluster.replicas[1].proxy.applied_version == certifier.current_version
-    assert cluster.replicas[2].proxy.applied_version == certifier.current_version
+    assert cluster.replicas[1].applied_version == certifier.current_version
+    assert cluster.replicas[2].applied_version == certifier.current_version
 
     # Caught up: another batch hook with no new lag notifies nobody.
     cluster._on_local_commit(origin)

@@ -1,6 +1,6 @@
 """Tests for the transaction lifecycle state machine and certification batching.
 
-Covers the PR 3 behaviour: per-proxy batched certification round trips with
+Covers the PR 3 behaviour: per-replica batched certification round trips with
 FIFO version order, the piggybacked writesets that let an aborted
 transaction retry on a fresh snapshot without waiting for a periodic pull,
 and epoch fencing of batched requests across a crash.
@@ -111,7 +111,7 @@ def test_concurrent_updates_share_certification_round_trips():
     sim.run()
     assert outcomes == [True] * 6
     assert certifier.stats.commits == 6
-    # With one round trip outstanding per proxy, six concurrent updates need
+    # With one round trip outstanding per replica, six concurrent updates need
     # far fewer round trips than requests (the first departs alone, the rest
     # accumulate into shared batches).
     assert certifier.stats.batches < 6
@@ -163,13 +163,13 @@ def test_aborted_retry_commits_on_piggybacked_snapshot_without_pull():
     assert certifier.current_version == 2
     assert certifier.log[-1].writeset.snapshot_version >= 1
     # The piggyback also applied the remote writeset itself.
-    assert replica.proxy.applied_version == 2
-    assert replica.proxy.writesets_applied == 1
+    assert replica.applied_version == 2
+    assert replica.writesets_applied == 1
 
 
 def record_certified_batches(replica):
     """Wrap the direct round trip to record each batch's
-    ``(ctx.writeset, ctx.snapshot)`` pairs as the proxy sends them."""
+    ``(ctx.writeset, ctx.snapshot)`` pairs as the replica sends them."""
     sent = []
     original = replica._complete_certification
 
@@ -243,10 +243,10 @@ def test_epoch_fencing_drops_batched_requests_without_leaking_slots():
     replica.crash()
     sim.run()
     # The batch was fenced: nothing reached the certifier, no outcome was
-    # delivered, and the rebuilt admission controller holds no slots.
+    # delivered, and the reset admission state holds no slots.
     assert outcomes == []
     assert certifier.stats.requests == 0
-    assert replica.proxy.admission.active == 0
+    assert replica.active == 0
     assert replica._cert_queue == []
     assert not replica._cert_inflight
     # After a restore the replica serves new work with fresh admission slots.
@@ -255,14 +255,14 @@ def test_epoch_fencing_drops_batched_requests_without_leaking_slots():
         replica.submit(workload.type("Write"), submitted_at=sim.now, on_done=outcomes.append)
     sim.run()
     assert outcomes == [True, True, True]
-    assert replica.proxy.admission.active == 0
+    assert replica.active == 0
 
 
 def test_batch_limit_splits_oversized_batches(monkeypatch):
     monkeypatch.setattr(replica_module, "MAX_CERTIFICATION_BATCH", 2)
     workload = make_fast_update_workload()
     sim, certifier, replica = make_replica(workload)
-    replica.proxy.admission.max_concurrency = 16
+    monkeypatch.setattr(replica_module, "MAX_CONCURRENCY", 16)
     outcomes = []
     for _ in range(8):
         replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)

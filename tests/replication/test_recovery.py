@@ -136,7 +136,7 @@ def test_recover_replays_missed_writesets():
     sim.run()
     # The crashed replica lost its cache and was behind.
     assert crashed.lag == 3
-    assert len(certifier.writesets_since(crashed.proxy.applied_version)) == 3
+    assert len(certifier.writesets_since(crashed.applied_version)) == 3
     replayed = crashed.recover()
     assert replayed == 3
     assert crashed.lag == 0
@@ -147,10 +147,10 @@ def test_recovery_restores_dropped_tables_and_clears_filters():
     certifier = Certifier()
     _, _, workload, replica = make_replica(0, sim, certifier)
     replica.engine.drop_table("orders")
-    replica.proxy.set_filter({"users"})
+    replica.set_filter({"users"})
     replica.recover()
     assert replica.engine.dropped_tables == set()
-    assert replica.proxy.filter_tables is None
+    assert replica.filter_tables is None
     assert replica.engine.buffer_pool.resident_bytes == 0.0
 
 
@@ -172,8 +172,8 @@ def test_online_recovery_under_concurrent_load():
     cluster.sim.run_until(8.0)
 
     replica = cluster.crash_replica(1)
-    replica_applied_at_crash = replica.proxy.applied_version
-    replica.proxy.set_filter({"users"})          # stale filter left behind
+    replica_applied_at_crash = replica.applied_version
+    replica.set_filter({"users"})          # stale filter left behind
     cluster.sim.run_until(20.0)                  # traffic continues while down
 
     version_before_restore = cluster.certifier.current_version
@@ -181,16 +181,16 @@ def test_online_recovery_under_concurrent_load():
     assert missed > 0, "no updates committed while the replica was down"
 
     replayed = cluster.restore_replica(1)
-    assert replayed == cluster.replicas[1].proxy.applied_version - replica_applied_at_crash
+    assert replayed == cluster.replicas[1].applied_version - replica_applied_at_crash
     assert replayed >= missed                    # exactly the gap (plus any
-    assert replica.proxy.filter_tables is None   # commits in the same tick)
+    assert replica.filter_tables is None   # commits in the same tick)
 
     # No certified update is lost anywhere: after a final pull every live
     # replica holds the certifier's full history.
     cluster.sim.run_until(30.0)
     for live in cluster.replicas.values():
         live.pull_updates()
-        assert live.proxy.applied_version == cluster.certifier.current_version
+        assert live.applied_version == cluster.certifier.current_version
     assert cluster.certifier.log_is_total_order()
 
 
@@ -206,5 +206,5 @@ def test_recovery_replays_only_the_retained_suffix_after_truncation():
     # suffix 7..10 through the normal path.
     replayed = replica.recover()
     assert replayed == 4
-    assert replica.proxy.applied_version == 10
+    assert replica.applied_version == 10
     assert replica.engine.snapshots.applied_version == 10

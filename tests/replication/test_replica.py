@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.replication import replica as replica_module
 from repro.replication.certifier import Certifier
 from repro.replication.replica import Replica
 from repro.sim.metrics import MetricsCollector
@@ -45,7 +46,7 @@ def test_update_transaction_is_certified_and_logged():
     sim.run()
     assert outcomes == [True]
     assert certifier.current_version == 1
-    assert replica.proxy.applied_version == 1
+    assert replica.applied_version == 1
     assert replica.committed_updates == 1
 
 
@@ -59,8 +60,8 @@ def test_remote_writesets_are_applied_and_charged():
     assert other.lag == 1
     fetched = other.pull_updates()
     assert fetched == 1
-    assert other.proxy.applied_version == 1
-    assert other.proxy.writesets_applied == 1
+    assert other.applied_version == 1
+    assert other.writesets_applied == 1
     assert other.resources.disk.requests + other.resources.disk.background_requests >= 1
 
 
@@ -69,12 +70,12 @@ def test_filtered_replica_skips_foreign_tables():
     certifier = Certifier()
     _, _, workload, origin = make_replica(0, sim, certifier)
     _, _, _, other = make_replica(1, sim, certifier)
-    other.proxy.set_filter({"users"})          # Write touches only "orders"
+    other.set_filter({"users"})          # Write touches only "orders"
     origin.submit(workload.type("Write"), submitted_at=0.0, on_done=lambda ok: None)
     sim.run()
     other.pull_updates()
-    assert other.proxy.writesets_filtered == 1
-    assert other.proxy.applied_version == 1    # cursor still advances
+    assert other.writesets_filtered == 1
+    assert other.applied_version == 1    # cursor still advances
 
 
 def test_origin_replica_does_not_reapply_its_own_writeset():
@@ -86,12 +87,67 @@ def test_origin_replica_does_not_reapply_its_own_writeset():
     assert replica.engine.writesets_applied == applied_before
 
 
-def test_admission_queues_beyond_max_concurrency():
+def test_admission_queues_beyond_max_concurrency(monkeypatch):
+    monkeypatch.setattr(replica_module, "MAX_CONCURRENCY", 1)
     sim, certifier, workload, replica = make_replica()
-    replica.proxy.admission.max_concurrency = 1
     done = []
     for _ in range(3):
         replica.submit(workload.type("Read"), submitted_at=0.0, on_done=done.append)
-    assert replica.proxy.admission.queued == 2
+    assert len(replica.waiting) == 2
     sim.run()
     assert done == [True, True, True]
+
+
+def test_admission_limits_concurrency(monkeypatch):
+    monkeypatch.setattr(replica_module, "MAX_CONCURRENCY", 2)
+    sim, certifier, workload, replica = make_replica()
+    started = []
+    original = replica._start
+
+    def capture(ctx):
+        started.append(ctx)
+        original(ctx)
+
+    replica._start = capture
+    done = []
+    for _ in range(4):
+        replica.submit(workload.type("Read"), submitted_at=0.0, on_done=done.append)
+    submitted = list(replica._live)          # dispatch order
+    assert started == submitted[:2]
+    assert (replica.active, len(replica.waiting), replica.admitted_total) == (2, 2, 2)
+    while not done:
+        assert sim.step()
+    # The finished transaction handed its slot straight to the head of the
+    # queue: FIFO order, and ``active`` never dipped.
+    assert started == submitted[:3]
+    assert (replica.active, len(replica.waiting), replica.admitted_total) == (2, 1, 3)
+    sim.run()
+    assert started == submitted
+    assert done == [True] * 4
+    # The last two finishes found the queue empty and freed their slots.
+    assert (replica.active, len(replica.waiting), replica.admitted_total) == (0, 0, 4)
+
+
+def test_filtering_state():
+    _, _, _, replica = make_replica()
+    assert replica.filter_tables is None
+    tables = {"orders"}
+    replica.set_filter(tables)
+    tables.add("users")                        # the replica keeps its own copy
+    assert replica.filter_tables == {"orders"}
+    replica.set_filter(None)
+    assert replica.filter_tables is None
+
+
+def test_propagation_cursor_is_monotonic():
+    _, certifier, _, replica = make_replica()
+    subscriptions = certifier.subscriptions
+    subscriptions.subscribe(replica.replica_id, replica.applied_version)
+    replica._advance(5)
+    replica._advance(3)
+    assert replica.applied_version == 5
+    assert replica.engine.snapshots.applied_version == 5
+    # The lag subscription was re-armed at 5, not moved back to 3.
+    notify_at = 5 + subscriptions.threshold
+    assert subscriptions.crossed(notify_at - 1) == ()
+    assert subscriptions.crossed(notify_at) == (replica.replica_id,)

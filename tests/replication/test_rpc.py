@@ -1,7 +1,7 @@
 """Tests for the at-least-once certification RPC and graceful degradation.
 
 Covers the certifier-side idempotent dedup cache (fresh / duplicate / stale
-request handling, window eviction, fail-over survival), the proxy-side
+request handling, window eviction, fail-over survival), the replica-side
 timeout/retry/shed machinery over unreliable channels, and the cluster-level
 degradation contract: a partitioned replica sheds update transactions as
 ``certifier-unreachable`` while its read-only transactions keep committing.
@@ -15,8 +15,7 @@ from repro.net.invariants import ConsistencyChecker
 from repro.replication import replica as replica_module
 from repro.replication.certifier import RPC_DEDUP_WINDOW, Certifier
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
-from repro.replication.proxy import MAX_CONCURRENCY
-from repro.replication.replica import Replica
+from repro.replication.replica import MAX_CONCURRENCY, Replica
 from repro.replication.writeset import WriteItem, WriteSet
 from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
@@ -120,7 +119,7 @@ def test_certify_rpc_window_is_bounded():
 
 class LoseFirstResponse:
     """A loss-free channel except that it drops the first response leg (the
-    second message sent), so the proxy times out and retransmits a request
+    second message sent), so the replica times out and retransmits a request
     the certifier has already decided."""
 
     def __init__(self, sim):

