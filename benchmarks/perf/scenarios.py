@@ -312,6 +312,7 @@ def _storage_micro(quick: bool, observer=None) -> ScenarioTiming:
         execute = engine.execute
         apply_writesets = engine.apply_writesets_fast
         pending = []
+        writesets_applied = 0
         gc.collect()
         gc.freeze()
         gc.disable()
@@ -322,7 +323,7 @@ def _storage_micro(quick: bool, observer=None) -> ScenarioTiming:
                 if writeset is not None:
                     pending.append(writeset)
                     if len(pending) == apply_batch:
-                        apply_writesets(pending)
+                        writesets_applied += apply_writesets(pending)[3]
                         pending = []
             wall = time.perf_counter() - start
         finally:
@@ -341,7 +342,7 @@ def _storage_micro(quick: bool, observer=None) -> ScenarioTiming:
         extra={
             "executes_per_sec": executions / best_wall if best_wall > 0 else 0.0,
             "runs": float(repeats),
-            "writesets_applied": float(engine.writesets_applied),
+            "writesets_applied": float(writesets_applied),
             "buffer_accesses": float(stats.accesses),
             "hit_ratio": stats.hit_ratio,
             "evicted_mb": stats.evicted_bytes / (1024.0 * 1024.0),
@@ -451,15 +452,6 @@ def _dispatch_micro(quick: bool, observer=None) -> ScenarioTiming:
                 self.routing.add_replica(rid)
             self._catalog = Catalog(schema=spec.schema)
             self._planner = QueryPlanner(catalog=self._catalog)
-
-        def replica_ids(self):
-            return list(self.routing.replica_ids())
-
-        def outstanding(self, rid):
-            return self.routing.outstanding_of(rid)
-
-        def load(self, rid):
-            return self.routing.load_of(rid)
 
         def replica_memory_bytes(self):
             return mb(512) - mb(70)

@@ -60,8 +60,8 @@ class PairingContract:
     """Arm/disarm pairing over an index object's method calls.
 
     ``receiver_hints`` names the attribute components that identify the
-    index (``self.certifier.subscriptions...``, a local aliased from
-    ``self.lag_index``); only calls whose receiver chain mentions one are
+    index (``self.certifier.subscriptions...``, or a local aliased from
+    such a chain); only calls whose receiver chain mentions one are
     in scope.  ``module_pairs`` lists (arm, disarm) methods that must both
     appear in any module using the arm; ``program_pairs`` lists (consume,
     re-arm) methods where the re-arm may live anywhere in the program.
@@ -108,7 +108,7 @@ TXN_LIFECYCLE = StateMachineContract(
 
 LAG_SUBSCRIPTION = PairingContract(
     name="lag-subscription",
-    receiver_hints=("subscriptions", "lag_index"),
+    receiver_hints=("subscriptions",),
     module_pairs=(("subscribe", "unsubscribe"),),
     program_pairs=(("crossed", "advanced"),),
 )
@@ -284,7 +284,8 @@ class RuleP1ProtocolConformance(ProgramRule):
             parts = receiver.split(".")
             if any(hint in parts for hint in contract.receiver_hints):
                 return True
-            # A local alias of a hinted chain: `index = self.lag_index`.
+            # A local alias of a hinted chain:
+            # `index = self.certifier.subscriptions`.
             if site.caller is not None and len(parts) == 1:
                 for value in _alias_sources(site.caller, parts[0]):
                     dotted = _dotted_name(value)

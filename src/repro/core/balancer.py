@@ -15,12 +15,15 @@ information model: a policy can only use information the real middleware
 could obtain (transaction type, outstanding connections, utilisation,
 catalog metadata and plans) -- never the simulator's ground truth.
 
-Load accounting is event-driven: the view carries a
-:class:`~repro.core.routing.RoutingTable` whose outstanding counters the
-cluster bumps at dispatch and each replica decrements when a transaction
-finishes or is failed (and whose load samples the monitoring daemons
-publish), so a policy's ``choose_replica`` reads cached state instead of
-re-deriving it per dispatch.  A policy is not notified per transaction.
+Everything a policy knows about replicas -- who is live, how many
+transactions each has outstanding, and the smoothed utilisation the
+monitoring daemons report -- lives in one place, the view's
+:class:`~repro.core.routing.RoutingTable`.  Its outstanding counters are
+event-driven (the cluster bumps them at dispatch and each replica
+decrements them when a transaction finishes or is failed) and the daemons
+publish their samples straight into it, so a policy's ``choose_replica``
+reads cached state instead of re-deriving it per dispatch.  A policy is not
+notified per transaction.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import abc
 from typing import Dict, List, Optional, Protocol, Set
 
 from repro.core.routing import RoutingTable
-from repro.sim.monitor import LoadSample
 from repro.storage.catalog import Catalog
 from repro.storage.planner import QueryPlanner
 from repro.workloads.spec import TransactionType, WorkloadSpec
@@ -38,23 +40,10 @@ from repro.workloads.spec import TransactionType, WorkloadSpec
 class ClusterView(Protocol):
     """What a load-balancing policy is allowed to see of the cluster."""
 
-    #: Event-maintained routing state: per-replica outstanding counters,
-    #: cached live-replica ids, and effective-load scores.  This is the fast
-    #: path every dispatch reads; the methods below are the slow-path /
-    #: introspection interface over the same information.
+    #: Event-maintained routing state: the live replica ids, per-replica
+    #: outstanding counters, the monitor daemons' smoothed CPU/disk samples
+    #: and the effective-load scores built from them.
     routing: RoutingTable
-
-    def replica_ids(self) -> List[int]:
-        """Identifiers of all database replicas."""
-        ...
-
-    def outstanding(self, replica_id: int) -> int:
-        """Transactions currently dispatched to a replica and not yet completed."""
-        ...
-
-    def load(self, replica_id: int) -> LoadSample:
-        """Smoothed CPU/disk utilisation reported by the replica's monitor daemon."""
-        ...
 
     def replica_memory_bytes(self) -> int:
         """Buffer memory available at each replica, after the fixed overhead
@@ -124,9 +113,10 @@ class LoadBalancer(abc.ABC):
         """Notification that the cluster's replica set changed.
 
         Called after a replica joins, leaves, crashes or is restored
-        (elasticity).  The new membership is whatever the view's
-        ``replica_ids()`` now reports.  Stateless policies need nothing here;
-        policies that own a replica assignment (MALB) must reconcile it.
+        (elasticity).  The new membership is whatever
+        ``routing.replica_ids()`` now reports.  Stateless policies need
+        nothing here; policies that own a replica assignment (MALB) must
+        reconcile it.
         """
 
     # ------------------------------------------------------------------

@@ -109,7 +109,8 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         memory = view.replica_memory_bytes()
         self.groups = build_groups(self.estimates, memory, method=self.method)
         self.group_by_type = group_of_type(self.groups)
-        self.allocator = ReplicaAllocator(groups=self.groups, replica_ids=view.replica_ids())
+        self.allocator = ReplicaAllocator(groups=self.groups,
+                                          replica_ids=self._require_routing().replica_ids())
         if self.static_allocation:
             self.allocator.freeze()
         self._catalog_version = catalog.version
@@ -247,9 +248,8 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         """
         if self.allocator is None:
             return
-        view = self._require_view()
         allocator = self.allocator
-        current = set(view.replica_ids())
+        current = set(self._require_routing().replica_ids())
         known = set(allocator.replica_ids)
         if current == known:
             return

@@ -17,15 +17,17 @@ maintained *incrementally* by the events that actually change it:
   ``version`` and rebuild the cached replica-id tuple, so policies can key
   their own caches (MALB's type -> candidate-replica table) off it instead
   of re-deriving routing state per call;
-* the monitor publishes smoothed load samples (:meth:`publish_load`), and
-  :meth:`effective_load` folds queueing pressure into them behind a cache
-  that the dispatch/complete/publish events invalidate by construction (the
-  cache key embeds the outstanding count and the sample object), so reading
-  the score never re-samples and costs O(1).
+* the monitor publishes smoothed load samples (:meth:`publish_load`) and
+  keeps no copy: this table is the one store of them, read by the
+  balancers, the autoscaler and the telemetry gauges through
+  :meth:`load_of`; :meth:`effective_load` folds queueing pressure into them
+  behind a cache that the dispatch/complete/publish events invalidate by
+  construction (the cache key embeds the outstanding count and the sample
+  object), so reading the score never re-samples and costs O(1).
 
 The table deliberately stores *only* information the paper's middleware
 could observe (outstanding connections and the monitoring daemons' smoothed
-utilisation) -- it is a faster representation of the
+utilisation) -- it is the load half of the
 :class:`~repro.core.balancer.ClusterView`, not a side channel into the
 simulator's ground truth.
 """
@@ -102,15 +104,15 @@ class RoutingTable:
         ``remove_replica`` keeps the outstanding counter so draining and
         crash accounting can watch it reach zero; once the departure is
         resolved (drained, retired, or its in-flight set failed), the
-        cluster calls this to drop the counter and any load sample
-        a late monitor tick pushed after removal.  Not a routing change --
-        the replica already left the live set -- so the version is not
-        bumped.  Purging a live replica is a bug.
+        cluster calls this to drop the counter and any effective-load
+        score read after removal.  (No sample can arrive after removal: the
+        cluster unregisters the replica's monitor in the same step.)  Not a
+        routing change -- the replica already left the live set -- so the
+        version is not bumped.  Purging a live replica is a bug.
         """
         if replica_id in self._live_set:
             raise ValueError("cannot purge live replica %d" % replica_id)
         self.outstanding.pop(replica_id, None)
-        self._samples.pop(replica_id, None)
         self._eff_cache.pop(replica_id, None)
 
     def replica_ids(self) -> Tuple[int, ...]:
@@ -134,15 +136,13 @@ class RoutingTable:
         abort back to the client, or crash-time failure)."""
         self.outstanding[replica_id] -= 1
 
-    def outstanding_of(self, replica_id: int) -> int:
-        return self.outstanding[replica_id]
-
     def publish_load(self, replica_id: int, sample: LoadSample) -> None:
         """The monitor's smoothed sample for ``replica_id`` (event-driven:
         called once per monitoring interval, not read back per dispatch)."""
         self._samples[replica_id] = sample
 
     def load_of(self, replica_id: int) -> LoadSample:
+        """The latest published sample; zero load before the first one."""
         return self._samples.get(replica_id, _ZERO_SAMPLE)
 
     def effective_load(self, replica_id: int) -> LoadSample:

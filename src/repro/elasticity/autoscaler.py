@@ -96,14 +96,13 @@ class Autoscaler:
         Per replica: MAX(bottleneck utilisation, outstanding / norm), capped
         at 2.0 so one pathological queue cannot dominate the mean.
         """
-        loads = self.cluster.monitor.loads()
+        routing = self.cluster.routing
+        outstanding = routing.outstanding
         norm = float(self.QUEUE_PRESSURE_NORM)
         samples = []
-        for rid in self.cluster.replica_ids():
-            if rid not in loads:
-                continue
-            pressure = min(2.0, self.cluster.outstanding(rid) / norm)
-            samples.append(max(loads[rid].bottleneck, pressure))
+        for rid in routing.replica_ids():
+            pressure = min(2.0, outstanding[rid] / norm)
+            samples.append(max(routing.load_of(rid).bottleneck, pressure))
         if not samples:
             return 0.0
         return sum(samples) / len(samples)
@@ -160,11 +159,11 @@ class Autoscaler:
     def _pick_victim(self) -> Optional[int]:
         """The least-loaded in-service replica (ties broken by highest id,
         so the youngest of equals leaves first)."""
-        loads = self.cluster.monitor.loads()
-        candidates = [rid for rid in self.cluster.replica_ids() if rid in loads]
+        routing = self.cluster.routing
+        candidates = routing.replica_ids()
         if not candidates:
             return None
-        return min(candidates, key=lambda rid: (loads[rid].bottleneck, -rid))
+        return min(candidates, key=lambda rid: (routing.load_of(rid).bottleneck, -rid))
 
     def _act(self, action: str, before: int, after: int, util: float,
              now: float, detail: str) -> ScalingDecision:

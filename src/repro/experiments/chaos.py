@@ -31,7 +31,7 @@ or from the command line (the CI ``chaos-smoke`` step)::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.elasticity.faults import FaultInjector, FaultRecord
@@ -40,14 +40,14 @@ from repro.experiments.runner import (
     ExperimentConfig,
     add_observer_arguments,
     make_balancer,
+    make_cluster_config,
     make_schedule,
     make_workload,
     run_observed,
 )
 from repro.net.channel import NetworkConfig
 from repro.net.invariants import ConsistencyChecker, InvariantReport
-from repro.replication.cluster import ClusterConfig, ReplicatedCluster, RunResult
-from repro.storage.pages import mb
+from repro.replication.cluster import ReplicatedCluster, RunResult
 
 
 #: Synchronous certifier backups; phase 5 fails the leader over to one.
@@ -186,16 +186,10 @@ def build_chaos_cluster(config: ChaosConfig
     writeset against the full log.
     """
     base = config.base
-    cluster_config = ClusterConfig(
-        num_replicas=base.num_replicas,
-        replica_ram_bytes=mb(base.ram_mb),
-        clients_per_replica=base.clients_per_replica,
-        think_time_s=base.think_time_s,
-        seed=base.seed,
-        certifier_backups=CERTIFIER_BACKUPS,
-        log_truncation_interval_s=0.0,
-        network=NetworkConfig(seed=NET_SEED),
-    )
+    cluster_config = replace(make_cluster_config(base),
+                             certifier_backups=CERTIFIER_BACKUPS,
+                             log_truncation_interval_s=0.0,
+                             network=NetworkConfig(seed=NET_SEED))
     cluster = ReplicatedCluster(
         workload=make_workload(base),
         balancer=make_balancer(base.policy, base),

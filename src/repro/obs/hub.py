@@ -14,8 +14,9 @@
 * ``cluster.observability`` points at the hub, for the cold-path event
   sinks of membership, faults and the autoscaler;
 * the registry gets gauges over every existing metrics island (certifier
-  stats, buffer pools, admission queues, routing table, monitor
-  samples, the metrics collector's abort-reason taxonomy);
+  stats, buffer pools, admission queues, the routing table with the
+  monitor samples it stores, the metrics collector's abort-reason
+  taxonomy);
 * optionally, a periodic simulator event snapshots the registry into a
   time-bucketed series.
 
@@ -215,22 +216,21 @@ class ObservabilityHub:
                        lambda: dict(sorted(metrics.abort_reasons.items())))
 
         def monitor_means() -> Dict[str, float]:
-            loads = cluster.monitor.loads()
+            loads = [routing.load_of(rid) for rid in routing.replica_ids()]
             if not loads:
                 return {"cpu": 0.0, "disk": 0.0}
             n = float(len(loads))
-            return {"cpu": sum(s.cpu for s in loads.values()) / n,
-                    "disk": sum(s.disk for s in loads.values()) / n}
+            return {"cpu": sum(s.cpu for s in loads) / n,
+                    "disk": sum(s.disk for s in loads) / n}
 
         registry.gauge("monitor.mean_load", monitor_means)
 
         def replica_detail() -> Dict[str, Dict[str, object]]:
-            loads = cluster.monitor.loads()
             detail: Dict[str, Dict[str, object]] = {}
-            for rid in sorted(cluster.replicas):
+            for rid in routing.replica_ids():
                 replica = cluster.replicas[rid]
                 pool = replica.engine.buffer_pool
-                sample = loads.get(rid)
+                sample = routing.load_of(rid)
                 detail[str(rid)] = {
                     "outstanding": routing.outstanding.get(rid, 0),
                     "queued": len(replica.waiting),
@@ -238,8 +238,8 @@ class ObservabilityHub:
                     "applied_version": replica.applied_version,
                     "buffer_resident_bytes": pool.resident_bytes,
                     "buffer_hit_ratio": pool.stats.hit_ratio,
-                    "cpu": sample.cpu if sample is not None else 0.0,
-                    "disk": sample.disk if sample is not None else 0.0,
+                    "cpu": sample.cpu,
+                    "disk": sample.disk,
                 }
             return detail
 

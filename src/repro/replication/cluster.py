@@ -50,7 +50,7 @@ if TYPE_CHECKING:
     from repro.obs.hub import ObservabilityHub
 from repro.sim.clients import ClientConfig, ClientPopulation
 from repro.sim.metrics import MetricsCollector
-from repro.sim.monitor import ClusterMonitor, LoadSample
+from repro.sim.monitor import ClusterMonitor
 from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
 from repro.storage.buffer_pool import BufferPool
@@ -231,7 +231,11 @@ class ReplicatedCluster:
         self._catalog = Catalog(schema=workload.schema)
         self._planner = QueryPlanner(catalog=self._catalog)
         self.certifier = Certifier(backups=self.config.certifier_backups)
-        self.monitor = ClusterMonitor(self.sim)
+        #: event-maintained routing state (outstanding counters, live-replica
+        #: cache, the monitor's published load samples, effective loads)
+        #: shared with the balancer through the view.
+        self.routing = RoutingTable()
+        self.monitor = ClusterMonitor(self.sim, self.routing)
         self.metrics = MetricsCollector(warmup_seconds=0.0)
         #: Observability hub (repro.obs.ObservabilityHub) or None.  Set by
         #: the hub when attached; the cold-path subsystems (membership,
@@ -252,10 +256,6 @@ class ReplicatedCluster:
         self.retired: Set[int] = set()
         #: The membership audit trail, in order.
         self.membership_events: List[MembershipEvent] = []
-        #: event-maintained routing state (outstanding counters, live-replica
-        #: cache, effective loads) shared with the balancer through the view.
-        self.routing = RoutingTable()
-        self.monitor.on_sample = self.routing.publish_load
         self._pulls_scheduled: Set[int] = set()
         self._notify_pending: Set[int] = set()
         self._started = False
@@ -375,9 +375,9 @@ class ReplicatedCluster:
 
         Deactivation intentionally keeps the routing outstanding counter (so
         draining and crash-failing stay accountable); once the replica's
-        live table is resolved, this clears the counter and any load sample
-        the replica pushed before leaving, so no stale state can influence
-        later routing decisions or linger in snapshots.
+        live table is resolved, this clears the counter and any cached
+        effective load, so no stale state can influence later routing
+        decisions or linger in snapshots.
         """
         self.routing.purge_replica(replica_id)
         # Release any lag-notification dedup entry so a restored replica can
@@ -401,6 +401,11 @@ class ReplicatedCluster:
     # ------------------------------------------------------------------
     # Replica lifecycle: join, crash, restore, graceful leave
     # ------------------------------------------------------------------
+    def replica_ids(self) -> List[int]:
+        """The replicas in service, ascending (the fault injector's pick
+        list)."""
+        return list(self.routing.replica_ids())
+
     def returnable_replicas(self) -> List[Replica]:
         """Built replicas that are not retired: in service, draining, or
         crashed but restorable.  All of them may still need the certifier
@@ -447,9 +452,9 @@ class ReplicatedCluster:
     def restore_replica(self, replica_id: int) -> int:
         """Restart a crashed replica and bring it back into service.
 
-        Standard recovery (Section 3): cold cache, dropped tables restored,
-        filters cleared, and exactly the writesets committed since the
-        replica's applied version replayed from the certifier's log.
+        Standard recovery (Section 3): cold cache, filters cleared, and
+        exactly the writesets committed since the replica's applied version
+        replayed from the certifier's log.
         Returns the number of writesets replayed.
         """
         if not self.is_crashed(replica_id):
@@ -501,8 +506,8 @@ class ReplicatedCluster:
     def _retire(self, replica: Replica, detail: str) -> None:
         replica.alive = False
         self.retired.add(replica.replica_id)
-        # A retired replica never returns; erase its routing counter and any
-        # lingering load sample (its live table is already resolved).
+        # A retired replica never returns; erase its routing counter (its
+        # live table is already resolved).
         self._purge_replica_state(replica.replica_id)
         self._log_event("retired", replica.replica_id, detail)
 
@@ -517,15 +522,6 @@ class ReplicatedCluster:
     # ------------------------------------------------------------------
     # ClusterView protocol (what the load balancer may see)
     # ------------------------------------------------------------------
-    def replica_ids(self) -> List[int]:
-        return list(self.routing.replica_ids())
-
-    def outstanding(self, replica_id: int) -> int:
-        return self.routing.outstanding_of(replica_id)
-
-    def load(self, replica_id: int) -> LoadSample:
-        return self.monitor.load_of(replica_id)
-
     def replica_memory_bytes(self) -> int:
         return self.config.buffer_bytes
 

@@ -214,8 +214,8 @@ class Replica:
         # Update filtering: the single source of truth for which tables'
         # writesets reach the database.  None means apply everything; a set
         # means apply only those tables.  The predicate is evaluated per
-        # item by ``engine.apply_writesets_fast`` (which also drops tables
-        # in ``dropped_tables``); nothing else re-implements it.
+        # item by ``engine.apply_writesets_fast``; nothing else
+        # re-implements it.
         self.filter_tables: Optional[Set[str]] = None
         self.writesets_applied = 0
         self.writesets_filtered = 0
@@ -717,16 +717,13 @@ class Replica:
         """Restart the replica and bring it up to date from the certifier's log.
 
         Standard recovery (Section 3): the buffer pool is cleared (a restart
-        loses the page cache), dropped tables are restored and the filter is
-        cleared (the replica rejoins as a full copy; the balancer may
-        re-install filters afterwards), and every writeset committed since
-        the applied version is re-applied through the normal path so its
-        resource cost is charged.  Returns the number of writesets replayed.
+        loses the page cache), the filter is cleared (the replica rejoins as
+        a full copy; the balancer may re-install filters afterwards), and
+        every writeset committed since the applied version is re-applied
+        through the normal path so its resource cost is charged.  Returns
+        the number of writesets replayed.
         """
-        engine = self.engine
-        engine.buffer_pool.clear()
-        for table in list(engine.dropped_tables):
-            engine.restore_table(table)
+        self.engine.buffer_pool.clear()
         self.set_filter(None)
         # Entries below the certifier's retention horizon have been
         # truncated; that prefix is restored from another copy in the

@@ -5,17 +5,22 @@ the CPU and the disk I/O channel utilization from lightweight daemons
 running on each of the replicas" (Section 2.4), and the group-load
 calculation averages *smoothed* utilisations.  This module is that daemon:
 it samples each replica's CPU and disk resources on a fixed interval and
-exposes exponentially smoothed utilisation figures to whoever asks (the
-memory-aware load balancer's replica allocator, and the metrics reports).
+publishes exponentially smoothed utilisation figures into the cluster's
+:class:`~repro.core.routing.RoutingTable`, the one store every consumer
+reads (the memory-aware load balancer's replica allocator, the autoscaler
+and the telemetry gauges).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict
 
-from repro.sim.resources import ReplicaResources, Resource
+from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
+
+if TYPE_CHECKING:
+    from repro.core.routing import RoutingTable
 
 #: Seconds between two samples of every replica's resources.
 MONITOR_INTERVAL_S = 5.0
@@ -83,19 +88,17 @@ class ReplicaMonitor:
 class ClusterMonitor:
     """Monitoring daemons for every replica in the cluster.
 
-    Registers a periodic sampling event with the simulator and exposes the
-    latest smoothed sample per replica.  Setting :attr:`on_sample` pushes
-    every fresh sample to a consumer as it is taken (the cluster wires it to
-    its routing table), so balancers read maintained state instead of
-    polling the monitor.
+    Keeps each registered replica's smoothing state and, on a periodic
+    simulator event, publishes every fresh sample into ``routing``.  The
+    routing table is the only store of published samples: a replica that
+    has not been sampled yet reads as zero load there, exactly what a fresh
+    :class:`ReplicaMonitor` would hold.
     """
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, routing: "RoutingTable") -> None:
         self.sim = sim
+        self.routing = routing
         self._monitors: Dict[int, ReplicaMonitor] = {}
-        self._started = False
-        #: called as ``on_sample(replica_id, sample)`` after every sample.
-        self.on_sample: Optional[Callable[[int, LoadSample], None]] = None
 
     def register(self, replica_id: int, resources: ReplicaResources) -> None:
         self._monitors[replica_id] = ReplicaMonitor(resources)
@@ -105,28 +108,11 @@ class ClusterMonitor:
         self._monitors.pop(replica_id, None)
 
     def start(self) -> None:
-        """Begin periodic sampling (idempotent)."""
-        if self._started:
-            return
-        self._started = True
+        """Begin periodic sampling; call once."""
         self.sim.schedule_periodic(MONITOR_INTERVAL_S, self._sample_all)
 
     def _sample_all(self) -> None:
-        publish = self.on_sample
+        publish = self.routing.publish_load
         now = self.sim.now
         for replica_id, monitor in self._monitors.items():
-            sample = monitor.take_sample(now)
-            if publish is not None:
-                publish(replica_id, sample)
-
-    def load_of(self, replica_id: int) -> LoadSample:
-        monitor = self._monitors.get(replica_id)
-        if monitor is None:
-            raise KeyError("no monitor registered for replica %r" % (replica_id,))
-        return monitor.sample
-
-    def loads(self) -> Dict[int, LoadSample]:
-        return {replica_id: monitor.sample for replica_id, monitor in self._monitors.items()}
-
-    def replica_ids(self) -> List[int]:
-        return sorted(self._monitors.keys())
+            publish(replica_id, monitor.take_sample(now))

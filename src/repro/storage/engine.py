@@ -230,11 +230,8 @@ class DatabaseEngine:
         self.snapshots = SnapshotManager()
         # Stamped on every writeset as its origin; set by Replica.__init__.
         self.replica_id: Optional[int] = None
-        self.dropped_tables: Set[str] = set()
         # Cumulative accounting for the paper's disk-I/O tables.
         self.transactions_executed = 0
-        self.writesets_applied = 0
-        self.writesets_filtered = 0
         # Transaction type name -> compiled access plan (see _compile),
         # derived purely from catalog metadata and cleared whenever the
         # catalog version moves.  The plan holds the type object itself, so
@@ -378,8 +375,7 @@ class DatabaseEngine:
         ``allowed_tables`` implements update filtering: when given, changes
         to tables outside the set are dropped ("the proxy ... only forwards
         the writesets for those tables to the replica", Section 4.2.3).
-        Tables in :attr:`dropped_tables` are always filtered.  Remote
-        writeset application never causes sequential reads.
+        Remote writeset application never causes sequential reads.
 
         Returns ``(cpu_seconds, random_read_bytes, write_bytes,
         writesets_applied, writesets_filtered)``.
@@ -397,7 +393,6 @@ class DatabaseEngine:
                 counts[shape] += 1
             else:
                 counts[shape] = 1
-        dropped = self.dropped_tables
         cpu_per_item = self.config.cpu_ms_per_writeset_item / 1000.0
         touched_by_relation: Dict[str, float] = {}
         applied_items = 0
@@ -406,8 +401,6 @@ class DatabaseEngine:
         for shape, count in counts.items():
             applied_any = False
             for relation, touched in shape.steps:
-                if relation in dropped:
-                    continue
                 if allowed_tables is not None and relation not in allowed_tables:
                     continue
                 applied_any = True
@@ -432,22 +425,8 @@ class DatabaseEngine:
                 steps.append((relation, min(touched, hot_set), hot_set, False))
                 write_bytes += touched
             random_read_bytes, _ = self.buffer_pool.access_many(steps)
-        self.writesets_applied += applied_count
-        self.writesets_filtered += filtered_count
         return (cpu_per_item * applied_items, random_read_bytes, write_bytes,
                 applied_count, filtered_count)
-
-    # ------------------------------------------------------------------
-    # Table dropping (update filtering with stable workloads)
-    # ------------------------------------------------------------------
-    def drop_table(self, relation: str) -> float:
-        """Stop maintaining a relation at this replica and free its cache."""
-        self.dropped_tables.add(relation)
-        return self.buffer_pool.invalidate(relation)
-
-    def restore_table(self, relation: str) -> None:
-        """Resume maintaining a previously dropped relation (recovery path)."""
-        self.dropped_tables.discard(relation)
 
 
 def _at_least_a_page(hot_set: float) -> float:

@@ -229,7 +229,7 @@ def test_p1_flags_unpaired_subscribe_and_accepts_the_pair():
     dirty = p1_report({"replication/mgr.py": """\
         class Manager:
             def add(self, rid):
-                self.lag_index.subscribe(rid)
+                self.subscriptions.subscribe(rid)
         """})
     assert rule_keys(dirty.findings, "P1") == [("replication/mgr.py", 3)]
     assert "unpaired arm" in dirty.findings[0].message
@@ -237,10 +237,10 @@ def test_p1_flags_unpaired_subscribe_and_accepts_the_pair():
     clean = p1_report({"replication/mgr.py": """\
         class Manager:
             def add(self, rid):
-                self.lag_index.subscribe(rid)
+                self.subscriptions.subscribe(rid)
 
             def remove(self, rid):
-                self.lag_index.unsubscribe(rid)
+                self.subscriptions.unsubscribe(rid)
         """})
     assert clean.findings == []
 
@@ -249,7 +249,7 @@ def test_p1_pairing_sees_through_local_aliases():
     report = p1_report({"replication/mgr.py": """\
         class Manager:
             def add(self, rid):
-                index = self.certifier.lag_index
+                index = self.certifier.subscriptions
                 index.subscribe(rid)
         """})
     assert rule_keys(report.findings, "P1") == [("replication/mgr.py", 4)]

@@ -1,12 +1,9 @@
 """Tests for the baseline load balancers (round robin, least connections, LARD)."""
 
-from typing import List
-
 import pytest
 
 from repro.core.baselines import LardBalancer, LeastConnectionsBalancer, RoundRobinBalancer
 from repro.core.routing import RoutingTable
-from repro.sim.monitor import LoadSample
 from repro.storage.catalog import Catalog
 from repro.storage.planner import QueryPlanner
 
@@ -28,21 +25,12 @@ class FakeView:
         for rid in range(replicas):
             self.routing.add_replica(rid)
 
-    def replica_ids(self) -> List[int]:
-        return list(self.routing.replica_ids())
-
-    def outstanding(self, rid: int) -> int:
-        return self.routing.outstanding_of(rid)
-
     def set_outstanding(self, rid: int, count: int) -> None:
         self.routing.outstanding[rid] = count
 
     def reset_outstanding(self) -> None:
         for rid in self.routing.replica_ids():
             self.routing.outstanding[rid] = 0
-
-    def load(self, rid: int) -> LoadSample:
-        return self.routing.load_of(rid)
 
     def replica_memory_bytes(self) -> int:
         return 32 * 2**20
@@ -110,7 +98,7 @@ def test_lard_stops_expanding_when_all_replicas_busy():
     lard.attach(view)
     t = view.workload_spec.type("Read")
     first = lard.dispatch(t)
-    for rid in view.replica_ids():
+    for rid in view.routing.replica_ids():
         view.set_outstanding(rid, 10)
     assert lard.dispatch(t) == first          # "turns off" instead of spilling
 
@@ -136,6 +124,6 @@ def test_different_types_can_use_different_replicas():
     lard = LardBalancer()
     lard.attach(view)
     read_replica = lard.dispatch(view.workload_spec.type("Read"))
-    view.set_outstanding(read_replica, view.outstanding(read_replica) + 1)
+    view.set_outstanding(read_replica, view.routing.outstanding[read_replica] + 1)
     scan_replica = lard.dispatch(view.workload_spec.type("Scan"))
     assert scan_replica != read_replica

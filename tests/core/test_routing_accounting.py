@@ -44,8 +44,8 @@ def test_counters_track_dispatch_and_complete():
     table.on_dispatch(0)
     table.on_dispatch(1)
     table.on_complete(0)
-    assert table.outstanding_of(0) == 1
-    assert table.outstanding_of(1) == 1
+    assert table.outstanding[0] == 1
+    assert table.outstanding[1] == 1
 
 
 def test_removed_replica_keeps_its_counter():
@@ -56,9 +56,9 @@ def test_removed_replica_keeps_its_counter():
     table.on_dispatch(1)
     table.remove_replica(1)
     assert table.replica_ids() == (0,)
-    assert table.outstanding_of(1) == 1
+    assert table.outstanding[1] == 1
     table.on_complete(1)
-    assert table.outstanding_of(1) == 0
+    assert table.outstanding[1] == 0
 
 
 def test_membership_changes_bump_version_and_rebuild_cache():

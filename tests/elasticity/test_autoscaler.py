@@ -21,9 +21,10 @@ def make_cluster(replicas=2):
 
 
 def set_load(cluster, value):
-    """Plant a synthetic smoothed utilisation on every monitored replica."""
-    for monitor in cluster.monitor._monitors.values():
-        monitor.sample = LoadSample(cpu=value, disk=value)
+    """Publish a synthetic smoothed utilisation for every replica in service."""
+    routing = cluster.routing
+    for rid in routing.replica_ids():
+        routing.publish_load(rid, LoadSample(cpu=value, disk=value))
 
 
 def make_autoscaler(cluster, **overrides):

@@ -201,15 +201,15 @@ def test_malb_replans_update_filtering_on_churn():
 
 def test_churn_purges_stale_replica_state():
     """After a replica fully leaves (crash or retirement), nothing about it
-    may linger where routing or snapshots could read it: no monitor sample,
-    no routing-table pushed sample, no outstanding counter, no live
-    transaction.  Regression test for the stale-sample leak on churn."""
+    may linger where routing or snapshots could read it: no monitor
+    smoothing state, no published load sample, no outstanding counter, no
+    live transaction.  Regression test for the stale-sample leak on churn."""
     cluster = make_cluster(replicas=4)
     cluster.start()
     cluster.sim.run_until(10.0)
 
     def assert_purged(rid):
-        assert rid not in cluster.monitor.loads()
+        assert rid not in cluster.monitor._monitors
         assert rid not in cluster.routing.outstanding
         assert rid not in cluster.routing._samples
         assert rid not in cluster.routing._eff_cache
@@ -225,7 +225,8 @@ def test_churn_purges_stale_replica_state():
     cluster.restore_replica(1)
     cluster.sim.run_until(20.0)
     assert 1 in cluster.routing.outstanding
-    assert 1 in cluster.monitor.loads()
+    assert 1 in cluster.monitor._monitors
+    assert 1 in cluster.routing._samples
 
     # Graceful leave: purge runs at retirement, after the drain resolves.
     cluster.remove_replica(2)
@@ -235,4 +236,5 @@ def test_churn_purges_stale_replica_state():
 
     # A replica the monitor sampled keeps publishing for the survivors only.
     for rid in cluster.replica_ids():
-        assert rid in cluster.monitor.loads()
+        assert rid in cluster.monitor._monitors
+        assert rid in cluster.routing._samples

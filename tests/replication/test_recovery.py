@@ -142,14 +142,12 @@ def test_recover_replays_missed_writesets():
     assert crashed.lag == 0
 
 
-def test_recovery_restores_dropped_tables_and_clears_filters():
+def test_recovery_clears_filters_and_cache():
     sim = Simulator()
     certifier = Certifier()
     _, _, workload, replica = make_replica(0, sim, certifier)
-    replica.engine.drop_table("orders")
     replica.set_filter({"users"})
     replica.recover()
-    assert replica.engine.dropped_tables == set()
     assert replica.filter_tables is None
     assert replica.engine.buffer_pool.resident_bytes == 0.0
 

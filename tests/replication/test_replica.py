@@ -82,9 +82,9 @@ def test_origin_replica_does_not_reapply_its_own_writeset():
     sim, certifier, workload, replica = make_replica()
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=lambda ok: None)
     sim.run()
-    applied_before = replica.engine.writesets_applied
+    applied_before = replica.writesets_applied
     replica.pull_updates()
-    assert replica.engine.writesets_applied == applied_before
+    assert replica.writesets_applied == applied_before
 
 
 def test_admission_queues_beyond_max_concurrency(monkeypatch):

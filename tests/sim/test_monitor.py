@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.routing import RoutingTable
 from repro.sim import monitor as monitor_module
 from repro.sim.monitor import ClusterMonitor, LoadSample, ReplicaMonitor
 from repro.sim.resources import ReplicaResources
@@ -40,14 +41,18 @@ def test_monitor_smooths_samples():
 
 def test_cluster_monitor_periodic_sampling():
     sim = Simulator()
-    monitor = ClusterMonitor(sim)
+    routing = RoutingTable()
+    monitor = ClusterMonitor(sim, routing)
     res = ReplicaResources.create(sim, 0)
     monitor.register(0, res)
     monitor.start()
     res.disk.acquire(5.0)
     sim.run_until(6.0)
-    assert monitor.load_of(0).disk > 0.0
-    assert monitor.replica_ids() == [0]
-    with pytest.raises(KeyError):
-        monitor.load_of(9)
+    assert routing.load_of(0).disk > 0.0
+    # The routing table is the one store: it holds the monitor's sample
+    # itself, and only registered replicas publish.
+    assert routing.load_of(0) is monitor._monitors[0].sample
+    assert list(routing._samples) == [0]
+    assert 9 not in routing._samples
+    assert routing.load_of(9) == LoadSample()
 
