@@ -319,7 +319,7 @@ def _storage_micro(quick: bool, observer=None) -> ScenarioTiming:
         try:
             start = time.perf_counter()
             for txn_type in stream:
-                _, writeset = execute(txn_type)
+                _, _, _, writeset = execute(txn_type)
                 if writeset is not None:
                     pending.append(writeset)
                     if len(pending) == apply_batch:

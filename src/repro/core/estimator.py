@@ -126,8 +126,8 @@ def measure_working_set(engine_factory, txn_type: TransactionType,
         read_bytes = 0.0
         measured = max(1, executions - warmup)
         for _ in range(measured):
-            work, _ = engine.execute(txn_type)
-            read_bytes += work.read_bytes
+            _, random_miss, sequential_miss, _ = engine.execute(txn_type)
+            read_bytes += random_miss + sequential_miss
         per_execution_kb = read_bytes / measured / 1024.0
         if per_execution_kb <= disk_spike_threshold_kb:
             chosen = size

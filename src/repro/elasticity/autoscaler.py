@@ -64,8 +64,12 @@ class Autoscaler:
     #: Queueing pressure normaliser: outstanding transactions at a replica
     #: divided by this count as an additional load signal.  Utilisation
     #: saturates below 1.0 while admission queues grow without bound, so a
-    #: pure-utilisation autoscaler reacts late to a flash crowd; this is the
-    #: same refinement MALB applies to its re-allocation signal.
+    #: pure-utilisation autoscaler reacts late to a flash crowd.  The signal
+    #: is ``max(bottleneck, min(2, n / 12))`` for any ``n`` outstanding.
+    #: Routing's ``RoutingTable.effective_load`` folds pressure in
+    #: differently: it divides by 8, counts pressure only above 1.0, and
+    #: raises only the CPU utilisation, so at 6 outstanding and 0.3
+    #: utilisation this signal reads 0.5 and routing's CPU reads 0.3.
     QUEUE_PRESSURE_NORM = 12
 
     def __init__(self, cluster: "ReplicatedCluster") -> None:

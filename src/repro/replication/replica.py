@@ -16,6 +16,11 @@ the database it fronts.  It
   only the writesets for those tables to the database (Section 4.2.3).
 
 The replica wires the storage engine's resource demands into the event loop.
+Per-type costs -- CPU seconds, the commit write-back time and the bytes it
+writes -- are read from the :class:`~repro.storage.engine.AccessPlan` that
+``engine.execute`` returns, never recomputed per transaction; only the read
+misses, and their disk time under the engine's
+:class:`~repro.storage.disk.DiskModel`, are derived per execution.
 Each transaction is tracked by a slotted :class:`TransactionContext` that
 moves through an explicit lifecycle::
 
@@ -90,8 +95,7 @@ from repro.replication.writeset import CertifiedWriteSet
 from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
-from repro.storage.disk import DiskModel
-from repro.storage.engine import DatabaseEngine, TransactionWork
+from repro.storage.engine import AccessPlan, DatabaseEngine
 from repro.workloads.spec import TransactionType
 
 if TYPE_CHECKING:
@@ -141,8 +145,8 @@ class TransactionContext:
     DONE = 4
 
     __slots__ = ("replica", "txn_type", "submitted_at", "on_done", "attempt",
-                 "state", "epoch", "txn_id", "snapshot", "work", "writeset",
-                 "trace")
+                 "state", "epoch", "txn_id", "snapshot", "plan", "read_bytes",
+                 "read_seconds", "writeset", "trace")
 
     def __init__(self, replica: "Replica", txn_type: TransactionType,
                  submitted_at: float, on_done: CompletionCallback) -> None:
@@ -155,7 +159,11 @@ class TransactionContext:
         self.epoch = replica.epoch
         self.txn_id = 0
         self.snapshot = 0
-        self.work: Optional[TransactionWork] = None
+        # Set by each (re-)execution in Replica._start: the type's compiled
+        # plan, and the bytes this attempt missed and their disk read time.
+        self.plan: Optional[AccessPlan] = None
+        self.read_bytes = 0.0
+        self.read_seconds = 0.0
         self.writeset = None
         # Per-transaction trace state; None unless an ObservabilityHub with
         # a tracer is attached (the zero-overhead fast path).
@@ -169,10 +177,7 @@ class TransactionContext:
         self.state = TransactionContext.READS
         if self.trace is not None:
             replica._trace_lap(self, CPU)
-        work = self.work
-        read_time = replica.disk_model.read_seconds(
-            work.random_read_bytes, work.sequential_read_bytes
-        )
+        read_time = self.read_seconds
         if read_time > 0:
             replica.resources.disk.acquire(read_time, self.after_reads)
         else:
@@ -204,7 +209,6 @@ class Replica:
         engine.replica_id = replica_id
         self.resources = resources
         self.certifier = certifier
-        self.disk_model = DiskModel()
         # Gatekeeper admission: contexts holding one of the MAX_CONCURRENCY
         # slots, the FIFO of contexts waiting for one, and a running count
         # of slots granted.
@@ -314,8 +318,18 @@ class Replica:
                 trace.txn_id = ctx.txn_id
             trace.attempts = ctx.attempt
             self._trace_lap(ctx, QUEUE)
-        ctx.work, ctx.writeset = self.engine.execute(ctx.txn_type)
-        cpu_time = ctx.work.cpu_seconds
+        engine = self.engine
+        plan, random_miss, sequential_miss, ctx.writeset = engine.execute(ctx.txn_type)
+        ctx.plan = plan
+        if random_miss or sequential_miss:
+            ctx.read_bytes = random_miss + sequential_miss
+            ctx.read_seconds = engine.disk_model.read_seconds(random_miss,
+                                                              sequential_miss)
+        else:
+            # A full cache hit reads nothing from disk.
+            ctx.read_bytes = 0.0
+            ctx.read_seconds = 0.0
+        cpu_time = plan.cpu_seconds
         if cpu_time > 0:
             self.resources.cpu.acquire(cpu_time, ctx.after_cpu)
         else:
@@ -399,7 +413,7 @@ class Replica:
             if result.committed:
                 # Dirty pages go to the background writer; the transaction
                 # does not wait for them (durability lives in the middleware).
-                write_time = self.disk_model.write_seconds(batch[i].work.write_bytes)
+                write_time = batch[i].plan.write_seconds
                 if write_time > 0:
                     self.resources.disk.add_background_work(write_time)
                 self.committed_updates += 1
@@ -609,11 +623,10 @@ class Replica:
         self.completed += 1
         if self.metrics is not None and committed:
             now = self.sim.now
-            work = ctx.work
+            plan = ctx.plan
             self.metrics.record_completion(
-                now, ctx.txn_type.name, self.replica_id, now - ctx.submitted_at,
-                ctx.txn_type.is_update, work.read_bytes,
-                self.disk_model.effective_write_bytes(work.write_bytes),
+                now, plan.name, self.replica_id, now - ctx.submitted_at,
+                plan.is_update, ctx.read_bytes, plan.effective_write_bytes,
             )
         # Hand the slot straight to the head of the queue (``active`` never
         # dips and re-climbs), so the queue is non-empty only while every
@@ -783,7 +796,7 @@ class Replica:
                     to_apply.append(writeset)
             applied_version = version
         if to_apply is not None:
-            disk_model = self.disk_model
+            disk_model = engine.disk_model
             cpu_seconds, read_bytes, write_bytes, applications, filtered = \
                 engine.apply_writesets_fast(to_apply, self.filter_tables)
             if applications:

@@ -11,9 +11,9 @@ from repro.storage.buffer_pool import BufferPool, BufferPoolStats
 from repro.storage.catalog import Catalog
 from repro.storage.disk import DiskModel
 from repro.storage.engine import (
+    AccessPlan,
     DatabaseEngine,
     EngineConfig,
-    TransactionWork,
     WriteItem,
     WriteSet,
 )
@@ -34,6 +34,7 @@ from repro.storage.relation import Relation, RelationKind, Schema, index, table
 from repro.storage.snapshot import SnapshotManager
 
 __all__ = [
+    "AccessPlan",
     "BufferPool",
     "BufferPoolStats",
     "Catalog",
@@ -53,7 +54,6 @@ __all__ = [
     "Schema",
     "SEGMENT_SIZE_BYTES",
     "SnapshotManager",
-    "TransactionWork",
     "WriteItem",
     "WriteSet",
     "bytes_for_pages",

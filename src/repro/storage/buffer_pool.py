@@ -173,10 +173,6 @@ class BufferPool:
         state = self._relations.get(relation)
         return state.resident if state is not None else 0.0
 
-    def resident_relations(self) -> List[str]:
-        """Relations with any cached bytes, LRU (oldest) first."""
-        return [name for name, state in self._relations.items() if state.resident > 0]
-
     def hot_set_bytes_of(self, relation: str) -> float:
         """Largest hot set ever observed for ``relation`` (0 if untracked)."""
         state = self._relations.get(relation)
@@ -185,9 +181,8 @@ class BufferPool:
     def tracked_relations(self) -> List[str]:
         """Relations with pool state (LRU order).
 
-        A relation whose bytes were all evicted (or invalidated) has its
-        state dropped and is no longer listed; it reappears on its next
-        access.
+        A relation whose bytes were all evicted has its state dropped and
+        is no longer listed; it reappears on its next access.
         """
         return list(self._relations.keys())
 
@@ -334,32 +329,6 @@ class BufferPool:
         stats.bytes_requested = requested
         stats.bytes_missed = missed
         return random_miss, sequential_miss
-
-    def invalidate(self, relation: str) -> float:
-        """Drop all cached bytes of a relation (e.g. the table was dropped
-        at this replica because update filtering made it unnecessary).
-
-        Returns the number of bytes freed.
-        """
-        relations = self._relations
-        state = relations.pop(relation, None)
-        freed = state.resident if state is not None else 0.0
-        if relations:
-            self._resident_total -= freed
-            if state is not None:
-                hot_total = self._hot_total - state.hot_max
-                self._hot_total = hot_total
-                self._maybe_evict = hot_total > self._capacity_f
-            if relation == self._mru:
-                self._mru = None
-        else:
-            # Re-anchor the running totals whenever the pool empties, so
-            # float rounding from incremental updates can never accumulate.
-            self._resident_total = 0.0
-            self._hot_total = 0.0
-            self._maybe_evict = False
-            self._mru = None
-        return freed
 
     def warm(self, relation: str, resident_bytes: float, hot_set_bytes: Optional[float] = None) -> None:
         """Pre-populate the cache (used by tests and warm-start experiments)."""

@@ -12,6 +12,14 @@ Separating "how much work does this transaction cause given the current
 cache state" (the engine) from "how long does that work take under
 contention" (the resources) keeps the memory-contention model -- the heart
 of the paper -- independent from the queueing model.
+
+Each transaction type is compiled once per catalog version into an
+:class:`AccessPlan`, the one home of the type's per-type constants: its
+buffer-pool steps, CPU seconds, dirtied bytes, write specs and writeset
+shape, and its commit write-back cost under the engine's
+:class:`~repro.storage.disk.DiskModel`.  :meth:`DatabaseEngine.execute`
+returns the plan with the execution's buffer-pool misses, so the replica
+reads those constants instead of recomputing them per transaction.
 """
 
 from __future__ import annotations
@@ -22,61 +30,45 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.storage.buffer_pool import AccessStep, BufferPool
 from repro.storage.catalog import Catalog
+from repro.storage.disk import DiskModel
 from repro.storage.pages import PAGE_SIZE_BYTES
 from repro.storage.snapshot import SnapshotManager
 from repro.workloads.spec import AccessPattern, TransactionType
 
 # One write spec of a compiled plan: (relation, rows, payload bytes, pages
-# dirtied, key space).
-_WritePlan = Tuple[str, int, int, int, int]
-# A transaction type compiled against one catalog version: (the type itself,
-# buffer-pool steps, CPU seconds, write-back bytes, write specs, the shape of
-# its writesets).  See DatabaseEngine._compile.
-_AccessPlan = Tuple[TransactionType, Tuple[AccessStep, ...], float, float,
-                    Tuple[_WritePlan, ...], "WriteShape"]
+# dirtied, key space, the key space's bit length).
+_WritePlan = Tuple[str, int, int, int, int, int]
 
 
-class TransactionWork:
-    """Resource demand generated by one transaction (or writeset) execution.
+class AccessPlan:
+    """One transaction type compiled against one catalog version.
 
-    A ``__slots__`` class rather than a dataclass: one instance is allocated
-    per transaction execution and per remote-writeset application, which
-    makes construction cost part of the simulator's hot path.
-
-    Attributes:
-        cpu_seconds: processor time needed (query processing, tuple handling).
-        random_read_bytes: buffer-pool misses from random (index) accesses.
-        sequential_read_bytes: buffer-pool misses from sequential scans.
-        write_bytes: dirty-page volume that must eventually be written back.
+    Every per-type constant the replica needs lives here, derived once per
+    catalog version instead of once per transaction: the buffer-pool steps,
+    CPU seconds, write-back bytes, the write specs and writeset shape, and
+    the commit write-back cost (``write_seconds`` and
+    ``effective_write_bytes``) under the engine's :class:`DiskModel`.  Built
+    by :meth:`DatabaseEngine._compile`; treat it as immutable.
     """
 
-    __slots__ = ("cpu_seconds", "random_read_bytes", "sequential_read_bytes",
-                 "write_bytes")
+    __slots__ = ("txn_type", "name", "is_update", "steps", "cpu_seconds",
+                 "write_bytes", "writes", "shape", "write_seconds",
+                 "effective_write_bytes")
 
-    def __init__(self, cpu_seconds: float = 0.0, random_read_bytes: float = 0.0,
-                 sequential_read_bytes: float = 0.0, write_bytes: float = 0.0) -> None:
+    def __init__(self, txn_type: TransactionType, steps: Tuple[AccessStep, ...],
+                 cpu_seconds: float, write_bytes: float,
+                 writes: Tuple[_WritePlan, ...], shape: "WriteShape",
+                 disk_model: DiskModel) -> None:
+        self.txn_type = txn_type
+        self.name = txn_type.name
+        self.is_update = bool(txn_type.writes)
+        self.steps = steps
         self.cpu_seconds = cpu_seconds
-        self.random_read_bytes = random_read_bytes
-        self.sequential_read_bytes = sequential_read_bytes
         self.write_bytes = write_bytes
-
-    def __repr__(self) -> str:
-        return ("TransactionWork(cpu_seconds=%r, random_read_bytes=%r, "
-                "sequential_read_bytes=%r, write_bytes=%r)"
-                % (self.cpu_seconds, self.random_read_bytes,
-                   self.sequential_read_bytes, self.write_bytes))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransactionWork):
-            return NotImplemented
-        return (self.cpu_seconds, self.random_read_bytes,
-                self.sequential_read_bytes, self.write_bytes) == \
-               (other.cpu_seconds, other.random_read_bytes,
-                other.sequential_read_bytes, other.write_bytes)
-
-    @property
-    def read_bytes(self) -> float:
-        return self.random_read_bytes + self.sequential_read_bytes
+        self.writes = writes
+        self.shape = shape
+        self.write_seconds = disk_model.write_seconds(write_bytes)
+        self.effective_write_bytes = disk_model.effective_write_bytes(write_bytes)
 
 
 class WriteItem:
@@ -170,14 +162,6 @@ class WriteSet:
                 "snapshot_version=%r)" % (self.transaction_type, self.items,
                                           self.origin_replica, self.snapshot_version))
 
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        return tuple(item.relation for item in self.items)
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(item.payload_bytes for item in self.items)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -228,6 +212,10 @@ class DatabaseEngine:
         # literal is the standalone-engine default for unit tests.
         self.rng = rng or random.Random(0)  # simlint: disable=R1
         self.snapshots = SnapshotManager()
+        # The disk this database lives on: compiled plans carry their commit
+        # write-back cost under it, and the replica times its reads and
+        # background writes with it.
+        self.disk_model = DiskModel()
         # Stamped on every writeset as its origin; set by Replica.__init__.
         self.replica_id: Optional[int] = None
         # Cumulative accounting for the paper's disk-I/O tables.
@@ -237,7 +225,7 @@ class DatabaseEngine:
         # catalog version moves.  The plan holds the type object itself, so
         # a different type that reuses a name is recompiled, not served a
         # stale plan.
-        self._plans: Dict[str, _AccessPlan] = {}
+        self._plans: Dict[str, AccessPlan] = {}
         self._plans_version = -1
         # relation name -> write hot-set bytes, shared by local writes and
         # remote writeset application; cleared when the catalog version moves.
@@ -247,39 +235,42 @@ class DatabaseEngine:
     # ------------------------------------------------------------------
     # Transaction execution
     # ------------------------------------------------------------------
-    def execute(self, txn_type: TransactionType) -> Tuple[TransactionWork, Optional[WriteSet]]:
+    def execute(self, txn_type: TransactionType
+                ) -> Tuple[AccessPlan, float, float, Optional[WriteSet]]:
         """Execute one instance of ``txn_type`` against the local cache.
 
-        Returns the resource demand and, for update types, the writeset to
-        be certified and propagated, stamped with this engine's replica as
-        its origin and with the snapshot the transaction runs on.
+        Returns ``(plan, random_miss, sequential_miss, writeset)``: the
+        type's compiled plan (its CPU seconds, write-back bytes and commit
+        costs), the bytes the buffer pool missed on random and on
+        sequential reads, and, for update types, the writeset to be
+        certified and propagated, stamped with this engine's replica as its
+        origin and with the snapshot the transaction runs on.
         """
         version = self.catalog.version
         if self._plans_version != version:
             self._plans.clear()
             self._plans_version = version
         plan = self._plans.get(txn_type.name)
-        if plan is None or plan[0] is not txn_type:
+        if plan is None or plan.txn_type is not txn_type:
             plan = self._plans[txn_type.name] = self._compile(txn_type)
-        _, steps, cpu_seconds, write_bytes, writes, shape = plan
-        random_miss, sequential_miss = self.buffer_pool.access_many(steps)
-        work = TransactionWork(cpu_seconds, random_miss, sequential_miss, write_bytes)
+        random_miss, sequential_miss = self.buffer_pool.access_many(plan.steps)
 
         writeset: Optional[WriteSet] = None
+        writes = plan.writes
         if writes:
             writeset = WriteSet(
-                txn_type.name,
-                tuple([WriteItem(relation, self._generate_keys(key_space, rows),
+                plan.name,
+                tuple([WriteItem(relation, self._generate_keys(key_space, key_bits, rows),
                                  payload, pages)
-                       for relation, rows, payload, pages, key_space in writes]),
+                       for relation, rows, payload, pages, key_space, key_bits in writes]),
                 self.replica_id,
                 self.snapshots.applied_version,
-                shape,
+                plan.shape,
             )
         self.transactions_executed += 1
-        return work, writeset
+        return plan, random_miss, sequential_miss, writeset
 
-    def _compile(self, txn_type: TransactionType) -> _AccessPlan:
+    def _compile(self, txn_type: TransactionType) -> AccessPlan:
         """Derive a transaction type's buffer-pool steps and costs.
 
         Only values that depend on the catalog and the engine's static
@@ -329,11 +320,15 @@ class DatabaseEngine:
             steps.append((relation_name, min(touched, hot_set), hot_set, False))
             write_bytes += touched
             key_space = max(1, catalog.relpages(relation_name)) * config.key_space_per_page
+            if key_space < 1:
+                raise ValueError("engine: empty key space for writes to %r"
+                                 % (relation_name,))
             writes.append((relation_name, write_spec.rows, write_spec.writeset_bytes,
-                           write_spec.pages_dirtied, key_space))
+                           write_spec.pages_dirtied, key_space, key_space.bit_length()))
             shape_steps.append((relation_name, touched))
-        return (txn_type, tuple(steps), cpu_seconds, write_bytes, tuple(writes),
-                WriteShape(tuple(shape_steps)))
+        return AccessPlan(txn_type, tuple(steps), cpu_seconds, write_bytes,
+                          tuple(writes), WriteShape(tuple(shape_steps)),
+                          self.disk_model)
 
     def _write_hot_map(self) -> Dict[str, float]:
         """Relation -> write hot-set bytes, valid for the current catalog."""
@@ -351,9 +346,23 @@ class DatabaseEngine:
                 float(self.catalog.size_bytes(relation)) * self.config.write_locality)
         return hot_set
 
-    def _generate_keys(self, key_space: int, rows: int) -> Tuple[int, ...]:
-        randrange = self.rng.randrange
-        return tuple([randrange(key_space) for _ in range(rows)])
+    def _generate_keys(self, key_space: int, key_bits: int,
+                       rows: int) -> Tuple[int, ...]:
+        """Draw ``rows`` keys uniformly from ``range(key_space)``.
+
+        ``key_bits`` is ``key_space.bit_length()``.  Rejection sampling on
+        ``getrandbits(key_bits)`` is the algorithm ``randrange(key_space)``
+        runs, so it makes the same ``getrandbits`` calls and returns the
+        same keys, without two Python frames per key.
+        """
+        getrandbits = self.rng.getrandbits
+        keys: List[int] = []
+        for _ in range(rows):
+            r = getrandbits(key_bits)
+            while r >= key_space:
+                r = getrandbits(key_bits)
+            keys.append(r)
+        return tuple(keys)
 
     # ------------------------------------------------------------------
     # Remote writeset application (update propagation)

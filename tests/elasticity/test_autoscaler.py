@@ -113,6 +113,20 @@ def test_queue_pressure_raises_the_signal_when_utilisation_saturates():
     assert autoscaler.load_signal() == pytest.approx(2.0)
 
 
+def test_queue_pressure_differs_from_routing_effective_load():
+    """The autoscaler counts any pressure (n / 12, on the bottleneck);
+    routing counts it only above 1.0 (n / 8, on CPU alone)."""
+    cluster = make_cluster(replicas=2)
+    autoscaler = Autoscaler(cluster)
+    set_load(cluster, 0.3)
+    routing = cluster.routing
+    for rid in routing.replica_ids():
+        routing.outstanding[rid] = 6
+    assert autoscaler.load_signal() == pytest.approx(0.5)
+    for rid in routing.replica_ids():
+        assert routing.effective_load(rid).cpu == pytest.approx(0.3)
+
+
 def test_drains_back_down_when_membership_exceeds_the_ceiling():
     cluster = make_cluster(replicas=3)
     autoscaler = make_autoscaler(cluster, max_replicas=2, min_replicas=1)

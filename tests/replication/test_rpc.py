@@ -147,9 +147,9 @@ def test_retransmission_carries_the_writesets_execute_built():
     execute, certify_rpc = engine.execute, certifier.certify_rpc
 
     def recording_execute(txn_type):
-        work, writeset = execute(txn_type)
+        plan, random_miss, sequential_miss, writeset = execute(txn_type)
         built.append(writeset)
-        return work, writeset
+        return plan, random_miss, sequential_miss, writeset
 
     def recording_certify_rpc(origin, request_id, requests, since_version, now=0.0):
         arrivals.append((request_id, [writeset for writeset, _ in requests]))

@@ -74,20 +74,12 @@ def test_relation_larger_than_pool_is_capped():
     assert pool.resident_bytes <= mb(64) + 1
 
 
-def test_invalidate_frees_memory():
-    pool = BufferPool(mb(100))
-    scan(pool, "users", mb(40))
-    freed = pool.invalidate("users")
-    assert freed == pytest.approx(mb(40))
-    assert pool.resident_bytes == pytest.approx(0.0)
-
-
 def test_clear_resets_pool():
     pool = BufferPool(mb(100))
     scan(pool, "users", mb(40))
     pool.clear()
     assert pool.resident_bytes == 0.0
-    assert pool.resident_relations() == []
+    assert pool.tracked_relations() == []
 
 
 def test_skew_increases_hit_rate():
@@ -155,9 +147,9 @@ def test_partially_evicted_protected_relation_is_kept():
 
 def test_resident_total_matches_sum_after_randomized_sequences():
     """Property-style: the incrementally maintained running totals equal
-    the per-relation sums after arbitrary access / scan / warm /
-    invalidate / eviction sequences (the totals only re-anchor when the
-    pool empties)."""
+    the per-relation sums after arbitrary access / scan / warm / clear /
+    eviction sequences (the totals only re-anchor when the pool
+    empties)."""
     rng = random.Random(20260730)
     names = ["a", "b", "c", "d", "e", "f"]
     pool = BufferPool(mb(48))
@@ -169,10 +161,8 @@ def test_resident_total_matches_sum_after_randomized_sequences():
             pool.access(relation, rng.uniform(0.0, hot), hot)
         elif op < 0.70:
             scan(pool, relation, mb(rng.randint(1, 60)))
-        elif op < 0.85:
-            pool.warm(relation, mb(rng.randint(0, 30)), mb(rng.randint(1, 40)))
         elif op < 0.97:
-            pool.invalidate(relation)
+            pool.warm(relation, mb(rng.randint(0, 30)), mb(rng.randint(1, 40)))
         else:
             pool.clear()
 
@@ -187,8 +177,3 @@ def test_resident_total_matches_sum_after_randomized_sequences():
             assert next(reversed(states)) == pool._mru
         # The eviction short-circuit flag tracks the hot watermark exactly.
         assert pool._maybe_evict == (pool._hot_total > float(pool.capacity_bytes))
-    # Fully emptying the pool re-anchors the totals to exact zero.
-    for relation in names:
-        pool.invalidate(relation)
-    assert pool._resident_total == 0.0
-    assert pool._hot_total == 0.0

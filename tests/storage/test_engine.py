@@ -6,52 +6,75 @@ import pytest
 
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.engine import DatabaseEngine, EngineConfig
+from repro.storage.disk import DiskModel
+from repro.storage.engine import AccessPlan, DatabaseEngine, EngineConfig
 from repro.storage.pages import PAGE_SIZE_BYTES, mb
+from repro.workloads.rubis import make_rubis
 from repro.workloads.spec import lookup, scan, transaction_type, write
+from repro.workloads.tpcw import DATABASE_SIZES, make_tpcw
+
+
+def read_bytes(result):
+    """Bytes one ``execute`` result missed in the buffer pool."""
+    _, random_miss, sequential_miss, _ = result
+    return random_miss + sequential_miss
+
+
+def demand(result):
+    """The resource demand of one ``execute`` result, comparable with ``==``."""
+    plan, random_miss, sequential_miss, _ = result
+    return plan.cpu_seconds, random_miss, sequential_miss, plan.write_bytes
+
+
+def tables_of(writeset):
+    return tuple(item.relation for item in writeset.items)
+
+
+def payload_bytes_of(writeset):
+    return sum(item.payload_bytes for item in writeset.items)
 
 
 def test_read_only_type_produces_no_writeset(tiny_engine, tiny_workload):
-    work, writeset = tiny_engine.execute(tiny_workload.type("Read"))
+    plan, _, _, writeset = tiny_engine.execute(tiny_workload.type("Read"))
     assert writeset is None
-    assert work.cpu_seconds > 0
-    assert work.write_bytes == 0
+    assert plan.cpu_seconds > 0
+    assert plan.write_bytes == 0
 
 
 def test_update_type_produces_writeset(tiny_engine, tiny_workload):
-    work, writeset = tiny_engine.execute(tiny_workload.type("Write"))
+    plan, _, _, writeset = tiny_engine.execute(tiny_workload.type("Write"))
     assert writeset is not None
-    assert writeset.tables == ("orders",)
-    assert writeset.payload_bytes == 100
-    assert work.write_bytes == PAGE_SIZE_BYTES
+    assert tables_of(writeset) == ("orders",)
+    assert payload_bytes_of(writeset) == 100
+    assert plan.write_bytes == PAGE_SIZE_BYTES
 
 
 def test_cold_cache_misses_then_warms(tiny_engine, tiny_workload):
-    first, _ = tiny_engine.execute(tiny_workload.type("Scan"))
-    assert first.read_bytes > 0
+    first = read_bytes(tiny_engine.execute(tiny_workload.type("Scan")))
+    assert first > 0
     for _ in range(50):
-        last, _ = tiny_engine.execute(tiny_workload.type("Scan"))
-    assert last.read_bytes < first.read_bytes
+        last = read_bytes(tiny_engine.execute(tiny_workload.type("Scan")))
+    assert last < first
 
 
 def test_scan_cpu_cost_scales_with_relation_size(tiny_catalog):
     engine = DatabaseEngine(tiny_catalog, BufferPool(mb(256)))
-    small, _ = engine.execute(transaction_type("S", reads=[scan("items")], cpu_ms=1.0))
-    large, _ = engine.execute(transaction_type("L", reads=[scan("logs")], cpu_ms=1.0))
+    small = engine.execute(transaction_type("S", reads=[scan("items")], cpu_ms=1.0))[0]
+    large = engine.execute(transaction_type("L", reads=[scan("logs")], cpu_ms=1.0))[0]
     assert large.cpu_seconds > small.cpu_seconds
 
 
 def test_bulk_random_access_charged_as_sequential(tiny_catalog):
     engine = DatabaseEngine(tiny_catalog, BufferPool(mb(8)),
                             config=EngineConfig(bulk_read_pages_threshold=64))
-    big, _ = engine.execute(transaction_type("Big", reads=[lookup("logs", pages=200)]))
-    small, _ = engine.execute(transaction_type("Small", reads=[lookup("users", pages=2)]))
-    assert big.sequential_read_bytes > 0
-    assert small.sequential_read_bytes == 0
+    _, _, big, _ = engine.execute(transaction_type("Big", reads=[lookup("logs", pages=200)]))
+    _, _, small, _ = engine.execute(transaction_type("Small", reads=[lookup("users", pages=2)]))
+    assert big > 0
+    assert small == 0
 
 
 def test_apply_writeset_respects_filter(tiny_engine, tiny_workload):
-    _, writeset = tiny_engine.execute(tiny_workload.type("Write"))
+    _, _, _, writeset = tiny_engine.execute(tiny_workload.type("Write"))
     _, _, applied, _, _ = tiny_engine.apply_writesets_fast(
         (writeset,), allowed_tables={"orders"})
     _, _, filtered, applied_count, filtered_count = \
@@ -85,30 +108,79 @@ def test_plans_follow_catalog_resizes(tiny_workload):
 
     for txn_type in (scan_type, write_type):
         engine.rng, fresh.rng = random.Random(3), random.Random(3)
-        work, writeset = engine.execute(txn_type)
-        fresh_work, fresh_writeset = fresh.execute(txn_type)
-        plan, fresh_plan = engine._plans[txn_type.name], fresh._plans[txn_type.name]
+        result, fresh_result = engine.execute(txn_type), fresh.execute(txn_type)
+        plan, fresh_plan = result[0], fresh_result[0]
+        assert plan is engine._plans[txn_type.name]
+        assert fresh_plan is fresh._plans[txn_type.name]
+        for field in AccessPlan.__slots__:
+            if field != "shape":
+                assert getattr(plan, field) == getattr(fresh_plan, field), field
         # Shapes compare by identity; each plan has its own, so compare steps.
-        assert plan[:5] == fresh_plan[:5]
-        assert plan[5].steps == fresh_plan[5].steps
-        assert work.cpu_seconds == fresh_work.cpu_seconds
-        assert writeset == fresh_writeset
+        assert plan.shape.steps == fresh_plan.shape.steps
+        assert result[3] == fresh_result[3]
     # The scan now covers the grown relation; the pool saw the new hot set.
     assert engine.buffer_pool.hot_set_bytes_of("items") == float(mb(20))
     # Writes draw keys from the shrunken table's key space: relpages times
     # key_space_per_page.
-    (_, _, _, _, key_space), = engine._plans["Write"][4]
+    (_, _, _, _, key_space, key_bits), = engine._plans["Write"].writes
     assert key_space == mb(2) // PAGE_SIZE_BYTES * EngineConfig().key_space_per_page
-    assert max(writeset.items[0].keys) < key_space
+    assert key_bits == key_space.bit_length()
+    assert max(result[3].items[0].keys) < key_space
 
 
 def test_same_name_different_type_is_recompiled(tiny_catalog):
     engine = DatabaseEngine(tiny_catalog, BufferPool(mb(256)))
     small = transaction_type("T", reads=[scan("items")], cpu_ms=1.0)
     large = transaction_type("T", reads=[scan("logs")], cpu_ms=1.0)
-    small_work, _ = engine.execute(small)
-    large_work, _ = engine.execute(large)
-    assert engine._plans["T"][0] is large
+    small_result = engine.execute(small)
+    large_result = engine.execute(large)
+    assert engine._plans["T"].txn_type is large
     reference = DatabaseEngine(tiny_catalog, BufferPool(mb(256)))
-    assert large_work == reference.execute(large)[0]
-    assert large_work.cpu_seconds > small_work.cpu_seconds
+    assert demand(large_result) == demand(reference.execute(large))
+    assert large_result[0].cpu_seconds > small_result[0].cpu_seconds
+
+
+@pytest.mark.parametrize("spec", [make_tpcw(DATABASE_SIZES["MidDB"]),
+                                  make_tpcw(DATABASE_SIZES["LargeDB"]),
+                                  make_rubis()],
+                         ids=["tpcw-middb", "tpcw-largedb", "rubis"])
+def test_plans_carry_every_per_type_constant(spec):
+    """Each compiled plan holds its type's commit write-back cost, exactly
+    as the disk model computes it, and the type's name and update flag."""
+    engine = DatabaseEngine(Catalog(schema=spec.schema), BufferPool(mb(512)))
+    disk = DiskModel()
+    for name in spec.type_names():
+        txn_type = spec.type(name)
+        plan, _, _, writeset = engine.execute(txn_type)
+        assert plan.write_seconds == disk.write_seconds(plan.write_bytes)
+        assert plan.effective_write_bytes == disk.effective_write_bytes(plan.write_bytes)
+        assert plan.is_update == bool(txn_type.writes) == (writeset is not None)
+        assert plan.name == txn_type.name
+        for _, _, _, _, key_space, key_bits in plan.writes:
+            assert key_bits == key_space.bit_length()
+
+
+def test_access_plan_is_slotted(tiny_engine, tiny_workload):
+    assert "__slots__" in vars(AccessPlan)
+    plan = tiny_engine.execute(tiny_workload.type("Write"))[0]
+    assert not hasattr(plan, "__dict__")
+
+
+def test_generated_keys_match_randrange():
+    """The getrandbits rejection loop draws what randrange draws and leaves
+    the stream in the same state, across key spaces on both sides of a
+    power of two."""
+    engine = DatabaseEngine(Catalog(schema=make_rubis().schema), BufferPool(mb(8)),
+                            rng=random.Random(17))
+    reference = random.Random(17)
+    for key_space in (1, 2, 3, 40, 64, 65, 1000, 40960, 2 ** 20 + 1):
+        keys = engine._generate_keys(key_space, key_space.bit_length(), 25)
+        assert keys == tuple(reference.randrange(key_space) for _ in range(25))
+        assert engine.rng.getstate() == reference.getstate()
+
+
+def test_empty_key_space_is_rejected(tiny_catalog, tiny_workload):
+    engine = DatabaseEngine(tiny_catalog, BufferPool(mb(8)),
+                            config=EngineConfig(key_space_per_page=0))
+    with pytest.raises(ValueError):
+        engine.execute(tiny_workload.type("Write"))
