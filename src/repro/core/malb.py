@@ -16,10 +16,9 @@ This class ties together the pieces the paper describes in Sections 2 and 3:
    (:mod:`repro.core.update_filtering`) and freezes the allocation, as the
    prototype does (Section 4.2.3).
 
-Re-grouping: the balancer watches the catalog version and rebuilds its
-groups when relation sizes change materially (Section 2.1, "if changes in
-the working sets require re-grouping the transactions, new transaction
-groups are formed").
+Groups are formed once, at attach time.  The paper re-groups when the
+working sets change (Section 2.1), but relation sizes are fixed for a run
+here (see :mod:`repro.storage.catalog`), so the estimates never move.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         self.allocator: Optional[ReplicaAllocator] = None
         self.filter_plan: Optional[FilterPlan] = None
         self._last_rebalance: float = 0.0
-        self._catalog_version: int = -1
         self._filtering_active_since: Optional[float] = None
         self._observed_counts: Dict[str, float] = {}
         self._last_move_time: float = 0.0
@@ -99,12 +97,8 @@ class MemoryAwareLoadBalancer(LoadBalancer):
     # Start-up: estimate, group, allocate
     # ------------------------------------------------------------------
     def on_attach(self) -> None:
-        self._build_configuration()
-
-    def _build_configuration(self) -> None:
         view = self._require_view()
-        catalog = view.catalog()
-        estimator = WorkingSetEstimator(catalog=catalog, planner=view.planner())
+        estimator = WorkingSetEstimator(catalog=view.catalog(), planner=view.planner())
         self.estimates = estimator.estimate_all(view.workload().types)
         memory = view.replica_memory_bytes()
         self.groups = build_groups(self.estimates, memory, method=self.method)
@@ -113,11 +107,6 @@ class MemoryAwareLoadBalancer(LoadBalancer):
                                           replica_ids=self._require_routing().replica_ids())
         if self.static_allocation:
             self.allocator.freeze()
-        self._catalog_version = catalog.version
-        self.filter_plan = None
-        self._filtering_active_since = None
-        self._observed_counts: Dict[str, float] = {}
-        self._last_move_time: float = 0.0
 
     # ------------------------------------------------------------------
     # Demand tracking and demand-proportional replica targets
@@ -327,18 +316,10 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         self._cached_routing_version = routing.version
 
     # ------------------------------------------------------------------
-    # Periodic work: re-allocation, re-grouping, filtering activation
+    # Periodic work: re-allocation, filtering activation
     # ------------------------------------------------------------------
     def periodic(self, now: float) -> None:
-        view = self._require_view()
         allocator = self._require_allocator()
-
-        # Re-group if the database has grown/shrunk materially since the
-        # estimates were computed.
-        if view.catalog().version != self._catalog_version and self.filter_plan is None:
-            self._build_configuration()
-            allocator = self._require_allocator()
-
         self._now_hint = now
         if now - self._last_rebalance >= self.REBALANCE_INTERVAL_S:
             self._last_rebalance = now

@@ -23,8 +23,8 @@ two availability constraints of Section 3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Set
 
 from repro.core.grouping import TransactionGroup
 from repro.core.working_set import WorkingSetEstimate
@@ -47,15 +47,6 @@ class FilterPlan:
 
     def tables_for(self, replica_id: int) -> Set[str]:
         return set(self.tables_per_replica.get(replica_id, set()))
-
-    def filtered_fraction(self, all_tables: Sequence[str]) -> float:
-        """Average fraction of tables filtered per replica (0 = no filtering)."""
-        if not self.tables_per_replica or not all_tables:
-            return 0.0
-        total = 0.0
-        for tables in self.tables_per_replica.values():
-            total += 1.0 - len(tables.intersection(all_tables)) / len(all_tables)
-        return total / len(self.tables_per_replica)
 
 
 def tables_used_by_types(type_names: Sequence[str],

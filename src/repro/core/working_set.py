@@ -19,8 +19,8 @@ MALB-SCAP uses only the scanned relations (the lower estimate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Set
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,6 @@ class WorkingSetEstimate:
 
     def scanned_relation_bytes(self) -> Dict[str, int]:
         return {name: int(self.relation_bytes[name]) for name in self.scanned}
-
-    # ------------------------------------------------------------------
-    # Combination helpers
-    # ------------------------------------------------------------------
-    def overlap_bytes(self, other: "WorkingSetEstimate") -> int:
-        """Bytes shared with another estimate (common relations)."""
-        shared = self.relations & other.relations
-        return int(sum(self.relation_bytes[name] for name in shared))
 
 
 def combined_size_with_overlap(estimates: Iterable[WorkingSetEstimate]) -> int:

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     make_balancer,
     make_workload,
     run_experiment,
-    run_many,
 )
 from repro.experiments.report import format_bar_chart, format_result_table
 
@@ -48,5 +47,4 @@ __all__ = [
     "make_balancer",
     "make_workload",
     "run_experiment",
-    "run_many",
 ]

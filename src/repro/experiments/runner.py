@@ -12,7 +12,7 @@ disk I/O per transaction, groupings and replica counts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.balancer import LoadBalancer
 from repro.core.baselines import LardBalancer, LeastConnectionsBalancer, RoundRobinBalancer
@@ -176,11 +176,6 @@ def run_experiment(config: ExperimentConfig,
         throughput_series=result.metrics.throughput_series(),
         abort_reasons=dict(result.metrics.abort_reasons),
     )
-
-
-def run_many(configs: Iterable[ExperimentConfig]) -> List[ExperimentResult]:
-    """Run a list of experiments in order."""
-    return [run_experiment(config) for config in configs]
 
 
 def named_experiment_configs() -> Dict[str, ExperimentConfig]:

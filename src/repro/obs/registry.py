@@ -71,16 +71,9 @@ class TelemetryRegistry:
         """
         self._gauges[name] = fn
 
-    def unregister_gauge(self, name: str) -> None:
-        self._gauges.pop(name, None)
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def counter_value(self, name: str) -> float:
-        counter = self._counters.get(name)
-        return counter.value if counter is not None else 0
-
     def counters_snapshot(self) -> Dict[str, object]:
         return {name: c.value for name, c in sorted(self._counters.items())}
 

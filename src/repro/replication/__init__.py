@@ -7,7 +7,6 @@ from repro.replication.cluster import (
     MEMORY_OVERHEAD_BYTES,
     ReplicatedCluster,
     RunResult,
-    standalone_config,
 )
 from repro.replication.replica import Replica, TransactionContext
 from repro.replication.writeset import CertifiedWriteSet, WriteItem, WriteSet
@@ -26,5 +25,4 @@ __all__ = [
     "TransactionContext",
     "WriteItem",
     "WriteSet",
-    "standalone_config",
 ]

@@ -37,7 +37,7 @@ assignment (MALB) reconcile at once, and appends a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Set
 
 from repro.core.balancer import LoadBalancer
@@ -728,14 +728,3 @@ class ReplicatedCluster:
             replica_counts=self.balancer.replica_counts(),
             certifier_aborts=self.certifier.stats.aborts,
         )
-
-
-def standalone_config(base: Optional[ClusterConfig] = None,
-                      ram_bytes: int = mb(1024)) -> ClusterConfig:
-    """Configuration for the "Single" standalone database reference point.
-
-    One replica with the full 1 GB of machine memory and the same client
-    intensity per replica as the clustered runs.
-    """
-    base = base or ClusterConfig()
-    return replace(base, num_replicas=1, replica_ram_bytes=ram_bytes)

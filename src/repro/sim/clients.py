@@ -87,10 +87,12 @@ class Client:
     def _complete(self, committed: bool) -> None:
         pop = self.population
         pop.requests_completed += 1
-        # Inline exponential think-time draw (see ClientPopulation._think_time
-        # for why the formula is spelled out); think times are never negative,
-        # so the continuation skips schedule's check and goes straight onto
-        # the event queue.
+        # Exponential think time, -ln(1 - U) / lambda with U = rng.random().
+        # It equals random.Random.expovariate on Python 3.11+, but unlike the
+        # stdlib, whose expovariate changed across versions, it draws the
+        # same value on every supported Python, so seeded runs reproduce
+        # everywhere.  Think times are never negative, so the continuation
+        # skips schedule's check and goes straight onto the event queue.
         lambd = pop._think_lambd
         think = -log(1.0 - pop._rng.random()) / lambd if lambd is not None else 0.0
         sim = pop.sim
@@ -138,11 +140,6 @@ class ClientPopulation:
             offset = self._rng.uniform(0.0, max(self.config.think_time_s, 0.05))
             self.sim.schedule(offset, client.issue)
 
-    @property
-    def active_clients(self) -> int:
-        """Clients currently allowed to issue transactions."""
-        return self._active_target
-
     def set_active_clients(self, count: int) -> None:
         """Grow or shrink the closed-loop population (flash crowds).
 
@@ -164,17 +161,6 @@ class ClientPopulation:
                 offset = self._rng.uniform(0.0, max(self.config.think_time_s, 0.05))
                 self.sim.schedule(offset, self._clients[client_id].issue)
         self._spawn_up_to(count)
-
-    def _think_time(self) -> float:
-        # Inline exponential draw: -ln(1 - U) / lambda, U = rng.random().
-        # Identical to random.Random.expovariate on Python 3.11+, and --
-        # unlike delegating to the stdlib, whose expovariate implementation
-        # changed across versions -- it draws the same value on every
-        # supported Python, which keeps seeded runs reproducible everywhere.
-        lambd = self._think_lambd
-        if lambd is None:
-            return 0.0
-        return -log(1.0 - self._rng.random()) / lambd
 
     @property
     def outstanding(self) -> int:

@@ -85,32 +85,10 @@ class Resource:
     # ------------------------------------------------------------------
     # Utilisation accounting
     # ------------------------------------------------------------------
-    @property
-    def backlog_seconds(self) -> float:
-        """Service time accepted but not yet completed, as of now."""
-        return max(0.0, self._busy_until - self.sim.now)
-
     def busy_seconds_until(self, time: Optional[float] = None) -> float:
         """Cumulative time the server has actually been busy up to ``time``."""
         at = self.sim.now if time is None else time
         return self._work_accepted - max(0.0, self._busy_until - at)
-
-    def utilization(self, window_start: float, window_end: Optional[float] = None,
-                    busy_at_window_start: Optional[float] = None) -> float:
-        """Fraction of the window during which the server was busy (0..1).
-
-        Callers that sample periodically pass the busy-seconds figure they
-        recorded at the start of the window; utilisation is then exact for a
-        work-conserving FIFO server.
-        """
-        end = self.sim.now if window_end is None else window_end
-        if end <= window_start:
-            return 0.0
-        start_busy = busy_at_window_start
-        if start_busy is None:
-            start_busy = 0.0 if window_start == 0.0 else self.busy_seconds_until(window_start)
-        busy = self.busy_seconds_until(end) - start_busy
-        return max(0.0, min(1.0, busy / (end - window_start)))
 
 
 @dataclass

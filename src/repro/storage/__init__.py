@@ -22,7 +22,6 @@ from repro.storage.pages import (
     KB,
     MB,
     PAGE_SIZE_BYTES,
-    SEGMENT_SIZE_BYTES,
     bytes_for_pages,
     gb,
     mb,
@@ -52,7 +51,6 @@ __all__ = [
     "Relation",
     "RelationKind",
     "Schema",
-    "SEGMENT_SIZE_BYTES",
     "SnapshotManager",
     "WriteItem",
     "WriteSet",

@@ -11,44 +11,32 @@ working-set information from PostgreSQL:
 
 :class:`Catalog` is the equivalent interface in this reproduction.  It wraps
 a :class:`~repro.storage.relation.Schema` and answers exactly those two
-queries (``relations()`` and ``relpages()``), plus the growth/shrink
-monitoring hook the paper uses to decide when transaction groups need to be
-recomputed ("the state of the database is continuously monitored to create
-up-to-date estimates of the working sets using queries on metadata for the
-tables", Section 2.1).
+queries (``relations()`` and ``relpages()``), plus the one metadata choice
+the planner and the storage engine share: which index a point lookup
+descends (:meth:`Catalog.smallest_index_of`).
+
+Relation sizes are fixed for a run.  The paper re-estimates working sets
+when the database grows (Section 2.1), but none of its experiments changes
+a relation's size, so the catalog is an immutable view of its schema: the
+load balancer groups transactions once, and each engine compiles each
+transaction type once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.storage.pages import PAGE_SIZE_BYTES, pages_for_bytes
+from repro.storage.pages import pages_for_bytes
 from repro.storage.relation import Relation, Schema
 
 
-@dataclass
 class Catalog:
-    """Metadata view over a schema, with support for size growth over time.
+    """Immutable metadata view over a schema."""
 
-    The catalog keeps its own copy of per-relation sizes so that workload
-    growth (e.g. the TPC-W ``orders`` table growing as BuyConfirm
-    transactions commit) can be reflected without mutating the schema
-    object shared with other components.
-    """
+    __slots__ = ("schema",)
 
-    schema: Schema
-    _sizes: Dict[str, int] = field(default_factory=dict)
-    _version: int = 0
-    # table name -> its smallest index (or None).  The engine asks this on
-    # every random read; index structure and schema sizes are immutable, so
-    # the answer never changes for a given catalog.
-    _smallest_index: Dict[str, Optional[Relation]] = \
-        field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._sizes:
-            self._sizes = self.schema.sizes()
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
 
     # ------------------------------------------------------------------
     # The two queries the paper's load balancer issues.
@@ -59,83 +47,27 @@ class Catalog:
 
     def relpages(self, name: str) -> int:
         """``SELECT relpages FROM pg_class WHERE relname = :name``."""
-        if name not in self._sizes:
-            raise KeyError("unknown relation %r" % (name,))
-        return pages_for_bytes(self._sizes[name])
+        return pages_for_bytes(self.size_bytes(name))
 
     # ------------------------------------------------------------------
     # Size accessors used by the storage engine and estimators.
     # ------------------------------------------------------------------
     def size_bytes(self, name: str) -> int:
         try:
-            return self._sizes[name]
+            return self.schema.relations[name].size_bytes
         except KeyError:
             raise KeyError("unknown relation %r" % (name,)) from None
-
-    def total_size_bytes(self) -> int:
-        return sum(self._sizes.values())
 
     def tables(self) -> List[Relation]:
         return [r for r in self.schema if r.is_table]
 
-    def indices_of(self, table_name: str) -> List[Relation]:
-        return self.schema.indices_of(table_name)
-
     def smallest_index_of(self, table_name: str) -> Optional[Relation]:
-        """The table's smallest index (the one a point lookup descends).
-
-        Cached per catalog: the schema's index set and sizes are immutable,
-        and the storage engine asks this once per random table access.
-        """
-        try:
-            return self._smallest_index[table_name]
-        except KeyError:
-            indices = self.schema.indices_of(table_name)
-            chosen = min(indices, key=lambda idx: idx.size_bytes) if indices else None
-            self._smallest_index[table_name] = chosen
-            return chosen
+        """The table's smallest index (the one a point lookup descends)."""
+        indices = self.schema.indices_of(table_name)
+        return min(indices, key=lambda idx: idx.size_bytes) if indices else None
 
     def get(self, name: str) -> Optional[Relation]:
         return self.schema.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._sizes
-
-    # ------------------------------------------------------------------
-    # Growth / shrinkage monitoring.
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotonically increasing counter bumped on every size change.
-
-        The load balancer polls this to decide whether working sets must be
-        re-estimated and transaction groups re-formed.
-        """
-        return self._version
-
-    def grow(self, name: str, delta_bytes: int) -> None:
-        """Grow (or with a negative delta, shrink) a relation.
-
-        Sizes never drop below one page; a relation never disappears from
-        the catalog by shrinking.
-        """
-        if name not in self._sizes:
-            raise KeyError("unknown relation %r" % (name,))
-        new_size = max(PAGE_SIZE_BYTES, self._sizes[name] + delta_bytes)
-        if new_size != self._sizes[name]:
-            self._sizes[name] = new_size
-            self._version += 1
-
-    def set_size(self, name: str, size_bytes: int) -> None:
-        """Set an absolute relation size (used by tests and growth models)."""
-        if name not in self._sizes:
-            raise KeyError("unknown relation %r" % (name,))
-        if size_bytes < PAGE_SIZE_BYTES:
-            size_bytes = PAGE_SIZE_BYTES
-        if size_bytes != self._sizes[name]:
-            self._sizes[name] = size_bytes
-            self._version += 1
-
-    def snapshot_sizes(self) -> Dict[str, int]:
-        """A copy of the current relation sizes (name -> bytes)."""
-        return dict(self._sizes)
+        return name in self.schema

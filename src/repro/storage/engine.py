@@ -13,7 +13,7 @@ cache state" (the engine) from "how long does that work take under
 contention" (the resources) keeps the memory-contention model -- the heart
 of the paper -- independent from the queueing model.
 
-Each transaction type is compiled once per catalog version into an
+Each transaction type is compiled once per engine into an
 :class:`AccessPlan`, the one home of the type's per-type constants: its
 buffer-pool steps, CPU seconds, dirtied bytes, write specs and writeset
 shape, and its commit write-back cost under the engine's
@@ -41,10 +41,10 @@ _WritePlan = Tuple[str, int, int, int, int, int]
 
 
 class AccessPlan:
-    """One transaction type compiled against one catalog version.
+    """One transaction type compiled against one engine's catalog.
 
     Every per-type constant the replica needs lives here, derived once per
-    catalog version instead of once per transaction: the buffer-pool steps,
+    engine instead of once per transaction: the buffer-pool steps,
     CPU seconds, write-back bytes, the write specs and writeset shape, and
     the commit write-back cost (``write_seconds`` and
     ``effective_write_bytes``) under the engine's :class:`DiskModel`.  Built
@@ -221,16 +221,13 @@ class DatabaseEngine:
         # Cumulative accounting for the paper's disk-I/O tables.
         self.transactions_executed = 0
         # Transaction type name -> compiled access plan (see _compile),
-        # derived purely from catalog metadata and cleared whenever the
-        # catalog version moves.  The plan holds the type object itself, so
-        # a different type that reuses a name is recompiled, not served a
-        # stale plan.
+        # derived purely from catalog metadata, which is fixed for a run.
+        # The plan holds the type object itself, so a different type that
+        # reuses a name is recompiled, not served a stale plan.
         self._plans: Dict[str, AccessPlan] = {}
-        self._plans_version = -1
         # relation name -> write hot-set bytes, shared by local writes and
-        # remote writeset application; cleared when the catalog version moves.
+        # remote writeset application.
         self._write_hot_sets: Dict[str, float] = {}
-        self._write_hot_version = -1
 
     # ------------------------------------------------------------------
     # Transaction execution
@@ -246,10 +243,6 @@ class DatabaseEngine:
         certified and propagated, stamped with this engine's replica as its
         origin and with the snapshot the transaction runs on.
         """
-        version = self.catalog.version
-        if self._plans_version != version:
-            self._plans.clear()
-            self._plans_version = version
         plan = self._plans.get(txn_type.name)
         if plan is None or plan.txn_type is not txn_type:
             plan = self._plans[txn_type.name] = self._compile(txn_type)
@@ -330,19 +323,12 @@ class DatabaseEngine:
                           tuple(writes), WriteShape(tuple(shape_steps)),
                           self.disk_model)
 
-    def _write_hot_map(self) -> Dict[str, float]:
-        """Relation -> write hot-set bytes, valid for the current catalog."""
-        if self._write_hot_version != self.catalog.version:
-            self._write_hot_sets.clear()
-            self._write_hot_version = self.catalog.version
-        return self._write_hot_sets
-
     def _write_hot_set(self, relation: str) -> float:
-        """Hot-set size for writes to ``relation`` (cached per catalog version)."""
-        hot_map = self._write_hot_map()
-        hot_set = hot_map.get(relation)
+        """Hot-set size for writes to ``relation`` (cached per engine)."""
+        hot_sets = self._write_hot_sets
+        hot_set = hot_sets.get(relation)
         if hot_set is None:
-            hot_set = hot_map[relation] = _at_least_a_page(
+            hot_set = hot_sets[relation] = _at_least_a_page(
                 float(self.catalog.size_bytes(relation)) * self.config.write_locality)
         return hot_set
 
@@ -425,10 +411,10 @@ class DatabaseEngine:
         random_read_bytes = 0.0
         write_bytes = 0.0
         if touched_by_relation:
-            hot_map = self._write_hot_map()
+            hot_sets = self._write_hot_sets
             steps: List[AccessStep] = []
             for relation, touched in touched_by_relation.items():
-                hot_set = hot_map.get(relation)
+                hot_set = hot_sets.get(relation)
                 if hot_set is None:
                     hot_set = self._write_hot_set(relation)
                 steps.append((relation, min(touched, hot_set), hot_set, False))

@@ -1,4 +1,4 @@
-"""Page and segment size constants and size arithmetic.
+"""Page size constants and size arithmetic.
 
 The paper's prototype uses PostgreSQL, whose unit of storage and of buffer
 management is an 8 KB page.  Working-set estimates in the paper are computed
@@ -9,22 +9,15 @@ page must be written completely to disk whether one byte is dirty or all
 8KB are dirty", Section 5.5).
 
 The simulator does not track individual 8 KB pages of a multi-gigabyte
-database -- that would be millions of objects per replica.  Instead the
-buffer pool operates on *segments*: contiguous runs of pages of a single
-relation.  A segment is the unit of residency tracking; disk-read and
-disk-write volumes are still accounted in bytes and reported in pages.
-The default segment size (1 MB = 128 pages) is small enough that partial
-residency of large relations is modelled faithfully, and large enough that
-a 3 GB database is only a few thousand segments.
+database: the buffer pool tracks fractional residency per relation hot set
+(see :mod:`repro.storage.buffer_pool`), and disk-read and disk-write volumes
+are accounted in bytes and reported in pages.
 """
 
 from __future__ import annotations
 
 # PostgreSQL page size used by the paper's prototype (Section 4.2.2, item 3).
 PAGE_SIZE_BYTES: int = 8 * 1024
-
-# Unit of buffer-pool residency tracking in the simulator.
-SEGMENT_SIZE_BYTES: int = 1024 * 1024
 
 # Convenience multipliers.
 KB: int = 1024
@@ -44,13 +37,6 @@ def bytes_for_pages(num_pages: int) -> int:
     if num_pages < 0:
         raise ValueError("page count must be non-negative, got %r" % (num_pages,))
     return num_pages * PAGE_SIZE_BYTES
-
-
-def segments_for_bytes(num_bytes: float, segment_size: int = SEGMENT_SIZE_BYTES) -> int:
-    """Number of segments needed to hold ``num_bytes`` (rounded up, >= 1 for any positive size)."""
-    if num_bytes <= 0:
-        return 0
-    return int((num_bytes + segment_size - 1) // segment_size)
 
 
 def mb(value: float) -> int:

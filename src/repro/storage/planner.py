@@ -23,7 +23,7 @@ Two design points worth noting:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.storage.catalog import Catalog
 from repro.storage.query_plan import ExecutionPlan, PlanNode, PlanNodeKind
@@ -67,9 +67,8 @@ class QueryPlanner:
         # is what a cost-based planner would do for a selective predicate.
         nodes: List[PlanNode] = []
         if relation.is_table:
-            indices = self.catalog.indices_of(access.relation)
-            if indices:
-                chosen = min(indices, key=lambda idx: idx.size_bytes)
+            chosen = self.catalog.smallest_index_of(access.relation)
+            if chosen is not None:
                 nodes.append(
                     PlanNode(
                         kind=PlanNodeKind.INDEX_SCAN,
@@ -120,7 +119,3 @@ class QueryPlanner:
                 )
             )
         return ExecutionPlan(transaction_type=txn_type.name, nodes=tuple(nodes))
-
-    def plan_all(self, types: Dict[str, TransactionType]) -> Dict[str, ExecutionPlan]:
-        """Plan every transaction type of a workload (name -> plan)."""
-        return {name: self.plan(txn_type) for name, txn_type in types.items()}

@@ -19,8 +19,8 @@ real Tashkent+ load balancer only ever sees ``EXPLAIN`` output and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 
 class PlanNodeKind(enum.Enum):
@@ -88,26 +88,6 @@ class ExecutionPlan:
         seen: Dict[str, None] = {}
         for node in self.nodes:
             seen.setdefault(node.relation, None)
-        return list(seen.keys())
-
-    def read_nodes(self) -> List[PlanNode]:
-        return [node for node in self.nodes if not node.is_modify]
-
-    def scanned_relations(self) -> List[str]:
-        """Relations accessed by sequential scan (the "heavily used" set of MALB-SCAP)."""
-        seen: Dict[str, None] = {}
-        for node in self.nodes:
-            if node.is_scan:
-                seen.setdefault(node.relation, None)
-        return list(seen.keys())
-
-    def randomly_accessed_relations(self) -> List[str]:
-        """Relations accessed via an index (random access)."""
-        seen: Dict[str, None] = {}
-        for node in self.nodes:
-            if node.is_index_scan:
-                seen.setdefault(node.relation, None)
-                seen.setdefault(node.table, None)
         return list(seen.keys())
 
     def written_tables(self) -> List[str]:

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.storage.pages import PAGE_SIZE_BYTES, pages_for_bytes
+from repro.storage.pages import PAGE_SIZE_BYTES
 
 
 class RelationKind(enum.Enum):
@@ -63,11 +63,6 @@ class Relation:
     def is_index(self) -> bool:
         return self.kind is RelationKind.INDEX
 
-    @property
-    def size_pages(self) -> int:
-        """Size in 8 KB pages, as ``pg_class.relpages`` would report it."""
-        return pages_for_bytes(self.size_bytes)
-
 
 def table(name: str, size_bytes: int) -> Relation:
     """Convenience constructor for a base table."""
@@ -90,9 +85,10 @@ class Schema:
 
     name: str
     relations: Dict[str, Relation] = field(default_factory=dict)
-    # Lazily built table -> [indices] map; rebuilt after add().  The storage
-    # engine consults indices_of() on every random read, so recomputing the
-    # list comprehension per access was one of the simulator's hot paths.
+    # Lazily built table -> [indices] map; rebuilt after add().  The planner
+    # and every engine ask for a table's indices once per random access they
+    # compile, and re-scanning the schema each time was measurable in
+    # cluster set-up.
     _indices_by_table: Optional[Dict[str, List[Relation]]] = \
         field(default=None, compare=False, repr=False)
 

@@ -60,20 +60,6 @@ class WorkloadSchedule:
             raise ValueError("phase length must be positive")
         return cls([MixPhase(i * phase_length, name) for i, name in enumerate(mix_names)])
 
-    def mix_at(self, time: float) -> str:
-        """Name of the mix active at simulated time ``time``."""
-        active = self.phases[0].mix_name
-        for phase in self.phases:
-            if phase.start_time <= time:
-                active = phase.mix_name
-            else:
-                break
-        return active
-
-    def change_times(self) -> List[float]:
-        """Times at which the active mix changes (excludes time 0)."""
-        return [phase.start_time for phase in self.phases[1:]]
-
 
 @dataclass
 class WorkloadGenerator:

@@ -29,7 +29,7 @@ import bisect
 import enum
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     # Imported lazily to avoid a circular import: the storage engine itself
@@ -181,9 +181,6 @@ class TransactionType:
     def is_read_only(self) -> bool:
         return not self.writes
 
-    def read_relations(self) -> List[str]:
-        return [access.relation for access in self.reads]
-
     def written_tables(self) -> List[str]:
         return [w.relation for w in self.writes]
 
@@ -313,9 +310,3 @@ class WorkloadSpec:
 
     def type_names(self) -> List[str]:
         return sorted(self.types.keys())
-
-    def update_types(self) -> List[TransactionType]:
-        return [t for t in self.types.values() if t.is_update]
-
-    def read_only_types(self) -> List[TransactionType]:
-        return [t for t in self.types.values() if t.is_read_only]

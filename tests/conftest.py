@@ -48,6 +48,21 @@ def make_tiny_workload():
     return WorkloadSpec(name="tiny", schema=schema, types=types, mixes=mixes)
 
 
+def scanned_relations(plan):
+    """Relations a plan reads by sequential scan, in plan order, de-duplicated."""
+    return list(dict.fromkeys(node.relation for node in plan.nodes if node.is_scan))
+
+
+def randomly_accessed_relations(plan):
+    """Relations (index and table) a plan reads through an index."""
+    seen = {}
+    for node in plan.nodes:
+        if node.is_index_scan:
+            seen.setdefault(node.relation, None)
+            seen.setdefault(node.table, None)
+    return list(seen)
+
+
 @pytest.fixture
 def tiny_schema():
     return make_tiny_schema()

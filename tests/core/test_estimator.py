@@ -38,14 +38,6 @@ def test_order_display_upper_vs_lower_estimate(tpcw_estimator):
     assert upper_mb > 1000
 
 
-def test_estimates_track_catalog_growth(tiny_catalog, tiny_planner, tiny_workload):
-    estimator = WorkingSetEstimator(catalog=tiny_catalog, planner=tiny_planner)
-    before = estimator.estimate(tiny_workload.type("Scan")).total_bytes
-    tiny_catalog.grow("items", 50 * 2**20)
-    after = estimator.estimate(tiny_workload.type("Scan")).total_bytes
-    assert after > before
-
-
 def test_written_tables_recorded(tiny_catalog, tiny_planner, tiny_workload):
     estimator = WorkingSetEstimator(catalog=tiny_catalog, planner=tiny_planner)
     estimate = estimator.estimate(tiny_workload.type("Write"))

@@ -30,7 +30,8 @@ def test_paper_overlap_example():
     t2 = make("T2", {"B": 20, "C": 30})
     assert combined_size_no_overlap([t1, t2]) == 10 + 2 * 20 + 30
     assert combined_size_with_overlap([t1, t2]) == 10 + 20 + 30
-    assert t1.overlap_bytes(t2) == 20
+    shared = t1.relations & t2.relations
+    assert sum(t1.relation_bytes[name] for name in shared) == 20
 
 
 def test_union_takes_max_size_per_relation():

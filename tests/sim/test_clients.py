@@ -58,7 +58,7 @@ def test_population_grows_mid_run(tiny_workload):
     sim.run_until(5.0)
     rate_before = pop.requests_completed / 5.0
     pop.set_active_clients(8)
-    assert pop.active_clients == 8
+    assert pop._active_target == 8
     start_count = pop.requests_completed
     sim.run_until(10.0)
     rate_after = (pop.requests_completed - start_count) / 5.0

@@ -1,13 +1,12 @@
-"""Unit tests for the catalog (relpages interface and growth tracking)."""
+"""Unit tests for the catalog (relpages interface and index choice)."""
 
 import pytest
 
-from repro.storage.catalog import Catalog
-from repro.storage.pages import PAGE_SIZE_BYTES, mb
+from repro.storage.pages import pages_for_bytes
 
 
 def test_relpages_matches_schema(tiny_catalog, tiny_schema):
-    assert tiny_catalog.relpages("users") == tiny_schema["users"].size_pages
+    assert tiny_catalog.relpages("users") == pages_for_bytes(tiny_schema["users"].size_bytes)
     assert tiny_catalog.size_bytes("users") == tiny_schema["users"].size_bytes
 
 
@@ -16,36 +15,10 @@ def test_unknown_relation_raises(tiny_catalog):
         tiny_catalog.relpages("nope")
     with pytest.raises(KeyError):
         tiny_catalog.size_bytes("nope")
-    with pytest.raises(KeyError):
-        tiny_catalog.grow("nope", 10)
-
-
-def test_growth_bumps_version(tiny_catalog):
-    v0 = tiny_catalog.version
-    tiny_catalog.grow("users", mb(5))
-    assert tiny_catalog.version == v0 + 1
-    assert tiny_catalog.size_bytes("users") > mb(40)
-
-
-def test_shrink_never_below_one_page(tiny_catalog):
-    tiny_catalog.set_size("items", 1)
-    assert tiny_catalog.size_bytes("items") == PAGE_SIZE_BYTES
-
-
-def test_noop_change_does_not_bump_version(tiny_catalog):
-    v0 = tiny_catalog.version
-    tiny_catalog.grow("users", 0)
-    assert tiny_catalog.version == v0
-
-
-def test_total_size_and_snapshot(tiny_catalog):
-    snap = tiny_catalog.snapshot_sizes()
-    assert sum(snap.values()) == tiny_catalog.total_size_bytes()
-    snap["users"] = 0
-    assert tiny_catalog.size_bytes("users") > 0  # snapshot is a copy
 
 
 def test_tables_and_indices(tiny_catalog):
     names = {t.name for t in tiny_catalog.tables()}
     assert names == {"users", "orders", "items", "logs"}
-    assert tiny_catalog.indices_of("orders")[0].name == "orders_pkey"
+    assert tiny_catalog.smallest_index_of("orders").name == "orders_pkey"
+    assert tiny_catalog.smallest_index_of("logs") is None

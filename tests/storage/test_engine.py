@@ -89,28 +89,20 @@ def test_unknown_relation_raises(tiny_engine):
         tiny_engine.execute(transaction_type("Bad", reads=[lookup("missing", pages=1)]))
 
 
-def test_plans_follow_catalog_resizes(tiny_workload):
-    """After a resize the next execution uses the new hot sets and key
-    space: it charges exactly what an engine built on the resized catalog
-    charges."""
+def test_plans_compile_once_per_engine(tiny_workload):
+    """Each type compiles once per engine: later executions reuse the plan
+    object, and it charges exactly what a fresh engine's plan charges."""
     catalog = Catalog(schema=tiny_workload.schema)
     engine = DatabaseEngine(catalog, BufferPool(mb(512)))
     scan_type, write_type = tiny_workload.type("Scan"), tiny_workload.type("Write")
-    engine.execute(scan_type)
-    engine.execute(write_type)
-
-    for name, size in (("items", mb(20)), ("orders", mb(2))):
-        catalog.set_size(name, size)
-    fresh_catalog = Catalog(schema=tiny_workload.schema)
-    for name, size in (("items", mb(20)), ("orders", mb(2))):
-        fresh_catalog.set_size(name, size)
-    fresh = DatabaseEngine(fresh_catalog, BufferPool(mb(512)))
+    first = {t.name: engine.execute(t)[0] for t in (scan_type, write_type)}
+    fresh = DatabaseEngine(Catalog(schema=tiny_workload.schema), BufferPool(mb(512)))
 
     for txn_type in (scan_type, write_type):
         engine.rng, fresh.rng = random.Random(3), random.Random(3)
         result, fresh_result = engine.execute(txn_type), fresh.execute(txn_type)
         plan, fresh_plan = result[0], fresh_result[0]
-        assert plan is engine._plans[txn_type.name]
+        assert plan is first[txn_type.name] is engine._plans[txn_type.name]
         assert fresh_plan is fresh._plans[txn_type.name]
         for field in AccessPlan.__slots__:
             if field != "shape":
@@ -118,12 +110,12 @@ def test_plans_follow_catalog_resizes(tiny_workload):
         # Shapes compare by identity; each plan has its own, so compare steps.
         assert plan.shape.steps == fresh_plan.shape.steps
         assert result[3] == fresh_result[3]
-    # The scan now covers the grown relation; the pool saw the new hot set.
-    assert engine.buffer_pool.hot_set_bytes_of("items") == float(mb(20))
-    # Writes draw keys from the shrunken table's key space: relpages times
+    # The scan covers the whole relation; the pool saw its hot set.
+    assert engine.buffer_pool.hot_set_bytes_of("items") == float(catalog.size_bytes("items"))
+    # Writes draw keys from the table's key space: relpages times
     # key_space_per_page.
     (_, _, _, _, key_space, key_bits), = engine._plans["Write"].writes
-    assert key_space == mb(2) // PAGE_SIZE_BYTES * EngineConfig().key_space_per_page
+    assert key_space == catalog.relpages("orders") * EngineConfig().key_space_per_page
     assert key_bits == key_space.bit_length()
     assert max(result[3].items[0].keys) < key_space
 

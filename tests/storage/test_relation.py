@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.pages import mb
+from repro.storage.pages import mb, pages_for_bytes
 from repro.storage.relation import Relation, RelationKind, Schema, index, table
 
 
@@ -11,7 +11,7 @@ def test_table_and_index_constructors():
     i = index("users_pkey", "users", mb(1))
     assert t.is_table and not t.is_index
     assert i.is_index and i.parent == "users"
-    assert t.size_pages == mb(10) // 8192
+    assert pages_for_bytes(t.size_bytes) == mb(10) // 8192
 
 
 def test_index_requires_parent():

@@ -5,19 +5,26 @@ import pytest
 from repro.workloads.generator import MixPhase, WorkloadGenerator, WorkloadSchedule
 
 
+def change_times(schedule):
+    """Times at which the active mix changes (excludes time 0)."""
+    return [phase.start_time for phase in schedule.phases[1:]]
+
+
 def test_constant_schedule(tiny_workload):
     schedule = WorkloadSchedule.constant("balanced")
-    assert schedule.mix_at(0) == "balanced"
-    assert schedule.mix_at(1e9) == "balanced"
-    assert schedule.change_times() == []
+    gen = WorkloadGenerator(spec=tiny_workload, schedule=schedule)
+    assert gen.mix_at(0).name == "balanced"
+    assert gen.mix_at(1e9).name == "balanced"
+    assert change_times(schedule) == []
 
 
-def test_alternating_schedule():
-    schedule = WorkloadSchedule.alternating(["a", "b", "a"], 100.0)
-    assert schedule.mix_at(0) == "a"
-    assert schedule.mix_at(150) == "b"
-    assert schedule.mix_at(250) == "a"
-    assert schedule.change_times() == [100.0, 200.0]
+def test_alternating_schedule(tiny_workload):
+    schedule = WorkloadSchedule.alternating(["readonly", "balanced", "readonly"], 100.0)
+    gen = WorkloadGenerator(spec=tiny_workload, schedule=schedule)
+    assert gen.mix_at(0).name == "readonly"
+    assert gen.mix_at(150).name == "balanced"
+    assert gen.mix_at(250).name == "readonly"
+    assert change_times(schedule) == [100.0, 200.0]
 
 
 def test_schedule_validation():

@@ -34,7 +34,7 @@ def test_write_spec_validation():
 def test_transaction_type_properties():
     t = transaction_type("T", reads=[lookup("a")], writes=[write("b")], cpu_ms=5)
     assert t.is_update and not t.is_read_only
-    assert t.read_relations() == ["a"]
+    assert [access.relation for access in t.reads] == ["a"]
     assert t.written_tables() == ["b"]
     assert t.pages_dirtied() == 1
 
@@ -98,5 +98,6 @@ def test_workload_accessors(tiny_workload):
         tiny_workload.type("nope")
     with pytest.raises(KeyError):
         tiny_workload.mix("nope")
-    assert {t.name for t in tiny_workload.update_types()} == {"Write"}
-    assert len(tiny_workload.read_only_types()) == 3
+    types = tiny_workload.types.values()
+    assert {t.name for t in types if t.is_update} == {"Write"}
+    assert len([t for t in types if t.is_read_only]) == 3
