@@ -40,8 +40,8 @@ Scenarios:
   cycles against a high-replica-count cluster view (TPC-W type catalogue,
   48 replicas), with periodic rebalances invalidating the candidate cache,
   and no engine or event loop in the way.  Isolates the balancer dispatch
-  path (``choose_replica`` + the RoutingTable accounting) that fig6 profiles
-  showed dominating after PR 3.
+  path (the policy's ``dispatch`` + the RoutingTable accounting) that
+  fig6 profiles showed dominating after PR 3.
 * ``commit-fanout`` -- notification-path benchmark: a 48-replica cluster
   (16 quick) under the update-heavy TPC-W ordering mix, where every
   certification batch used to scan all replicas for lag-notification

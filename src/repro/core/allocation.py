@@ -29,8 +29,8 @@ in that order, and applies the first that fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.grouping import TransactionGroup
 from repro.sim.monitor import LoadSample
@@ -311,10 +311,7 @@ class ReplicaAllocator:
         if not shared:
             return None
         # Is a shared replica the most loaded machine in the system?
-        def replica_bottleneck(rid: int) -> float:
-            return max(loads[rid].cpu, loads[rid].disk)
-
-        hottest = max(self.replica_ids, key=replica_bottleneck)
+        hottest = max(self.replica_ids, key=lambda rid: loads[rid].bottleneck)
         if hottest not in shared:
             return None
         sharing_groups = self.groups_of_replica(hottest)
@@ -332,7 +329,7 @@ class ReplicaAllocator:
                     if len(self.groups_of_replica(rid)) == 1]
         if not unshared:
             return None
-        replica = min(unshared, key=lambda rid: (replica_bottleneck(rid), rid))
+        replica = min(unshared, key=lambda rid: (loads[rid].bottleneck, rid))
         # Give the second sharing group its own replica again: it leaves the
         # hot shared machine and takes the donated one (keeping any other
         # machines it had acquired, e.g. through expansion).
@@ -369,19 +366,16 @@ class ReplicaAllocator:
                       if rid not in self.assignment[most_loaded]]
         if not candidates:
             return None
-
-        def replica_bottleneck(rid: int) -> float:
-            return max(loads[rid].cpu, loads[rid].disk)
-
-        coldest = min(candidates, key=lambda rid: (replica_bottleneck(rid), rid))
-        if hot.bottleneck < self.HYSTERESIS * max(replica_bottleneck(coldest), 0.01):
+        coldest = min(candidates, key=lambda rid: (loads[rid].bottleneck, rid))
+        cold = loads[coldest].bottleneck
+        if hot.bottleneck < self.HYSTERESIS * max(cold, 0.01):
             return None
         self.assignment[most_loaded].append(coldest)
         self.validate()
         return AllocationAction(
             "expand",
             "group %s (load %.2f) expanded onto replica %d (load %.2f)"
-            % (most_loaded, hot.bottleneck, coldest, replica_bottleneck(coldest)),
+            % (most_loaded, hot.bottleneck, coldest, cold),
             moved_replicas=1,
         )
 
@@ -417,14 +411,3 @@ class ReplicaAllocator:
                 moved_replicas=1,
             )
         return None
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        lines = []
-        for gid in sorted(self.assignment):
-            group = self.groups[gid]
-            lines.append(
-                "%s -> replicas %s  types=[%s]"
-                % (gid, sorted(self.assignment[gid]), ", ".join(sorted(group.type_names)))
-            )
-        return "\n".join(lines)

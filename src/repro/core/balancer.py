@@ -21,7 +21,7 @@ monitoring daemons report -- lives in one place, the view's
 :class:`~repro.core.routing.RoutingTable`.  Its outstanding counters are
 event-driven (the cluster bumps them at dispatch and each replica
 decrements them when a transaction finishes or is failed) and the daemons
-publish their samples straight into it, so a policy's ``choose_replica``
+publish their samples straight into it, so a policy's ``dispatch``
 reads cached state instead of re-deriving it per dispatch.  A policy is not
 notified per transaction.
 """
@@ -72,7 +72,6 @@ class LoadBalancer(abc.ABC):
     def __init__(self) -> None:
         self.view: Optional[ClusterView] = None
         self.routing: Optional[RoutingTable] = None
-        self.dispatched: int = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -100,14 +99,8 @@ class LoadBalancer(abc.ABC):
     # Dispatching
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def choose_replica(self, txn_type: TransactionType) -> int:
-        """Pick the replica that should execute the next instance of ``txn_type``."""
-
     def dispatch(self, txn_type: TransactionType) -> int:
-        """Record-keeping wrapper around :meth:`choose_replica`."""
-        replica_id = self.choose_replica(txn_type)
-        self.dispatched += 1
-        return replica_id
+        """Pick the replica that should execute the next instance of ``txn_type``."""
 
     def on_membership_change(self) -> None:
         """Notification that the cluster's replica set changed.
@@ -174,7 +167,3 @@ class LoadBalancer(abc.ABC):
         """Group id -> replicas currently allocated; empty for policies
         without transaction groups."""
         return {}
-
-    def describe(self) -> str:
-        """One-line description used in experiment reports."""
-        return self.name

@@ -18,7 +18,7 @@ tests.
 
 All three read the view's :class:`~repro.core.routing.RoutingTable`: the
 live replica ids and the outstanding counters are maintained by the
-cluster's dispatch/complete/membership events, so ``choose_replica`` never
+cluster's dispatch/complete/membership events, so ``dispatch`` never
 re-derives them per call.
 """
 
@@ -40,7 +40,7 @@ class RoundRobinBalancer(LoadBalancer):
         super().__init__()
         self._next = 0
 
-    def choose_replica(self, txn_type: TransactionType) -> int:
+    def dispatch(self, txn_type: TransactionType) -> int:
         replicas = self._require_routing().replica_ids()
         if not replicas:
             raise RuntimeError("cluster has no replicas")
@@ -57,7 +57,7 @@ class LeastConnectionsBalancer(LoadBalancer):
 
     name = "LeastConnections"
 
-    def choose_replica(self, txn_type: TransactionType) -> int:
+    def dispatch(self, txn_type: TransactionType) -> int:
         routing = self._require_routing()
         replicas = routing.replica_ids()
         if not replicas:
@@ -102,7 +102,7 @@ class LardBalancer(LoadBalancer):
             self._types[type_name] = _LardTypeState()
         return self._types[type_name]
 
-    def choose_replica(self, txn_type: TransactionType) -> int:
+    def dispatch(self, txn_type: TransactionType) -> int:
         routing = self._require_routing()
         replicas = routing.replica_ids()
         if not replicas:
@@ -144,7 +144,3 @@ class LardBalancer(LoadBalancer):
                     if outstanding[rid] <= self.LOW_WATERMARK]
             if len(idle) == len(state.servers):
                 state.servers.remove(idle[-1])
-
-    def server_sets(self) -> Dict[str, List[int]]:
-        """Current type -> server-set mapping (for inspection and tests)."""
-        return {name: list(state.servers) for name, state in self._types.items()}

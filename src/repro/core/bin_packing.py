@@ -19,7 +19,7 @@ Transactions").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -135,28 +135,3 @@ def pack_by_size(items: Sequence[PackItem], capacity: int) -> List[Bin]:
 def pack_with_overlap(items: Sequence[PackItem], capacity: int) -> List[Bin]:
     """MALB-SC / MALB-SCAP packing: overlap-aware Best Fit Decreasing."""
     return _pack(items, capacity, content_aware=True)
-
-
-def validate_packing(items: Sequence[PackItem], bins: Sequence[Bin], capacity: int,
-                     content_aware: bool) -> None:
-    """Raise ``AssertionError`` if a packing violates the basic invariants.
-
-    Used by tests and as an internal sanity check: every item appears in
-    exactly one bin, and every non-overflow bin respects the capacity under
-    the accounting rule it was packed with.
-    """
-    placed: Dict[str, int] = {}
-    for bin_index, packed_bin in enumerate(bins):
-        for item in packed_bin.items:
-            placed[item.name] = placed.get(item.name, 0) + 1
-        if not packed_bin.overflow:
-            assert packed_bin.used_size(content_aware) <= capacity, (
-                "bin %d exceeds capacity: %d > %d"
-                % (bin_index, packed_bin.used_size(content_aware), capacity)
-            )
-        else:
-            assert len(packed_bin.items) == 1, "overflow bins must be singletons"
-    for item in items:
-        assert placed.get(item.name, 0) == 1, (
-            "item %r placed %d times" % (item.name, placed.get(item.name, 0))
-        )

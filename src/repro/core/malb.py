@@ -260,7 +260,7 @@ class MemoryAwareLoadBalancer(LoadBalancer):
     # ------------------------------------------------------------------
     # Dispatching
     # ------------------------------------------------------------------
-    def choose_replica(self, txn_type: TransactionType) -> int:
+    def dispatch(self, txn_type: TransactionType) -> int:
         """O(candidates-in-group) dispatch over maintained state.
 
         The type -> candidate-replicas table is rebuilt only when the
@@ -419,11 +419,3 @@ class MemoryAwareLoadBalancer(LoadBalancer):
     def replica_counts(self) -> Dict[str, int]:
         """Group id -> number of replicas currently allocated."""
         return self._require_allocator().replica_counts()
-
-    def describe(self) -> str:
-        lines = ["%s (%d groups)" % (self.name, len(self.groups))]
-        allocator = self.allocator
-        for group in sorted(self.groups, key=lambda g: g.group_id):
-            replicas = allocator.replicas_of(group.group_id) if allocator else []
-            lines.append("  %s  replicas=%d" % (group.describe(), len(replicas)))
-        return "\n".join(lines)

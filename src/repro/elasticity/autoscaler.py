@@ -182,13 +182,3 @@ class Autoscaler:
         self._above = 0
         self._below = 0
         return decision
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        lines = ["autoscaler: %d checks, %d decisions, peak %d replicas"
-                 % (self.checks, len(self.decisions), self.peak_replicas)]
-        for decision in self.decisions:
-            lines.append("  t=%8.2f  %-10s %d -> %d  util=%.2f  %s"
-                         % (decision.time, decision.action, decision.replicas_before,
-                            decision.replicas_after, decision.utilisation, decision.detail))
-        return "\n".join(lines)

@@ -240,20 +240,9 @@ class FaultInjector:
         self.cluster.sim.schedule_at(at_s, fire)
 
     # ------------------------------------------------------------------
-    def records_of_kind(self, kind: str) -> List[FaultRecord]:
-        return [record for record in self.records if record.kind == kind]
-
     def _record(self, kind: str, replica_id: int, detail: str) -> None:
         self.records.append(FaultRecord(
             time=self.cluster.sim.now, kind=kind, replica_id=replica_id, detail=detail))
         obs = self.cluster.observability
         if obs is not None:
             obs.fault_event(self.cluster.sim.now, kind, replica_id, detail)
-
-    def describe(self) -> str:
-        lines = ["fault injector: %d records" % len(self.records)]
-        for record in self.records:
-            target = "replica %d" % record.replica_id if record.replica_id >= 0 else "certifier"
-            lines.append("  t=%8.2f  %-18s %-10s %s"
-                         % (record.time, record.kind, target, record.detail))
-        return "\n".join(lines)

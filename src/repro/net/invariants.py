@@ -39,7 +39,7 @@ so every replica -- including later joiners -- carries a ledger::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:
     from repro.replication.certifier import Certifier
@@ -256,12 +256,6 @@ class ConsistencyChecker:
                 "in-flight-resolved",
                 "admission not drained (active=%d queued=%d)"
                 % (replica.active, len(replica.waiting)), replica_id))
-        open_txns = replica.engine.snapshots.active_transactions
-        if replica.alive and open_txns:
-            report.violations.append(Violation(
-                "in-flight-resolved",
-                "%d transaction snapshot(s) still open" % open_txns,
-                replica_id))
 
     def _check_cluster_quiesced(self, report: InvariantReport) -> None:
         """Every replica the cluster built, retired ones included, has an

@@ -39,6 +39,9 @@ from repro.replication.writeset import CertifiedWriteSet, WriteItem, WriteSet
 #: in flight, so the window only needs to cover responses still wandering
 #: the network when newer requests arrive; 16 is generous.
 RPC_DEDUP_WINDOW = 16
+#: Versions a replica may fall behind the certifier before the certifier
+#: sends it a lag notification (Section 4.2).
+LAG_NOTIFICATION_THRESHOLD = 25
 
 
 class CertificationResult(NamedTuple):
@@ -95,7 +98,7 @@ class LagSubscriptionIndex:
     """Replica lag cursors bucketed by the version at which they need a nudge.
 
     The paper's propagation scheme sends a lag notification when a replica
-    falls ``lag_notification_threshold`` versions behind the certifier
+    falls ``LAG_NOTIFICATION_THRESHOLD`` versions behind the certifier
     (Section 4.2).  The naive implementation re-derived that per commit
     batch by scanning *every* live replica's applied cursor -- O(replicas)
     work on the commit path.  This index inverts the check: each replica
@@ -178,17 +181,14 @@ class Certifier:
     so :meth:`fail_over` loses no committed transaction.
     """
 
-    def __init__(self, lag_notification_threshold: int = 25, backups: int = 0) -> None:
-        if lag_notification_threshold <= 0:
-            raise ValueError("lag notification threshold must be positive")
+    def __init__(self, backups: int = 0) -> None:
         if backups < 0:
             raise ValueError("number of backups cannot be negative")
-        self.lag_notification_threshold = lag_notification_threshold
         #: Lag subscriptions of the live replicas (the cluster registers the
         #: proxies' applied-version cursors here); a commit batch asks
         #: :meth:`LagSubscriptionIndex.crossed` for the replicas to notify
         #: instead of scanning every replica's cursor.
-        self.subscriptions = LagSubscriptionIndex(lag_notification_threshold)
+        self.subscriptions = LagSubscriptionIndex(LAG_NOTIFICATION_THRESHOLD)
         self.log: List[CertifiedWriteSet] = []
         self._log_offset = 0          # version of the first retained entry minus one
         #: Version of the most recently committed writeset (0 if none).
@@ -207,8 +207,7 @@ class Certifier:
         self.rpc_cache: Dict[int, _RpcDedupState] = {}
         self.stats = CertifierStats()
         #: Synchronous mirrors of the log; :meth:`fail_over` promotes one.
-        self.backups: List[Certifier] = [
-            Certifier(lag_notification_threshold) for _ in range(backups)]
+        self.backups: List[Certifier] = [Certifier() for _ in range(backups)]
 
     # ------------------------------------------------------------------
     # Certification

@@ -44,7 +44,8 @@ from repro.core.balancer import LoadBalancer
 from repro.core.routing import RoutingTable
 from repro.net.channel import Network, NetworkConfig
 from repro.replication.certifier import Certifier
-from repro.replication.replica import CompletionCallback, Replica
+from repro.replication.replica import (CompletionCallback, Replica,
+                                      TransactionContext)
 
 if TYPE_CHECKING:
     from repro.obs.hub import ObservabilityHub
@@ -93,8 +94,9 @@ class ClusterConfig:
     think_time_s: float = 0.5
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: How often the certifier log is truncated to the version every replica
-    #: (live, draining or crashed-but-restorable) has already applied, so the
-    #: log stops growing without bound on long runs.  0 disables truncation.
+    #: (live, draining or crashed-but-restorable) has already applied and
+    #: every started transaction's snapshot has reached, so the log stops
+    #: growing without bound on long runs.  0 disables truncation.
     log_truncation_interval_s: float = 30.0
     seed: int = 1
     #: Number of synchronous certifier backups (the paper runs a leader plus
@@ -623,20 +625,25 @@ class ReplicatedCluster:
 
         The floor is the minimum over (a) the applied version of every
         replica that may yet pull or replay from the log -- in service,
-        draining, or crashed but restorable -- and (b) the oldest snapshot
-        of any in-flight transaction, because certification compares a
-        writeset against everything committed since its snapshot.  Retired
-        replicas never return and are excluded, so membership churn is
-        respected by construction.
+        draining, or crashed but restorable -- and (b) the snapshot of every
+        started transaction in those replicas' live tables, because
+        certification compares a writeset against everything committed
+        since its snapshot.  A context still ADMITTED waits for an admission
+        slot and has begun no snapshot.  A crash leaves its contexts in the
+        live table only until ``fail_in_flight`` empties it in the same
+        call, so no floor is taken in between.  Retired replicas never
+        return and are excluded, so membership churn is respected by
+        construction.
         """
         replicas = self.returnable_replicas()
         if not replicas:
             return 0
+        admitted = TransactionContext.ADMITTED
         floor = min(replica.applied_version for replica in replicas)
         for replica in replicas:
-            oldest = replica.engine.snapshots.oldest_active_snapshot()
-            if oldest is not None and oldest < floor:
-                floor = oldest
+            for ctx in replica._live:
+                if ctx.state != admitted and ctx.snapshot < floor:
+                    floor = ctx.snapshot
         return floor
 
     def truncate_certifier_log(self) -> int:

@@ -51,10 +51,13 @@ moves through an explicit lifecycle::
   transactions for the same resources -- the contention update filtering
   removes.
 
-The applied-version cursor is stored once, in the engine's
-:class:`~repro.storage.snapshot.SnapshotManager` (snapshots begin and
-writesets are stamped from it); :attr:`Replica.applied_version` reads it and
-:meth:`Replica._advance` is the one place that moves it.
+Generalized snapshot isolation keeps two kinds of version, each stored
+once.  :attr:`Replica.applied_version` is the replica's one
+applied-version cursor, and :meth:`Replica._advance` is the one place that
+moves it.  A transaction's snapshot is that cursor when its attempt starts;
+``_start`` copies it into :attr:`TransactionContext.snapshot`, the only
+per-attempt copy, which certification reads and the cluster's log
+truncation floor scans.
 
 The context is the only per-transaction object.  The replica keeps its
 submitted contexts in a live table, in dispatch order, until ``_finish``
@@ -158,6 +161,8 @@ class TransactionContext:
         self.state = TransactionContext.ADMITTED
         self.epoch = replica.epoch
         self.txn_id = 0
+        # The replica's applied version when this attempt started; set by
+        # Replica._start (unused while the context is ADMITTED and queued).
         self.snapshot = 0
         # Set by each (re-)execution in Replica._start: the type's compiled
         # plan, and the bytes this attempt missed and their disk read time.
@@ -238,6 +243,9 @@ class Replica:
         # in the certifier's log) are propagated to the other replicas.
         self.on_local_commit: Optional[Callable[["Replica"], None]] = None
         self._next_txn_id = 0
+        # Version of the last certifier-log entry this replica applied; only
+        # _advance moves it.  Durable: it survives a crash, as on disk.
+        self.applied_version = 0
         self.completed = 0
         self.committed_updates = 0
         self.aborted = 0
@@ -308,7 +316,7 @@ class Replica:
         ctx.epoch = self.epoch
         ctx.state = TransactionContext.CPU
         ctx.txn_id = self._next_txn_id = self._next_txn_id + 1
-        ctx.snapshot = self.engine.snapshots.begin(ctx.txn_id)
+        ctx.snapshot = self.applied_version
         trace = ctx.trace
         if trace is not None:
             # First attempt: the lap covers admission queueing.  Retries:
@@ -445,7 +453,6 @@ class Replica:
                                    trace.txn_id,
                                    args={"reason": reason,
                                          "attempt": ctx.attempt})
-                self.engine.snapshots.finish(ctx.txn_id)
                 if retrying:
                     # Retry immediately on the same replica, keeping the
                     # admission slot; the piggybacked writesets were applied
@@ -453,7 +460,7 @@ class Replica:
                     ctx.attempt += 1
                     self._start(ctx)
                 else:
-                    self._finish(ctx, committed=False, already_closed=True)
+                    self._finish(ctx, committed=False)
         if self._cert_queue:
             # More transactions reached certification while this round trip
             # was in flight: they depart together as the next batch.
@@ -608,18 +615,14 @@ class Replica:
                                    self.replica_id, ctx.trace.txn_id,
                                    args={"reason": "certifier-unreachable",
                                          "attempt": ctx.attempt})
-        self.engine.snapshots.finish(ctx.txn_id)
-        self._finish(ctx, committed=False, already_closed=True)
+        self._finish(ctx, committed=False)
 
-    def _finish(self, ctx: TransactionContext, committed: bool,
-                already_closed: bool = False) -> None:
+    def _finish(self, ctx: TransactionContext, committed: bool) -> None:
         # Raises for a context that already finished or was failed.
         del self._live[ctx]
         ctx.state = TransactionContext.DONE
         if ctx.trace is not None:
             self._trace_finish(ctx, committed)
-        if not already_closed:
-            self.engine.snapshots.finish(ctx.txn_id)
         self.completed += 1
         if self.metrics is not None and committed:
             now = self.sim.now
@@ -706,8 +709,9 @@ class Replica:
         including the in-flight certification round trip; the admission
         slots and queue are reset so queued-but-unstarted work is discarded,
         and the certification batcher is reset (its queued contexts die with
-        their admission slots).  The contexts stay in the live table until
-        the cluster calls :meth:`fail_in_flight`.  Durable state
+        their admission slots).  The contexts stay in the live table, their
+        snapshots still holding the truncation floor, until the cluster
+        calls :meth:`fail_in_flight` in the same step.  Durable state
         (the applied-version cursor) survives, as it would on disk; the page
         cache is cleared by :meth:`recover`.  Idempotent while down.
         """
@@ -724,7 +728,6 @@ class Replica:
         # and late responses are fenced by the epoch.  Request ids stay
         # monotonic so post-restore round trips cannot look stale.
         self._rpc_batch = None
-        self.engine.snapshots.abort_open()
 
     def recover(self) -> int:
         """Restart the replica and bring it up to date from the certifier's log.
@@ -778,7 +781,7 @@ class Replica:
         replica_id = self.replica_id
         ledger = self.apply_ledger
         to_apply = None
-        applied_version = engine.snapshots.applied_version
+        applied_version = self.applied_version
         for entry in entries:
             version = entry.version
             if version <= applied_version:
@@ -827,9 +830,8 @@ class Replica:
         lag-subscription index, which is how commit batches find lagging
         replicas without scanning the cluster.
         """
-        snapshots = self.engine.snapshots
-        if version > snapshots.applied_version:
-            snapshots.advance(version)
+        if version > self.applied_version:
+            self.applied_version = version
             self.certifier.subscriptions.advanced(self.replica_id, version)
 
     def pull_updates(self, trigger: str = "periodic") -> int:
@@ -859,15 +861,5 @@ class Replica:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def applied_version(self) -> int:
-        """Version of the last certifier-log entry this replica applied."""
-        return self.engine.snapshots.applied_version
-
-    @property
     def lag(self) -> int:
         return self.certifier.current_version - self.applied_version
-
-    def describe(self) -> str:
-        return "replica %d: completed=%d updates=%d aborted=%d lag=%d" % (
-            self.replica_id, self.completed, self.committed_updates, self.aborted, self.lag
-        )

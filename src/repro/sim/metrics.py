@@ -49,6 +49,8 @@ class MetricsCollector:
         self._response_time_total = 0.0
         self._foreground_read_bytes = 0.0
         self._foreground_write_bytes = 0.0
+        # Completions per replica and per type; the determinism goldens pin
+        # both breakdowns.
         self._by_replica: Dict[int, int] = {}
         self._by_type: Dict[str, int] = {}
         # Write-back volume not attributable to a single local transaction
@@ -146,11 +148,6 @@ class MetricsCollector:
             return 0.0
         return self._response_time_total / self._completed
 
-    def update_fraction(self) -> float:
-        if not self._completed:
-            return 0.0
-        return self._updates / self._completed
-
     # ------------------------------------------------------------------
     # Disk I/O per transaction (Tables 1, 3 and 5)
     # ------------------------------------------------------------------
@@ -172,15 +169,6 @@ class MetricsCollector:
             return 0.0
         background = sum(self.background_write_bytes.values())
         return (self._foreground_write_bytes + background) / self._completed / KB
-
-    # ------------------------------------------------------------------
-    # Per-replica and per-type breakdowns
-    # ------------------------------------------------------------------
-    def completions_by_replica(self) -> Dict[int, int]:
-        return dict(self._by_replica)
-
-    def completions_by_type(self) -> Dict[str, int]:
-        return dict(self._by_type)
 
     # ------------------------------------------------------------------
     # Time series (Figure 6)

@@ -30,7 +30,6 @@ from repro.storage.pages import (
 from repro.storage.planner import QueryPlanner
 from repro.storage.query_plan import ExecutionPlan, PlanNode, PlanNodeKind
 from repro.storage.relation import Relation, RelationKind, Schema, index, table
-from repro.storage.snapshot import SnapshotManager
 
 __all__ = [
     "AccessPlan",
@@ -51,7 +50,6 @@ __all__ = [
     "Relation",
     "RelationKind",
     "Schema",
-    "SnapshotManager",
     "WriteItem",
     "WriteSet",
     "bytes_for_pages",

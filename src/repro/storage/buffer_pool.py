@@ -169,10 +169,6 @@ class BufferPool:
         """Total bytes currently cached."""
         return self._resident_total
 
-    def resident_bytes_of(self, relation: str) -> float:
-        state = self._relations.get(relation)
-        return state.resident if state is not None else 0.0
-
     def hot_set_bytes_of(self, relation: str) -> float:
         """Largest hot set ever observed for ``relation`` (0 if untracked)."""
         state = self._relations.get(relation)

@@ -20,6 +20,10 @@ shape, and its commit write-back cost under the engine's
 :class:`~repro.storage.disk.DiskModel`.  :meth:`DatabaseEngine.execute`
 returns the plan with the execution's buffer-pool misses, so the replica
 reads those constants instead of recomputing them per transaction.
+
+Snapshot-isolation state is not the engine's: the owning replica holds the
+applied-version cursor, and each transaction's context holds the snapshot
+it runs on.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from repro.storage.buffer_pool import AccessStep, BufferPool
 from repro.storage.catalog import Catalog
 from repro.storage.disk import DiskModel
 from repro.storage.pages import PAGE_SIZE_BYTES
-from repro.storage.snapshot import SnapshotManager
 from repro.workloads.spec import AccessPattern, TransactionType
 
 # One write spec of a compiled plan: (relation, rows, payload bytes, pages
@@ -130,17 +133,14 @@ class WriteSet:
     treat them as immutable.
     """
 
-    __slots__ = ("transaction_type", "items", "origin_replica", "snapshot_version",
-                 "shape")
+    __slots__ = ("transaction_type", "items", "origin_replica", "shape")
 
     def __init__(self, transaction_type: str, items: Tuple[WriteItem, ...],
                  origin_replica: Optional[int] = None,
-                 snapshot_version: int = 0,
                  shape: Optional[WriteShape] = None) -> None:
         self.transaction_type = transaction_type
         self.items = items
         self.origin_replica = origin_replica
-        self.snapshot_version = snapshot_version
         if shape is None:
             shape = WriteShape(tuple([(item.relation, item.pages_dirtied * PAGE_SIZE_BYTES)
                                       for item in items]))
@@ -149,18 +149,15 @@ class WriteSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WriteSet):
             return NotImplemented
-        return (self.transaction_type, self.items, self.origin_replica,
-                self.snapshot_version) == (other.transaction_type, other.items,
-                                           other.origin_replica, other.snapshot_version)
+        return (self.transaction_type, self.items, self.origin_replica) == \
+            (other.transaction_type, other.items, other.origin_replica)
 
     def __hash__(self) -> int:
-        return hash((self.transaction_type, self.items, self.origin_replica,
-                     self.snapshot_version))
+        return hash((self.transaction_type, self.items, self.origin_replica))
 
     def __repr__(self) -> str:
-        return ("WriteSet(transaction_type=%r, items=%r, origin_replica=%r, "
-                "snapshot_version=%r)" % (self.transaction_type, self.items,
-                                          self.origin_replica, self.snapshot_version))
+        return "WriteSet(transaction_type=%r, items=%r, origin_replica=%r)" % (
+            self.transaction_type, self.items, self.origin_replica)
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,6 @@ class DatabaseEngine:
         # The cluster always injects a config.seed-derived stream; the
         # literal is the standalone-engine default for unit tests.
         self.rng = rng or random.Random(0)  # simlint: disable=R1
-        self.snapshots = SnapshotManager()
         # The disk this database lives on: compiled plans carry their commit
         # write-back cost under it, and the replica times its reads and
         # background writes with it.
@@ -241,7 +237,7 @@ class DatabaseEngine:
         costs), the bytes the buffer pool missed on random and on
         sequential reads, and, for update types, the writeset to be
         certified and propagated, stamped with this engine's replica as its
-        origin and with the snapshot the transaction runs on.
+        origin.
         """
         plan = self._plans.get(txn_type.name)
         if plan is None or plan.txn_type is not txn_type:
@@ -257,7 +253,6 @@ class DatabaseEngine:
                                  payload, pages)
                        for relation, rows, payload, pages, key_space, key_bits in writes]),
                 self.replica_id,
-                self.snapshots.applied_version,
                 plan.shape,
             )
         self.transactions_executed += 1

@@ -90,13 +90,6 @@ class ExecutionPlan:
             seen.setdefault(node.relation, None)
         return list(seen.keys())
 
-    def written_tables(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for node in self.nodes:
-            if node.is_modify:
-                seen.setdefault(node.relation, None)
-        return list(seen.keys())
-
     def explain(self) -> str:
         """A human-readable rendering loosely modelled on PostgreSQL EXPLAIN."""
         lines = ["Plan for transaction type %s" % self.transaction_type]

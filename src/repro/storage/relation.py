@@ -152,11 +152,6 @@ class Schema:
             self._indices_by_table = by_table
         return by_table.get(table_name, [])
 
-    @property
-    def total_size_bytes(self) -> int:
-        """Total on-disk size of the database (tables plus indices)."""
-        return sum(r.size_bytes for r in self.relations.values())
-
     def sizes(self) -> Dict[str, int]:
         """Mapping of relation name to size in bytes (a copy)."""
         return {name: relation.size_bytes for name, relation in self.relations.items()}

@@ -161,7 +161,3 @@ class WorkloadGenerator:
 
     def sample_types(self, time: float, count: int) -> List[TransactionType]:
         return [self.next_type(time) for _ in range(count)]
-
-    def update_fraction(self, time: float) -> float:
-        """Update fraction of the mix active at ``time``."""
-        return self.mix_at(time).update_fraction(self.spec.types)

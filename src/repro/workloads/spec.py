@@ -149,16 +149,12 @@ class TransactionType:
         writes: tables written (empty for read-only types).
         cpu_ms: CPU time consumed per execution when all data is memory
             resident (pure compute: query processing, joins, sorting).
-        think_time_s: not part of the type itself but a per-type hint used
-            by client emulators; kept here so workload definitions are
-            self-contained.
     """
 
     name: str
     reads: Tuple[TableAccess, ...] = ()
     writes: Tuple[WriteSpec, ...] = ()
     cpu_ms: float = 10.0
-    think_time_s: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -177,30 +173,16 @@ class TransactionType:
     def is_update(self) -> bool:
         return bool(self.writes)
 
-    @property
-    def is_read_only(self) -> bool:
-        return not self.writes
-
-    def written_tables(self) -> List[str]:
-        return [w.relation for w in self.writes]
-
-    def writeset_bytes(self) -> int:
-        return sum(w.writeset_bytes for w in self.writes)
-
-    def pages_dirtied(self) -> int:
-        return sum(w.pages_dirtied for w in self.writes)
-
 
 def transaction_type(name: str, reads: Sequence[TableAccess] = (),
-                     writes: Sequence[WriteSpec] = (), cpu_ms: float = 10.0,
-                     think_time_s: float = 0.0) -> TransactionType:
+                     writes: Sequence[WriteSpec] = (),
+                     cpu_ms: float = 10.0) -> TransactionType:
     """Convenience constructor accepting plain sequences."""
     return TransactionType(
         name=name,
         reads=tuple(reads),
         writes=tuple(writes),
         cpu_ms=cpu_ms,
-        think_time_s=think_time_s,
     )
 
 
@@ -237,19 +219,8 @@ class Mix:
         object.__setattr__(self, "_sample_total", cum_weights[-1] + 0.0)
         object.__setattr__(self, "_sample_hi", len(names) - 1)
 
-    def normalised(self) -> Dict[str, float]:
-        total = sum(self.weights.values())
-        return {name: weight / total for name, weight in self.weights.items()}
-
     def type_names(self) -> List[str]:
         return [name for name, weight in self.weights.items() if weight > 0]
-
-    def update_fraction(self, types: Mapping[str, TransactionType]) -> float:
-        """Fraction of transactions in this mix that are updates."""
-        normalised = self.normalised()
-        return sum(
-            fraction for name, fraction in normalised.items() if types[name].is_update
-        )
 
     def sample(self, rng: random.Random) -> str:
         """Draw one transaction type name according to the mix weights.

@@ -63,6 +63,40 @@ def randomly_accessed_relations(plan):
     return list(seen)
 
 
+def total_size_bytes(schema):
+    """On-disk size of a database: its tables plus indices."""
+    return sum(relation.size_bytes for relation in schema)
+
+
+def written_tables(plan):
+    """Relations a plan modifies, in plan order, de-duplicated."""
+    return list(dict.fromkeys(node.relation for node in plan.nodes if node.is_modify))
+
+
+def mix_update_fraction(mix, types):
+    """Fraction of a mix's transactions that are updates."""
+    total = sum(mix.weights.values())
+    return sum(weight / total for name, weight in mix.weights.items()
+               if types[name].is_update)
+
+
+def update_fraction(metrics):
+    """Fraction of the completed transactions that were updates."""
+    if not metrics.completed:
+        return 0.0
+    return metrics.updates_completed / metrics.completed
+
+
+def completions_by_replica(metrics):
+    """Completed transactions per replica id."""
+    return dict(metrics._by_replica)
+
+
+def completions_by_type(metrics):
+    """Completed transactions per transaction type name."""
+    return dict(metrics._by_type)
+
+
 @pytest.fixture
 def tiny_schema():
     return make_tiny_schema()

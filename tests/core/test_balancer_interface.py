@@ -3,18 +3,9 @@
 import pytest
 
 from repro.core.balancer import LoadBalancer
-from repro.core.baselines import LeastConnectionsBalancer, RoundRobinBalancer
+from repro.core.baselines import LeastConnectionsBalancer
 
 from tests.core.test_baselines import FakeView
-
-
-def test_dispatch_counts_are_tracked():
-    view = FakeView(2)
-    balancer = RoundRobinBalancer()
-    balancer.attach(view)
-    for _ in range(5):
-        balancer.dispatch(view.workload_spec.type("Read"))
-    assert balancer.dispatched == 5
 
 
 def test_default_hooks_are_neutral():
@@ -27,7 +18,7 @@ def test_default_hooks_are_neutral():
     balancer.periodic(now=10.0)                  # no-op
     assert balancer.groupings() == {}
     assert balancer.replica_counts() == {}
-    assert balancer.describe() == "LeastConnections"
+    assert balancer.name == "LeastConnections"
 
 
 def test_abstract_balancer_cannot_be_instantiated():

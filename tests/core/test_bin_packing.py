@@ -3,7 +3,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bin_packing import PackItem, pack_by_size, pack_with_overlap, validate_packing
+from repro.core.bin_packing import PackItem, pack_by_size, pack_with_overlap
+
+
+def validate_packing(items, bins, capacity, content_aware):
+    """Raise ``AssertionError`` if a packing violates the basic invariants:
+    every item appears in exactly one bin, and every non-overflow bin
+    respects the capacity under the accounting rule it was packed with."""
+    placed = {}
+    for bin_index, packed_bin in enumerate(bins):
+        for packed in packed_bin.items:
+            placed[packed.name] = placed.get(packed.name, 0) + 1
+        if not packed_bin.overflow:
+            assert packed_bin.used_size(content_aware) <= capacity, (
+                "bin %d exceeds capacity: %d > %d"
+                % (bin_index, packed_bin.used_size(content_aware), capacity))
+        else:
+            assert len(packed_bin.items) == 1, "overflow bins must be singletons"
+    for packed in items:
+        assert placed.get(packed.name, 0) == 1, (
+            "item %r placed %d times" % (packed.name, placed.get(packed.name, 0)))
 
 
 def item(name, relations):

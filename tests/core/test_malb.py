@@ -83,13 +83,6 @@ def test_demand_targets_favour_frequent_types():
         assert sum(counts.values()) >= 6
 
 
-def test_describe_lists_groups():
-    malb = MemoryAwareLoadBalancer()
-    small_cluster(malb)
-    text = malb.describe()
-    assert "MALB-SC" in text
-
-
 @pytest.mark.parametrize("static", [True, False])
 def test_static_allocation_never_changes_after_initial_sizing(static):
     malb = MemoryAwareLoadBalancer(static_allocation=static)

@@ -4,10 +4,16 @@ import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer
 from repro.elasticity.faults import FaultInjector
+from repro.replication.certifier import LAG_NOTIFICATION_THRESHOLD
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.storage.pages import mb
 
 from tests.conftest import make_tiny_workload
+
+
+def records_of_kind(injector, kind):
+    """The injector's fault records of one kind, in order."""
+    return [record for record in injector.records if record.kind == kind]
 
 
 def make_cluster(replicas=3, backups=0):
@@ -30,7 +36,7 @@ def test_scheduled_crash_and_restart_recover_online():
     assert injector.records[0].time == pytest.approx(5.0)
     assert injector.records[1].time == pytest.approx(10.0)
     assert 1 in cluster.replica_ids()
-    assert cluster.replicas[1].lag <= cluster.certifier.lag_notification_threshold
+    assert cluster.replicas[1].lag <= LAG_NOTIFICATION_THRESHOLD
 
 
 def test_random_victim_is_chosen_at_fire_time():
@@ -38,7 +44,7 @@ def test_random_victim_is_chosen_at_fire_time():
     injector = FaultInjector(cluster, seed=9)
     injector.schedule_crash(5.0, downtime_s=2.0)
     cluster.run(duration_s=15.0)
-    crash = injector.records_of_kind("crash")[0]
+    crash = records_of_kind(injector, "crash")[0]
     assert crash.replica_id in (0, 1, 2)
 
 
@@ -47,8 +53,8 @@ def test_crash_skipped_when_only_one_replica_remains():
     injector = FaultInjector(cluster, seed=1)
     injector.schedule_crash(2.0)
     cluster.run(duration_s=5.0)
-    assert injector.records_of_kind("skipped")
-    assert not injector.records_of_kind("crash")
+    assert records_of_kind(injector, "skipped")
+    assert not records_of_kind(injector, "crash")
     assert cluster.replica_ids() == [0]
 
 
@@ -59,7 +65,7 @@ def test_certifier_failover_is_transparent_to_the_cluster():
     dead_log = cluster.certifier.log
     promoted_log = cluster.certifier.backups[0].log
     result = cluster.run(duration_s=30.0)
-    failover = injector.records_of_kind("certifier-failover")[0]
+    failover = records_of_kind(injector, "certifier-failover")[0]
     assert "leader crash" in failover.detail
     assert cluster.certifier.log is promoted_log
     assert all(backup.log is not dead_log for backup in cluster.certifier.backups)
@@ -157,7 +163,7 @@ def test_heal_all_records_every_partitioned_link():
     injector.schedule_partition(4.0, replica_id=2)
     injector.schedule_heal(8.0)
     cluster.run(duration_s=12.0)
-    heal = injector.records_of_kind("heal")[-1]
+    heal = records_of_kind(injector, "heal")[-1]
     assert "[0, 2]" in heal.detail
     assert cluster.network.partitioned_ids() == ()
 
@@ -175,7 +181,7 @@ def test_notifications_resume_after_crash_and_restart():
     replica = cluster.replicas[1]
     # The recovered replica re-subscribed at its recovered cursor and kept
     # receiving commit notifications: its lag stays within the threshold.
-    assert replica.lag <= cluster.certifier.lag_notification_threshold
+    assert replica.lag <= LAG_NOTIFICATION_THRESHOLD
 
 
 def test_dropped_notification_releases_the_dedup_slot():

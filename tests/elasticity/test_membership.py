@@ -6,10 +6,11 @@ from repro.core.baselines import LeastConnectionsBalancer
 from repro.core.grouping import GroupingMethod
 from repro.core.malb import MemoryAwareLoadBalancer
 from repro.core.update_filtering import verify_availability
+from repro.replication.certifier import LAG_NOTIFICATION_THRESHOLD
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.storage.pages import mb
 
-from tests.conftest import make_tiny_workload
+from tests.conftest import completions_by_replica, make_tiny_workload
 
 
 def make_cluster(balancer=None, replicas=3, backups=0, seed=7):
@@ -52,7 +53,7 @@ def test_added_replica_serves_traffic_and_pulls_updates():
     new_id = cluster.add_replica()
     cluster.sim.run_until(30.0)
     assert cluster.replicas[new_id].completed > 0
-    assert cluster.replicas[new_id].lag <= cluster.certifier.lag_notification_threshold
+    assert cluster.replicas[new_id].lag <= LAG_NOTIFICATION_THRESHOLD
 
 
 def test_crash_fails_inflight_and_clients_reissue_elsewhere():
@@ -65,10 +66,10 @@ def test_crash_fails_inflight_and_clients_reissue_elsewhere():
     crash_events = events_of_kind(cluster, "crash")
     assert len(crash_events) == 1
     # The clients keep running on the survivors.
-    by_replica_before = dict(cluster.metrics.completions_by_replica())
+    by_replica_before = completions_by_replica(cluster.metrics)
     cluster.sim.run_until(30.0)
     assert cluster.metrics.completed > completed_before
-    by_replica_after = cluster.metrics.completions_by_replica()
+    by_replica_after = completions_by_replica(cluster.metrics)
     # The corpse records no further completions; the survivors do.
     assert by_replica_after.get(0, 0) == by_replica_before.get(0, 0)
     assert sum(by_replica_after.get(rid, 0) for rid in (1, 2)) > \
@@ -174,7 +175,7 @@ def test_malb_reconciles_assignment_on_churn():
     # and dispatch keeps working for every type.
     cluster.sim.run_until(25.0)
     for name in make_tiny_workload().types:
-        rid = balancer.choose_replica(cluster.workload().types[name])
+        rid = balancer.dispatch(cluster.workload().types[name])
         assert rid in cluster.replica_ids()
 
 

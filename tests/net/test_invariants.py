@@ -126,7 +126,7 @@ def test_replica_ahead_of_certifier_is_detected():
     checker = ConsistencyChecker(cluster)
     run_quiesced(cluster)
     replica = cluster.replicas[2]
-    replica.engine.snapshots.applied_version = \
+    replica.applied_version = \
         cluster.certifier.current_version + 10
     report = checker.check(expect_quiesced=False)
     assert any(v.invariant == "replica-prefix" and "ahead" in v.detail

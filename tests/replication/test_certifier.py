@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.replication import certifier as certifier_module
 from repro.replication.certifier import Certifier
 from repro.storage.engine import WriteItem, WriteSet
 
@@ -45,8 +46,9 @@ def test_disjoint_keys_do_not_conflict():
     assert cert.certify(ws("b", [1]), snapshot_version=0).committed
 
 
-def test_writesets_since_and_lag_notifications():
-    cert = Certifier(lag_notification_threshold=3)
+def test_writesets_since_and_lag_notifications(monkeypatch):
+    monkeypatch.setattr(certifier_module, "LAG_NOTIFICATION_THRESHOLD", 3)
+    cert = Certifier()
     for i in range(5):
         cert.certify(ws("a", [i]), snapshot_version=i)
     entries = cert.writesets_since(2)

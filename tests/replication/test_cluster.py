@@ -5,11 +5,14 @@ import pytest
 from repro.core.baselines import LeastConnectionsBalancer, RoundRobinBalancer
 from repro.core.malb import MemoryAwareLoadBalancer
 from repro.experiments.runner import ExperimentConfig, make_cluster_config
+from repro.replication import replica as replica_module
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
+from repro.replication.replica import TransactionContext
+from repro.storage.engine import WriteItem, WriteSet
 from repro.storage.pages import mb
 from repro.workloads.generator import WorkloadSchedule
 
-from tests.conftest import make_tiny_workload
+from tests.conftest import completions_by_replica, make_tiny_workload, update_fraction
 
 
 def make_cluster(balancer=None, replicas=4, mix="balanced", **kwargs):
@@ -32,7 +35,7 @@ def test_cluster_runs_and_produces_metrics():
 def test_all_replicas_receive_work_under_least_connections():
     cluster = make_cluster(replicas=4)
     result = cluster.run(duration_s=30.0, warmup_s=5.0)
-    assert set(result.metrics.completions_by_replica()) == {0, 1, 2, 3}
+    assert set(completions_by_replica(result.metrics)) == {0, 1, 2, 3}
 
 
 def test_updates_propagate_to_all_replicas():
@@ -47,7 +50,7 @@ def test_updates_propagate_to_all_replicas():
 def test_update_fraction_matches_mix():
     cluster = make_cluster()
     result = cluster.run(duration_s=40.0, warmup_s=5.0)
-    assert result.metrics.update_fraction() == pytest.approx(0.30, abs=0.06)
+    assert update_fraction(result.metrics) == pytest.approx(0.30, abs=0.06)
 
 
 def test_cluster_requires_mix_or_schedule():
@@ -137,6 +140,88 @@ def test_truncation_floor_respects_crashed_replicas():
     assert replayed >= 0
     assert cluster.replicas[victim].applied_version == \
         cluster.certifier.current_version
+
+
+def commit_remote_writesets(cluster, count):
+    """Certify ``count`` writesets from outside the cluster and let every
+    in-service replica apply them; returns the new certifier version."""
+    certifier = cluster.certifier
+    for _ in range(count):
+        key = 10 ** 6 + certifier.current_version     # outside every key space
+        writeset = WriteSet("remote", (WriteItem("orders", (key,), 100, 1),),
+                            origin_replica=99)
+        assert certifier.certify(writeset, certifier.current_version).committed
+    for replica in cluster.replicas.values():
+        replica.pull_updates()
+    return certifier.current_version
+
+
+def submit_to(cluster, replica_id, name, on_done):
+    """Dispatch one transaction to a chosen replica, as ``_submit`` does."""
+    cluster.routing.on_dispatch(replica_id)
+    cluster.replicas[replica_id].submit(cluster.workload().type(name),
+                                        cluster.sim.now, on_done)
+
+
+def test_started_transaction_holds_truncation_floor_at_its_snapshot():
+    cluster = make_cluster(replicas=2)
+    reader = cluster.replicas[1]
+    snapshot = commit_remote_writesets(cluster, 2)
+    done = []
+    submit_to(cluster, 1, "Write", done.append)
+    (ctx,) = reader._live
+    assert ctx.state != TransactionContext.ADMITTED
+    assert ctx.snapshot == reader.applied_version == snapshot == 2
+    # The replica applies three more commits while the transaction runs;
+    # its snapshot, not the replica's cursor, is the floor.
+    assert commit_remote_writesets(cluster, 3) == 5
+    assert reader.applied_version == 5
+    assert cluster.certifier_truncation_floor() == snapshot
+    assert cluster.truncate_certifier_log() == snapshot
+    assert cluster.certifier.oldest_available_version == snapshot + 1
+    cluster.sim.run()
+    assert done == [True] and not reader._live
+    # Finished, the transaction no longer holds the floor.
+    assert cluster.certifier_truncation_floor() == \
+        min(replica.applied_version for replica in cluster.replicas.values()) == 5
+
+
+def test_admission_queued_context_does_not_hold_truncation_floor(monkeypatch):
+    monkeypatch.setattr(replica_module, "MAX_CONCURRENCY", 1)
+    cluster = make_cluster(replicas=2)
+    reader = cluster.replicas[1]
+    commit_remote_writesets(cluster, 2)
+    done = []
+    submit_to(cluster, 1, "Read", done.append)
+    submit_to(cluster, 1, "Read", done.append)
+    started, queued = reader._live
+    assert list(reader.waiting) == [queued]
+    assert queued.state == TransactionContext.ADMITTED
+    commit_remote_writesets(cluster, 3)
+    # The queued context's unset snapshot (0) does not pin the log.
+    assert cluster.certifier_truncation_floor() == started.snapshot == 2
+    cluster.sim.run()
+    assert done == [True, True]
+    # It read the snapshot current when it finally started.
+    assert queued.snapshot == 5
+    assert cluster.certifier_truncation_floor() == 5
+
+
+def test_crash_releases_the_crashed_replicas_snapshots():
+    cluster = make_cluster(replicas=2)
+    victim = cluster.replicas[1]
+    commit_remote_writesets(cluster, 2)
+    done = []
+    submit_to(cluster, 1, "Write", done.append)
+    commit_remote_writesets(cluster, 3)
+    assert cluster.certifier_truncation_floor() == 2
+    cluster.crash_replica(1)
+    assert done == [False] and not victim._live
+    # The survivor moves on; the dead replica's cursor, not its failed
+    # transaction's snapshot, now holds the floor.
+    commit_remote_writesets(cluster, 2)
+    assert cluster.replicas[0].applied_version == 7
+    assert cluster.certifier_truncation_floor() == victim.applied_version == 5
 
 
 def test_attach_covers_joiners_for_every_observer():

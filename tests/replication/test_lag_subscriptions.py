@@ -13,7 +13,9 @@ import random
 import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer
-from repro.replication.certifier import Certifier, LagSubscriptionIndex
+from repro.replication import certifier as certifier_module
+from repro.replication.certifier import (LAG_NOTIFICATION_THRESHOLD, Certifier,
+                                         LagSubscriptionIndex)
 from repro.replication import cluster as cluster_module
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.replication.replica import MAX_CERTIFICATION_BATCH
@@ -93,13 +95,15 @@ def test_threshold_must_be_positive():
         LagSubscriptionIndex(0)
 
 
-def test_certifier_owns_an_index_matching_its_threshold():
-    certifier = Certifier(lag_notification_threshold=7)
+def test_certifier_owns_an_index_matching_its_threshold(monkeypatch):
+    monkeypatch.setattr(certifier_module, "LAG_NOTIFICATION_THRESHOLD", 7)
+    certifier = Certifier()
     assert certifier.subscriptions.threshold == 7
 
 
-def test_replicated_log_subscriptions_survive_fail_over():
-    cert = Certifier(lag_notification_threshold=7, backups=2)
+def test_replicated_log_subscriptions_survive_fail_over(monkeypatch):
+    monkeypatch.setattr(certifier_module, "LAG_NOTIFICATION_THRESHOLD", 7)
+    cert = Certifier(backups=2)
     subscriptions = cert.subscriptions
     subscriptions.subscribe(1, 0)
     promoted_log = cert.backups[0].log
@@ -108,7 +112,7 @@ def test_replicated_log_subscriptions_survive_fail_over():
     assert cert.log is promoted_log
     assert cert.subscriptions is subscriptions
     assert cert.subscriptions.subscribed(1)
-    assert cert.subscriptions.threshold == cert.lag_notification_threshold == 7
+    assert cert.subscriptions.threshold == 7
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +230,7 @@ def test_zero_latency_notification_is_deferred_not_synchronous(monkeypatch):
     monkeypatch.setattr(cluster_module, "NOTIFICATION_LATENCY_S", 0.0)
     cluster = _make_cluster(replicas=3)
     certifier = cluster.certifier
-    threshold = certifier.lag_notification_threshold
+    threshold = LAG_NOTIFICATION_THRESHOLD
     _commit_writesets(certifier, threshold + 2)
 
     origin = cluster.replicas[0]
@@ -258,7 +262,7 @@ def test_zero_latency_notification_is_deferred_not_synchronous(monkeypatch):
 def test_origin_is_not_notified_and_rearms_via_piggyback():
     cluster = _make_cluster(replicas=2)
     certifier = cluster.certifier
-    _commit_writesets(certifier, certifier.lag_notification_threshold + 1)
+    _commit_writesets(certifier, LAG_NOTIFICATION_THRESHOLD + 1)
     origin = cluster.replicas[0]
     cluster._on_local_commit(origin)
     assert 0 not in cluster._notify_pending
@@ -291,5 +295,5 @@ def test_notifications_still_bound_lag_end_to_end():
     assert certifier.current_version > 0
     assert certifier.stats.notifications_sent >= 0
     for replica in cluster.replicas.values():
-        assert replica.lag <= certifier.lag_notification_threshold + \
+        assert replica.lag <= LAG_NOTIFICATION_THRESHOLD + \
             MAX_CERTIFICATION_BATCH

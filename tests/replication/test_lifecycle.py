@@ -150,6 +150,7 @@ def test_aborted_retry_commits_on_piggybacked_snapshot_without_pull():
     """
     workload = make_conflict_workload()
     sim, certifier, replica = make_replica(workload, key_space_per_page=1)
+    sent = record_certified_batches(replica)
     # Someone else commits the hot key first; this replica never pulls.
     assert certifier.certify(remote_writeset(), snapshot_version=0).committed
     outcomes = []
@@ -161,7 +162,8 @@ def test_aborted_retry_commits_on_piggybacked_snapshot_without_pull():
     assert replica.aborted == 1
     assert certifier.stats.aborts == 1
     assert certifier.current_version == 2
-    assert certifier.log[-1].writeset.snapshot_version >= 1
+    (committed, snapshot), = sent[-1]
+    assert committed is certifier.log[-1].writeset and snapshot >= 1
     # The piggyback also applied the remote writeset itself.
     assert replica.applied_version == 2
     assert replica.writesets_applied == 1
@@ -183,8 +185,7 @@ def record_certified_batches(replica):
 
 def test_log_entries_are_the_executed_writesets():
     """The certifier logs the very object ``execute`` built, stamped with
-    this replica as origin and with the transaction's snapshot: no copy is
-    made on the way to certification."""
+    this replica as origin: no copy is made on the way to certification."""
     workload = make_fast_update_workload()
     sim, certifier, replica = make_replica(workload, replica_id=3)
     sent = record_certified_batches(replica)
@@ -198,7 +199,7 @@ def test_log_entries_are_the_executed_writesets():
     for entry, (writeset, snapshot) in zip(certifier.log, requests):
         assert entry.writeset is writeset
         assert writeset.origin_replica == replica.replica_id
-        assert writeset.snapshot_version == snapshot
+        assert snapshot < entry.version
 
 
 def test_retry_after_abort_certifies_a_new_writeset():
@@ -210,10 +211,10 @@ def test_retry_after_abort_certifies_a_new_writeset():
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
     sim.run()
     assert outcomes == [True] and replica.aborted == 1
-    (aborted, _), (retried, snapshot) = [batch[0] for batch in sent]
+    (aborted, stale), (retried, fresh) = [batch[0] for batch in sent]
     # The retry re-executed: a different object, on the fresh snapshot.
     assert retried is not aborted
-    assert (aborted.snapshot_version, retried.snapshot_version) == (0, snapshot)
+    assert (stale, fresh) == (0, 1)
     assert certifier.log[-1].writeset is retried
     assert all(entry.writeset is not aborted for entry in certifier.log)
 

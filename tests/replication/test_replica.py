@@ -50,6 +50,20 @@ def test_update_transaction_is_certified_and_logged():
     assert replica.committed_updates == 1
 
 
+def test_snapshot_is_the_applied_version_when_the_attempt_starts():
+    sim, certifier, workload, replica = make_replica()
+    replica._advance(5)
+    done = []
+    replica.submit(workload.type("Read"), submitted_at=0.0, on_done=done.append)
+    (ctx,) = replica._live
+    assert ctx.snapshot == replica.applied_version == 5
+    # The cursor moves on; the running transaction's snapshot does not.
+    replica._advance(7)
+    assert ctx.snapshot == 5
+    sim.run()
+    assert done == [True] and not replica._live
+
+
 def test_remote_writesets_are_applied_and_charged():
     sim = Simulator()
     certifier = Certifier()
@@ -146,7 +160,6 @@ def test_propagation_cursor_is_monotonic():
     replica._advance(5)
     replica._advance(3)
     assert replica.applied_version == 5
-    assert replica.engine.snapshots.applied_version == 5
     # The lag subscription was re-armed at 5, not moved back to 3.
     notify_at = 5 + subscriptions.threshold
     assert subscriptions.crossed(notify_at - 1) == ()

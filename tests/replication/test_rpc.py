@@ -25,7 +25,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.engine import DatabaseEngine
 from repro.storage.pages import mb
 
-from tests.conftest import make_tiny_workload
+from tests.conftest import completions_by_replica, make_tiny_workload
 
 
 def ws(key, origin=0):
@@ -243,10 +243,10 @@ def test_partitioned_replica_sheds_updates_but_serves_reads():
 
     def start_partition():
         cluster.network.partition(0)
-        during["before"] = dict(cluster.metrics.completions_by_replica())
+        during["before"] = completions_by_replica(cluster.metrics)
 
     def end_partition():
-        during["after"] = dict(cluster.metrics.completions_by_replica())
+        during["after"] = completions_by_replica(cluster.metrics)
         cluster.network.heal(0)
 
     cluster.sim.schedule_at(10.0, start_partition)

@@ -34,6 +34,8 @@ from repro.experiments.configs import golden_midsize_config, golden_update_filte
 from repro.experiments.runner import build_cluster
 from repro.net.invariants import ConsistencyChecker
 
+from tests.conftest import completions_by_replica, completions_by_type, update_fraction
+
 GOLDEN_PATH = Path(__file__).with_name("golden_seeded_metrics.json")
 
 INT_FIELDS = (
@@ -64,12 +66,12 @@ def _fingerprint(config, arm=None):
         "certifier_commits": cluster.certifier.stats.commits,
         "certifier_aborts": cluster.certifier.stats.aborts,
         "certifier_notifications": cluster.certifier.stats.notifications_sent,
-        "completions_by_type": dict(sorted(metrics.completions_by_type().items())),
+        "completions_by_type": dict(sorted(completions_by_type(metrics).items())),
         "completions_by_replica": {str(rid): count for rid, count
-                                   in sorted(metrics.completions_by_replica().items())},
+                                   in sorted(completions_by_replica(metrics).items())},
         "throughput_tps": metrics.throughput_tps(),
         "average_response_time": metrics.average_response_time(),
-        "update_fraction": metrics.update_fraction(),
+        "update_fraction": update_fraction(metrics),
         "read_kb_per_txn": metrics.read_kb_per_transaction(),
         "write_kb_per_txn": metrics.write_kb_per_transaction(),
         "throughput_series": [point.throughput_tps

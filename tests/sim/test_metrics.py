@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim.metrics import MetricsCollector
 
+from tests.conftest import completions_by_replica, completions_by_type, update_fraction
+
 
 def _record(m, time, **kwargs):
     defaults = dict(transaction_type="T", replica_id=0, response_time=0.1,
@@ -25,7 +27,7 @@ def test_response_time_and_update_fraction():
     _record(m, 1.0, response_time=1.0, is_update=True)
     _record(m, 2.0, response_time=3.0)
     assert m.average_response_time() == pytest.approx(2.0)
-    assert m.update_fraction() == pytest.approx(0.5)
+    assert update_fraction(m) == pytest.approx(0.5)
 
 
 def test_disk_io_per_transaction_includes_background():
@@ -49,8 +51,8 @@ def test_breakdowns():
     _record(m, 1.0, replica_id=0, transaction_type="A")
     _record(m, 2.0, replica_id=1, transaction_type="B")
     _record(m, 3.0, replica_id=1, transaction_type="B")
-    assert m.completions_by_replica() == {0: 1, 1: 2}
-    assert m.completions_by_type() == {"A": 1, "B": 2}
+    assert completions_by_replica(m) == {0: 1, 1: 2}
+    assert completions_by_type(m) == {"A": 1, "B": 2}
 
 
 def test_throughput_series_and_moving_average():

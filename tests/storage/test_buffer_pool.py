@@ -9,6 +9,12 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.pages import mb
 
 
+def resident_bytes_of(pool, relation):
+    """Bytes of ``relation`` the pool holds (0 if untracked)."""
+    state = pool._relations.get(relation)
+    return state.resident if state is not None else 0.0
+
+
 def scan(pool, relation, relation_bytes):
     """A sequential scan, as the engine charges one: an access that
     requests the relation's whole hot set."""
@@ -26,7 +32,7 @@ def test_cold_access_misses_everything():
     pool = BufferPool(mb(100), skew=1.0)
     miss = pool.access("users", mb(1), mb(50))
     assert miss == pytest.approx(mb(1))
-    assert pool.resident_bytes_of("users") == pytest.approx(mb(1))
+    assert resident_bytes_of(pool, "users") == pytest.approx(mb(1))
 
 
 def test_warm_relation_hits():
@@ -47,7 +53,7 @@ def test_scan_loads_whole_relation():
     pool = BufferPool(mb(100))
     miss = scan(pool, "items", mb(30))
     assert miss == pytest.approx(mb(30))
-    assert pool.resident_bytes_of("items") == pytest.approx(mb(30))
+    assert resident_bytes_of(pool, "items") == pytest.approx(mb(30))
     assert scan(pool, "items", mb(30)) == pytest.approx(0.0)
 
 
@@ -56,8 +62,8 @@ def test_large_scan_evicts_lru_relation():
     scan(pool, "users", mb(60))
     scan(pool, "orders", mb(80))          # displaces users
     assert pool.resident_bytes <= mb(100)
-    assert pool.resident_bytes_of("users") < mb(60)
-    assert pool.resident_bytes_of("orders") == pytest.approx(mb(80))
+    assert resident_bytes_of(pool, "users") < mb(60)
+    assert resident_bytes_of(pool, "orders") == pytest.approx(mb(80))
 
 
 def test_most_recent_relation_is_protected():
@@ -65,7 +71,7 @@ def test_most_recent_relation_is_protected():
     scan(pool, "users", mb(90))
     scan(pool, "orders", mb(50))
     # orders was accessed last: it should be fully resident.
-    assert pool.resident_bytes_of("orders") == pytest.approx(mb(50))
+    assert resident_bytes_of(pool, "orders") == pytest.approx(mb(50))
 
 
 def test_relation_larger_than_pool_is_capped():
@@ -127,7 +133,7 @@ def test_fully_evicted_protected_relation_is_dropped():
     pool._resident_total = 220.0
     pool._evict_to_capacity(protect="a")
     assert "a" not in pool.tracked_relations()
-    assert pool.resident_bytes_of("a") == 0.0
+    assert resident_bytes_of(pool, "a") == 0.0
     # The pool emptied, so the running totals re-anchor exactly.
     assert pool._resident_total == 0.0
     assert pool._hot_total == 0.0
@@ -142,7 +148,7 @@ def test_partially_evicted_protected_relation_is_kept():
     pool._resident_total = 150.0
     pool._evict_to_capacity(protect="a")
     assert "a" in pool.tracked_relations()
-    assert pool.resident_bytes_of("a") == pytest.approx(50.0)
+    assert resident_bytes_of(pool, "a") == pytest.approx(50.0)
 
 
 def test_resident_total_matches_sum_after_randomized_sequences():

@@ -8,7 +8,7 @@ from repro.storage.planner import QueryPlanner
 from repro.storage.query_plan import PlanNodeKind
 from repro.storage.relation import Schema, index, table
 from repro.workloads.spec import lookup, scan, transaction_type, write
-from tests.conftest import randomly_accessed_relations, scanned_relations
+from tests.conftest import randomly_accessed_relations, scanned_relations, written_tables
 
 
 def test_scan_plan_touches_all_pages(tiny_planner, tiny_catalog):
@@ -38,7 +38,7 @@ def test_lookup_without_index_falls_back_to_scan(tiny_planner, tiny_catalog):
 def test_write_produces_modify_node(tiny_planner):
     plan = tiny_planner.plan(transaction_type(
         "T", reads=[lookup("orders", pages=1)], writes=[write("orders")]))
-    assert plan.written_tables() == ["orders"]
+    assert written_tables(plan) == ["orders"]
     assert any(node.is_modify for node in plan.nodes)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.query_plan import ExecutionPlan, PlanNode, PlanNodeKind
-from tests.conftest import randomly_accessed_relations, scanned_relations
+from tests.conftest import randomly_accessed_relations, scanned_relations, written_tables
 
 
 def node(kind, relation, table=None, pages=1):
@@ -27,7 +27,7 @@ def test_written_tables_come_from_modify_nodes():
         node(PlanNodeKind.MODIFY, "a"),
         node(PlanNodeKind.MODIFY, "b"),
     ))
-    assert plan.written_tables() == ["a", "b"]
+    assert written_tables(plan) == ["a", "b"]
     assert len([n for n in plan.nodes if not n.is_modify]) == 1
 
 

@@ -204,8 +204,7 @@ class PerAccessEngine(DatabaseEngine):
                 keys = tuple(self.rng.randrange(key_space) for _ in range(spec.rows))
                 items.append(WriteItem(spec.relation, keys, spec.writeset_bytes,
                                        spec.pages_dirtied))
-            writeset = WriteSet(transaction_type=txn_type.name, items=tuple(items),
-                                snapshot_version=self.snapshots.applied_version)
+            writeset = WriteSet(transaction_type=txn_type.name, items=tuple(items))
         self.transactions_executed += 1
         return (cpu_seconds, random_read_bytes, sequential_read_bytes,
                 write_bytes), writeset

@@ -45,7 +45,6 @@ def test_schema_lookup_and_sizes(tiny_schema):
     assert tiny_schema.get("nope") is None
     assert len(tiny_schema.tables) == 4
     assert tiny_schema.indices_of("users")[0].name == "users_pkey"
-    assert tiny_schema.total_size_bytes == sum(r.size_bytes for r in tiny_schema)
 
 
 def test_schema_scaled_respects_fixed_relations(tiny_schema):

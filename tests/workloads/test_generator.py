@@ -4,6 +4,8 @@ import pytest
 
 from repro.workloads.generator import MixPhase, WorkloadGenerator, WorkloadSchedule
 
+from tests.conftest import mix_update_fraction
+
 
 def change_times(schedule):
     """Times at which the active mix changes (excludes time 0)."""
@@ -54,8 +56,8 @@ def test_generator_respects_schedule(tiny_workload):
     late = [gen.next_type(150.0).name for _ in range(500)]
     assert "Write" not in early
     assert "Write" in late
-    assert gen.update_fraction(10.0) == 0.0
-    assert gen.update_fraction(150.0) > 0.2
+    assert mix_update_fraction(gen.mix_at(10.0), tiny_workload.types) == 0.0
+    assert mix_update_fraction(gen.mix_at(150.0), tiny_workload.types) > 0.2
 
 
 def test_generator_rejects_unknown_mix(tiny_workload):

@@ -7,6 +7,8 @@ import pytest
 from repro.workloads.spec import (
     AccessPattern, Mix, TableAccess, WorkloadSpec, lookup, scan, transaction_type, write)
 
+from tests.conftest import mix_update_fraction
+
 
 def test_access_constructors():
     s = scan("users")
@@ -33,10 +35,10 @@ def test_write_spec_validation():
 
 def test_transaction_type_properties():
     t = transaction_type("T", reads=[lookup("a")], writes=[write("b")], cpu_ms=5)
-    assert t.is_update and not t.is_read_only
+    assert t.is_update
     assert [access.relation for access in t.reads] == ["a"]
-    assert t.written_tables() == ["b"]
-    assert t.pages_dirtied() == 1
+    assert [w.relation for w in t.writes] == ["b"]
+    assert sum(w.pages_dirtied for w in t.writes) == 1
 
 
 def test_transaction_type_rejects_duplicate_reads():
@@ -46,8 +48,7 @@ def test_transaction_type_rejects_duplicate_reads():
 
 def test_mix_normalisation_and_sampling():
     mix = Mix("m", {"A": 3.0, "B": 1.0})
-    norm = mix.normalised()
-    assert norm["A"] == pytest.approx(0.75)
+    assert mix.weights["A"] / sum(mix.weights.values()) == pytest.approx(0.75)
     rng = random.Random(0)
     samples = [mix.sample(rng) for _ in range(2000)]
     assert 0.70 < samples.count("A") / 2000 < 0.80
@@ -63,9 +64,9 @@ def test_mix_validation():
 
 
 def test_mix_update_fraction(tiny_workload):
-    frac = tiny_workload.mix("balanced").update_fraction(tiny_workload.types)
+    frac = mix_update_fraction(tiny_workload.mix("balanced"), tiny_workload.types)
     assert frac == pytest.approx(0.30, abs=0.01)
-    assert tiny_workload.mix("readonly").update_fraction(tiny_workload.types) == 0.0
+    assert mix_update_fraction(tiny_workload.mix("readonly"), tiny_workload.types) == 0.0
 
 
 def test_workload_validation_catches_unknown_relation(tiny_schema):
@@ -100,4 +101,4 @@ def test_workload_accessors(tiny_workload):
         tiny_workload.mix("nope")
     types = tiny_workload.types.values()
     assert {t.name for t in types if t.is_update} == {"Write"}
-    assert len([t for t in types if t.is_read_only]) == 3
+    assert len([t for t in types if not t.is_update]) == 3
