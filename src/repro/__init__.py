@@ -25,7 +25,7 @@ from repro.core import (
     RoundRobinBalancer,
 )
 from repro.replication import ClusterConfig, ReplicatedCluster, RunResult
-from repro.workloads import make_rubis, make_tpcw, make_tpcw_by_label
+from repro.workloads import make_rubis, make_tpcw
 
 __version__ = "1.0.0"
 
@@ -41,5 +41,4 @@ __all__ = [
     "__version__",
     "make_rubis",
     "make_tpcw",
-    "make_tpcw_by_label",
 ]

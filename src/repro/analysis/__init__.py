@@ -31,7 +31,7 @@ D3    Iteration-order hazard: iterating a ``set``/``frozenset`` of
       list building, heap pushes) without ``sorted()``.
 O1    Zero-overhead contract: chaining through the None-default
       observability slots (``ctx.trace``, ``replica.obs``,
-      ``cluster.observability``, ``BufferPool.on_evict``) requires a
+      ``cluster.observability``, ``EventQueue.probe``) requires a
       dominating ``is not None`` guard in the enclosing function.
 S1    ``__slots__`` coverage for classes defined in the hot modules
       (``sim/``, ``storage/``, ``replication/``, ``core/routing.py``),
@@ -65,7 +65,7 @@ Suppressions: append ``# simlint: disable=RULE`` (comma-separated ids, or
 findings are counted and reported, never silently dropped.
 
 Run ``python -m repro.analysis`` (optionally with paths and ``--json``), or
-use :func:`analyze_paths` / :func:`analyze_source` from tests.
+use :func:`analyze_paths` from tests.
 """
 
 from repro.analysis.core import (
@@ -76,8 +76,6 @@ from repro.analysis.core import (
     Report,
     analyze_modules,
     analyze_paths,
-    analyze_program_source,
-    analyze_source,
     default_program_rules,
     iter_python_files,
     package_relpath,
@@ -136,8 +134,6 @@ __all__ = [
     "TXN_LIFECYCLE",
     "analyze_modules",
     "analyze_paths",
-    "analyze_program_source",
-    "analyze_source",
     "build_program",
     "default_program_rules",
     "default_rules",

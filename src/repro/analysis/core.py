@@ -418,33 +418,3 @@ def analyze_paths(paths: Sequence[str],
     report.paths = [os.path.abspath(p) for p in paths]
     report.errors.extend(errors)
     return report
-
-
-def analyze_source(text: str, relpath: str = "fixture.py",
-                   rules: Optional[Sequence["Rule"]] = None,
-                   ) -> List[Finding]:  # noqa: F821
-    """Analyze one source snippet (the fixture-test entry point)."""
-    from repro.analysis.rules import default_rules
-    if rules is None:
-        rules = default_rules()
-    module = ModuleSource(text, path=relpath, relpath=relpath)
-    return analyze_modules([module], rules).findings
-
-
-def analyze_program_source(files: Dict[str, str],
-                           rules: Optional[Sequence["Rule"]] = None,  # noqa: F821
-                           program_rules: Optional[Sequence["ProgramRule"]] = None,  # noqa: F821
-                           detect_stale: bool = False) -> Report:
-    """Analyze a multi-file fixture (the program-rule test entry point).
-
-    ``files`` maps relpath -> source text; relpaths under ``benchmarks/``
-    get the harness profile exactly as on disk.
-    """
-    from repro.analysis.rules import default_rules
-    if rules is None:
-        rules = default_rules()
-    if program_rules is None:
-        program_rules = default_program_rules()
-    modules = [ModuleSource(text, path=relpath, relpath=relpath)
-               for relpath, text in sorted(files.items())]
-    return _analyze(modules, rules, program_rules, detect_stale)

@@ -450,7 +450,7 @@ class RuleO1ObsGuard(Rule):
 
     The observability layer's zero-overhead contract: instrumentation hangs
     off slots that default to ``None`` (``ctx.trace``, ``replica.obs``,
-    ``cluster.observability``, ``BufferPool.on_evict``), and every *use* --
+    ``cluster.observability``, ``EventQueue.probe``), and every *use* --
     chaining an attribute, calling, subscripting -- must be dominated, in
     the same function, by an ``is not None`` test of the same expression (or
     of a local alias assigned from it).  Recognised guard forms::
@@ -470,8 +470,7 @@ class RuleO1ObsGuard(Rule):
     rule_id = "O1"
     title = "unguarded observability-slot use"
 
-    WATCHED_ATTRS = frozenset({"trace", "obs", "observability", "on_evict",
-                               "probe"})
+    WATCHED_ATTRS = frozenset({"trace", "obs", "observability", "probe"})
 
     def __init__(self, call_observer: Optional[
             "CallObserver"] = None) -> None:

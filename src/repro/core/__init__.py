@@ -10,7 +10,6 @@ from repro.core.grouping import (
     TransactionGroup,
     build_groups,
     group_of_type,
-    merge_groups,
 )
 from repro.core.malb import MemoryAwareLoadBalancer
 from repro.core.routing import RoutingTable
@@ -18,14 +17,8 @@ from repro.core.update_filtering import (
     FilterPlan,
     compute_filter_plan,
     tables_used_by_types,
-    verify_availability,
 )
-from repro.core.working_set import (
-    WorkingSetEstimate,
-    combined_size_no_overlap,
-    combined_size_with_overlap,
-    union_relation_bytes,
-)
+from repro.core.working_set import WorkingSetEstimate, union_relation_bytes
 
 __all__ = [
     "AllocationAction",
@@ -46,15 +39,11 @@ __all__ = [
     "WorkingSetEstimate",
     "WorkingSetEstimator",
     "build_groups",
-    "combined_size_no_overlap",
-    "combined_size_with_overlap",
     "compute_filter_plan",
     "group_of_type",
     "measure_working_set",
-    "merge_groups",
     "pack_by_size",
     "pack_with_overlap",
     "tables_used_by_types",
     "union_relation_bytes",
-    "verify_availability",
 ]

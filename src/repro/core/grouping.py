@@ -20,10 +20,10 @@ types and receive their own singleton group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Set
 
-from repro.core.bin_packing import Bin, PackItem, pack_by_size, pack_with_overlap
+from repro.core.bin_packing import PackItem, pack_by_size, pack_with_overlap
 from repro.core.working_set import WorkingSetEstimate, union_relation_bytes
 
 
@@ -48,8 +48,6 @@ class TransactionGroup:
             combined working set.
         overflow: True if the group holds a single type whose estimate
             exceeds replica memory.
-        merged_from: group ids merged into this group by the low-utilisation
-            merging optimisation (empty for original packing output).
     """
 
     group_id: str
@@ -57,7 +55,6 @@ class TransactionGroup:
     relation_bytes: Dict[str, int]
     estimated_bytes: int
     overflow: bool = False
-    merged_from: List[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -66,9 +63,6 @@ class TransactionGroup:
     @property
     def tables(self) -> Set[str]:
         return set(self.relation_bytes.keys())
-
-    def contains(self, type_name: str) -> bool:
-        return type_name in self.type_names
 
     def describe(self) -> str:
         return "%s: [%s] (~%d MB%s)" % (
@@ -143,22 +137,3 @@ def group_of_type(groups: Sequence[TransactionGroup]) -> Dict[str, str]:
                 raise ValueError("transaction type %r appears in two groups" % (type_name,))
             mapping[type_name] = group.group_id
     return mapping
-
-
-def merge_groups(a: TransactionGroup, b: TransactionGroup, new_id: Optional[str] = None) -> TransactionGroup:
-    """Merge two groups into one (the low-utilisation merging optimisation).
-
-    The merged group's estimate counts shared relations once, consistent
-    with the fact that both groups now share a single replica's memory.
-    """
-    relation_bytes: Dict[str, int] = dict(a.relation_bytes)
-    for name, size in b.relation_bytes.items():
-        relation_bytes[name] = max(relation_bytes.get(name, 0), size)
-    return TransactionGroup(
-        group_id=new_id or ("%s+%s" % (a.group_id, b.group_id)),
-        type_names=list(a.type_names) + [t for t in b.type_names if t not in a.type_names],
-        relation_bytes=relation_bytes,
-        estimated_bytes=sum(relation_bytes.values()),
-        overflow=a.overflow or b.overflow,
-        merged_from=[a.group_id, b.group_id],
-    )

@@ -124,34 +124,3 @@ def compute_filter_plan(groups: Sequence[TransactionGroup],
             type_copies[type_name] = sorted(set(assigned))
 
     return FilterPlan(tables_per_replica=tables_per_replica, type_copies=type_copies)
-
-
-def verify_availability(plan: FilterPlan, catalog: Catalog, min_copies: int = 2) -> List[str]:
-    """Return a list of availability violations (empty when the plan is safe).
-
-    Checks both constraints of Section 3: every transaction type has at
-    least ``min_copies`` capable replicas and every table referenced by some
-    type is maintained on at least ``min_copies`` replicas.
-    """
-    problems: List[str] = []
-    total_replicas = len(plan.tables_per_replica)
-    effective_min = min(min_copies, total_replicas) if total_replicas else 0
-
-    for type_name, replicas in plan.type_copies.items():
-        if len(replicas) < effective_min:
-            problems.append(
-                "transaction type %s has only %d capable replicas (need %d)"
-                % (type_name, len(replicas), effective_min)
-            )
-
-    table_copies: Dict[str, int] = {}
-    for tables in plan.tables_per_replica.values():
-        for name in tables:
-            table_copies[name] = table_copies.get(name, 0) + 1
-    for name, copies in table_copies.items():
-        if copies < effective_min:
-            problems.append(
-                "table %s is maintained on only %d replicas (need %d)"
-                % (name, copies, effective_min)
-            )
-    return problems

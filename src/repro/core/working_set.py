@@ -74,27 +74,6 @@ class WorkingSetEstimate:
         return {name: int(self.relation_bytes[name]) for name in self.scanned}
 
 
-def combined_size_with_overlap(estimates: Iterable[WorkingSetEstimate]) -> int:
-    """Combined working-set size counting shared relations once (MALB-SC rule).
-
-    For the example in Section 2.3: T1 uses tables A and B, T2 uses B and C;
-    the combined estimate is |A| + |B| + |C|.
-    """
-    combined: Dict[str, int] = {}
-    for estimate in estimates:
-        for name, size in estimate.relation_bytes.items():
-            combined[name] = max(combined.get(name, 0), int(size))
-    return sum(combined.values())
-
-
-def combined_size_no_overlap(estimates: Iterable[WorkingSetEstimate]) -> int:
-    """Combined size double-counting shared relations (MALB-S rule).
-
-    Same example: T1 and T2 packed together are estimated at |A| + 2|B| + |C|.
-    """
-    return sum(estimate.total_bytes for estimate in estimates)
-
-
 def union_relation_bytes(estimates: Iterable[WorkingSetEstimate]) -> Dict[str, int]:
     """Union of the relation maps of several estimates (sizes counted once)."""
     combined: Dict[str, int] = {}

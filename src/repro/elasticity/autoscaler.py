@@ -77,9 +77,6 @@ class Autoscaler:
         self.min_replicas = len(cluster.replicas)
         self.max_replicas = 2 * self.min_replicas
         self.decisions: List[ScalingDecision] = []
-        #: (time, load signal, replicas in service) per check, for reports.
-        self.history: List[tuple] = []
-        self.checks = 0
         self.peak_replicas = len(cluster.replicas)
         self._above = 0
         self._below = 0
@@ -114,12 +111,10 @@ class Autoscaler:
     # ------------------------------------------------------------------
     def check(self) -> Optional[ScalingDecision]:
         """One policy evaluation; returns the decision if one was taken."""
-        self.checks += 1
         now = self.cluster.sim.now
         util = self.load_signal()
         replicas = len(self.cluster.replicas)
         self.peak_replicas = max(self.peak_replicas, replicas)
-        self.history.append((now, util, replicas))
 
         if util >= self.HIGH_WATERMARK:
             self._above += 1

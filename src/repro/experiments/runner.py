@@ -11,6 +11,7 @@ disk I/O per transaction, groupings and replica counts).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -278,7 +279,8 @@ def run_observed(parser, args, run: Callable[[Any], Any],
 
     ``--dsan`` double-runs it and returns ``(None, deterministic)``;
     otherwise ``run`` gets a hub (or ``None`` when no export was asked
-    for), the exports are written and ``(result, True)`` is returned.
+    for), the exports are written, an exported telemetry file is read back
+    and summarised, and ``(result, True)`` is returned.
     """
     if args.dsan:
         if args.trace or args.telemetry_json:
@@ -304,6 +306,9 @@ def run_observed(parser, args, run: Callable[[Any], Any],
         path = _suffixed(args.telemetry_json, suffix)
         hub.export_telemetry(path)
         print("telemetry written to %s" % path)
+        from repro.experiments.report import summarize_telemetry
+        with open(path) as handle:
+            print(summarize_telemetry(json.load(handle)))
     return result, True
 
 

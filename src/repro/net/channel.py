@@ -102,11 +102,6 @@ class Channel:
         self.config = config
         self._faulty = not config.is_perfect
 
-    @property
-    def healthy(self) -> bool:
-        """Perfect and unpartitioned: messages take the exact legacy path."""
-        return not self.partitioned and not self._faulty
-
     # ------------------------------------------------------------------
     # Partition control
     # ------------------------------------------------------------------

@@ -9,29 +9,28 @@
 
 * every replica (present and future: the cluster instruments joiners
   through its ``observers`` list) gets ``replica.obs`` set, which arms
-  the transaction-lifecycle trace points, the pull hook and the eviction
-  counters;
+  the transaction-lifecycle trace points and the pull hook;
 * ``cluster.observability`` points at the hub, for the cold-path event
   sinks of membership, faults and the autoscaler;
 * the registry gets gauges over every existing metrics island (certifier
-  stats, buffer pools, admission queues, the routing table with the
-  monitor samples it stores, the metrics collector's abort-reason
-  taxonomy);
+  stats, buffer pools with their evicted bytes, admission queues, the
+  routing table with the monitor samples it stores, the metrics
+  collector's abort-reason taxonomy), so each fact keeps one counter;
 * optionally, a periodic simulator event snapshots the registry into a
   time-bucketed series.
 
 The zero-overhead contract: a cluster with no hub attached stores ``None``
-in ``cluster.observability`` / ``replica.obs`` / ``ctx.trace`` /
-``pool.on_evict``, and every instrumentation site is a single attribute
-load plus an ``is not None`` test (the same pre-bound no-op pattern the
-``replica.metrics`` guard already uses).  Attaching a hub without a
+in ``cluster.observability`` / ``replica.obs`` / ``ctx.trace``, and every
+instrumentation site is a single attribute load plus an ``is not None``
+test (the same pre-bound no-op pattern the ``replica.metrics`` guard
+already uses).  Attaching a hub without a
 snapshot interval schedules *no* simulator events, so even the event count
 of a seeded run is bit-identical with the hub on or off.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.obs.registry import TelemetryRegistry
 from repro.obs.trace import Tracer
@@ -78,20 +77,6 @@ class ObservabilityHub:
         if self.tracer is not None:
             self.tracer.set_process_name(replica.replica_id,
                                          "replica %d" % replica.replica_id)
-        pool = replica.engine.buffer_pool
-        pool.on_evict = self._make_evict_hook()
-
-    def _make_evict_hook(self) -> Callable[[float], None]:
-        registry = self.registry
-        evictions = registry.counter("buffer.evictions") if registry else None
-        evicted_bytes = registry.counter("buffer.evicted_bytes") if registry else None
-
-        def on_evict(freed_bytes: float) -> None:
-            if evictions is not None and evicted_bytes is not None:
-                evictions.inc()
-                evicted_bytes.inc(freed_bytes)
-
-        return on_evict
 
     # ------------------------------------------------------------------
     # Cold-path event sinks (called through ``cluster.observability``)
@@ -179,8 +164,6 @@ class ObservabilityHub:
         registry.gauge("certifier.notifications_sent",
                        lambda: certifier.stats.notifications_sent)
         registry.gauge("certifier.batches", lambda: certifier.stats.batches)
-        registry.gauge("certifier.batched_requests",
-                       lambda: certifier.stats.batched_requests)
         registry.gauge("certifier.current_version",
                        lambda: certifier.current_version)
         # Read at sample time: a fail-over replaces the certifier's log.

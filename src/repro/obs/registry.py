@@ -6,18 +6,22 @@ table's outstanding counts, the monitor's smoothed samples, the
 membership/fault/autoscaler audit trails.  The registry gives them one
 publication surface:
 
-* **counters** are monotonically increasing values owned by the registry
-  (instrument sites call :meth:`Counter.inc`);
+* **counters** are monotonically increasing values owned by the registry,
+  for cold-path events nothing else counts -- pulls, membership changes,
+  faults, RPC events, autoscaler actions (instrument sites call
+  :meth:`Counter.inc`);
 * **gauges** are named callables sampled at snapshot time, so the existing
-  islands keep their state and the registry reads it on demand -- no
-  double bookkeeping on hot paths;
+  islands keep their state and the registry reads it on demand: a fact the
+  simulator already counts (evicted bytes, certification requests) is
+  published as a gauge over that one counter, never counted a second time
+  on a hot path;
 * **snapshots** are periodic time-bucketed samples of everything, forming
   the time series the future control-plane dashboard (ROADMAP item 3) will
   stream.
 
 Everything is JSON-exportable through :meth:`TelemetryRegistry.to_dict`;
-the experiments runner and the perf harness write that export next to their
-results.
+the experiments runner, the chaos campaign and the perf harness write that
+export next to their results and print its summary.
 """
 
 from __future__ import annotations

@@ -51,14 +51,12 @@ class TxnTrace:
     exactly to ``finish_time - submitted_at``.
     """
 
-    __slots__ = ("submitted_at", "last_mark", "txn_id", "attempts",
-                 "stage_seconds")
+    __slots__ = ("submitted_at", "last_mark", "txn_id", "stage_seconds")
 
     def __init__(self, submitted_at: float) -> None:
         self.submitted_at = submitted_at
         self.last_mark = submitted_at
         self.txn_id = 0
-        self.attempts = 1
         self.stage_seconds = [0.0, 0.0, 0.0, 0.0]
 
     def lap(self, stage: int, now: float) -> float:
@@ -179,16 +177,12 @@ class Tracer:
     Events are stored as flat tuples (phase, name, category, start, duration,
     pid, tid, args) in simulated seconds and converted to the Chrome schema
     (microsecond timestamps) only at export, keeping the enabled-mode
-    per-event cost to one tuple append.  ``max_events`` bounds memory on very
-    long traced runs; overflow drops deterministically from the tail and is
-    counted in ``dropped_events``.
+    per-event cost to one tuple append.
     """
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._events: List[_TraceEvent] = []
         self._process_names: Dict[int, str] = {}
-        self.max_events = max_events
-        self.dropped_events = 0
         self.stages = StageLatencyAggregator()
 
     # ------------------------------------------------------------------
@@ -198,21 +192,13 @@ class Tracer:
              pid: int, tid: int,
              args: Optional[Dict[str, object]] = None) -> None:
         """A complete ("X") span: ``[start_s, start_s + duration_s]``."""
-        events = self._events
-        if self.max_events is not None and len(events) >= self.max_events:
-            self.dropped_events += 1
-            return
-        events.append(("X", name, cat, start_s, duration_s, pid, tid, args))
+        self._events.append(("X", name, cat, start_s, duration_s, pid, tid, args))
 
     def instant(self, name: str, cat: str, ts_s: float, pid: int,
                 tid: int = 0,
                 args: Optional[Dict[str, object]] = None) -> None:
         """An instant ("i") event at ``ts_s``."""
-        events = self._events
-        if self.max_events is not None and len(events) >= self.max_events:
-            self.dropped_events += 1
-            return
-        events.append(("i", name, cat, ts_s, 0.0, pid, tid, args))
+        self._events.append(("i", name, cat, ts_s, 0.0, pid, tid, args))
 
     def set_process_name(self, pid: int, name: str) -> None:
         """Label a pid (replica) in the trace viewer's process list."""
@@ -262,10 +248,7 @@ class Tracer:
         return {
             "traceEvents": trace_events,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "schema": TRACE_SCHEMA,
-                "dropped_events": self.dropped_events,
-            },
+            "otherData": {"schema": TRACE_SCHEMA},
         }
 
     def serialize(self) -> str:

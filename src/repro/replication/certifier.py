@@ -74,7 +74,6 @@ class CertifierStats:
     aborts: int = 0
     notifications_sent: int = 0
     batches: int = 0            # batched round trips served (certify_batch calls)
-    batched_requests: int = 0   # requests that arrived inside a batch
     dedup_hits: int = 0         # retried/duplicated RPCs answered from cache
     stale_requests: int = 0     # retransmissions older than the dedup window
 
@@ -150,9 +149,6 @@ class LagSubscriptionIndex:
             notify_at = applied_version + self.threshold
             armed[replica_id] = notify_at
             heappush(self._heap, (notify_at, replica_id))
-
-    def subscribed(self, replica_id: int) -> bool:
-        return replica_id in self._armed
 
     def crossed(self, current_version: int) -> Tuple[int, ...]:
         """Pop the replicas whose lag crossed the threshold, ascending by
@@ -232,7 +228,6 @@ class Certifier:
         results, _ = self.certify_batch(((writeset, snapshot_version),),
                                         self.current_version, now)
         stats.batches -= 1
-        stats.batched_requests -= 1
         return results[0]
 
     def certify_batch(self, requests: Sequence[Tuple[WriteSet, int]],
@@ -269,7 +264,6 @@ class Certifier:
         stats = self.stats
         count = len(requests)
         stats.batches += 1
-        stats.batched_requests += count
         stats.requests += count
         last_writer = self._last_writer
         floor = self._log_offset

@@ -246,9 +246,6 @@ class Replica:
         # Version of the last certifier-log entry this replica applied; only
         # _advance moves it.  Durable: it survives a crash, as on disk.
         self.applied_version = 0
-        self.completed = 0
-        self.committed_updates = 0
-        self.aborted = 0
         # Certification batching: transactions that reached
         # CERTIFYING and are waiting for the next round trip, plus whether a
         # round trip is currently in flight.
@@ -280,7 +277,6 @@ class Replica:
         # when the crash happened: events from an older epoch are dropped.
         self.alive = True
         self.epoch = 0
-        self.crashes = 0
 
     # ------------------------------------------------------------------
     # Transaction submission and admission
@@ -324,7 +320,6 @@ class Replica:
             # recorded anyway so every attempt shows in the trace.
             if trace.txn_id == 0:
                 trace.txn_id = ctx.txn_id
-            trace.attempts = ctx.attempt
             self._trace_lap(ctx, QUEUE)
         engine = self.engine
         plan, random_miss, sequential_miss, ctx.writeset = engine.execute(ctx.txn_type)
@@ -424,7 +419,6 @@ class Replica:
                 write_time = batch[i].plan.write_seconds
                 if write_time > 0:
                     self.resources.disk.add_background_work(write_time)
-                self.committed_updates += 1
                 committed_any = True
         if committed_any and self.on_local_commit is not None:
             # One notification covers the whole batch: every commit is
@@ -443,7 +437,6 @@ class Replica:
             if result.committed:
                 self._finish(ctx, committed=True)
             else:
-                self.aborted += 1
                 retrying = ctx.attempt < MAX_RETRIES
                 reason = "certification-conflict" if retrying else "retry-exhausted"
                 if self.metrics is not None:
@@ -623,14 +616,12 @@ class Replica:
         ctx.state = TransactionContext.DONE
         if ctx.trace is not None:
             self._trace_finish(ctx, committed)
-        self.completed += 1
         if self.metrics is not None and committed:
             now = self.sim.now
             plan = ctx.plan
             self.metrics.record_completion(
-                now, plan.name, self.replica_id, now - ctx.submitted_at,
-                plan.is_update, ctx.read_bytes, plan.effective_write_bytes,
-            )
+                now, now - ctx.submitted_at, plan.is_update, ctx.read_bytes,
+                plan.effective_write_bytes)
         # Hand the slot straight to the head of the queue (``active`` never
         # dips and re-climbs), so the queue is non-empty only while every
         # slot is taken.
@@ -719,7 +710,6 @@ class Replica:
             return
         self.alive = False
         self.epoch += 1
-        self.crashes += 1
         self.active = 0
         self.waiting.clear()
         self._cert_queue = []

@@ -8,12 +8,11 @@ quantities, with a configurable warm-up period that is excluded from the
 reported averages (the prototype experiments similarly measure steady
 state).
 
-The collector *streams*: completions update running sums and per-type /
-per-replica / per-bucket counters, so memory is O(types x replicas +
-run length / bucket) instead of one retained record per transaction --
-paper-scale runs complete hundreds of thousands of transactions, and a
-record for each dominated the simulator's memory footprint.  It keeps only
-the series some experiment, export or test reads.
+The collector *streams*: completions update running sums and per-bucket
+counters, so memory is O(run length / bucket) instead of one retained
+record per transaction -- paper-scale runs complete hundreds of thousands
+of transactions, and a record for each dominated the simulator's memory
+footprint.  It keeps only the series some experiment or export reads.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ class MetricsCollector:
         self._response_time_total = 0.0
         self._foreground_read_bytes = 0.0
         self._foreground_write_bytes = 0.0
-        # Completions per replica and per type; the determinism goldens pin
-        # both breakdowns.
-        self._by_replica: Dict[int, int] = {}
-        self._by_type: Dict[str, int] = {}
         # Write-back volume not attributable to a single local transaction
         # (remote writeset application), charged per replica.
         self.background_write_bytes: Dict[int, float] = {}
@@ -71,8 +66,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_completion(self, time: float, transaction_type: str, replica_id: int,
-                          response_time: float, is_update: bool,
+    def record_completion(self, time: float, response_time: float, is_update: bool,
                           read_bytes: float, write_bytes: float) -> None:
         if time > self.end_time:
             self.end_time = time
@@ -87,10 +81,6 @@ class MetricsCollector:
             self._updates += 1
         self._foreground_read_bytes += read_bytes
         self._foreground_write_bytes += write_bytes
-        by_replica = self._by_replica
-        by_replica[replica_id] = by_replica.get(replica_id, 0) + 1
-        by_type = self._by_type
-        by_type[transaction_type] = by_type.get(transaction_type, 0) + 1
 
     def record_background_io(self, time: float, replica_id: int,
                              read_bytes: float, write_bytes: float) -> None:

@@ -31,8 +31,7 @@ from repro.sim.simulator import Simulator
 class Resource:
     """A single-server FIFO queue with utilisation accounting."""
 
-    __slots__ = ("sim", "name", "_busy_until", "_work_accepted", "requests",
-                 "background_requests")
+    __slots__ = ("sim", "name", "_busy_until", "_work_accepted")
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
@@ -41,8 +40,6 @@ class Resource:
         self._busy_until: float = 0.0
         # Total service time ever accepted (including not-yet-served backlog).
         self._work_accepted: float = 0.0
-        self.requests: int = 0
-        self.background_requests: int = 0
 
     # ------------------------------------------------------------------
     # Offering work
@@ -60,7 +57,6 @@ class Resource:
         completion = start + service_time
         self._busy_until = completion
         self._work_accepted += service_time
-        self.requests += 1
         if callback is not None:
             # Completions never lie in the past (completion >= now by
             # construction), so they skip schedule_at's check.
@@ -79,7 +75,6 @@ class Resource:
         completion = start + service_time
         self._busy_until = completion
         self._work_accepted += service_time
-        self.background_requests += 1
         return completion
 
     # ------------------------------------------------------------------

@@ -52,18 +52,16 @@ class Simulator:
             )
         self.queue.push(time, callback)
 
-    def schedule_periodic(self, interval: float, callback: Callable[[], None],
-                          start_delay: Optional[float] = None) -> None:
+    def schedule_periodic(self, interval: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` every ``interval`` seconds until the run ends."""
         if interval <= 0:
             raise ValueError("interval must be positive")
-        first_delay = interval if start_delay is None else start_delay
 
         def tick() -> None:
             callback()
             self.schedule(interval, tick)
 
-        self.schedule(first_delay, tick)
+        self.schedule(interval, tick)
 
     # ------------------------------------------------------------------
     # Execution

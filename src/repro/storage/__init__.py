@@ -22,8 +22,6 @@ from repro.storage.pages import (
     KB,
     MB,
     PAGE_SIZE_BYTES,
-    bytes_for_pages,
-    gb,
     mb,
     pages_for_bytes,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "Schema",
     "WriteItem",
     "WriteSet",
-    "bytes_for_pages",
-    "gb",
     "index",
     "mb",
     "pages_for_bytes",

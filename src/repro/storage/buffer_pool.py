@@ -41,19 +41,20 @@ being evaluated per access.
 
 Within one ``access_many`` call the running state -- the MRU name, the
 residency total and the eviction flag -- lives in locals and is written back
-when the call returns.  Two calls can observe the pool mid-loop: the general
-eviction pass (``_evict_to_capacity``) and the ``on_evict`` callback.  The
-locals are written back before each of them and re-read after it, so both
-see, and may change, the live state.  A step whose hot set is fully
-resident only adds its request to the byte counter and moves on: its miss
-is exactly 0.0, and adding 0.0 to the non-negative miss totals would not
-change them.
+when the call returns.  One call can observe the pool mid-loop: the general
+eviction pass (``_evict_to_capacity``).  The locals are written back before
+it and re-read after it, so it sees, and may change, the live state.  The
+pool counts each fact once, in ``BufferPoolStats``: evicted bytes are
+published from ``stats.evicted_bytes`` (the telemetry ``buffer.totals``
+gauge), so eviction calls nothing.  A step whose hot set is fully resident
+only adds its request to the byte counter and moves on: its miss is exactly
+0.0, and adding 0.0 to the non-negative miss totals would not change them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: One access: ``(relation, bytes_needed, hot_set_bytes, sequential)``.
 #: ``sequential`` only selects which miss total the step counts towards.
@@ -122,7 +123,7 @@ class BufferPool:
 
     __slots__ = ("capacity_bytes", "_capacity_f", "skew", "_relations",
                  "_resident_total", "_hot_total", "_maybe_evict", "_mru",
-                 "stats", "on_evict")
+                 "stats")
 
     def __init__(self, capacity_bytes: int, skew: float = 0.35) -> None:
         if capacity_bytes <= 0:
@@ -156,10 +157,6 @@ class BufferPool:
         # accesses to the same relation -- skip the move_to_end re-probe.
         self._mru: Optional[str] = None
         self.stats = BufferPoolStats()
-        #: Optional callback(freed_bytes) fired after each eviction pass
-        #: (observability).  None by default: the eviction path pays one
-        #: attribute test when nothing is attached.
-        self.on_evict: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -216,7 +213,7 @@ class BufferPool:
         skew = self.skew
         stats = self.stats
         # Running state kept in locals; written back on return and around
-        # the two calls that can observe the pool (see the module notes).
+        # the one call that can observe the pool (see the module notes).
         mru = self._mru
         resident_total = self._resident_total
         maybe_evict = self._maybe_evict
@@ -290,19 +287,7 @@ class BufferPool:
                 if head_name != relation and head.resident > excess:
                     head.resident -= excess
                     resident_total -= excess
-                    evicted_before = stats.evicted_bytes
-                    stats.evicted_bytes = evicted_before + excess
-                    on_evict = self.on_evict
-                    if on_evict is not None:
-                        freed = stats.evicted_bytes - evicted_before
-                        if freed > 0:
-                            self._mru = mru
-                            self._resident_total = resident_total
-                            self._maybe_evict = maybe_evict
-                            on_evict(freed)
-                            mru = self._mru
-                            resident_total = self._resident_total
-                            maybe_evict = self._maybe_evict
+                    stats.evicted_bytes += excess
                 else:
                     self._mru = mru
                     self._resident_total = resident_total
@@ -378,7 +363,6 @@ class BufferPool:
             return
         relations = self._relations
         stats = self.stats
-        evicted_before = stats.evicted_bytes
         emptied = None
         # Iterate in place (LRU first); state mutation during iteration is
         # fine, deletions are deferred until after the loop.  Relative order
@@ -432,8 +416,3 @@ class BufferPool:
                 hot_total = 0.0
             self._hot_total = hot_total
             self._maybe_evict = hot_total > self._capacity_f
-        on_evict = self.on_evict
-        if on_evict is not None:
-            freed = stats.evicted_bytes - evicted_before
-            if freed > 0:
-                on_evict(freed)

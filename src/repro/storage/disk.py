@@ -66,25 +66,11 @@ class DiskModel:
     # ------------------------------------------------------------------
     # Read costs
     # ------------------------------------------------------------------
-    def random_read_seconds(self, num_bytes: float) -> float:
-        """Service time to read ``num_bytes`` of randomly scattered pages."""
-        if num_bytes <= 0:
-            return 0.0
-        pages = num_bytes / PAGE_SIZE_BYTES
-        return pages * self.random_read_ms_per_page / 1000.0
-
-    def sequential_read_seconds(self, num_bytes: float) -> float:
-        """Service time to stream ``num_bytes`` sequentially."""
-        if num_bytes <= 0:
-            return 0.0
-        return num_bytes / (self.sequential_read_mb_per_s * MB)
-
     def read_seconds(self, random_bytes: float, sequential_bytes: float) -> float:
-        """Combined read service time for one transaction's misses.
-
-        Inlines :meth:`random_read_seconds` + :meth:`sequential_read_seconds`
-        (same arithmetic, in the same order) -- this runs once per
-        transaction and once per writeset batch.
+        """Combined read service time for one transaction's misses: each
+        random page pays the positioning cost, sequential bytes stream at
+        the sequential bandwidth.  Runs once per transaction and once per
+        writeset batch.
         """
         if random_bytes > 0:
             random_s = (random_bytes / PAGE_SIZE_BYTES) * self.random_read_ms_per_page / 1000.0

@@ -55,8 +55,7 @@ class AccessPlan:
     """
 
     __slots__ = ("txn_type", "name", "is_update", "steps", "cpu_seconds",
-                 "write_bytes", "writes", "shape", "write_seconds",
-                 "effective_write_bytes")
+                 "writes", "shape", "write_seconds", "effective_write_bytes")
 
     def __init__(self, txn_type: TransactionType, steps: Tuple[AccessStep, ...],
                  cpu_seconds: float, write_bytes: float,
@@ -67,7 +66,6 @@ class AccessPlan:
         self.is_update = bool(txn_type.writes)
         self.steps = steps
         self.cpu_seconds = cpu_seconds
-        self.write_bytes = write_bytes
         self.writes = writes
         self.shape = shape
         self.write_seconds = disk_model.write_seconds(write_bytes)
@@ -214,8 +212,6 @@ class DatabaseEngine:
         self.disk_model = DiskModel()
         # Stamped on every writeset as its origin; set by Replica.__init__.
         self.replica_id: Optional[int] = None
-        # Cumulative accounting for the paper's disk-I/O tables.
-        self.transactions_executed = 0
         # Transaction type name -> compiled access plan (see _compile),
         # derived purely from catalog metadata, which is fixed for a run.
         # The plan holds the type object itself, so a different type that
@@ -255,7 +251,6 @@ class DatabaseEngine:
                 self.replica_id,
                 plan.shape,
             )
-        self.transactions_executed += 1
         return plan, random_miss, sequential_miss, writeset
 
     def _compile(self, txn_type: TransactionType) -> AccessPlan:

@@ -32,18 +32,6 @@ def pages_for_bytes(num_bytes: float) -> int:
     return int((num_bytes + PAGE_SIZE_BYTES - 1) // PAGE_SIZE_BYTES)
 
 
-def bytes_for_pages(num_pages: int) -> int:
-    """Size in bytes of ``num_pages`` 8 KB pages."""
-    if num_pages < 0:
-        raise ValueError("page count must be non-negative, got %r" % (num_pages,))
-    return num_pages * PAGE_SIZE_BYTES
-
-
 def mb(value: float) -> int:
     """Bytes in ``value`` mebibytes (accepts fractional MB)."""
     return int(value * MB)
-
-
-def gb(value: float) -> int:
-    """Bytes in ``value`` gibibytes (accepts fractional GB)."""
-    return int(value * GB)

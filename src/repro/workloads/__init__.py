@@ -18,7 +18,6 @@ from repro.workloads.tpcw import (
     BASE_EBS,
     DATABASE_SIZES,
     make_tpcw,
-    make_tpcw_by_label,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "lookup",
     "make_rubis",
     "make_tpcw",
-    "make_tpcw_by_label",
     "scan",
     "transaction_type",
     "write",

@@ -26,7 +26,7 @@ ordering mix.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.storage.pages import mb
 from repro.storage.relation import Schema, index, table
@@ -272,11 +272,3 @@ def make_tpcw(ebs: int = BASE_EBS) -> WorkloadSpec:
         types=make_types(),
         mixes=make_mixes(),
     )
-
-
-def make_tpcw_by_label(label: str) -> WorkloadSpec:
-    """Build TPC-W from a paper label: ``SmallDB``, ``MidDB`` or ``LargeDB``."""
-    if label not in DATABASE_SIZES:
-        raise KeyError("unknown TPC-W database label %r (expected one of %s)"
-                       % (label, ", ".join(DATABASE_SIZES)))
-    return make_tpcw(DATABASE_SIZES[label])

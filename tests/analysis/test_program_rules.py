@@ -12,9 +12,10 @@ from repro.analysis import (
     RuleO2CallSiteGuard,
     RuleP1ProtocolConformance,
     RuleR1SeedProvenance,
-    analyze_program_source,
     default_rules,
 )
+
+from tests.analysis.sources import analyze_program_source
 
 
 def report_for(files, rules=None, program_rules=None, detect_stale=False):

@@ -4,7 +4,9 @@ usable on the real tree."""
 
 import textwrap
 
-from repro.analysis import analyze_source, default_rules
+from repro.analysis import default_rules
+
+from tests.analysis.sources import analyze_source
 
 
 def findings(src, relpath="sim/fixture.py", rules=None):

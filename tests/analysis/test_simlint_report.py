@@ -15,10 +15,11 @@ from repro.analysis import (
     ModuleSource,
     analyze_modules,
     analyze_paths,
-    analyze_source,
     default_rules,
 )
 from repro.analysis.core import SCHEMA_VERSION, parse_suppressions
+
+from tests.analysis.sources import analyze_source
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 

@@ -80,6 +80,31 @@ def mix_update_fraction(mix, types):
                if types[name].is_update)
 
 
+def verify_availability(plan, min_copies=2):
+    """Availability violations of an update-filtering plan (empty when safe).
+
+    Checks both constraints of Section 3: every transaction type has at
+    least ``min_copies`` capable replicas and every table some replica keeps
+    is maintained on at least ``min_copies`` replicas.
+    """
+    problems = []
+    total_replicas = len(plan.tables_per_replica)
+    effective_min = min(min_copies, total_replicas) if total_replicas else 0
+    for type_name, replicas in plan.type_copies.items():
+        if len(replicas) < effective_min:
+            problems.append("transaction type %s has only %d capable replicas (need %d)"
+                            % (type_name, len(replicas), effective_min))
+    table_copies = {}
+    for tables in plan.tables_per_replica.values():
+        for name in tables:
+            table_copies[name] = table_copies.get(name, 0) + 1
+    for name, copies in table_copies.items():
+        if copies < effective_min:
+            problems.append("table %s is maintained on only %d replicas (need %d)"
+                            % (name, copies, effective_min))
+    return problems
+
+
 def update_fraction(metrics):
     """Fraction of the completed transactions that were updates."""
     if not metrics.completed:
@@ -87,14 +112,43 @@ def update_fraction(metrics):
     return metrics.updates_completed / metrics.completed
 
 
-def completions_by_replica(metrics):
-    """Completed transactions per replica id."""
-    return dict(metrics._by_replica)
+class CompletionCounter:
+    """Committed completions per replica id and per transaction type.
+
+    A cluster observer: ``cluster.attach(counter)`` wraps every replica's
+    ``_finish``, joiners included, and counts the calls that
+    ``MetricsCollector.record_completion`` counts -- committed, with a
+    collector installed, at or after the warm-up.
+    """
+
+    def __init__(self):
+        self.by_replica = {}
+        self.by_type = {}
+
+    def instrument_cluster(self, cluster):
+        pass
+
+    def instrument_replica(self, replica):
+        finish = replica._finish
+
+        def counted_finish(ctx, committed):
+            finish(ctx, committed)
+            metrics = replica.metrics
+            if committed and metrics is not None and \
+                    replica.sim.now >= metrics.warmup_seconds:
+                rid = replica.replica_id
+                self.by_replica[rid] = self.by_replica.get(rid, 0) + 1
+                name = ctx.plan.name
+                self.by_type[name] = self.by_type.get(name, 0) + 1
+
+        replica._finish = counted_finish
 
 
-def completions_by_type(metrics):
-    """Completed transactions per transaction type name."""
-    return dict(metrics._by_type)
+def count_completions(cluster):
+    """Attach and return a :class:`CompletionCounter`."""
+    counter = CompletionCounter()
+    cluster.attach(counter)
+    return counter
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.estimator import WorkingSetEstimator
-from repro.core.grouping import GroupingMethod, build_groups, group_of_type, merge_groups
+from repro.core.grouping import GroupingMethod, build_groups, group_of_type
 from repro.storage.catalog import Catalog
 from repro.storage.pages import mb
 from repro.storage.planner import QueryPlanner
@@ -56,13 +56,6 @@ def test_more_memory_means_fewer_groups(tpcw_estimates):
     small = build_groups(tpcw_estimates, mb(442), method=GroupingMethod.MALB_SC)
     large = build_groups(tpcw_estimates, mb(954), method=GroupingMethod.MALB_SC)
     assert len(large) <= len(small)
-
-
-def test_merge_groups_combines_members(tpcw_estimates):
-    groups = build_groups(tpcw_estimates, mb(442), method=GroupingMethod.MALB_SC)
-    merged = merge_groups(groups[0], groups[1])
-    assert set(groups[0].type_names) | set(groups[1].type_names) == set(merged.type_names)
-    assert merged.merged_from == [groups[0].group_id, groups[1].group_id]
 
 
 def test_invalid_inputs(tpcw_estimates):

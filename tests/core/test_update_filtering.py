@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.estimator import WorkingSetEstimator
 from repro.core.grouping import GroupingMethod, build_groups
-from repro.core.update_filtering import compute_filter_plan, tables_used_by_types, verify_availability
+from repro.core.update_filtering import compute_filter_plan, tables_used_by_types
 from repro.storage.catalog import Catalog
 from repro.storage.pages import mb
 from repro.storage.planner import QueryPlanner
 from repro.workloads.tpcw import make_tpcw
+
+from tests.conftest import verify_availability
 
 
 def filtered_fraction(plan, all_tables):
@@ -63,7 +65,7 @@ def test_filter_plan_meets_availability(tpcw_setup):
     # Give every group only a single primary replica; the plan must add standbys.
     assignment = {g.group_id: [i] for i, g in enumerate(groups)}
     plan = compute_filter_plan(groups, assignment, estimates, catalog, min_copies=2)
-    assert verify_availability(plan, catalog, min_copies=2) == []
+    assert verify_availability(plan, min_copies=2) == []
     for type_name, replicas in plan.type_copies.items():
         assert len(replicas) >= 2
 
@@ -88,5 +90,5 @@ def test_verify_availability_reports_violations(tpcw_setup):
     assignment = {g.group_id: [i % 2] for i, g in enumerate(groups)}
     plan = compute_filter_plan(groups, assignment, estimates, catalog, min_copies=1)
     # With min_copies=2 requested at verification time, single copies violate.
-    problems = verify_availability(plan, catalog, min_copies=2)
+    problems = verify_availability(plan, min_copies=2)
     assert problems

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.working_set import (
-    WorkingSetEstimate, combined_size_no_overlap, combined_size_with_overlap, union_relation_bytes)
+from repro.core.working_set import WorkingSetEstimate, union_relation_bytes
 
 
 def make(name, relations, scanned=()):
@@ -28,8 +27,9 @@ def test_paper_overlap_example():
     # Section 2.3: T1 uses A and B, T2 uses B and C.
     t1 = make("T1", {"A": 10, "B": 20})
     t2 = make("T2", {"B": 20, "C": 30})
-    assert combined_size_no_overlap([t1, t2]) == 10 + 2 * 20 + 30
-    assert combined_size_with_overlap([t1, t2]) == 10 + 20 + 30
+    # MALB-S double-counts the shared table, MALB-SC counts it once.
+    assert t1.total_bytes + t2.total_bytes == 10 + 2 * 20 + 30
+    assert sum(union_relation_bytes([t1, t2]).values()) == 10 + 20 + 30
     shared = t1.relations & t2.relations
     assert sum(t1.relation_bytes[name] for name in shared) == 20
 

@@ -144,5 +144,3 @@ def test_scaling_decisions_are_recorded():
     autoscaler.check()
     assert len(autoscaler.decisions) == 1
     assert autoscaler.peak_replicas == 3
-    assert autoscaler.checks == 2
-    assert len(autoscaler.history) == 2

@@ -100,6 +100,8 @@ def test_runner_cli_lists_and_runs(tmp_path, capsys):
                  "--telemetry-json", str(telemetry)]) == 0
     out = capsys.readouterr().out
     assert "aborts by reason" in out
+    # The exported telemetry is read back and summarised.
+    assert "telemetry (schema v" in out and "per-stage latency" in out
     import json
     assert json.loads(trace.read_text())["traceEvents"]
     assert json.loads(telemetry.read_text())["snapshots"]

@@ -127,7 +127,7 @@ def test_network_degrade_and_restore():
     assert network.link(2).config.jitter_s == 0.002
     network.restore(2)
     assert network.link(2).config == base
-    assert network.link(2).healthy
+    assert not network.link(2).partitioned and network.link(2).config.is_perfect
 
 
 def test_network_partition_control_and_summary():

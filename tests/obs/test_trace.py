@@ -79,16 +79,6 @@ def test_empty_histogram_is_all_zero():
     assert payload["buckets_us"] == []
 
 
-def test_tracer_max_events_drops_deterministically():
-    tracer = Tracer(max_events=2)
-    tracer.span("a", "stage", 0.0, 1.0, 0, 1)
-    tracer.instant("b", "fault", 1.0, 0)
-    tracer.span("c", "stage", 2.0, 1.0, 0, 1)
-    assert tracer.event_count == 2
-    assert tracer.dropped_events == 1
-    assert tracer.to_chrome()["otherData"]["dropped_events"] == 1
-
-
 # ----------------------------------------------------------------------
 # Chrome trace-event schema
 # ----------------------------------------------------------------------

@@ -10,12 +10,13 @@ from repro.experiments.configs import golden_midsize_config
 from repro.experiments.runner import build_cluster
 from repro.obs import ObservabilityHub
 
-from tests.conftest import completions_by_replica, completions_by_type, update_fraction
+from tests.conftest import count_completions, update_fraction
 from tests.sim.test_determinism_golden import _fingerprint
 
 
 def _fingerprint_with_hub(config):
     cluster = build_cluster(config)
+    completions = count_completions(cluster)
     hub = ObservabilityHub()
     cluster.attach(hub)
     result = cluster.run(duration_s=config.duration_s, warmup_s=config.warmup_s)
@@ -29,9 +30,9 @@ def _fingerprint_with_hub(config):
         "certifier_commits": cluster.certifier.stats.commits,
         "certifier_aborts": cluster.certifier.stats.aborts,
         "certifier_notifications": cluster.certifier.stats.notifications_sent,
-        "completions_by_type": dict(sorted(completions_by_type(metrics).items())),
+        "completions_by_type": dict(sorted(completions.by_type.items())),
         "completions_by_replica": {str(rid): count for rid, count
-                                   in sorted(completions_by_replica(metrics).items())},
+                                   in sorted(completions.by_replica.items())},
         "throughput_tps": metrics.throughput_tps(),
         "average_response_time": metrics.average_response_time(),
         "update_fraction": update_fraction(metrics),

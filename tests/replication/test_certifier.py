@@ -67,8 +67,9 @@ def test_certify_batch_is_fifo_and_piggybacks_missed_writesets():
     # The piggyback covers everything since the requester's applied version,
     # including the batch's own commits.
     assert [e.version for e in piggyback] == [1, 2, 3, 4]
+    # The single certify() above is a request but not a batch.
     assert cert.stats.batches == 1
-    assert cert.stats.batched_requests == 3
+    assert cert.stats.requests == 4
 
 
 def test_certify_batch_intra_batch_conflicts_abort():

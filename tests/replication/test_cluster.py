@@ -12,7 +12,7 @@ from repro.storage.engine import WriteItem, WriteSet
 from repro.storage.pages import mb
 from repro.workloads.generator import WorkloadSchedule
 
-from tests.conftest import completions_by_replica, make_tiny_workload, update_fraction
+from tests.conftest import count_completions, make_tiny_workload, update_fraction
 
 
 def make_cluster(balancer=None, replicas=4, mix="balanced", **kwargs):
@@ -34,8 +34,9 @@ def test_cluster_runs_and_produces_metrics():
 
 def test_all_replicas_receive_work_under_least_connections():
     cluster = make_cluster(replicas=4)
-    result = cluster.run(duration_s=30.0, warmup_s=5.0)
-    assert set(completions_by_replica(result.metrics)) == {0, 1, 2, 3}
+    completions = count_completions(cluster)
+    cluster.run(duration_s=30.0, warmup_s=5.0)
+    assert set(completions.by_replica) == {0, 1, 2, 3}
 
 
 def test_updates_propagate_to_all_replicas():

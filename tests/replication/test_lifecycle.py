@@ -115,7 +115,7 @@ def test_concurrent_updates_share_certification_round_trips():
     # far fewer round trips than requests (the first departs alone, the rest
     # accumulate into shared batches).
     assert certifier.stats.batches < 6
-    assert certifier.stats.batched_requests == 6
+    assert certifier.stats.requests == 6
 
 
 def test_batched_certification_preserves_fifo_version_order():
@@ -159,7 +159,7 @@ def test_aborted_retry_commits_on_piggybacked_snapshot_without_pull():
     assert outcomes == [True]
     # Exactly one abort (stale snapshot 0 vs the remote commit), then the
     # retry saw the piggybacked writeset and committed at snapshot >= 1.
-    assert replica.aborted == 1
+    assert replica.metrics.aborts == 1
     assert certifier.stats.aborts == 1
     assert certifier.current_version == 2
     (committed, snapshot), = sent[-1]
@@ -210,7 +210,7 @@ def test_retry_after_abort_certifies_a_new_writeset():
     outcomes = []
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
     sim.run()
-    assert outcomes == [True] and replica.aborted == 1
+    assert outcomes == [True] and replica.metrics.aborts == 1
     (aborted, stale), (retried, fresh) = [batch[0] for batch in sent]
     # The retry re-executed: a different object, on the fresh snapshot.
     assert retried is not aborted
@@ -229,7 +229,7 @@ def test_stale_retries_no_longer_burn_max_retries():
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
     sim.run()
     assert outcomes == [True]
-    assert replica.aborted < MAX_RETRIES
+    assert replica.metrics.aborts < MAX_RETRIES
 
 
 def test_epoch_fencing_drops_batched_requests_without_leaking_slots():
@@ -271,7 +271,7 @@ def test_batch_limit_splits_oversized_batches(monkeypatch):
     assert outcomes == [True] * 8
     # No round trip carried more than the configured limit.
     assert certifier.stats.batches >= 4
-    assert certifier.stats.batched_requests == 8
+    assert certifier.stats.requests == 8
 
 
 def test_context_reaches_done_state():
@@ -324,7 +324,7 @@ def test_crash_fails_every_pending_stage_once_in_dispatch_order():
     sim.run()
     assert outcomes == [(name, False) for name in names]
     assert certifier.stats.requests == 0
-    assert replica.completed == 0
+    assert replica.metrics.completed == 0
 
 
 def test_failed_context_cannot_finish_again():

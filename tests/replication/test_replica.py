@@ -47,7 +47,7 @@ def test_update_transaction_is_certified_and_logged():
     assert outcomes == [True]
     assert certifier.current_version == 1
     assert replica.applied_version == 1
-    assert replica.committed_updates == 1
+    assert replica.metrics.updates_completed == 1
 
 
 def test_snapshot_is_the_applied_version_when_the_attempt_starts():
@@ -76,7 +76,7 @@ def test_remote_writesets_are_applied_and_charged():
     assert fetched == 1
     assert other.applied_version == 1
     assert other.writesets_applied == 1
-    assert other.resources.disk.requests + other.resources.disk.background_requests >= 1
+    assert other.resources.disk.busy_seconds_until(float("inf")) > 0
 
 
 def test_filtered_replica_skips_foreign_tables():

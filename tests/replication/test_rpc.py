@@ -25,7 +25,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.engine import DatabaseEngine
 from repro.storage.pages import mb
 
-from tests.conftest import completions_by_replica, make_tiny_workload
+from tests.conftest import count_completions, make_tiny_workload
 
 
 def ws(key, origin=0):
@@ -239,14 +239,15 @@ def test_duplicating_channel_hits_the_dedup_cache():
 def test_partitioned_replica_sheds_updates_but_serves_reads():
     cluster = make_cluster()
     checker = ConsistencyChecker(cluster)
+    completions = count_completions(cluster)
     during = {}
 
     def start_partition():
         cluster.network.partition(0)
-        during["before"] = completions_by_replica(cluster.metrics)
+        during["before"] = dict(completions.by_replica)
 
     def end_partition():
-        during["after"] = completions_by_replica(cluster.metrics)
+        during["after"] = dict(completions.by_replica)
         cluster.network.heal(0)
 
     cluster.sim.schedule_at(10.0, start_partition)

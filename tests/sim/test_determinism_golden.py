@@ -34,7 +34,7 @@ from repro.experiments.configs import golden_midsize_config, golden_update_filte
 from repro.experiments.runner import build_cluster
 from repro.net.invariants import ConsistencyChecker
 
-from tests.conftest import completions_by_replica, completions_by_type, update_fraction
+from tests.conftest import count_completions, update_fraction
 
 GOLDEN_PATH = Path(__file__).with_name("golden_seeded_metrics.json")
 
@@ -53,6 +53,7 @@ def _fingerprint(config, arm=None):
     """Run ``config`` and fingerprint the outcome; ``arm(cluster)``, if
     given, runs between building the cluster and running it."""
     cluster = build_cluster(config)
+    completions = count_completions(cluster)
     if arm is not None:
         arm(cluster)
     result = cluster.run(duration_s=config.duration_s, warmup_s=config.warmup_s)
@@ -66,9 +67,9 @@ def _fingerprint(config, arm=None):
         "certifier_commits": cluster.certifier.stats.commits,
         "certifier_aborts": cluster.certifier.stats.aborts,
         "certifier_notifications": cluster.certifier.stats.notifications_sent,
-        "completions_by_type": dict(sorted(completions_by_type(metrics).items())),
+        "completions_by_type": dict(sorted(completions.by_type.items())),
         "completions_by_replica": {str(rid): count for rid, count
-                                   in sorted(completions_by_replica(metrics).items())},
+                                   in sorted(completions.by_replica.items())},
         "throughput_tps": metrics.throughput_tps(),
         "average_response_time": metrics.average_response_time(),
         "update_fraction": update_fraction(metrics),

@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.core.baselines import LeastConnectionsBalancer
+from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.sim.metrics import MetricsCollector
+from repro.storage.pages import mb
 
-from tests.conftest import completions_by_replica, completions_by_type, update_fraction
+from tests.conftest import count_completions, make_tiny_workload, update_fraction
 
 
 def _record(m, time, **kwargs):
-    defaults = dict(transaction_type="T", replica_id=0, response_time=0.1,
-                    is_update=False, read_bytes=0.0, write_bytes=0.0)
+    defaults = dict(response_time=0.1, is_update=False, read_bytes=0.0,
+                    write_bytes=0.0)
     defaults.update(kwargs)
     m.record_completion(time=time, **defaults)
 
@@ -47,12 +50,21 @@ def test_background_io_respects_warmup():
 
 
 def test_breakdowns():
-    m = MetricsCollector()
-    _record(m, 1.0, replica_id=0, transaction_type="A")
-    _record(m, 2.0, replica_id=1, transaction_type="B")
-    _record(m, 3.0, replica_id=1, transaction_type="B")
-    assert completions_by_replica(m) == {0: 1, 1: 2}
-    assert completions_by_type(m) == {"A": 1, "B": 2}
+    """The test-side per-replica and per-type breakdown counts exactly the
+    completions the collector counts, warm-up excluded."""
+    workload = make_tiny_workload()
+    cluster = ReplicatedCluster(
+        workload=workload, balancer=LeastConnectionsBalancer(),
+        config=ClusterConfig(num_replicas=3, replica_ram_bytes=mb(192),
+                             clients_per_replica=4, think_time_s=0.05),
+        mix="balanced")
+    completions = count_completions(cluster)
+    metrics = cluster.run(duration_s=20.0, warmup_s=5.0).metrics
+    assert metrics.completed > 0
+    assert sum(completions.by_replica.values()) == metrics.completed
+    assert sum(completions.by_type.values()) == metrics.completed
+    assert set(completions.by_replica) == {0, 1, 2}
+    assert set(completions.by_type) <= set(workload.types)
 
 
 def test_throughput_series_and_moving_average():

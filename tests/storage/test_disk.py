@@ -6,23 +6,37 @@ from repro.storage.disk import DiskModel
 from repro.storage.pages import MB, PAGE_SIZE_BYTES
 
 
+def random_read_seconds(disk, num_bytes):
+    """Reference: service time to read ``num_bytes`` of scattered pages."""
+    if num_bytes <= 0:
+        return 0.0
+    pages = num_bytes / PAGE_SIZE_BYTES
+    return pages * disk.random_read_ms_per_page / 1000.0
+
+
+def sequential_read_seconds(disk, num_bytes):
+    """Reference: service time to stream ``num_bytes`` sequentially."""
+    if num_bytes <= 0:
+        return 0.0
+    return num_bytes / (disk.sequential_read_mb_per_s * MB)
+
+
 def test_random_read_cost_scales_with_pages():
     disk = DiskModel(random_read_ms_per_page=10.0)
-    one = disk.random_read_seconds(PAGE_SIZE_BYTES)
-    ten = disk.random_read_seconds(10 * PAGE_SIZE_BYTES)
+    one = disk.read_seconds(PAGE_SIZE_BYTES, 0.0)
+    ten = disk.read_seconds(10 * PAGE_SIZE_BYTES, 0.0)
     assert one == pytest.approx(0.010)
     assert ten == pytest.approx(0.100)
 
 
 def test_sequential_read_uses_bandwidth():
     disk = DiskModel(sequential_read_mb_per_s=50.0)
-    assert disk.sequential_read_seconds(50 * MB) == pytest.approx(1.0)
+    assert disk.read_seconds(0.0, 50 * MB) == pytest.approx(1.0)
 
 
 def test_zero_bytes_cost_nothing():
     disk = DiskModel()
-    assert disk.random_read_seconds(0) == 0.0
-    assert disk.sequential_read_seconds(0) == 0.0
+    assert disk.read_seconds(0.0, 0.0) == 0.0
     assert disk.write_seconds(0) == 0.0
 
 
@@ -35,10 +49,14 @@ def test_write_coalescing_reduces_cost():
 
 
 def test_combined_read_seconds():
+    """``read_seconds`` is the two reference costs added, bit for bit."""
     disk = DiskModel()
-    combined = disk.read_seconds(PAGE_SIZE_BYTES, MB)
-    assert combined == pytest.approx(
-        disk.random_read_seconds(PAGE_SIZE_BYTES) + disk.sequential_read_seconds(MB))
+    for random_bytes, sequential_bytes in ((PAGE_SIZE_BYTES, MB), (0.0, MB),
+                                           (3 * PAGE_SIZE_BYTES, 0.0),
+                                           (12345.0, 678.9), (0.0, 0.0)):
+        assert disk.read_seconds(random_bytes, sequential_bytes) == \
+            random_read_seconds(disk, random_bytes) + \
+            sequential_read_seconds(disk, sequential_bytes)
 
 
 def test_invalid_parameters_rejected():

@@ -1,23 +1,41 @@
-"""Every function, method and class in ``src/repro`` is reached by the program.
+"""Every definition and attribute in ``src/repro`` is reached by the program.
 
-A definition that only tests call is dead weight: the simulator never runs
-it, yet it has to be kept in step with the code around it.  This test parses
-``src/repro`` and looks each defined name up, as an identifier token, in
-every file under ``src/``, ``benchmarks/``, ``examples/`` and
-``perfbench/``.  A name whose only occurrence there is its own ``def`` or
-``class`` line is reported.
+A definition that only tests call, or a counter that only tests read, is
+dead weight: the simulator never uses it, yet it has to be kept in step
+with the code around it (and a counter is paid for on every bump).  This
+test parses ``src/repro`` and looks each name up in every Python file under
+``src/``, ``benchmarks/``, ``examples/`` and ``perfbench/``:
 
-The lookup is by bare name, so a name shared by two definitions counts as
-reached if either is; the scan can miss a dead method that shares its name
-with a live one, but it never reports a reached one.
+* **Definitions.**  A function, method or class name is reached if it
+  appears as an identifier token in a program file other than on its own
+  ``def`` or ``class`` line.  String literals count (``perfbench`` names the
+  methods it patches by string); comments and docstrings do not, and
+  neither do the import and ``__all__`` lines of an ``__init__.py``, which
+  only re-export a name.
+* **Attributes.**  An attribute assigned through ``self.<name> =``,
+  ``self.<name>: T =`` or ``self.<name> += ...`` is reached if some program
+  file reads ``<anything>.<name>`` or passes ``"<name>"`` to ``getattr``.
+  An augmented-assignment target is not a read, nor is a ``__slots__``
+  string or a docstring.
 
-To fix a report, either delete the definition, or, if a test uses it only
-to observe state, move it into that test or ``tests/conftest.py``.  Only a
-name the README documents as public API belongs in the allowlist below.
+Both lookups are by bare name, so a name shared by two definitions or two
+attributes counts as reached if either is (``Replica.completed`` would pass
+on the strength of ``MetricsCollector.completed``); the scan can miss a
+dead name that shares its spelling with a live one, but it never reports a
+reached one.  The attribute scan cannot see reads through aliases -- a
+``getattr`` with a computed name, ``vars()``, ``dataclasses.asdict`` -- and
+it does not cover dataclass fields, which are declared in the class body
+rather than assigned through ``self``.
+
+To fix a report, either delete the name, or, if a test uses it only to
+observe state, move it into that test or ``tests/conftest.py``.  Only a
+name the README documents as public API belongs in an allowlist below.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,18 +45,83 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: Definitions kept although no program file uses them, each with the
 #: reason.  An entry that is no longer defined, or that the program now
 #: reaches, is stale and fails the test.
-ALLOWLIST = {
-    # Documented in README.md ("Observability") as the way to summarise an
-    # exported telemetry JSON from Python.
-    "summarize_telemetry",
-}
+ALLOWLIST = set()
+
+#: The same discipline for attributes written but never read.
+ATTRIBUTE_ALLOWLIST = set()
 
 
+def _program_files():
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            # Build artefacts (bytecode, an installed egg's copies) are not
+            # program text.
+            parts = path.parts
+            if "__pycache__" not in parts and not any(
+                    part.endswith(".egg-info") for part in parts):
+                yield path
+
+
+def _source_files():
+    return sorted((ROOT / "src" / "repro").rglob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def _docstring_lines(tree):
+    """Line numbers spanned by every module, class and function docstring."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def _reexport_lines(path, tree):
+    """Lines of an ``__init__.py`` that only re-export names: its imports
+    and its ``__all__``."""
+    if path.name != "__init__.py":
+        return set()
+    lines = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def _reference_tokens(path, tree):
+    """``(line, identifier)`` of every reference in a program file: names
+    and the identifiers inside string literals, outside comments,
+    docstrings and re-export lines."""
+    skipped = _docstring_lines(tree) | _reexport_lines(path, tree)
+    for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        line = token.start[0]
+        if line in skipped:
+            continue
+        if token.type == tokenize.NAME:
+            yield line, token.string
+        elif token.type == tokenize.STRING:
+            for name in IDENTIFIER.findall(token.string):
+                yield line, name
+
+
+# ----------------------------------------------------------------------
+# Definitions
+# ----------------------------------------------------------------------
 def _definitions():
     """Name -> [(path, line)] of every non-dunder def and class."""
     found = {}
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path in _source_files():
+        for node in ast.walk(_parse(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if not (name.startswith("__") and name.endswith("__")):
@@ -46,19 +129,8 @@ def _definitions():
     return found
 
 
-def _program_files():
-    for directory in PROGRAM_DIRS:
-        for path in sorted((ROOT / directory).rglob("*")):
-            # Build artefacts (bytecode, an installed egg's file list) are
-            # not program text.
-            parts = path.parts
-            if path.is_file() and "__pycache__" not in parts and not any(
-                    part.endswith(".egg-info") for part in parts):
-                yield path
-
-
 def _unreached():
-    """Defined names that appear in no program file except on their own
+    """Defined names referenced by no program file except on their own
     definition lines."""
     definitions = _definitions()
     own_lines = {}
@@ -67,22 +139,81 @@ def _unreached():
             own_lines.setdefault(site, set()).add(name)
     unreached = set(definitions)
     for path in _program_files():
-        text = path.read_text(errors="ignore")
-        for number, line in enumerate(text.splitlines(), 1):
-            tokens = set(IDENTIFIER.findall(line)) & unreached
-            if tokens:
-                unreached -= tokens - own_lines.get((path, number), set())
+        for line, name in _reference_tokens(path, _parse(path)):
+            if name in unreached and name not in own_lines.get((path, line), ()):
+                unreached.discard(name)
     return {name: definitions[name] for name in unreached}
 
 
-def test_every_definition_is_reached_by_the_program():
-    unreached = _unreached()
-    reported = sorted(set(unreached) - ALLOWLIST)
-    assert not reported, "defined in src/repro but used only by tests:\n" + "\n".join(
+# ----------------------------------------------------------------------
+# Attributes
+# ----------------------------------------------------------------------
+def _self_attribute(target):
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
+            and target.value.id == "self":
+        return target.attr
+    return None
+
+
+def _attribute_writes():
+    """Name -> [(path, line)] of every ``self.<name>`` assignment."""
+    found = {}
+    for path in _source_files():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Assign):
+                targets = []
+                for target in node.targets:
+                    targets.extend(target.elts if isinstance(target, ast.Tuple) else [target])
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                name = _self_attribute(target)
+                if name is not None:
+                    found.setdefault(name, []).append((path, node.lineno))
+    return found
+
+
+def _attribute_reads():
+    """Every attribute name some program file loads, or names as the
+    literal second argument of ``getattr``."""
+    reads = set()
+    for path in _program_files():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "getattr" and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant):
+                reads.add(node.args[1].value)
+    return reads
+
+
+def _unread_attributes():
+    writes = _attribute_writes()
+    reads = _attribute_reads()
+    return {name: sites for name, sites in writes.items() if name not in reads}
+
+
+def _report(kind, unreached, allowlist):
+    reported = sorted(set(unreached) - allowlist)
+    return "%s in src/repro but used only by tests:\n" % kind + "\n".join(
         "  %s (%s)" % (name, ", ".join("%s:%d" % (path.relative_to(ROOT), line)
                                        for path, line in unreached[name]))
-        for name in reported)
+        for name in reported), reported
+
+
+def test_every_definition_is_reached_by_the_program():
+    message, reported = _report("defined", _unreached(), ALLOWLIST)
+    assert not reported, message
+
+
+def test_every_attribute_is_read_by_the_program():
+    message, reported = _report("written", _unread_attributes(), ATTRIBUTE_ALLOWLIST)
+    assert not reported, message
 
 
 def test_allowlist_is_not_stale():
     assert ALLOWLIST <= set(_unreached())
+    assert ATTRIBUTE_ALLOWLIST <= set(_unread_attributes())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.pages import gb
+from repro.storage.pages import GB
 from repro.workloads.rubis import make_rubis, make_schema
 
 from tests.conftest import mix_update_fraction, total_size_bytes
@@ -10,7 +10,7 @@ from tests.conftest import mix_update_fraction, total_size_bytes
 
 def test_database_is_about_2_2_gb():
     schema = make_schema()
-    assert gb(1.9) < total_size_bytes(schema) < gb(2.6)
+    assert 1.9 * GB < total_size_bytes(schema) < 2.6 * GB
 
 
 def test_seventeen_interaction_types():

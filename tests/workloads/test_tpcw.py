@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.storage.pages import gb
-from repro.workloads.tpcw import DATABASE_SIZES, make_schema, make_tpcw, make_tpcw_by_label
+from repro.storage.pages import GB
+from repro.workloads.tpcw import DATABASE_SIZES, make_schema, make_tpcw
 
 from tests.conftest import mix_update_fraction, total_size_bytes
 
 
 def test_mid_db_is_about_1_8_gb():
     schema = make_schema(300)
-    assert gb(1.5) < total_size_bytes(schema) < gb(2.1)
+    assert 1.5 * GB < total_size_bytes(schema) < 2.1 * GB
 
 
 def test_small_and_large_db_scale():
@@ -18,8 +18,8 @@ def test_small_and_large_db_scale():
     mid = total_size_bytes(make_schema(300))
     large = total_size_bytes(make_schema(500))
     assert small < mid < large
-    assert gb(0.5) < small < gb(0.95)
-    assert gb(2.4) < large < gb(3.3)
+    assert 0.5 * GB < small < 0.95 * GB
+    assert 2.4 * GB < large < 3.3 * GB
 
 
 def test_catalogue_tables_do_not_scale():
@@ -47,11 +47,9 @@ def test_mix_update_fractions_match_paper():
 
 
 def test_make_by_label():
-    assert total_size_bytes(make_tpcw_by_label("MidDB").schema) == \
+    assert DATABASE_SIZES == {"SmallDB": 100, "MidDB": 300, "LargeDB": 500}
+    assert total_size_bytes(make_tpcw(DATABASE_SIZES["MidDB"]).schema) == \
         total_size_bytes(make_tpcw(300).schema)
-    with pytest.raises(KeyError):
-        make_tpcw_by_label("HugeDB")
-    assert set(DATABASE_SIZES) == {"SmallDB", "MidDB", "LargeDB"}
 
 
 def test_invalid_ebs_rejected():
