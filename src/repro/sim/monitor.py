@@ -44,6 +44,11 @@ class LoadSample:
 class ReplicaMonitor:
     """Samples one replica's resources and keeps smoothed utilisations.
 
+    The first window starts at ``now``, when monitoring begins, against the
+    resources' busy time up to then: a replica that joins or is restored
+    mid-run reports its utilisation since it entered service, not averaged
+    over the run before it.
+
     Slotted: one monitor lives per replica for the whole run and its fields
     are read/written every sampling interval for every replica, so the
     instances stay small and attribute access cheap at high replica counts.
@@ -52,12 +57,12 @@ class ReplicaMonitor:
     __slots__ = ("resources", "sample", "_last_time",
                  "_last_cpu_busy", "_last_disk_busy", "samples_taken")
 
-    def __init__(self, resources: ReplicaResources) -> None:
+    def __init__(self, resources: ReplicaResources, now: float) -> None:
         self.resources = resources
         self.sample = LoadSample()
-        self._last_time: float = 0.0
-        self._last_cpu_busy: float = 0.0
-        self._last_disk_busy: float = 0.0
+        self._last_time = now
+        self._last_cpu_busy = resources.cpu.busy_seconds_until(now)
+        self._last_disk_busy = resources.disk.busy_seconds_until(now)
         self.samples_taken = 0
 
     def take_sample(self, now: float) -> LoadSample:
@@ -101,7 +106,7 @@ class ClusterMonitor:
         self._monitors: Dict[int, ReplicaMonitor] = {}
 
     def register(self, replica_id: int, resources: ReplicaResources) -> None:
-        self._monitors[replica_id] = ReplicaMonitor(resources)
+        self._monitors[replica_id] = ReplicaMonitor(resources, self.sim.now)
 
     def unregister(self, replica_id: int) -> None:
         """Stop monitoring a replica that crashed or left the cluster."""

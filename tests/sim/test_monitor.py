@@ -18,7 +18,7 @@ def test_monitor_measures_utilisation(monkeypatch):
     monkeypatch.setattr(monitor_module, "SMOOTHING", 1.0)
     sim = Simulator()
     res = ReplicaResources.create(sim, 0)
-    monitor = ReplicaMonitor(res)
+    monitor = ReplicaMonitor(res, 0.0)
     res.cpu.acquire(5.0)
     res.disk.acquire(2.0)
     sim.run_until(10.0)
@@ -30,7 +30,7 @@ def test_monitor_measures_utilisation(monkeypatch):
 def test_monitor_smooths_samples():
     sim = Simulator()
     res = ReplicaResources.create(sim, 0)
-    monitor = ReplicaMonitor(res)
+    monitor = ReplicaMonitor(res, 0.0)
     res.cpu.acquire(10.0)
     sim.run_until(10.0)
     monitor.take_sample(10.0)            # cpu=1.0
@@ -56,3 +56,21 @@ def test_cluster_monitor_periodic_sampling():
     assert 9 not in routing._samples
     assert routing.load_of(9) == LoadSample()
 
+
+
+def test_a_replica_registered_mid_run_samples_from_its_registration():
+    """A joiner's (or restored replica's) first sample covers only the time
+    since it entered service: earlier busy time and the idle stretch before
+    the join must not dilute the replay it is doing now."""
+    sim = Simulator()
+    routing = RoutingTable()
+    monitor = ClusterMonitor(sim, routing)
+    monitor.start()
+    res = ReplicaResources.create(sim, 0)
+    res.disk.acquire(50.0)                 # busy over [0, 50], before the join
+    sim.run_until(101.0)
+    monitor.register(0, res)
+    res.disk.add_background_work(10.0)     # log replay, busy over [101, 111]
+    sim.run_until(105.0)                   # the next sample, over [101, 105]
+    assert routing.load_of(0).disk == pytest.approx(1.0)
+    assert routing.load_of(0).cpu == 0.0
