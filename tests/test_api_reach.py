@@ -23,9 +23,11 @@ attributes counts as reached if either is (``Replica.completed`` would pass
 on the strength of ``MetricsCollector.completed``); the scan can miss a
 dead name that shares its spelling with a live one, but it never reports a
 reached one.  The attribute scan cannot see reads through aliases -- a
-``getattr`` with a computed name, ``vars()``, ``dataclasses.asdict`` -- and
-it does not cover dataclass fields, which are declared in the class body
-rather than assigned through ``self``.
+``getattr`` with a computed name, ``vars()``, ``dataclasses.asdict`` -- so
+it never reports those either; a load made only to mutate the value
+(``self.history.append(x)``) counts as a read.  It does not cover dataclass
+fields, which are declared in the class body rather than assigned through
+``self``, nor attributes written through any other receiver.
 
 To fix a report, either delete the name, or, if a test uses it only to
 observe state, move it into that test or ``tests/conftest.py``.  Only a
@@ -41,6 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_DIRS = ("src", "benchmarks", "examples", "perfbench")
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Token types whose text is literal string content: a whole string before
+#: Python 3.12, the literal parts of an f-string from 3.12 on.
+STRING_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
 
 #: Definitions kept although no program file uses them, each with the
 #: reason.  An entry that is no longer defined, or that the program now
@@ -109,7 +114,7 @@ def _reference_tokens(path, tree):
             continue
         if token.type == tokenize.NAME:
             yield line, token.string
-        elif token.type == tokenize.STRING:
+        elif token.type in STRING_TOKENS:
             for name in IDENTIFIER.findall(token.string):
                 yield line, name
 
