@@ -203,9 +203,12 @@ class FaultInjector:
 
         The named fault knobs override the network's base configuration for
         ``duration_s`` seconds (e.g. a duplicate burst, a lossy window);
-        afterwards the link returns to the base config.  The channel's own
-        seeded RNG drives the per-message draws, so the window's effects are
-        exactly reproducible.
+        afterwards the link returns to the base config.  If a later window
+        on the same link replaced this one's config before it ended, the
+        restore is skipped (and recorded as skipped): the later window
+        restores the link at its own end.  The channel's own seeded RNG
+        drives the per-message draws, so the window's effects are exactly
+        reproducible.
         """
         if duration_s <= 0:
             raise ValueError("flaky-link duration must be positive")
@@ -232,6 +235,12 @@ class FaultInjector:
                             config.jitter_s, duration_s))
 
             def restore() -> None:
+                # A later window on the same link replaced this window's
+                # config: the link is that window's to restore.
+                if network.link(target).config is not config:
+                    self._record("skipped", target,
+                                 "link holds a later window's config")
+                    return
                 network.restore(target)
                 self._record("link-restored", target, "")
 

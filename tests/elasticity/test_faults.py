@@ -156,6 +156,23 @@ def test_flaky_link_window_degrades_then_restores():
     assert channel.stats.dropped > 0                    # the window did bite
 
 
+def test_overlapping_flaky_windows_do_not_cut_each_other_short():
+    # Two windows on one link: the first window's end must not restore the
+    # link while the second window is still running.
+    cluster = make_networked_cluster()
+    injector = FaultInjector(cluster, seed=2)
+    injector.schedule_flaky_link(1.0, 10.0, replica_id=0, drop_probability=0.4)
+    injector.schedule_flaky_link(2.0, 10.0, replica_id=0, drop_probability=0.4)
+    cluster.start()
+    cluster.sim.run_until(11.5)
+    assert cluster.network.link(0).config.drop_probability == 0.4
+    cluster.sim.run_until(13.0)
+    assert cluster.network.link(0).config.is_perfect
+    assert [(r.kind, r.time) for r in injector.records] == [
+        ("flaky-link", 1.0), ("flaky-link", 2.0), ("skipped", 11.0),
+        ("link-restored", 12.0)]
+
+
 def test_heal_all_records_every_partitioned_link():
     cluster = make_networked_cluster()
     injector = FaultInjector(cluster, seed=2)
