@@ -28,7 +28,7 @@ def _measure(spec, type_name):
                               rng=random.Random(7))
 
     candidates = [mb(s) for s in (64, 128, 192, 256, 320, 384, 448, 512, 640, 768, 1024, 1536, 2048)]
-    return measure_working_set(factory, spec.types[type_name], candidates, executions=300)
+    return measure_working_set(factory, spec.types[type_name], candidates)
 
 
 def test_section53_working_set_estimates_vs_measurement(benchmark, paper):

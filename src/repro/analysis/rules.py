@@ -692,7 +692,7 @@ class RuleS1Slots(Rule):
     #: flexibility (tests monkeypatch these) outweighs slot savings.
     CONTROL_PLANE_ALLOWLIST = frozenset({
         "Simulator", "EventQueue", "MetricsCollector", "ClusterMonitor",
-        "ClientPopulation", "Catalog", "DiskModel", "DatabaseEngine",
+        "ClientPopulation", "Catalog", "DatabaseEngine",
         "QueryPlanner", "Relation", "Schema", "ExecutionPlan", "PlanNode",
         "Certifier", "Replica", "ReplicatedCluster", "BufferPool",
     })

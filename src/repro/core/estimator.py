@@ -27,6 +27,12 @@ from repro.storage.planner import QueryPlanner
 from repro.storage.query_plan import ExecutionPlan
 from repro.workloads.spec import TransactionType
 
+#: Executions of the type per candidate memory size in
+#: :func:`measure_working_set` (a quarter of them warm the cache up).
+MEASURE_EXECUTIONS = 300
+#: Disk read volume per execution (KB) above which I/O has spiked.
+DISK_SPIKE_THRESHOLD_KB = 24.0
+
 
 @dataclass
 class WorkingSetEstimator:
@@ -79,9 +85,7 @@ class WorkingSetEstimator:
 
 
 def measure_working_set(engine_factory, txn_type: TransactionType,
-                        memory_sizes_bytes: Iterable[int],
-                        executions: int = 400,
-                        disk_spike_threshold_kb: float = 24.0) -> int:
+                        memory_sizes_bytes: Iterable[int]) -> int:
     """Experimentally measure a transaction type's working set.
 
     Mirrors the paper's methodology (Section 5.3): "we measure the working
@@ -93,7 +97,7 @@ def measure_working_set(engine_factory, txn_type: TransactionType,
     :class:`~repro.storage.engine.DatabaseEngine` for a given buffer size.
     The function runs the type repeatedly at each candidate memory size
     (smallest first) and returns the smallest size at which the steady-state
-    disk read volume per execution stays below ``disk_spike_threshold_kb``.
+    disk read volume per execution stays below ``DISK_SPIKE_THRESHOLD_KB``.
     If no candidate is large enough the largest candidate is returned.
 
     The warm-up phase runs the type to discover the relations (and hot-set
@@ -118,18 +122,18 @@ def measure_working_set(engine_factory, txn_type: TransactionType,
         # relation fully evicted during discovery is no longer tracked and
         # starts cold -- that only inflates misses at candidates already
         # too small to hold the working set, i.e. sizes being rejected.)
-        warmup = max(1, executions // 4)
+        warmup = MEASURE_EXECUTIONS // 4
         for _ in range(warmup):
             engine.execute(txn_type)
         for relation in pool.tracked_relations():
             pool.warm(relation, pool.hot_set_bytes_of(relation))
         read_bytes = 0.0
-        measured = max(1, executions - warmup)
+        measured = MEASURE_EXECUTIONS - warmup
         for _ in range(measured):
             _, random_miss, sequential_miss, _ = engine.execute(txn_type)
             read_bytes += random_miss + sequential_miss
         per_execution_kb = read_bytes / measured / 1024.0
-        if per_execution_kb <= disk_spike_threshold_kb:
+        if per_execution_kb <= DISK_SPIKE_THRESHOLD_KB:
             chosen = size
             break
     return chosen

@@ -232,7 +232,7 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         allocation is re-sized to demand; replicas that crashed or left are
         retired (their groups fall back to sharing surviving machines).  If
         update filtering is active, the filter plan is recomputed for the
-        new assignment so the ``min_copies`` availability floor is never
+        new assignment so the ``MIN_COPIES`` availability floor is never
         violated by churn.
         """
         if self.allocator is None:

@@ -13,10 +13,10 @@ of tables each replica must keep applying writesets for, and enforces the
 two availability constraints of Section 3:
 
 * *transaction type availability*: every transaction type must have at least
-  ``min_copies`` replicas with up-to-date state able to run it, even if its
+  ``MIN_COPIES`` replicas with up-to-date state able to run it, even if its
   group currently needs fewer replicas for performance;
 * *table availability*: every table must be kept up to date on at least
-  ``min_copies`` replicas (the paper notes this follows automatically from
+  ``MIN_COPIES`` replicas (the paper notes this follows automatically from
   type availability, and the implementation below preserves that property,
   but it is checked explicitly as a defence in depth).
 """
@@ -29,6 +29,10 @@ from typing import Dict, List, Mapping, Sequence, Set
 from repro.core.grouping import TransactionGroup
 from repro.core.working_set import WorkingSetEstimate
 from repro.storage.catalog import Catalog
+
+#: Replicas that must stay able to run each transaction type (and keep each
+#: table up to date) whatever the allocation needs for performance.
+MIN_COPIES = 2
 
 
 @dataclass
@@ -77,18 +81,15 @@ def tables_used_by_types(type_names: Sequence[str],
 def compute_filter_plan(groups: Sequence[TransactionGroup],
                         assignment: Mapping[str, Sequence[int]],
                         estimates: Mapping[str, WorkingSetEstimate],
-                        catalog: Catalog,
-                        min_copies: int = 2) -> FilterPlan:
+                        catalog: Catalog) -> FilterPlan:
     """Compute the update-filtering plan for a stable allocation.
 
     Each replica keeps the tables of every group assigned to it.  If a
     transaction type (equivalently, its group) would end up runnable on fewer
-    than ``min_copies`` replicas, additional replicas -- those with the
+    than ``MIN_COPIES`` replicas, additional replicas -- those with the
     smallest current table list, to keep the extra propagation cheap -- are
     designated as standby copies and keep that group's tables as well.
     """
-    if min_copies < 1:
-        raise ValueError("min_copies must be at least 1")
     replica_ids: Set[int] = set()
     for replicas in assignment.values():
         replica_ids.update(replicas)
@@ -107,8 +108,8 @@ def compute_filter_plan(groups: Sequence[TransactionGroup],
         for rid in assigned:
             tables_per_replica[rid].update(group_tables[group.group_id])
 
-    # Availability: top up groups that have fewer than min_copies replicas.
-    effective_min = min(min_copies, len(replica_ids)) if replica_ids else 0
+    # Availability: top up groups that have fewer than MIN_COPIES replicas.
+    effective_min = min(MIN_COPIES, len(replica_ids)) if replica_ids else 0
     for group in groups:
         assigned = group_replicas[group.group_id]
         needed = effective_min - len(set(assigned))

@@ -11,7 +11,7 @@ counts, a cooldown after every action, and the monitor's own smoothing.
 
 Every decision forces MALB through its membership-change path: re-group the
 replica assignment, re-size to demand, and re-plan update filtering so the
-``min_copies`` availability floor survives the churn.
+``MIN_COPIES`` availability floor survives the churn.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ and -- when the cluster runs the unreliable-network model
 (``ClusterConfig.network``) -- replica-certifier link partitions, heals
 and flaky-link windows (elevated drop/duplication/jitter for a while).
 Faults are scheduled at absolute simulated times before or during a run;
-targets may be named or left to a seeded RNG at fire time, so a campaign is
-reproducible but does not need to know the membership in advance.
+targets may be named or left to an RNG seeded with ``FAULT_SEED`` at fire
+time, so a campaign is reproducible but does not need to know the
+membership in advance.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.net.channel import ChannelConfig
+
 if TYPE_CHECKING:
     from repro.replication.cluster import ReplicatedCluster
 
 #: Target id recorded for faults that do not concern a replica.
 NO_REPLICA = -1
+#: Seed of the injector's target-choice RNG.
+FAULT_SEED = 11
 
 
 @dataclass
@@ -41,10 +46,10 @@ class FaultRecord:
 class FaultInjector:
     """Schedules crashes, restarts and certifier fail-over on a cluster."""
 
-    def __init__(self, cluster: "ReplicatedCluster", seed: int = 0) -> None:
+    def __init__(self, cluster: "ReplicatedCluster") -> None:
         self.cluster = cluster
         self.records: List[FaultRecord] = []
-        self._rng = random.Random(seed)
+        self._rng = random.Random(FAULT_SEED)
 
     # ------------------------------------------------------------------
     # Replica crashes
@@ -194,16 +199,16 @@ class FaultInjector:
 
     def schedule_flaky_link(self, at_s: float, duration_s: float,
                             replica_id: Optional[int] = None,
-                            drop_probability: Optional[float] = None,
-                            duplicate_probability: Optional[float] = None,
-                            jitter_s: Optional[float] = None,
-                            reorder_probability: Optional[float] = None,
-                            reorder_delay_s: Optional[float] = None) -> None:
+                            drop_probability: float = 0.0,
+                            duplicate_probability: float = 0.0,
+                            jitter_s: float = 0.0,
+                            reorder_probability: float = 0.0,
+                            reorder_delay_s: float = 0.0) -> None:
         """Degrade one replica's link for a while, then restore it.
 
-        The named fault knobs override the network's base configuration for
+        The link runs with the named fault knobs (the others zero) for
         ``duration_s`` seconds (e.g. a duplicate burst, a lossy window);
-        afterwards the link returns to the base config.  If a later window
+        afterwards it returns to perfect.  If a later window
         on the same link replaced this one's config before it ended, the
         restore is skipped (and recorded as skipped): the later window
         restores the link at its own end.  The channel's own seeded RNG
@@ -213,20 +218,14 @@ class FaultInjector:
         if duration_s <= 0:
             raise ValueError("flaky-link duration must be positive")
         network = self._require_network("flaky link")
-        from repro.net.channel import degraded
 
         def fire() -> None:
             target = self._pick_target(replica_id, "flaky-link")
             if target is None:
                 return
-            config = degraded(
-                network.config.link,
-                drop_probability=drop_probability,
-                duplicate_probability=duplicate_probability,
-                jitter_s=jitter_s,
-                reorder_probability=reorder_probability,
-                reorder_delay_s=reorder_delay_s,
-            )
+            config = ChannelConfig(drop_probability, duplicate_probability,
+                                   jitter_s, reorder_probability,
+                                   reorder_delay_s)
             network.degrade(target, config)
             self._record("flaky-link", target,
                          "drop=%.3f dup=%.3f jitter=%.4fs for %.2fs"

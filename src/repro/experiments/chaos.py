@@ -45,15 +45,12 @@ from repro.experiments.runner import (
     make_workload,
     run_observed,
 )
-from repro.net.channel import NetworkConfig
 from repro.net.invariants import ConsistencyChecker, InvariantReport
 from repro.replication.cluster import ReplicatedCluster, RunResult
 
 
 #: Synchronous certifier backups; phase 5 fails the leader over to one.
 CERTIFIER_BACKUPS = 2
-NET_SEED = 101
-FAULT_SEED = 11
 #: Peak fault intensities (each multiplied by the severity).
 MAX_DROP_PROBABILITY = 0.30
 MAX_DUPLICATE_PROBABILITY = 0.30
@@ -179,8 +176,8 @@ def build_chaos_cluster(config: ChaosConfig
                                    ConsistencyChecker]:
     """Assemble the cluster, injector and checker; nothing scheduled yet.
 
-    The cluster runs the unreliable-network model with a *perfect base
-    link* (faults arrive only through scheduled windows, so the quiesced
+    The cluster runs the unreliable-network model, whose links start
+    perfect (faults arrive only through scheduled windows, so the quiesced
     tail is loss-free), a replicated certifier, and certifier-log
     truncation disabled so the audit can cross-check every committed
     writeset against the full log.
@@ -189,7 +186,7 @@ def build_chaos_cluster(config: ChaosConfig
     cluster_config = replace(make_cluster_config(base),
                              certifier_backups=CERTIFIER_BACKUPS,
                              log_truncation_interval_s=0.0,
-                             network=NetworkConfig(seed=NET_SEED))
+                             network=True)
     cluster = ReplicatedCluster(
         workload=make_workload(base),
         balancer=make_balancer(base.policy, base),
@@ -201,7 +198,7 @@ def build_chaos_cluster(config: ChaosConfig
     # (nothing has been recorded yet, so the change is safe).
     cluster.metrics.bucket_seconds = 5.0
     checker = ConsistencyChecker(cluster)
-    injector = FaultInjector(cluster, seed=FAULT_SEED)
+    injector = FaultInjector(cluster)
     return cluster, injector, checker
 
 
@@ -305,7 +302,7 @@ def run_chaos(config: ChaosConfig, observer=None) -> ChaosResult:
         sim.run_until(sim.now + 2.0)
     timeline["drained_until_s"] = sim.now
 
-    # Post-run: restore every link to the pristine base config (belt and
+    # Post-run: restore every link to the perfect config (belt and
     # braces -- the schedule already healed them) so the final catch-up
     # pulls are loss-free, then reconcile the replicas with the log.
     network = cluster.network

@@ -38,7 +38,6 @@ CRASH_AT_S = 200.0
 CRASH_DOWNTIME_S = 25.0
 CERTIFIER_FAILOVER_AT_S = 240.0
 CERTIFIER_BACKUPS = 2
-FAULT_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def build_elastic_cluster(config: ElasticityConfig
     if config.autoscale:
         autoscaler = Autoscaler(cluster)
         autoscaler.start()
-    injector = FaultInjector(cluster, seed=FAULT_SEED)
+    injector = FaultInjector(cluster)
     return cluster, autoscaler, injector
 
 

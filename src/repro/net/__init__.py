@@ -15,19 +15,18 @@ model:
   guarantees (certifier log is a total order, replica state is a prefix of
   it, no certified update lost or applied twice, in-flight work resolved).
 
-The default is no network model at all (``ClusterConfig.network = None``):
+The default is no network model at all (``ClusterConfig.network = False``):
 round trips go through the exact single ``sim.schedule`` they always used, so
 seeded goldens are bit-identical with the package present.
 """
 
-from repro.net.channel import Channel, ChannelConfig, Network, NetworkConfig
+from repro.net.channel import Channel, ChannelConfig, Network
 from repro.net.invariants import ConsistencyChecker, InvariantReport, Violation
 
 __all__ = [
     "Channel",
     "ChannelConfig",
     "Network",
-    "NetworkConfig",
     "ConsistencyChecker",
     "InvariantReport",
     "Violation",

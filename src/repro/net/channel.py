@@ -7,17 +7,18 @@ delayed by jitter, duplicated, or reordered, and the whole link can be
 partitioned and healed at scheduled times -- all driven by a per-channel
 seeded RNG, so a chaos campaign is exactly reproducible.
 
-The perfect configuration (all fault knobs zero, not partitioned) routes a
-message through exactly one ``sim.schedule`` with no RNG draw -- the same
-event the pre-network code scheduled -- so enabling the network package
-with a perfect channel changes neither event counts nor RNG streams.
-Clusters built with ``ClusterConfig.network = None`` never construct
+Every channel starts perfect (all fault knobs zero, not partitioned); faults
+arrive only through the windows and partitions a fault injector schedules.
+A perfect channel routes a message through exactly one ``sim.schedule``
+with no RNG draw -- the same event the pre-network code scheduled -- so
+enabling the network package changes neither event counts nor RNG streams.
+Clusters built with ``ClusterConfig.network = False`` never construct
 channels at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, Optional, Tuple
 
@@ -25,6 +26,8 @@ from repro.sim.simulator import Simulator
 
 #: Delivery callback; drop callbacks take no arguments either.
 Message = Callable[[], None]
+#: Base of every link's RNG seed (see :meth:`Network.link`).
+NET_SEED = 101
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,14 @@ class Channel:
     __slots__ = ("sim", "name", "config", "partitioned", "stats",
                  "_rng", "_faulty")
 
-    def __init__(self, sim: Simulator, name: str,
-                 config: Optional[ChannelConfig] = None, seed: int = 0) -> None:
+    def __init__(self, sim: Simulator, name: str, seed: int = 0) -> None:
         self.sim = sim
         self.name = name
         self.partitioned = False
         self.stats = ChannelStats()
         self._rng = Random(seed)
-        self.config = config or ChannelConfig()
-        self._faulty = not self.config.is_perfect
+        self.config = ChannelConfig()
+        self._faulty = False
 
     # ------------------------------------------------------------------
     # Configuration (flaky-link windows swap the config mid-run)
@@ -177,39 +179,25 @@ class Channel:
         return True
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Cluster-wide network model settings.
-
-    ``link`` is the fault configuration every channel starts with (chaos
-    campaigns usually start perfect and inject flaky windows/partitions at
-    scheduled times); ``seed`` derives each channel's independent RNG
-    stream.  Assign a NetworkConfig to ``ClusterConfig.network`` to enable
-    the fault model; leave the field ``None`` for the legacy direct-schedule
-    path the seeded goldens pin.
-    """
-
-    link: ChannelConfig = field(default_factory=ChannelConfig)
-    seed: int = 0
-
-
 class Network:
     """All replica-certifier links of one cluster, plus partition control."""
 
-    def __init__(self, sim: Simulator, config: Optional[NetworkConfig] = None) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.config = config or NetworkConfig()
         self.links: Dict[int, Channel] = {}
 
     def link(self, replica_id: int) -> Channel:
-        """The (lazily created) channel between ``replica_id`` and the certifier."""
+        """The (lazily created) channel between ``replica_id`` and the certifier.
+
+        Each link draws from its own RNG stream, seeded from ``NET_SEED``
+        and the replica id.
+        """
         channel = self.links.get(replica_id)
         if channel is None:
             channel = Channel(
                 self.sim,
                 name="replica%d<->certifier" % replica_id,
-                config=self.config.link,
-                seed=self.config.seed * 1_000_003 + replica_id * 7_919 + 17,
+                seed=NET_SEED * 1_000_003 + replica_id * 7_919 + 17,
             )
             self.links[replica_id] = channel
         return channel
@@ -227,16 +215,13 @@ class Network:
         for channel in self.links.values():
             channel.heal()
 
-    def degrade(self, replica_id: int, config: ChannelConfig) -> ChannelConfig:
-        """Swap a link's fault config (flaky window); returns the old one."""
-        channel = self.link(replica_id)
-        old = channel.config
-        channel.set_config(config)
-        return old
+    def degrade(self, replica_id: int, config: ChannelConfig) -> None:
+        """Swap a link's fault config (flaky window)."""
+        self.link(replica_id).set_config(config)
 
     def restore(self, replica_id: int) -> None:
-        """Reset a link to the network's base configuration."""
-        self.link(replica_id).set_config(self.config.link)
+        """Reset a link to the perfect configuration."""
+        self.link(replica_id).set_config(ChannelConfig())
 
     def partitioned_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(rid for rid, ch in self.links.items() if ch.partitioned))
@@ -262,22 +247,3 @@ class Network:
                 totals["partitioned_links"] += 1
         return totals
 
-
-def degraded(base: ChannelConfig, drop_probability: Optional[float] = None,
-             duplicate_probability: Optional[float] = None,
-             jitter_s: Optional[float] = None,
-             reorder_probability: Optional[float] = None,
-             reorder_delay_s: Optional[float] = None) -> ChannelConfig:
-    """A copy of ``base`` with the given knobs overridden (flaky windows)."""
-    updates = {}
-    if drop_probability is not None:
-        updates["drop_probability"] = drop_probability
-    if duplicate_probability is not None:
-        updates["duplicate_probability"] = duplicate_probability
-    if jitter_s is not None:
-        updates["jitter_s"] = jitter_s
-    if reorder_probability is not None:
-        updates["reorder_probability"] = reorder_probability
-    if reorder_delay_s is not None:
-        updates["reorder_delay_s"] = reorder_delay_s
-    return replace(base, **updates)

@@ -118,23 +118,20 @@ class LagSubscriptionIndex:
     re-arms the subscription at the new lag target.
     """
 
-    __slots__ = ("threshold", "_armed", "_heap")
+    __slots__ = ("_armed", "_heap")
 
     #: armed-state sentinel: subscribed, but waiting for a cursor advance
     #: before the replica can cross the threshold again.
     _DISARMED = -1
 
-    def __init__(self, threshold: int) -> None:
-        if threshold <= 0:
-            raise ValueError("lag notification threshold must be positive")
-        self.threshold = threshold
+    def __init__(self) -> None:
         # replica id -> armed notify-at version (_DISARMED after a pop).
         self._armed: Dict[int, int] = {}
         self._heap: List[Tuple[int, int]] = []
 
     def subscribe(self, replica_id: int, applied_version: int) -> None:
         """Register (or re-register) a replica's propagation cursor."""
-        notify_at = applied_version + self.threshold
+        notify_at = applied_version + LAG_NOTIFICATION_THRESHOLD
         self._armed[replica_id] = notify_at
         heappush(self._heap, (notify_at, replica_id))
 
@@ -146,7 +143,7 @@ class LagSubscriptionIndex:
         """The replica's cursor moved: re-arm it at the new lag target."""
         armed = self._armed
         if replica_id in armed:
-            notify_at = applied_version + self.threshold
+            notify_at = applied_version + LAG_NOTIFICATION_THRESHOLD
             armed[replica_id] = notify_at
             heappush(self._heap, (notify_at, replica_id))
 
@@ -184,7 +181,7 @@ class Certifier:
         #: proxies' applied-version cursors here); a commit batch asks
         #: :meth:`LagSubscriptionIndex.crossed` for the replicas to notify
         #: instead of scanning every replica's cursor.
-        self.subscriptions = LagSubscriptionIndex(LAG_NOTIFICATION_THRESHOLD)
+        self.subscriptions = LagSubscriptionIndex()
         self.log: List[CertifiedWriteSet] = []
         self._log_offset = 0          # version of the first retained entry minus one
         #: Version of the most recently committed writeset (0 if none).

@@ -42,14 +42,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Set
 
 from repro.core.balancer import LoadBalancer
 from repro.core.routing import RoutingTable
-from repro.net.channel import Network, NetworkConfig
+from repro.net.channel import Network
 from repro.replication.certifier import Certifier
 from repro.replication.replica import (CompletionCallback, Replica,
                                       TransactionContext)
 
 if TYPE_CHECKING:
     from repro.obs.hub import ObservabilityHub
-from repro.sim.clients import ClientConfig, ClientPopulation
+from repro.sim.clients import ClientPopulation
 from repro.sim.metrics import MetricsCollector
 from repro.sim.monitor import ClusterMonitor
 from repro.sim.resources import ReplicaResources
@@ -104,14 +104,14 @@ class ClusterConfig:
     #: that many backups so the fault injector can fail the leader over
     #: mid-run.
     certifier_backups: int = 0
-    #: Unreliable-network model (:class:`repro.net.channel.NetworkConfig`).
-    #: ``None`` -- the default -- builds no channels at all: certification
+    #: Unreliable-network model (:class:`repro.net.channel.Network`).
+    #: ``False`` -- the default -- builds no channels at all: certification
     #: round trips and lag notifications take the direct loss-free schedule
-    #: path, keeping every seeded golden bit-identical.  Set a config (even
-    #: a perfect one) to route them over per-replica channels with
-    #: schedulable partitions, drops, duplication and jitter, and to switch
-    #: certification to at-least-once RPC.
-    network: Optional[NetworkConfig] = None
+    #: path, keeping every seeded golden bit-identical.  ``True`` routes them
+    #: over per-replica channels, perfect until a fault injector schedules
+    #: partitions, drops, duplication or jitter, and switches certification
+    #: to at-least-once RPC.
+    network: bool = False
 
     def __post_init__(self) -> None:
         if self.num_replicas <= 0:
@@ -124,6 +124,8 @@ class ClusterConfig:
             raise ValueError("replica RAM must exceed the fixed memory overhead")
         if self.clients_per_replica <= 0:
             raise ValueError("clients_per_replica must be positive")
+        if self.think_time_s < 0:
+            raise ValueError("think time must be non-negative")
 
     @property
     def buffer_bytes(self) -> int:
@@ -247,8 +249,7 @@ class ReplicatedCluster:
         #: Must exist before _build_replicas so joiners are instrumented.
         self.observers: List[ClusterObserver] = []
         #: The unreliable-network model, or None for the direct schedule path.
-        self.network = Network(self.sim, self.config.network) \
-            if self.config.network is not None else None
+        self.network = Network(self.sim) if self.config.network else None
         #: Replicas in service: dispatchable, monitored, pulling updates.
         self.replicas: Dict[int, Replica] = {}
         #: Every replica this cluster built, by id: in service, draining,
@@ -266,11 +267,9 @@ class ReplicatedCluster:
                                            seed=self.config.seed)
         self.clients = ClientPopulation(
             sim=self.sim,
-            config=ClientConfig(
-                clients=self.config.total_clients,
-                think_time_s=self.config.think_time_s,
-                seed=self.config.seed,
-            ),
+            clients=self.config.total_clients,
+            think_time_s=self.config.think_time_s,
+            seed=self.config.seed,
             generator=self.generator,
             submit=self._submit,
         )

@@ -19,8 +19,8 @@ The replica wires the storage engine's resource demands into the event loop.
 Per-type costs -- CPU seconds, the commit write-back time and the bytes it
 writes -- are read from the :class:`~repro.storage.engine.AccessPlan` that
 ``engine.execute`` returns, never recomputed per transaction; only the read
-misses, and their disk time under the engine's
-:class:`~repro.storage.disk.DiskModel`, are derived per execution.
+misses, and their disk time under the disk model of
+:mod:`repro.storage.disk`, are derived per execution.
 Each transaction is tracked by a slotted :class:`TransactionContext` that
 moves through an explicit lifecycle::
 
@@ -98,6 +98,7 @@ from repro.replication.writeset import CertifiedWriteSet
 from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
+from repro.storage.disk import effective_write_bytes, read_seconds, write_seconds
 from repro.storage.engine import AccessPlan, DatabaseEngine
 from repro.workloads.spec import TransactionType
 
@@ -326,8 +327,7 @@ class Replica:
         ctx.plan = plan
         if random_miss or sequential_miss:
             ctx.read_bytes = random_miss + sequential_miss
-            ctx.read_seconds = engine.disk_model.read_seconds(random_miss,
-                                                              sequential_miss)
+            ctx.read_seconds = read_seconds(random_miss, sequential_miss)
         else:
             # A full cache hit reads nothing from disk.
             ctx.read_bytes = 0.0
@@ -789,15 +789,13 @@ class Replica:
                     to_apply.append(writeset)
             applied_version = version
         if to_apply is not None:
-            disk_model = engine.disk_model
             cpu_seconds, read_bytes, write_bytes, applications, filtered = \
                 engine.apply_writesets_fast(to_apply, self.filter_tables)
             if applications:
                 self.writesets_applied += applications
             if filtered:
                 self.writesets_filtered += filtered
-            io_seconds = disk_model.read_seconds(read_bytes, 0.0) \
-                + disk_model.write_seconds(write_bytes)
+            io_seconds = read_seconds(read_bytes, 0.0) + write_seconds(write_bytes)
             if cpu_seconds > 0:
                 self.resources.cpu.add_background_work(cpu_seconds)
             if io_seconds > 0:
@@ -807,7 +805,7 @@ class Replica:
                     time=self.sim.now,
                     replica_id=replica_id,
                     read_bytes=read_bytes,
-                    write_bytes=disk_model.effective_write_bytes(write_bytes),
+                    write_bytes=effective_write_bytes(write_bytes),
                 )
         # The cursor is committed once per batch; versions inside a batch
         # ascend, so the final advance is equivalent to per-entry ones.

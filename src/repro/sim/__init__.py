@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: event loop, resources, clients, metrics."""
 
-from repro.sim.clients import ClientConfig, ClientPopulation
+from repro.sim.clients import ClientPopulation
 from repro.sim.events import EventQueue
 from repro.sim.metrics import MetricsCollector, ThroughputPoint
 from repro.sim.monitor import ClusterMonitor, LoadSample, ReplicaMonitor
@@ -8,7 +8,6 @@ from repro.sim.resources import ReplicaResources, Resource
 from repro.sim.simulator import Simulator
 
 __all__ = [
-    "ClientConfig",
     "ClientPopulation",
     "ClusterMonitor",
     "EventQueue",

@@ -22,7 +22,6 @@ performs no per-transaction callback-registry lookups.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import log
 from typing import Callable, List, Optional, Set
 
@@ -33,28 +32,6 @@ from repro.workloads.spec import TransactionType
 # submit(transaction_type, client_id, completion_callback); the callback
 # receives whether the transaction committed.
 SubmitFn = Callable[[TransactionType, int, Callable[[bool], None]], None]
-
-
-@dataclass
-class ClientConfig:
-    """Client population parameters.
-
-    Attributes:
-        clients: number of concurrent emulated clients (total, not per replica).
-        think_time_s: mean of the exponential think time between a completion
-            and the next request.
-        seed: base random seed; each client derives its own stream from it.
-    """
-
-    clients: int
-    think_time_s: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.clients <= 0:
-            raise ValueError("client count must be positive")
-        if self.think_time_s < 0:
-            raise ValueError("think time must be non-negative")
 
 
 class Client:
@@ -86,7 +63,6 @@ class Client:
 
     def _complete(self, committed: bool) -> None:
         pop = self.population
-        pop.requests_completed += 1
         # Exponential think time, -ln(1 - U) / lambda with U = rng.random().
         # It equals random.Random.expovariate on Python 3.11+, but unlike the
         # stdlib, whose expovariate changed across versions, it draws the
@@ -100,24 +76,30 @@ class Client:
 
 
 class ClientPopulation:
-    """Drives a fixed number of closed-loop clients against the cluster."""
+    """Drives closed-loop clients against the cluster.
 
-    def __init__(self, sim: Simulator, config: ClientConfig,
-                 generator: WorkloadGenerator, submit: SubmitFn) -> None:
+    ``clients`` is the initial population (total, not per replica),
+    ``think_time_s`` the mean of the exponential think time between a
+    completion and the next request, and ``seed`` the base of the clients'
+    shared random stream.
+    """
+
+    def __init__(self, sim: Simulator, clients: int, think_time_s: float,
+                 seed: int, generator: WorkloadGenerator,
+                 submit: SubmitFn) -> None:
         self.sim = sim
-        self.config = config
         self.generator = generator
         self.submit = submit
-        self._rng = random.Random(config.seed ^ 0x5EED)
+        self._rng = random.Random(seed ^ 0x5EED)
+        self._think_time_s = think_time_s
         self._think_lambd: Optional[float] = \
-            (1.0 / config.think_time_s) if config.think_time_s > 0 else None
+            (1.0 / think_time_s) if think_time_s > 0 else None
         self.requests_issued = 0
-        self.requests_completed = 0
         self._started = False
         # Elasticity: the population can grow and shrink mid-run (flash
         # crowds).  Clients with ids at or above the active target park
         # themselves between transactions and are woken when it rises again.
-        self._active_target = config.clients
+        self._active_target = clients
         self._clients: List[Client] = []
         self._parked: Set[int] = set()
 
@@ -137,7 +119,7 @@ class ClientPopulation:
         for client_id in range(len(clients), count):
             client = Client(self, client_id)
             clients.append(client)
-            offset = self._rng.uniform(0.0, max(self.config.think_time_s, 0.05))
+            offset = self._rng.uniform(0.0, max(self._think_time_s, 0.05))
             self.sim.schedule(offset, client.issue)
 
     def set_active_clients(self, count: int) -> None:
@@ -158,11 +140,6 @@ class ClientPopulation:
         for client_id in sorted(self._parked):
             if client_id < count:
                 self._parked.discard(client_id)
-                offset = self._rng.uniform(0.0, max(self.config.think_time_s, 0.05))
+                offset = self._rng.uniform(0.0, max(self._think_time_s, 0.05))
                 self.sim.schedule(offset, self._clients[client_id].issue)
         self._spawn_up_to(count)
-
-    @property
-    def outstanding(self) -> int:
-        """Requests issued but not yet completed."""
-        return self.requests_issued - self.requests_completed

@@ -9,7 +9,6 @@ demand.
 
 from repro.storage.buffer_pool import BufferPool, BufferPoolStats
 from repro.storage.catalog import Catalog
-from repro.storage.disk import DiskModel
 from repro.storage.engine import (
     AccessPlan,
     DatabaseEngine,
@@ -35,7 +34,6 @@ __all__ = [
     "BufferPoolStats",
     "Catalog",
     "DatabaseEngine",
-    "DiskModel",
     "EngineConfig",
     "ExecutionPlan",
     "GB",

@@ -13,7 +13,8 @@ working-set information from PostgreSQL:
 a :class:`~repro.storage.relation.Schema` and answers exactly those two
 queries (``relations()`` and ``relpages()``), plus the one metadata choice
 the planner and the storage engine share: which index a point lookup
-descends (:meth:`Catalog.smallest_index_of`).
+descends (:meth:`Catalog.smallest_index_of`), and how many of its pages the
+descent touches (``INDEX_PAGES_PER_LOOKUP``).
 
 Relation sizes are fixed for a run.  The paper re-estimates working sets
 when the database grows (Section 2.1), but none of its experiments changes
@@ -28,6 +29,10 @@ from typing import List, Optional
 
 from repro.storage.pages import pages_for_bytes
 from repro.storage.relation import Relation, Schema
+
+#: Pages of an index a single key lookup traverses (root-to-leaf path): a
+#: three-level B-tree, typical for the table sizes of TPC-W and RUBiS.
+INDEX_PAGES_PER_LOOKUP = 3
 
 
 class Catalog:

@@ -26,72 +26,55 @@ reproduction lives in a single place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.storage.pages import MB, PAGE_SIZE_BYTES
 
+# Cost parameters of the one commodity disk each replica has (a 2006-era
+# 7200 rpm SATA disk).
+#: Positioning plus transfer time of one random 8 KB page read.
+RANDOM_READ_MS_PER_PAGE = 11.0
+#: Effective bandwidth of sequential scans under concurrent access
+#: (interleaving with other requests keeps this well below the raw
+#: streaming rate of the disk).
+SEQUENTIAL_READ_MB_PER_S = 20.0
+#: Effective cost of writing back one dirty page, after the background
+#: writer's sorting and coalescing.
+RANDOM_WRITE_MS_PER_PAGE = 2.5
+#: Fraction of logically dirtied pages that actually reach the disk
+#: (re-dirtying the same page before write-back coalesces writes).
+WRITE_COALESCE_FACTOR = 0.85
 
-@dataclass(frozen=True)
-class DiskModel:
-    """Cost parameters for a single commodity disk (2006-era 7200 rpm SATA).
 
-    Attributes:
-        random_read_ms_per_page: positioning plus transfer time of one
-            random 8 KB page read.
-        sequential_read_mb_per_s: effective bandwidth of sequential scans
-            under concurrent access (interleaving with other requests keeps
-            this well below the raw streaming rate of the disk).
-        random_write_ms_per_page: effective cost of writing back one dirty
-            page, after the background writer's sorting/coalescing.
-        write_coalesce_factor: fraction of logically dirtied pages that
-            actually reach the disk (re-dirtying the same page before
-            write-back coalesces writes).
+# ----------------------------------------------------------------------
+# Read costs
+# ----------------------------------------------------------------------
+def read_seconds(random_bytes: float, sequential_bytes: float) -> float:
+    """Combined read service time for one transaction's misses: each
+    random page pays the positioning cost, sequential bytes stream at the
+    sequential bandwidth.  Runs once per transaction and once per writeset
+    batch.
     """
+    if random_bytes > 0:
+        random_s = (random_bytes / PAGE_SIZE_BYTES) * RANDOM_READ_MS_PER_PAGE / 1000.0
+    else:
+        random_s = 0.0
+    if sequential_bytes > 0:
+        return random_s + sequential_bytes / (SEQUENTIAL_READ_MB_PER_S * MB)
+    return random_s + 0.0
 
-    random_read_ms_per_page: float = 11.0
-    sequential_read_mb_per_s: float = 20.0
-    random_write_ms_per_page: float = 2.5
-    write_coalesce_factor: float = 0.85
 
-    def __post_init__(self) -> None:
-        if self.random_read_ms_per_page <= 0:
-            raise ValueError("random_read_ms_per_page must be positive")
-        if self.sequential_read_mb_per_s <= 0:
-            raise ValueError("sequential_read_mb_per_s must be positive")
-        if self.random_write_ms_per_page <= 0:
-            raise ValueError("random_write_ms_per_page must be positive")
-        if not 0.0 < self.write_coalesce_factor <= 1.0:
-            raise ValueError("write_coalesce_factor must be in (0, 1]")
+# ----------------------------------------------------------------------
+# Write costs
+# ----------------------------------------------------------------------
+def write_seconds(num_bytes: float) -> float:
+    """Service time to write back ``num_bytes`` of dirty pages."""
+    if num_bytes <= 0:
+        return 0.0
+    pages = (num_bytes / PAGE_SIZE_BYTES) * WRITE_COALESCE_FACTOR
+    return pages * RANDOM_WRITE_MS_PER_PAGE / 1000.0
 
-    # ------------------------------------------------------------------
-    # Read costs
-    # ------------------------------------------------------------------
-    def read_seconds(self, random_bytes: float, sequential_bytes: float) -> float:
-        """Combined read service time for one transaction's misses: each
-        random page pays the positioning cost, sequential bytes stream at
-        the sequential bandwidth.  Runs once per transaction and once per
-        writeset batch.
-        """
-        if random_bytes > 0:
-            random_s = (random_bytes / PAGE_SIZE_BYTES) * self.random_read_ms_per_page / 1000.0
-        else:
-            random_s = 0.0
-        if sequential_bytes > 0:
-            return random_s + sequential_bytes / (self.sequential_read_mb_per_s * MB)
-        return random_s + 0.0
 
-    # ------------------------------------------------------------------
-    # Write costs
-    # ------------------------------------------------------------------
-    def write_seconds(self, num_bytes: float) -> float:
-        """Service time to write back ``num_bytes`` of dirty pages."""
-        if num_bytes <= 0:
-            return 0.0
-        pages = (num_bytes / PAGE_SIZE_BYTES) * self.write_coalesce_factor
-        return pages * self.random_write_ms_per_page / 1000.0
-
-    def effective_write_bytes(self, num_bytes: float) -> float:
-        """Bytes that actually hit the platter after coalescing."""
-        if num_bytes <= 0:
-            return 0.0
-        return num_bytes * self.write_coalesce_factor
+def effective_write_bytes(num_bytes: float) -> float:
+    """Bytes that actually hit the platter after coalescing."""
+    if num_bytes <= 0:
+        return 0.0
+    return num_bytes * WRITE_COALESCE_FACTOR

@@ -16,8 +16,8 @@ of the paper -- independent from the queueing model.
 Each transaction type is compiled once per engine into an
 :class:`AccessPlan`, the one home of the type's per-type constants: its
 buffer-pool steps, CPU seconds, dirtied bytes, write specs and writeset
-shape, and its commit write-back cost under the engine's
-:class:`~repro.storage.disk.DiskModel`.  :meth:`DatabaseEngine.execute`
+shape, and its commit write-back cost under the disk model of
+:mod:`repro.storage.disk`.  :meth:`DatabaseEngine.execute`
 returns the plan with the execution's buffer-pool misses, so the replica
 reads those constants instead of recomputing them per transaction.
 
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.storage.buffer_pool import AccessStep, BufferPool
-from repro.storage.catalog import Catalog
-from repro.storage.disk import DiskModel
+from repro.storage import disk
+from repro.storage.catalog import INDEX_PAGES_PER_LOOKUP, Catalog
 from repro.storage.pages import PAGE_SIZE_BYTES
 from repro.workloads.spec import AccessPattern, TransactionType
 
@@ -50,7 +50,7 @@ class AccessPlan:
     engine instead of once per transaction: the buffer-pool steps,
     CPU seconds, write-back bytes, the write specs and writeset shape, and
     the commit write-back cost (``write_seconds`` and
-    ``effective_write_bytes``) under the engine's :class:`DiskModel`.  Built
+    ``effective_write_bytes``) under :mod:`repro.storage.disk`.  Built
     by :meth:`DatabaseEngine._compile`; treat it as immutable.
     """
 
@@ -59,8 +59,7 @@ class AccessPlan:
 
     def __init__(self, txn_type: TransactionType, steps: Tuple[AccessStep, ...],
                  cpu_seconds: float, write_bytes: float,
-                 writes: Tuple[_WritePlan, ...], shape: "WriteShape",
-                 disk_model: DiskModel) -> None:
+                 writes: Tuple[_WritePlan, ...], shape: "WriteShape") -> None:
         self.txn_type = txn_type
         self.name = txn_type.name
         self.is_update = bool(txn_type.writes)
@@ -68,8 +67,8 @@ class AccessPlan:
         self.cpu_seconds = cpu_seconds
         self.writes = writes
         self.shape = shape
-        self.write_seconds = disk_model.write_seconds(write_bytes)
-        self.effective_write_bytes = disk_model.effective_write_bytes(write_bytes)
+        self.write_seconds = disk.write_seconds(write_bytes)
+        self.effective_write_bytes = disk.effective_write_bytes(write_bytes)
 
 
 class WriteItem:
@@ -168,8 +167,6 @@ class EngineConfig:
             whether the data came from cache or disk.
         cpu_ms_per_writeset_item: CPU cost of applying one table's changes
             from a remote writeset.
-        index_pages_per_lookup: pages of the index structure touched per
-            random table access (B-tree descent).
         key_space_per_page: how many distinct logical keys map to one page
             when generating writeset keys (controls certification conflict
             probability).
@@ -188,7 +185,6 @@ class EngineConfig:
 
     cpu_ms_per_scanned_mb: float = 1.5
     cpu_ms_per_writeset_item: float = 0.4
-    index_pages_per_lookup: int = 3
     key_space_per_page: int = 40
     write_locality: float = 0.03
     bulk_read_pages_threshold: int = 64
@@ -206,10 +202,6 @@ class DatabaseEngine:
         # The cluster always injects a config.seed-derived stream; the
         # literal is the standalone-engine default for unit tests.
         self.rng = rng or random.Random(0)  # simlint: disable=R1
-        # The disk this database lives on: compiled plans carry their commit
-        # write-back cost under it, and the replica times its reads and
-        # background writes with it.
-        self.disk_model = DiskModel()
         # Stamped on every writeset as its origin; set by Replica.__init__.
         self.replica_id: Optional[int] = None
         # Transaction type name -> compiled access plan (see _compile),
@@ -286,7 +278,7 @@ class DatabaseEngine:
                 if chosen is not None:
                     index_hot = _at_least_a_page(
                         float(catalog.size_bytes(chosen.name)) * access.selectivity)
-                    index_touch = config.index_pages_per_lookup * PAGE_SIZE_BYTES
+                    index_touch = INDEX_PAGES_PER_LOOKUP * PAGE_SIZE_BYTES
                     steps.append((chosen.name, min(index_touch, index_hot),
                                   index_hot, False))
             touched = access.pages_per_execution * PAGE_SIZE_BYTES
@@ -310,8 +302,7 @@ class DatabaseEngine:
                            write_spec.pages_dirtied, key_space, key_space.bit_length()))
             shape_steps.append((relation_name, touched))
         return AccessPlan(txn_type, tuple(steps), cpu_seconds, write_bytes,
-                          tuple(writes), WriteShape(tuple(shape_steps)),
-                          self.disk_model)
+                          tuple(writes), WriteShape(tuple(shape_steps)))
 
     def _write_hot_set(self, relation: str) -> float:
         """Hot-set size for writes to ``relation`` (cached per engine)."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import INDEX_PAGES_PER_LOOKUP, Catalog
 from repro.storage.query_plan import ExecutionPlan, PlanNode, PlanNodeKind
 from repro.workloads.spec import AccessPattern, TableAccess, TransactionType
 
@@ -36,13 +36,9 @@ class QueryPlanner:
 
     Attributes:
         catalog: metadata source for relation sizes.
-        index_pages_per_lookup: how many pages of an index structure a single
-            key lookup traverses (root-to-leaf path); 3 models a three-level
-            B-tree which is typical for the table sizes in TPC-W / RUBiS.
     """
 
     catalog: Catalog
-    index_pages_per_lookup: int = 3
 
     def plan_access(self, access: TableAccess) -> List[PlanNode]:
         """Plan a single relation access of a transaction type."""
@@ -74,7 +70,7 @@ class QueryPlanner:
                         kind=PlanNodeKind.INDEX_SCAN,
                         relation=chosen.name,
                         table=access.relation,
-                        estimated_pages=self.index_pages_per_lookup + access.pages_per_execution,
+                        estimated_pages=INDEX_PAGES_PER_LOOKUP + access.pages_per_execution,
                         estimated_rows=access.pages_per_execution,
                     )
                 )
@@ -97,7 +93,7 @@ class QueryPlanner:
                     kind=PlanNodeKind.INDEX_SCAN,
                     relation=access.relation,
                     table=relation.parent or access.relation,
-                    estimated_pages=self.index_pages_per_lookup,
+                    estimated_pages=INDEX_PAGES_PER_LOOKUP,
                     estimated_rows=access.pages_per_execution,
                 )
             )

@@ -151,6 +151,33 @@ def count_completions(cluster):
     return counter
 
 
+class RequestCounter:
+    """Client requests in flight, seen from the clients' side.
+
+    Wraps the population's ``submit`` (do it before the run starts) and
+    counts the completions it hands back to the clients.
+    """
+
+    def __init__(self, cluster):
+        self.population = cluster.clients
+        self.completed = 0
+        submit = self.population.submit
+
+        def counted_submit(txn_type, client_id, done):
+            def counted_done(committed):
+                self.completed += 1
+                done(committed)
+
+            submit(txn_type, client_id, counted_done)
+
+        self.population.submit = counted_submit
+
+    @property
+    def outstanding(self):
+        """Requests issued but not yet completed."""
+        return self.population.requests_issued - self.completed
+
+
 @pytest.fixture
 def tiny_schema():
     return make_tiny_schema()

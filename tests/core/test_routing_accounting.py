@@ -28,7 +28,7 @@ from repro.sim.monitor import LoadSample
 from repro.storage.engine import EngineConfig
 from repro.storage.pages import mb
 
-from tests.conftest import make_tiny_workload
+from tests.conftest import RequestCounter, make_tiny_workload
 
 GOLDEN_PATH = Path(__file__).with_name("golden_routing_decisions.json")
 
@@ -127,7 +127,7 @@ def _small_cluster(replicas=4, seed=3, mix="balanced", think=0.05,
     )
 
 
-def _assert_counters_exact(cluster):
+def _assert_counters_exact(cluster, requests):
     """Outstanding counters must equal the replicas' live tables, exactly."""
     replicas = cluster.built_replicas.values()
     for replica in replicas:
@@ -136,7 +136,7 @@ def _assert_counters_exact(cluster):
             "replica %d: counter %d != %d in flight" % (
                 rid, cluster.routing.outstanding.get(rid, 0), len(replica._live))
     total = sum(len(replica._live) for replica in replicas)
-    assert total == cluster.clients.outstanding
+    assert total == requests.outstanding
 
 
 def test_counters_exact_under_retry_and_abort():
@@ -145,10 +145,11 @@ def test_counters_exact_under_retry_and_abort():
     retries; none of them may unbalance the admission counters."""
     cluster = _small_cluster(mix="balanced", seed=7, clients=10, think=0.02,
                              engine=EngineConfig(key_space_per_page=1))
+    requests = RequestCounter(cluster)
     cluster.start()
     for checkpoint in (5.0, 12.0, 30.0, 45.0):
         cluster.sim.run_until(checkpoint)
-        _assert_counters_exact(cluster)
+        _assert_counters_exact(cluster, requests)
     assert cluster.metrics.completed > 100
     # The retry path was actually exercised.
     assert cluster.certifier.stats.aborts > 0
@@ -157,24 +158,26 @@ def test_counters_exact_under_retry_and_abort():
 
 def test_counters_exact_across_crash_in_flight():
     cluster = _small_cluster(seed=11)
+    requests = RequestCounter(cluster)
     cluster.start()
     cluster.sim.run_until(10.0)
-    _assert_counters_exact(cluster)
+    _assert_counters_exact(cluster, requests)
     victim = cluster.replica_ids()[1]
     assert cluster.routing.outstanding.get(victim, 0) >= 0
     cluster.crash_replica(victim)
     # Crash fails every in-flight transaction at the victim synchronously.
     assert cluster.routing.outstanding.get(victim, 0) == 0
-    _assert_counters_exact(cluster)
+    _assert_counters_exact(cluster, requests)
     cluster.sim.run_until(20.0)
-    _assert_counters_exact(cluster)
+    _assert_counters_exact(cluster, requests)
     cluster.restore_replica(victim)
     cluster.sim.run_until(30.0)
-    _assert_counters_exact(cluster)
+    _assert_counters_exact(cluster, requests)
 
 
 def test_counters_exact_across_drain():
     cluster = _small_cluster(seed=13)
+    requests = RequestCounter(cluster)
     cluster.start()
     cluster.sim.run_until(10.0)
     victim = cluster.replica_ids()[-1]
@@ -186,7 +189,7 @@ def test_counters_exact_across_drain():
     assert victim not in cluster.routing.outstanding
     assert victim in cluster.retired
     assert not cluster.built_replicas[victim]._live
-    _assert_counters_exact(cluster)
+    _assert_counters_exact(cluster, requests)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.estimator import WorkingSetEstimator
 from repro.core.grouping import GroupingMethod, build_groups
+from repro.core import update_filtering
 from repro.core.update_filtering import compute_filter_plan, tables_used_by_types
 from repro.storage.catalog import Catalog
 from repro.storage.pages import mb
@@ -53,7 +54,7 @@ def test_tables_used_excludes_indices(tpcw_setup):
 def test_filter_plan_covers_assigned_groups(tpcw_setup):
     spec, catalog, estimates, groups = tpcw_setup
     assignment = simple_assignment(groups)
-    plan = compute_filter_plan(groups, assignment, estimates, catalog, min_copies=2)
+    plan = compute_filter_plan(groups, assignment, estimates, catalog)
     for group in groups:
         tables = tables_used_by_types(group.type_names, estimates, catalog)
         for rid in assignment[group.group_id]:
@@ -64,7 +65,7 @@ def test_filter_plan_meets_availability(tpcw_setup):
     spec, catalog, estimates, groups = tpcw_setup
     # Give every group only a single primary replica; the plan must add standbys.
     assignment = {g.group_id: [i] for i, g in enumerate(groups)}
-    plan = compute_filter_plan(groups, assignment, estimates, catalog, min_copies=2)
+    plan = compute_filter_plan(groups, assignment, estimates, catalog)
     assert verify_availability(plan, min_copies=2) == []
     for type_name, replicas in plan.type_copies.items():
         assert len(replicas) >= 2
@@ -73,22 +74,17 @@ def test_filter_plan_meets_availability(tpcw_setup):
 def test_filtering_actually_filters_something(tpcw_setup):
     spec, catalog, estimates, groups = tpcw_setup
     assignment = simple_assignment(groups)
-    plan = compute_filter_plan(groups, assignment, estimates, catalog, min_copies=2)
+    plan = compute_filter_plan(groups, assignment, estimates, catalog)
     all_tables = [t.name for t in catalog.tables()]
     assert filtered_fraction(plan, all_tables) > 0.0
 
 
-def test_invalid_min_copies(tpcw_setup):
-    spec, catalog, estimates, groups = tpcw_setup
-    with pytest.raises(ValueError):
-        compute_filter_plan(groups, simple_assignment(groups), estimates, catalog, min_copies=0)
-
-
-def test_verify_availability_reports_violations(tpcw_setup):
+def test_verify_availability_reports_violations(tpcw_setup, monkeypatch):
     spec, catalog, estimates, groups = tpcw_setup
     # Two replicas exist but every group has only a single copy.
+    monkeypatch.setattr(update_filtering, "MIN_COPIES", 1)
     assignment = {g.group_id: [i % 2] for i, g in enumerate(groups)}
-    plan = compute_filter_plan(groups, assignment, estimates, catalog, min_copies=1)
+    plan = compute_filter_plan(groups, assignment, estimates, catalog)
     # With min_copies=2 requested at verification time, single copies violate.
     problems = verify_availability(plan, min_copies=2)
     assert problems

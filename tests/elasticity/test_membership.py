@@ -9,7 +9,8 @@ from repro.replication.certifier import LAG_NOTIFICATION_THRESHOLD
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.storage.pages import mb
 
-from tests.conftest import count_completions, make_tiny_workload, verify_availability
+from tests.conftest import (RequestCounter, count_completions, make_tiny_workload,
+                            verify_availability)
 
 
 def make_cluster(balancer=None, replicas=3, backups=0, seed=7):
@@ -59,6 +60,7 @@ def test_added_replica_serves_traffic_and_pulls_updates():
 def test_crash_fails_inflight_and_clients_reissue_elsewhere():
     cluster = make_cluster()
     completions = count_completions(cluster)
+    requests = RequestCounter(cluster)
     cluster.start()
     cluster.sim.run_until(10.0)
     completed_before = cluster.metrics.completed
@@ -75,7 +77,7 @@ def test_crash_fails_inflight_and_clients_reissue_elsewhere():
     assert by_replica_after.get(0, 0) == by_replica_before.get(0, 0)
     assert sum(by_replica_after.get(rid, 0) for rid in (1, 2)) > \
         sum(by_replica_before.get(rid, 0) for rid in (1, 2))
-    assert cluster.clients.outstanding <= cluster.config.total_clients
+    assert requests.outstanding <= cluster.config.total_clients
 
 
 def test_crashed_replica_is_not_dispatchable_and_pulls_nothing():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.channel import Channel, ChannelConfig, Network, NetworkConfig, degraded
+from repro.net.channel import Channel, ChannelConfig, Network
 from repro.sim.simulator import Simulator
 
 
@@ -64,8 +64,8 @@ def test_partitioned_channel_drops_and_reports():
 def test_lossy_channel_is_deterministic_per_seed():
     def run(seed):
         sim = Simulator()
-        channel = Channel(sim, "test",
-                          ChannelConfig(drop_probability=0.5), seed=seed)
+        channel = Channel(sim, "test", seed=seed)
+        channel.set_config(ChannelConfig(drop_probability=0.5))
         outcomes = [channel.deliver(0.1, lambda: None) for _ in range(50)]
         return outcomes
 
@@ -76,8 +76,8 @@ def test_lossy_channel_is_deterministic_per_seed():
 
 def test_duplicate_channel_delivers_copies_later():
     sim = Simulator()
-    channel = Channel(sim, "test", ChannelConfig(duplicate_probability=1.0),
-                      seed=1)
+    channel = Channel(sim, "test", seed=1)
+    channel.set_config(ChannelConfig(duplicate_probability=1.0))
     arrivals = []
     channel.deliver(0.2, lambda: arrivals.append(sim.now))
     sim.run()
@@ -89,9 +89,8 @@ def test_duplicate_channel_delivers_copies_later():
 
 def test_reordering_holds_messages_back():
     sim = Simulator()
-    channel = Channel(sim, "test",
-                      ChannelConfig(reorder_probability=1.0, reorder_delay_s=1.0),
-                      seed=1)
+    channel = Channel(sim, "test", seed=1)
+    channel.set_config(ChannelConfig(reorder_probability=1.0, reorder_delay_s=1.0))
     order = []
     channel.deliver(0.1, lambda: order.append("first"))
     channel.set_config(ChannelConfig())
@@ -102,37 +101,41 @@ def test_reordering_holds_messages_back():
     assert channel.stats.reordered == 1
 
 
+def lossy_deliveries(network, replica_id, count=40):
+    """Delivery outcomes of ``count`` sends over a 50%-lossy link."""
+    network.degrade(replica_id, ChannelConfig(drop_probability=0.5))
+    return [network.link(replica_id).deliver(0.1, lambda: None) for _ in range(count)]
+
+
 def test_network_links_have_independent_seeded_streams():
-    sim = Simulator()
-    lossy = NetworkConfig(link=ChannelConfig(drop_probability=0.5), seed=3)
-    network = Network(sim, lossy)
-    a = [network.link(0).deliver(0.1, lambda: None) for _ in range(40)]
-    b = [network.link(1).deliver(0.1, lambda: None) for _ in range(40)]
+    network = Network(Simulator())
+    a = lossy_deliveries(network, 0)
+    b = lossy_deliveries(network, 1)
     assert a != b          # distinct streams...
 
-    sim2 = Simulator()
-    network2 = Network(sim2, lossy)
-    a2 = [network2.link(0).deliver(0.1, lambda: None) for _ in range(40)]
-    assert a == a2         # ...but reproducible per (seed, replica)
+    a2 = lossy_deliveries(Network(Simulator()), 0)
+    assert a == a2         # ...but reproducible per replica
+
+
+def test_network_links_start_perfect():
+    network = Network(Simulator())
+    assert network.link(0).config.is_perfect
+    assert not network.link(0).partitioned
 
 
 def test_network_degrade_and_restore():
     sim = Simulator()
-    network = Network(sim, NetworkConfig())
-    base = network.link(2).config
-    flaky = degraded(base, drop_probability=0.3, jitter_s=0.002)
-    old = network.degrade(2, flaky)
-    assert old == base
-    assert network.link(2).config.drop_probability == 0.3
-    assert network.link(2).config.jitter_s == 0.002
+    network = Network(sim)
+    flaky = ChannelConfig(drop_probability=0.3, jitter_s=0.002)
+    network.degrade(2, flaky)
+    assert network.link(2).config is flaky
     network.restore(2)
-    assert network.link(2).config == base
     assert not network.link(2).partitioned and network.link(2).config.is_perfect
 
 
 def test_network_partition_control_and_summary():
     sim = Simulator()
-    network = Network(sim, NetworkConfig())
+    network = Network(sim)
     for rid in (0, 1, 2):
         network.link(rid)
     network.partition(1)
@@ -147,10 +150,3 @@ def test_network_partition_control_and_summary():
     network.heal_all()
     assert network.partitioned_ids() == ()
 
-
-def test_degraded_overrides_only_named_knobs():
-    base = ChannelConfig(drop_probability=0.1, jitter_s=0.005)
-    out = degraded(base, duplicate_probability=0.2)
-    assert out.drop_probability == 0.1
-    assert out.jitter_s == 0.005
-    assert out.duplicate_probability == 0.2

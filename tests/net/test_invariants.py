@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer
-from repro.net.channel import NetworkConfig
 from repro.net.invariants import ConsistencyChecker, InvariantReport, Violation
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.replication.replica import TransactionContext
@@ -17,7 +16,7 @@ def make_cluster(replicas=3, network=True, **kwargs):
         num_replicas=replicas, replica_ram_bytes=mb(128),
         clients_per_replica=4, think_time_s=0.1, seed=2,
         log_truncation_interval_s=0.0,
-        network=NetworkConfig() if network else None,
+        network=network,
         **kwargs)
     return ReplicatedCluster(workload=make_tiny_workload(),
                              balancer=LeastConnectionsBalancer(),

@@ -10,8 +10,6 @@ one-in-flight dedup, and subscription lifecycle across crash/restore.
 
 import random
 
-import pytest
-
 from repro.core.baselines import LeastConnectionsBalancer
 from repro.replication import certifier as certifier_module
 from repro.replication.certifier import (LAG_NOTIFICATION_THRESHOLD, Certifier,
@@ -30,11 +28,17 @@ def subscribed(subscriptions, replica_id):
     return replica_id in subscriptions._armed
 
 
+def index_with_threshold(monkeypatch, threshold):
+    """A fresh index that notifies ``threshold`` versions behind."""
+    monkeypatch.setattr(certifier_module, "LAG_NOTIFICATION_THRESHOLD", threshold)
+    return LagSubscriptionIndex()
+
+
 # ----------------------------------------------------------------------
 # LagSubscriptionIndex unit semantics
 # ----------------------------------------------------------------------
-def test_crossed_returns_only_replicas_past_threshold():
-    index = LagSubscriptionIndex(threshold=5)
+def test_crossed_returns_only_replicas_past_threshold(monkeypatch):
+    index = index_with_threshold(monkeypatch, 5)
     index.subscribe(1, 0)    # crosses at version 5
     index.subscribe(2, 3)    # crosses at version 8
     assert index.crossed(4) == ()
@@ -44,16 +48,16 @@ def test_crossed_returns_only_replicas_past_threshold():
     assert index.crossed(8) == (2,)
 
 
-def test_crossed_order_is_deterministic_by_notify_at_then_id():
-    index = LagSubscriptionIndex(threshold=10)
+def test_crossed_order_is_deterministic_by_notify_at_then_id(monkeypatch):
+    index = index_with_threshold(monkeypatch, 10)
     # Subscribe in scrambled order; equal notify-at versions tie-break by id.
     for rid, applied in [(7, 2), (3, 0), (5, 0), (1, 2)]:
         index.subscribe(rid, applied)
     assert index.crossed(12) == (3, 5, 1, 7)
 
 
-def test_advance_rearms_at_the_new_lag_target():
-    index = LagSubscriptionIndex(threshold=5)
+def test_advance_rearms_at_the_new_lag_target(monkeypatch):
+    index = index_with_threshold(monkeypatch, 5)
     index.subscribe(1, 0)
     assert index.crossed(5) == (1,)
     # Pull landed: cursor moves to 5, so the next nudge is due at 10.
@@ -62,8 +66,8 @@ def test_advance_rearms_at_the_new_lag_target():
     assert index.crossed(10) == (1,)
 
 
-def test_stale_heap_entries_are_discarded_lazily():
-    index = LagSubscriptionIndex(threshold=5)
+def test_stale_heap_entries_are_discarded_lazily(monkeypatch):
+    index = index_with_threshold(monkeypatch, 5)
     index.subscribe(1, 0)
     # Several cursor advances between crossings leave stale entries behind.
     index.advanced(1, 2)
@@ -75,8 +79,8 @@ def test_stale_heap_entries_are_discarded_lazily():
     assert index.crossed(11) == ()
 
 
-def test_unsubscribed_replicas_never_fire():
-    index = LagSubscriptionIndex(threshold=5)
+def test_unsubscribed_replicas_never_fire(monkeypatch):
+    index = index_with_threshold(monkeypatch, 5)
     index.subscribe(1, 0)
     index.subscribe(2, 0)
     index.unsubscribe(1)
@@ -86,8 +90,8 @@ def test_unsubscribed_replicas_never_fire():
     assert index.crossed(1000) == ()
 
 
-def test_resubscribe_resets_the_cursor():
-    index = LagSubscriptionIndex(threshold=5)
+def test_resubscribe_resets_the_cursor(monkeypatch):
+    index = index_with_threshold(monkeypatch, 5)
     index.subscribe(1, 0)
     index.unsubscribe(1)
     index.subscribe(1, 20)       # restored replica, caught up to 20
@@ -95,15 +99,12 @@ def test_resubscribe_resets_the_cursor():
     assert index.crossed(25) == (1,)
 
 
-def test_threshold_must_be_positive():
-    with pytest.raises(ValueError):
-        LagSubscriptionIndex(0)
-
-
 def test_certifier_owns_an_index_matching_its_threshold(monkeypatch):
     monkeypatch.setattr(certifier_module, "LAG_NOTIFICATION_THRESHOLD", 7)
     certifier = Certifier()
-    assert certifier.subscriptions.threshold == 7
+    certifier.subscriptions.subscribe(1, 0)
+    assert certifier.subscriptions.crossed(6) == ()
+    assert certifier.subscriptions.crossed(7) == (1,)
 
 
 def test_replicated_log_subscriptions_survive_fail_over(monkeypatch):
@@ -117,7 +118,7 @@ def test_replicated_log_subscriptions_survive_fail_over(monkeypatch):
     assert cert.log is promoted_log
     assert cert.subscriptions is subscriptions
     assert subscribed(cert.subscriptions, 1)
-    assert cert.subscriptions.threshold == 7
+    assert cert.subscriptions.crossed(7) == (1,)
 
 
 # ----------------------------------------------------------------------
@@ -132,13 +133,13 @@ def _reference_notify_set(live, applied, pending, origin, threshold, current):
     }
 
 
-def test_subscription_index_matches_scan_on_churned_membership():
+def test_subscription_index_matches_scan_on_churned_membership(monkeypatch):
     """Randomized lockstep: drive the index and a model of the old scan with
     the same commits / pulls / notification deliveries / churn, asserting
     the notified sets are identical at every commit batch."""
     rng = random.Random(20260730)
     threshold = 6
-    index = LagSubscriptionIndex(threshold)
+    index = index_with_threshold(monkeypatch, threshold)
     live = set()
     applied = {}
     pending = set()

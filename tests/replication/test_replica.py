@@ -3,7 +3,7 @@
 import pytest
 
 from repro.replication import replica as replica_module
-from repro.replication.certifier import Certifier
+from repro.replication.certifier import LAG_NOTIFICATION_THRESHOLD, Certifier
 from repro.replication.replica import Replica
 from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
@@ -161,6 +161,6 @@ def test_propagation_cursor_is_monotonic():
     replica._advance(3)
     assert replica.applied_version == 5
     # The lag subscription was re-armed at 5, not moved back to 3.
-    notify_at = 5 + subscriptions.threshold
+    notify_at = 5 + LAG_NOTIFICATION_THRESHOLD
     assert subscriptions.crossed(notify_at - 1) == ()
     assert subscriptions.crossed(notify_at) == (replica.replica_id,)

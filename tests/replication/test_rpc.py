@@ -10,7 +10,7 @@ degradation contract: a partitioned replica sheds update transactions as
 import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer
-from repro.net.channel import ChannelConfig, NetworkConfig
+from repro.net.channel import ChannelConfig
 from repro.net.invariants import ConsistencyChecker
 from repro.replication import replica as replica_module
 from repro.replication.certifier import RPC_DEDUP_WINDOW, Certifier
@@ -36,17 +36,20 @@ def ws(key, origin=0):
         origin_replica=origin)
 
 
-def make_cluster(replicas=3, link=None, net_seed=0, mix="balanced",
+def make_cluster(replicas=3, link=None, mix="balanced",
                  clients_per_replica=4, **kwargs):
+    """A networked cluster; every link runs with ``link`` from the start."""
     config = ClusterConfig(
         num_replicas=replicas, replica_ram_bytes=mb(128),
         clients_per_replica=clients_per_replica, think_time_s=0.1, seed=2,
-        log_truncation_interval_s=0.0,
-        network=NetworkConfig(link=link or ChannelConfig(), seed=net_seed),
-        **kwargs)
-    return ReplicatedCluster(workload=make_tiny_workload(),
-                             balancer=LeastConnectionsBalancer(),
-                             config=config, mix=mix)
+        log_truncation_interval_s=0.0, network=True, **kwargs)
+    cluster = ReplicatedCluster(workload=make_tiny_workload(),
+                                balancer=LeastConnectionsBalancer(),
+                                config=config, mix=mix)
+    if link is not None:
+        for replica_id in cluster.replica_ids():
+            cluster.network.degrade(replica_id, link)
+    return cluster
 
 
 def quiesce_and_audit(cluster, checker, duration_s):
@@ -218,8 +221,7 @@ def test_perfect_channel_run_commits_without_retries():
 
 
 def test_lossy_channel_retries_until_certified():
-    cluster = make_cluster(link=ChannelConfig(drop_probability=0.25),
-                           net_seed=5)
+    cluster = make_cluster(link=ChannelConfig(drop_probability=0.25))
     checker = ConsistencyChecker(cluster)
     run = quiesce_and_audit(cluster, checker, 30.0)
     replicas = cluster.replicas.values()
@@ -229,8 +231,7 @@ def test_lossy_channel_retries_until_certified():
 
 
 def test_duplicating_channel_hits_the_dedup_cache():
-    cluster = make_cluster(link=ChannelConfig(duplicate_probability=0.5),
-                           net_seed=5)
+    cluster = make_cluster(link=ChannelConfig(duplicate_probability=0.5))
     checker = ConsistencyChecker(cluster)
     quiesce_and_audit(cluster, checker, 30.0)
     assert cluster.certifier.stats.dedup_hits > 0

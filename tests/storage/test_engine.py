@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.storage import disk
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.disk import DiskModel
 from repro.storage.engine import AccessPlan, DatabaseEngine, EngineConfig
 from repro.storage.pages import PAGE_SIZE_BYTES, mb
 from repro.workloads.rubis import make_rubis
@@ -52,7 +52,7 @@ def test_update_type_produces_writeset(tiny_engine, tiny_workload):
     assert writeset is not None
     assert tables_of(writeset) == ("orders",)
     assert payload_bytes_of(writeset) == 100
-    assert plan.effective_write_bytes == DiskModel().effective_write_bytes(PAGE_SIZE_BYTES)
+    assert plan.effective_write_bytes == disk.effective_write_bytes(PAGE_SIZE_BYTES)
 
 
 def test_cold_cache_misses_then_warms(tiny_engine, tiny_workload):
@@ -146,7 +146,6 @@ def test_plans_carry_every_per_type_constant(spec):
     """Each compiled plan holds its type's commit write-back cost, exactly
     as the disk model computes it, and the type's name and update flag."""
     engine = DatabaseEngine(Catalog(schema=spec.schema), BufferPool(mb(512)))
-    disk = DiskModel()
     for name in spec.type_names():
         txn_type = spec.type(name)
         plan, _, _, writeset = engine.execute(txn_type)

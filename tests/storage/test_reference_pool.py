@@ -15,8 +15,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.storage import disk
 from repro.storage.buffer_pool import BufferPool, _RelationState
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import INDEX_PAGES_PER_LOOKUP, Catalog
 from repro.storage.engine import DatabaseEngine, WriteItem, WriteSet
 from repro.storage.pages import PAGE_SIZE_BYTES, mb
 from repro.storage.relation import Schema, table
@@ -176,7 +177,7 @@ class PerAccessEngine(DatabaseEngine):
                     if index_hot < PAGE_SIZE_BYTES:
                         index_hot = float(PAGE_SIZE_BYTES)
                     random_read_bytes += pool.access(
-                        chosen.name, config.index_pages_per_lookup * PAGE_SIZE_BYTES,
+                        chosen.name, INDEX_PAGES_PER_LOOKUP * PAGE_SIZE_BYTES,
                         index_hot)
             miss = pool.access(access.relation,
                                access.pages_per_execution * PAGE_SIZE_BYTES, hot_set)
@@ -199,7 +200,6 @@ class PerAccessEngine(DatabaseEngine):
                 items.append(WriteItem(spec.relation, keys, spec.writeset_bytes,
                                        spec.pages_dirtied))
             writeset = WriteSet(transaction_type=txn_type.name, items=tuple(items))
-        disk = self.disk_model
         return (cpu_seconds, random_read_bytes, sequential_read_bytes,
                 disk.write_seconds(write_bytes),
                 disk.effective_write_bytes(write_bytes)), writeset
