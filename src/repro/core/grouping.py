@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Set
+from typing import Dict, List, Mapping, Sequence
 
 from repro.core.bin_packing import PackItem, pack_by_size, pack_with_overlap
 from repro.core.working_set import WorkingSetEstimate, union_relation_bytes
@@ -55,14 +55,6 @@ class TransactionGroup:
     relation_bytes: Dict[str, int]
     estimated_bytes: int
     overflow: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.type_names)
-
-    @property
-    def tables(self) -> Set[str]:
-        return set(self.relation_bytes.keys())
 
     def describe(self) -> str:
         return "%s: [%s] (~%d MB%s)" % (

@@ -27,7 +27,7 @@ export next to their results and print its summary.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple, cast
+from typing import Callable, Dict, List, Optional
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -93,19 +93,6 @@ class TelemetryRegistry:
         }
         self.snapshots.append(snap)
         return snap
-
-    def series(self, metric: str) -> List[Tuple[float, object]]:
-        """``(time, value)`` pairs of one counter or gauge across snapshots."""
-        points: List[Tuple[float, object]] = []
-        for snap in self.snapshots:
-            time = cast(float, snap["time"])
-            counters = cast(Dict[str, object], snap["counters"])
-            gauges = cast(Dict[str, object], snap["gauges"])
-            if metric in counters:
-                points.append((time, counters[metric]))
-            elif metric in gauges:
-                points.append((time, gauges[metric]))
-        return points
 
     # ------------------------------------------------------------------
     # Export

@@ -17,7 +17,7 @@ callback always runs once its time comes.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.sim.events import EventCallback, EventQueue
 
@@ -26,8 +26,7 @@ class Simulator:
     """The event loop.
 
     Components hold a reference to the simulator and use :meth:`schedule` /
-    :meth:`schedule_at`.  Time only advances inside :meth:`run_until` /
-    :meth:`run` / :meth:`step`.
+    :meth:`schedule_at`.  Time only advances inside :meth:`run_until`.
     """
 
     def __init__(self) -> None:
@@ -66,22 +65,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        queue = self.queue
-        if not queue._heap:
-            return False
-        time, sequence, callback = heapq.heappop(queue._heap)
-        if time < self.now:
-            raise RuntimeError("event queue produced an event in the past")
-        self.now = time
-        hook = queue.probe
-        if hook is not None:
-            hook(time, sequence, callback)
-        callback()
-        self.events_processed += 1
-        return True
-
     def run_until(self, end_time: float) -> None:
         """Run events until simulated time reaches ``end_time``.
 
@@ -129,11 +112,3 @@ class Simulator:
             processed += 1
         self.events_processed += processed
         self.now = max(self.now, end_time)
-
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue drains (or ``max_events`` is hit)."""
-        processed = 0
-        while self.step():
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break

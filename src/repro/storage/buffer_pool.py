@@ -182,28 +182,16 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Access paths
     # ------------------------------------------------------------------
-    def access(self, relation: str, bytes_needed: float, hot_set_bytes: float) -> float:
-        """Random access of ``bytes_needed`` bytes within a hot set.
-
-        Returns the number of bytes that must be read from disk (expected
-        miss volume).  The cached fraction of the hot set grows by the miss
-        volume, displacing least-recently-used data if necessary.  A
-        sequential scan is an access whose request is its whole hot set.
-        """
-        if bytes_needed < 0:
-            raise ValueError("bytes_needed must be non-negative")
-        if hot_set_bytes <= 0:
-            return 0.0
-        if bytes_needed > hot_set_bytes:
-            bytes_needed = hot_set_bytes
-        return self.access_many(((relation, bytes_needed, hot_set_bytes, False),))[0]
-
     def access_many(self, steps: Sequence[AccessStep]) -> Tuple[float, float]:
-        """Run a sequence of accesses, each exactly as :meth:`access` would.
+        """Run a sequence of accesses.
 
         Each step is ``(relation, bytes_needed, hot_set_bytes, sequential)``
         and must already be valid: ``hot_set_bytes > 0`` and
-        ``0 <= bytes_needed <= hot_set_bytes``.  Returns the summed miss
+        ``0 <= bytes_needed <= hot_set_bytes``.  A random access of
+        ``bytes_needed`` bytes within a hot set misses the expected number
+        of uncached bytes; the cached fraction of the hot set grows by the
+        miss volume, displacing least-recently-used data if necessary.  A
+        sequential scan is an access whose request is its whole hot set.  Returns the summed miss
         volume of the random steps and of the ``sequential`` ones, each
         added up in step order.  The byte counters are added per step in
         step order and written back when the call returns.

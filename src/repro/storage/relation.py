@@ -129,14 +129,6 @@ class Schema:
     def get(self, name: str) -> Optional[Relation]:
         return self.relations.get(name)
 
-    @property
-    def tables(self) -> List[Relation]:
-        return [r for r in self.relations.values() if r.is_table]
-
-    @property
-    def indices(self) -> List[Relation]:
-        return [r for r in self.relations.values() if r.is_index]
-
     def indices_of(self, table_name: str) -> List[Relation]:
         """All indices whose parent is ``table_name``.
 
@@ -151,10 +143,6 @@ class Schema:
                     by_table.setdefault(relation.parent, []).append(relation)
             self._indices_by_table = by_table
         return by_table.get(table_name, [])
-
-    def sizes(self) -> Dict[str, int]:
-        """Mapping of relation name to size in bytes (a copy)."""
-        return {name: relation.size_bytes for name, relation in self.relations.items()}
 
     def scaled(self, factor: float, name: Optional[str] = None,
                fixed: Tuple[str, ...] = ()) -> "Schema":

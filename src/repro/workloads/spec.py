@@ -219,9 +219,6 @@ class Mix:
         object.__setattr__(self, "_sample_total", cum_weights[-1] + 0.0)
         object.__setattr__(self, "_sample_hi", len(names) - 1)
 
-    def type_names(self) -> List[str]:
-        return [name for name, weight in self.weights.items() if weight > 0]
-
     def sample(self, rng: random.Random) -> str:
         """Draw one transaction type name according to the mix weights.
 
@@ -279,5 +276,3 @@ class WorkloadSpec:
             raise KeyError("workload %r has no transaction type %r" % (self.name, name))
         return self.types[name]
 
-    def type_names(self) -> List[str]:
-        return sorted(self.types.keys())

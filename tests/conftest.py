@@ -1,5 +1,7 @@
 """Shared fixtures: a small synthetic workload that runs fast in tests."""
 
+import heapq
+
 import pytest
 
 from repro.storage.buffer_pool import BufferPool
@@ -149,6 +151,41 @@ def count_completions(cluster):
     counter = CompletionCounter()
     cluster.attach(counter)
     return counter
+
+
+def step(sim):
+    """Run the next event alone; ``False`` when the queue is empty.
+
+    The probe and counter bookkeeping match ``Simulator.run_until``.
+    """
+    queue = sim.queue
+    if not queue._heap:
+        return False
+    time, sequence, callback = heapq.heappop(queue._heap)
+    sim.now = time
+    if queue.probe is not None:
+        queue.probe(time, sequence, callback)
+    callback()
+    sim.events_processed += 1
+    return True
+
+
+def drain(sim):
+    """Run events until the queue is empty."""
+    while step(sim):
+        pass
+
+
+def series(registry, metric):
+    """``(time, value)`` pairs of one counter or gauge across a telemetry
+    registry's snapshots."""
+    points = []
+    for snap in registry.snapshots:
+        if metric in snap["counters"]:
+            points.append((snap["time"], snap["counters"][metric]))
+        elif metric in snap["gauges"]:
+            points.append((snap["time"], snap["gauges"][metric]))
+    return points
 
 
 class RequestCounter:

@@ -41,7 +41,7 @@ def test_overflow_types_are_isolated(tpcw_estimates):
     groups = build_groups(tpcw_estimates, mb(442), method=GroupingMethod.MALB_SC)
     for group in groups:
         if group.overflow:
-            assert group.size == 1
+            assert len(group.type_names) == 1
 
 
 def test_non_overflow_groups_fit_in_memory(tpcw_estimates):
@@ -49,7 +49,7 @@ def test_non_overflow_groups_fit_in_memory(tpcw_estimates):
     groups = build_groups(tpcw_estimates, memory, method=GroupingMethod.MALB_SC)
     for group in groups:
         if not group.overflow:
-            assert sum(group.relation_bytes.values()) <= memory * 1.001 or group.size == 1
+            assert sum(group.relation_bytes.values()) <= memory * 1.001 or len(group.type_names) == 1
 
 
 def test_more_memory_means_fewer_groups(tpcw_estimates):

@@ -40,7 +40,7 @@ def test_overflow_groups_are_singletons_and_others_fit(inputs):
     groups = build_groups(estimates, capacity, method=GroupingMethod.MALB_SC)
     for group in groups:
         if group.overflow:
-            assert group.size == 1
+            assert len(group.type_names) == 1
         else:
             assert group.estimated_bytes <= capacity
 

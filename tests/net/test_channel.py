@@ -5,10 +5,7 @@ import pytest
 from repro.net.channel import Channel, ChannelConfig, Network
 from repro.sim.simulator import Simulator
 
-
-def collect(sim):
-    """Run the simulator dry and return nothing; deliveries append themselves."""
-    sim.run()
+from tests.conftest import drain
 
 
 def test_channel_config_validation():
@@ -28,7 +25,7 @@ def test_perfect_channel_delivers_exactly_once_at_latency():
     channel = Channel(sim, "test")
     arrivals = []
     assert channel.deliver(0.5, lambda: arrivals.append(sim.now))
-    sim.run()
+    drain(sim)
     assert arrivals == [0.5]
     assert channel.stats.sent == 1
     assert channel.stats.delivered == 1
@@ -51,7 +48,7 @@ def test_partitioned_channel_drops_and_reports():
     channel.partition()
     assert not channel.deliver(0.1, lambda: dropped.append("delivered"),
                                on_drop=lambda: dropped.append("dropped"))
-    sim.run()
+    drain(sim)
     assert dropped == ["dropped"]
     assert channel.stats.dropped_partition == 1
     assert not channel.pull_allowed()
@@ -80,7 +77,7 @@ def test_duplicate_channel_delivers_copies_later():
     channel.set_config(ChannelConfig(duplicate_probability=1.0))
     arrivals = []
     channel.deliver(0.2, lambda: arrivals.append(sim.now))
-    sim.run()
+    drain(sim)
     assert len(arrivals) == 2
     assert arrivals[0] == pytest.approx(0.2)
     assert arrivals[1] > arrivals[0]
@@ -95,7 +92,7 @@ def test_reordering_holds_messages_back():
     channel.deliver(0.1, lambda: order.append("first"))
     channel.set_config(ChannelConfig())
     channel.deliver(0.1, lambda: order.append("second"))
-    sim.run()
+    drain(sim)
     # The first message was held back a full second, so the later send wins.
     assert order == ["second", "first"]
     assert channel.stats.reordered == 1

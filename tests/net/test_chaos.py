@@ -11,6 +11,8 @@ from repro.experiments.chaos import (
 )
 from repro.obs.hub import ObservabilityHub
 
+from tests.conftest import series
+
 
 def quick_config(severity=0.6, seed=1, **kwargs):
     return chaos_soak_config(severity=severity, seed=seed, duration_s=90.0,
@@ -112,16 +114,16 @@ def test_cumulative_gauges_never_decrease_through_churn():
                                          duration_s=120.0), hub)
     assert any(r.kind == "crash" for r in result.faults)
     registry = hub.registry
-    series = {name: [value for _, value in registry.series(name)]
+    totals = {name: [value for _, value in series(registry, name)]
               for name in ("admission.admitted_total",
                            "propagation.writesets_applied",
                            "propagation.writesets_filtered",
                            "rpc.timeouts_total", "rpc.retries_total",
                            "rpc.stale_responses_total",
                            "rpc.shed_unreachable_total")}
-    series["buffer.totals.evicted_bytes"] = [
-        value["evicted_bytes"] for _, value in registry.series("buffer.totals")]
-    for name, values in series.items():
+    totals["buffer.totals.evicted_bytes"] = [
+        value["evicted_bytes"] for _, value in series(registry, "buffer.totals")]
+    for name, values in totals.items():
         assert len(values) > 100, name
         drops = [(i, a, b) for i, (a, b) in enumerate(zip(values, values[1:]))
                  if b < a]

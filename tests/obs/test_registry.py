@@ -4,6 +4,8 @@ import json
 
 from repro.obs import TELEMETRY_SCHEMA_VERSION, TelemetryRegistry
 
+from tests.conftest import series
+
 
 def counter_value(registry, name):
     """A counter's value; 0 for a counter never created."""
@@ -37,9 +39,9 @@ def test_snapshot_series():
     counter.inc(2)
     registry.snapshot(20.0)
     assert [s["time"] for s in registry.snapshots] == [10.0, 20.0]
-    assert registry.series("txns") == [(10.0, 3), (20.0, 5)]
-    assert registry.series("queued") == [(10.0, 7), (20.0, 7)]
-    assert registry.series("missing") == []
+    assert series(registry, "txns") == [(10.0, 3), (20.0, 5)]
+    assert series(registry, "queued") == [(10.0, 7), (20.0, 7)]
+    assert series(registry, "missing") == []
 
 
 def test_export_round_trip(tmp_path):

@@ -12,7 +12,7 @@ from repro.storage.engine import WriteItem, WriteSet
 from repro.storage.pages import mb
 from repro.workloads.generator import WorkloadSchedule
 
-from tests.conftest import count_completions, make_tiny_workload, update_fraction
+from tests.conftest import count_completions, drain, make_tiny_workload, update_fraction
 
 
 def make_cluster(balancer=None, replicas=4, mix="balanced", **kwargs):
@@ -182,7 +182,7 @@ def test_started_transaction_holds_truncation_floor_at_its_snapshot():
     assert cluster.certifier_truncation_floor() == snapshot
     assert cluster.truncate_certifier_log() == snapshot
     assert cluster.certifier.oldest_available_version == snapshot + 1
-    cluster.sim.run()
+    drain(cluster.sim)
     assert done == [True] and not reader._live
     # Finished, the transaction no longer holds the floor.
     assert cluster.certifier_truncation_floor() == \
@@ -203,7 +203,7 @@ def test_admission_queued_context_does_not_hold_truncation_floor(monkeypatch):
     commit_remote_writesets(cluster, 3)
     # The queued context's unset snapshot (0) does not pin the log.
     assert cluster.certifier_truncation_floor() == started.snapshot == 2
-    cluster.sim.run()
+    drain(cluster.sim)
     assert done == [True, True]
     # It read the snapshot current when it finally started.
     assert queued.snapshot == 5

@@ -20,7 +20,7 @@ from repro.replication.replica import MAX_CERTIFICATION_BATCH
 from repro.replication.writeset import WriteItem, WriteSet
 from repro.storage.pages import mb
 
-from tests.conftest import make_tiny_workload
+from tests.conftest import make_tiny_workload, step
 
 
 def subscribed(subscriptions, replica_id):
@@ -255,7 +255,8 @@ def test_zero_latency_notification_is_deferred_not_synchronous(monkeypatch):
     cluster._on_local_commit(origin)
     assert certifier.stats.notifications_sent == before + 2
 
-    cluster.sim.run(max_events=10)
+    for _ in range(10):
+        step(cluster.sim)
     assert cluster._notify_pending == set()
     assert cluster.replicas[1].applied_version == certifier.current_version
     assert cluster.replicas[2].applied_version == certifier.current_version

@@ -22,7 +22,7 @@ from repro.storage.pages import PAGE_SIZE_BYTES, mb
 from repro.storage.relation import Schema, table
 from repro.workloads.spec import Mix, WorkloadSpec, lookup, scan, transaction_type, write
 
-from tests.conftest import make_tiny_workload
+from tests.conftest import drain, make_tiny_workload, step
 
 
 def make_conflict_workload():
@@ -108,7 +108,7 @@ def test_concurrent_updates_share_certification_round_trips():
     outcomes = []
     for _ in range(6):
         replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True] * 6
     assert certifier.stats.commits == 6
     # With one round trip outstanding per replica, six concurrent updates need
@@ -129,7 +129,7 @@ def test_batched_certification_preserves_fifo_version_order():
         # Stagger the submissions so they reach certification in txn-id
         # order while earlier round trips are still in flight.
         sim.run_until(sim.now + 0.0005)
-    sim.run()
+    drain(sim)
     # All commit, versions are dense 1..8 and assigned in the order the
     # transactions reached certification (= submission order here): each
     # completion observes exactly one more committed version.
@@ -155,7 +155,7 @@ def test_aborted_retry_commits_on_piggybacked_snapshot_without_pull():
     assert certifier.certify(remote_writeset(), snapshot_version=0).committed
     outcomes = []
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True]
     # Exactly one abort (stale snapshot 0 vs the remote commit), then the
     # retry saw the piggybacked writeset and committed at snapshot >= 1.
@@ -192,7 +192,7 @@ def test_log_entries_are_the_executed_writesets():
     outcomes = []
     for _ in range(6):
         replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True] * 6
     requests = [request for batch in sent for request in batch]
     assert len(certifier.log) == len(requests) == 6
@@ -209,7 +209,7 @@ def test_retry_after_abort_certifies_a_new_writeset():
     assert certifier.certify(remote_writeset(), snapshot_version=0).committed
     outcomes = []
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True] and replica.metrics.aborts == 1
     (aborted, stale), (retried, fresh) = [batch[0] for batch in sent]
     # The retry re-executed: a different object, on the fresh snapshot.
@@ -227,7 +227,7 @@ def test_stale_retries_no_longer_burn_max_retries():
     certifier.certify(remote_writeset(), snapshot_version=0)
     outcomes = []
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True]
     assert replica.metrics.aborts < MAX_RETRIES
 
@@ -240,9 +240,9 @@ def test_epoch_fencing_drops_batched_requests_without_leaking_slots():
         replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
     # Run until the first round trip is in flight, then crash the replica.
     while not replica._cert_inflight:
-        assert sim.step()
+        assert step(sim)
     replica.crash()
-    sim.run()
+    drain(sim)
     # The batch was fenced: nothing reached the certifier, no outcome was
     # delivered, and the reset admission state holds no slots.
     assert outcomes == []
@@ -254,7 +254,7 @@ def test_epoch_fencing_drops_batched_requests_without_leaking_slots():
     replica.alive = True
     for _ in range(3):
         replica.submit(workload.type("Write"), submitted_at=sim.now, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True, True, True]
     assert replica.active == 0
 
@@ -267,7 +267,7 @@ def test_batch_limit_splits_oversized_batches(monkeypatch):
     outcomes = []
     for _ in range(8):
         replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True] * 8
     # No round trip carried more than the configured limit.
     assert certifier.stats.batches >= 4
@@ -287,7 +287,7 @@ def test_context_reaches_done_state():
     replica._start = capture
     replica.submit(workload.type("Read"), submitted_at=0.0, on_done=lambda ok: None)
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=lambda ok: None)
-    sim.run()
+    drain(sim)
     assert [ctx.state for ctx in contexts] == [TransactionContext.DONE] * 2
     # Contexts are slotted: no per-instance __dict__ on the hot path.
     assert not hasattr(contexts[0], "__dict__")
@@ -321,7 +321,7 @@ def test_crash_fails_every_pending_stage_once_in_dispatch_order():
     assert routing.outstanding[0] == 0
     assert not replica._live
     assert replica.metrics.abort_reasons == {"crash-in-flight": 3}
-    sim.run()
+    drain(sim)
     assert outcomes == [(name, False) for name in names]
     assert certifier.stats.requests == 0
     assert replica.metrics.completed == 0

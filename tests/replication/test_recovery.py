@@ -4,10 +4,11 @@ import pytest
 
 from repro.replication import certifier as certifier_module
 from repro.replication.certifier import Certifier
+from repro.sim.simulator import Simulator
 from repro.storage.engine import WriteItem, WriteSet
 
+from tests.conftest import drain
 from tests.replication.test_replica import make_replica
-from repro.sim.simulator import Simulator
 
 
 def ws(table, key):
@@ -135,7 +136,7 @@ def test_recover_replays_missed_writesets():
     _, _, _, crashed = make_replica(1, sim, certifier)
     for _ in range(3):
         origin.submit(workload.type("Write"), submitted_at=0.0, on_done=lambda ok: None)
-    sim.run()
+    drain(sim)
     # The crashed replica lost its cache and was behind.
     assert crashed.lag == 3
     assert len(certifier.writesets_since(crashed.applied_version)) == 3

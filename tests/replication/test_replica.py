@@ -13,7 +13,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.engine import DatabaseEngine
 from repro.storage.pages import mb
 
-from tests.conftest import make_tiny_workload
+from tests.conftest import drain, make_tiny_workload, step
 
 
 def make_replica(replica_id=0, sim=None, certifier=None):
@@ -33,7 +33,7 @@ def test_read_only_transaction_completes_locally():
     sim, certifier, workload, replica = make_replica()
     outcomes = []
     replica.submit(workload.type("Read"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True]
     assert certifier.stats.requests == 0
     assert replica.metrics.completed == 1
@@ -43,7 +43,7 @@ def test_update_transaction_is_certified_and_logged():
     sim, certifier, workload, replica = make_replica()
     outcomes = []
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True]
     assert certifier.current_version == 1
     assert replica.applied_version == 1
@@ -60,7 +60,7 @@ def test_snapshot_is_the_applied_version_when_the_attempt_starts():
     # The cursor moves on; the running transaction's snapshot does not.
     replica._advance(7)
     assert ctx.snapshot == 5
-    sim.run()
+    drain(sim)
     assert done == [True] and not replica._live
 
 
@@ -70,7 +70,7 @@ def test_remote_writesets_are_applied_and_charged():
     _, _, workload, origin = make_replica(0, sim, certifier)
     _, _, _, other = make_replica(1, sim, certifier)
     origin.submit(workload.type("Write"), submitted_at=0.0, on_done=lambda ok: None)
-    sim.run()
+    drain(sim)
     assert other.lag == 1
     fetched = other.pull_updates()
     assert fetched == 1
@@ -86,7 +86,7 @@ def test_filtered_replica_skips_foreign_tables():
     _, _, _, other = make_replica(1, sim, certifier)
     other.set_filter({"users"})          # Write touches only "orders"
     origin.submit(workload.type("Write"), submitted_at=0.0, on_done=lambda ok: None)
-    sim.run()
+    drain(sim)
     other.pull_updates()
     assert other.writesets_filtered == 1
     assert other.applied_version == 1    # cursor still advances
@@ -95,7 +95,7 @@ def test_filtered_replica_skips_foreign_tables():
 def test_origin_replica_does_not_reapply_its_own_writeset():
     sim, certifier, workload, replica = make_replica()
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=lambda ok: None)
-    sim.run()
+    drain(sim)
     applied_before = replica.writesets_applied
     replica.pull_updates()
     assert replica.writesets_applied == applied_before
@@ -108,7 +108,7 @@ def test_admission_queues_beyond_max_concurrency(monkeypatch):
     for _ in range(3):
         replica.submit(workload.type("Read"), submitted_at=0.0, on_done=done.append)
     assert len(replica.waiting) == 2
-    sim.run()
+    drain(sim)
     assert done == [True, True, True]
 
 
@@ -130,12 +130,12 @@ def test_admission_limits_concurrency(monkeypatch):
     assert started == submitted[:2]
     assert (replica.active, len(replica.waiting), replica.admitted_total) == (2, 2, 2)
     while not done:
-        assert sim.step()
+        assert step(sim)
     # The finished transaction handed its slot straight to the head of the
     # queue: FIFO order, and ``active`` never dipped.
     assert started == submitted[:3]
     assert (replica.active, len(replica.waiting), replica.admitted_total) == (2, 1, 3)
-    sim.run()
+    drain(sim)
     assert started == submitted
     assert done == [True] * 4
     # The last two finishes found the queue empty and freed their slots.

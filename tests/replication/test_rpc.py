@@ -25,7 +25,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.engine import DatabaseEngine
 from repro.storage.pages import mb
 
-from tests.conftest import count_completions, make_tiny_workload
+from tests.conftest import count_completions, drain, make_tiny_workload
 
 
 def ws(key, origin=0):
@@ -162,7 +162,7 @@ def test_retransmission_carries_the_writesets_execute_built():
     certifier.certify_rpc = recording_certify_rpc
     outcomes = []
     replica.submit(workload.type("Write"), submitted_at=0.0, on_done=outcomes.append)
-    sim.run()
+    drain(sim)
     assert outcomes == [True]
     assert replica.rpc_timeouts == 1 and certifier.stats.dedup_hits == 1
     # First send and retransmission carry the same objects: the one

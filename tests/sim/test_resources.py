@@ -5,6 +5,8 @@ import pytest
 from repro.sim.resources import ReplicaResources, Resource
 from repro.sim.simulator import Simulator
 
+from tests.conftest import drain
+
 
 def backlog_seconds(res):
     """Service time accepted but not yet completed, as of now."""
@@ -23,7 +25,7 @@ def test_requests_are_served_fifo():
     done = []
     res.acquire(1.0, lambda: done.append(("a", sim.now)))
     res.acquire(2.0, lambda: done.append(("b", sim.now)))
-    sim.run()
+    drain(sim)
     assert done == [("a", 1.0), ("b", 3.0)]
 
 
@@ -33,7 +35,7 @@ def test_background_work_delays_foreground():
     res.add_background_work(5.0)
     done = []
     res.acquire(1.0, lambda: done.append(sim.now))
-    sim.run()
+    drain(sim)
     assert done == [6.0]
 
 

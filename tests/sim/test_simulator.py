@@ -5,13 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.simulator import Simulator
 
+from tests.conftest import drain
+
 
 def test_time_advances_with_events():
     sim = Simulator()
     seen = []
     sim.schedule(5.0, lambda: seen.append(sim.now))
     sim.schedule(1.0, lambda: seen.append(sim.now))
-    sim.run()
+    drain(sim)
     assert seen == [1.0, 5.0]
     assert sim.now == 5.0
 
@@ -31,7 +33,7 @@ def test_run_until_stops_at_boundary():
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
-    sim.run()
+    drain(sim)
     with pytest.raises(ValueError):
         sim.schedule_at(0.5, lambda: None)
     with pytest.raises(ValueError):
@@ -113,8 +115,8 @@ def _reference(roots):
     return order, now
 
 
-def _play(roots, drain):
-    """Schedule ``roots`` on a fresh simulator, ``drain`` it, report the run.
+def _play(roots, run):
+    """Schedule ``roots`` on a fresh simulator, ``run`` it, report the run.
 
     An event's label is its push index; odd labels go through
     ``schedule_at`` and even ones through ``schedule``.
@@ -139,7 +141,7 @@ def _play(roots, drain):
 
     for root in roots:
         push(*root)
-    drain(sim)
+    run(sim)
     return executed, sim.events_processed, sim.now
 
 
@@ -155,20 +157,13 @@ def test_every_drain_matches_the_time_then_push_order(roots, cuts):
             sim.run_until(fraction * end)
         sim.run_until(end)
 
-    step_probed, run_probed = [], []
-
-    def stepped(sim):
-        sim.queue.probe = lambda time, sequence, callback: step_probed.append(sequence)
-        while sim.step():
-            pass
+    run_probed = []
 
     def with_probe(sim):
         sim.queue.probe = lambda time, sequence, callback: run_probed.append(sequence)
         sim.run_until(end)
 
     assert _play(roots, sliced) == expected
-    assert _play(roots, lambda sim: sim.run()) == expected
-    assert _play(roots, stepped) == expected
     assert _play(roots, with_probe) == expected
     # Every push goes through one sequence counter, so a label is its sequence.
-    assert step_probed == run_probed == order
+    assert run_probed == order

@@ -15,10 +15,15 @@ def resident_bytes_of(pool, relation):
     return state.resident if state is not None else 0.0
 
 
+def access(pool, relation, bytes_needed, hot_set_bytes):
+    """One random access: the misses of a single-step ``access_many``."""
+    return pool.access_many(((relation, bytes_needed, hot_set_bytes, False),))[0]
+
+
 def scan(pool, relation, relation_bytes):
     """A sequential scan, as the engine charges one: an access that
     requests the relation's whole hot set."""
-    return pool.access(relation, relation_bytes, relation_bytes)
+    return access(pool, relation, relation_bytes, relation_bytes)
 
 
 def test_capacity_must_be_positive():
@@ -30,7 +35,7 @@ def test_capacity_must_be_positive():
 
 def test_cold_access_misses_everything():
     pool = BufferPool(mb(100), skew=1.0)
-    miss = pool.access("users", mb(1), mb(50))
+    miss = access(pool, "users", mb(1), mb(50))
     assert miss == pytest.approx(mb(1))
     assert resident_bytes_of(pool, "users") == pytest.approx(mb(1))
 
@@ -38,13 +43,13 @@ def test_cold_access_misses_everything():
 def test_warm_relation_hits():
     pool = BufferPool(mb(100))
     pool.warm("users", mb(50), mb(50))
-    assert pool.access("users", mb(1), mb(50)) == pytest.approx(0.0)
+    assert access(pool, "users", mb(1), mb(50)) == pytest.approx(0.0)
     assert pool.stats.hit_ratio == pytest.approx(1.0)
 
 
 def test_repeated_access_converges_to_hits():
     pool = BufferPool(mb(100), skew=1.0)
-    misses = [pool.access("users", mb(2), mb(20)) for _ in range(200)]
+    misses = [access(pool, "users", mb(2), mb(20)) for _ in range(200)]
     assert misses[-1] < misses[0]
     assert misses[-1] < mb(2) * 0.05
 
@@ -93,7 +98,7 @@ def test_skew_increases_hit_rate():
     skewed = BufferPool(mb(100), skew=0.3)
     for pool in (uniform, skewed):
         pool.warm("users", mb(25), mb(50))   # half the hot set resident
-    assert skewed.access("users", mb(1), mb(50)) < uniform.access("users", mb(1), mb(50))
+    assert access(skewed, "users", mb(1), mb(50)) < access(uniform, "users", mb(1), mb(50))
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,7 +110,7 @@ def test_capacity_invariant_under_arbitrary_access(accesses):
     pool = BufferPool(mb(32))
     for relation, need_mb, hot_mb in accesses:
         need = mb(min(need_mb, hot_mb))
-        pool.access(relation, need, mb(hot_mb))
+        access(pool, relation, need, mb(hot_mb))
         assert pool.resident_bytes <= pool.capacity_bytes + 1
         assert all(state.resident >= 0 for state in pool._relations.values())
 
@@ -115,7 +120,7 @@ def test_capacity_invariant_under_arbitrary_access(accesses):
 def test_miss_never_exceeds_request(need_mb, hot_mb):
     pool = BufferPool(mb(16))
     need = mb(min(need_mb, hot_mb))
-    miss = pool.access("r", need, mb(hot_mb))
+    miss = access(pool, "r", need, mb(hot_mb))
     assert 0.0 <= miss <= need + 1
 
 
@@ -138,7 +143,7 @@ def test_fully_evicted_protected_relation_is_dropped():
     assert pool._resident_total == 0.0
     assert pool._hot_total == 0.0
     # The relation is re-trackable afterwards like any cold relation.
-    pool.access("a", 10, 50)
+    access(pool, "a", 10, 50)
     assert "a" in pool.tracked_relations()
 
 
@@ -164,7 +169,7 @@ def test_resident_total_matches_sum_after_randomized_sequences():
         relation = rng.choice(names)
         if op < 0.50:
             hot = mb(rng.randint(1, 40))
-            pool.access(relation, rng.uniform(0.0, hot), hot)
+            access(pool, relation, rng.uniform(0.0, hot), hot)
         elif op < 0.70:
             scan(pool, relation, mb(rng.randint(1, 60)))
         elif op < 0.97:

@@ -146,7 +146,7 @@ def test_plans_carry_every_per_type_constant(spec):
     """Each compiled plan holds its type's commit write-back cost, exactly
     as the disk model computes it, and the type's name and update flag."""
     engine = DatabaseEngine(Catalog(schema=spec.schema), BufferPool(mb(512)))
-    for name in spec.type_names():
+    for name in sorted(spec.types):
         txn_type = spec.type(name)
         plan, _, _, writeset = engine.execute(txn_type)
         assert plan.write_seconds == disk.write_seconds(written_bytes(txn_type))

@@ -294,14 +294,12 @@ def test_access_many_matches_per_call_access(batches):
     for steps, mode in batches:
         expected = reference.access_many(steps)
         if mode == "one-by-one":
-            # The public wrapper: one single-step access_many per call.
+            # One single-step access_many per step.
             random_miss = sequential_miss = 0.0
-            for relation, need, hot, sequential in steps:
-                miss = pool.access(relation, need, hot)
-                if sequential:
-                    sequential_miss += miss
-                else:
-                    random_miss += miss
+            for step in steps:
+                step_random, step_sequential = pool.access_many((step,))
+                random_miss += step_random
+                sequential_miss += step_sequential
             got = (random_miss, sequential_miss)
         else:
             got = pool.access_many(steps)
@@ -345,14 +343,6 @@ def test_both_eviction_paths_are_exercised_and_agree():
     assert fast_only_calls > 100
 
 
-def test_access_validates_like_the_per_call_path():
-    pool, reference = BufferPool(mb(8)), ReferencePool(mb(8))
-    for pool_ in (pool, reference):
-        assert pool_.access("a", mb(1), 0.0) == 0.0          # empty hot set
-        assert pool_.access("a", mb(4), mb(2)) == mb(2)      # clamped request
-    assert pool_state(pool) == pool_state(reference)
-
-
 # --------------------------------------------------------------------------
 # Engine level
 # --------------------------------------------------------------------------
@@ -363,7 +353,7 @@ def run_stream(spec, pool_bytes, executions):
     catalog = Catalog(schema=spec.schema)
     compiled = DatabaseEngine(catalog, BufferPool(pool_bytes), rng=random.Random(5))
     per_access = PerAccessEngine(catalog, ReferencePool(pool_bytes), rng=random.Random(5))
-    names = spec.type_names()
+    names = sorted(spec.types)
     order = random.Random(9)
     pending = []
     for i in range(executions):

@@ -43,7 +43,7 @@ def test_schema_lookup_and_sizes(tiny_schema):
     assert "users" in tiny_schema
     assert tiny_schema["users"].is_table
     assert tiny_schema.get("nope") is None
-    assert len(tiny_schema.tables) == 4
+    assert sum(1 for relation in tiny_schema if relation.is_table) == 4
     assert tiny_schema.indices_of("users")[0].name == "users_pkey"
 
 
