@@ -1,6 +1,6 @@
 """The paper's contribution: memory-aware load balancing and update filtering."""
 
-from repro.core.allocation import AllocationAction, GroupLoad, ReplicaAllocator
+from repro.core.allocation import GroupLoad, ReplicaAllocator
 from repro.core.balancer import ClusterView, LoadBalancer
 from repro.core.baselines import LardBalancer, LeastConnectionsBalancer, RoundRobinBalancer
 from repro.core.bin_packing import Bin, PackItem, pack_by_size, pack_with_overlap
@@ -21,7 +21,6 @@ from repro.core.update_filtering import (
 from repro.core.working_set import WorkingSetEstimate, union_relation_bytes
 
 __all__ = [
-    "AllocationAction",
     "Bin",
     "ClusterView",
     "FilterPlan",

@@ -58,15 +58,6 @@ class GroupLoad:
         return self.bottleneck * self.replicas / (self.replicas - 1)
 
 
-@dataclass
-class AllocationAction:
-    """A record of one re-allocation decision, for logging and tests."""
-
-    kind: str                     # "merge", "split", "expand", "contract", "join", "leave"
-    detail: str
-    moved_replicas: int = 0
-
-
 class ReplicaAllocator:
     """Owns the group -> replicas assignment and adjusts it from load reports."""
 
@@ -194,14 +185,15 @@ class ReplicaAllocator:
     # ------------------------------------------------------------------
     # Re-allocation
     # ------------------------------------------------------------------
-    def rebalance(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
+    def rebalance(self, loads: Mapping[int, LoadSample]) -> Optional[str]:
         """One re-allocation step from the latest load report.
 
         Undo merging if a shared replica is the hottest machine; otherwise
         merge under-utilised singleton groups; otherwise let an overloaded
         group expand onto the coldest machine; otherwise let a cooled group
-        release a shared machine.  Returns the step taken, or ``None`` when
-        frozen or when nothing fired.
+        release a shared machine.  Returns the kind of step taken
+        (``"split"``, ``"merge"``, ``"expand"`` or ``"contract"``), or
+        ``None`` when frozen or when nothing fired.
         """
         if self.frozen:
             return None
@@ -215,13 +207,10 @@ class ReplicaAllocator:
         the paper disables dynamic allocation in that case, Section 4.2.3)."""
         self.frozen = True
 
-    def unfreeze(self) -> None:
-        self.frozen = False
-
     # ------------------------------------------------------------------
     # Membership changes (elasticity)
     # ------------------------------------------------------------------
-    def add_replica(self, replica_id: int) -> AllocationAction:
+    def add_replica(self, replica_id: int) -> None:
         """Admit a replica that just joined the cluster.
 
         The newcomer goes to the group with the fewest replicas; the demand
@@ -237,11 +226,8 @@ class ReplicaAllocator:
                        key=lambda gid: (len(self.assignment[gid]), gid))
         self.assignment[group_id].append(replica_id)
         self.validate()
-        return AllocationAction(
-            "join", "replica %d joined group %s" % (replica_id, group_id),
-            moved_replicas=1)
 
-    def remove_replica(self, replica_id: int) -> AllocationAction:
+    def remove_replica(self, replica_id: int) -> None:
         """Retire a replica that crashed or left the cluster.
 
         Groups left without a replica share the surviving machine hosting
@@ -253,27 +239,20 @@ class ReplicaAllocator:
         if len(self.replica_ids) <= 1:
             raise ValueError("cannot remove the last replica")
         self.replica_ids.remove(replica_id)
-        rehomed = []
-        for group_id, replicas in self.assignment.items():
+        for replicas in self.assignment.values():
             if replica_id in replicas:
                 replicas.remove(replica_id)
-        for group_id, replicas in self.assignment.items():
+        for replicas in self.assignment.values():
             if not replicas:
-                host = min(self.replica_ids,
-                           key=lambda rid: (len(self.groups_of_replica(rid)), rid))
-                replicas.append(host)
-                rehomed.append((group_id, host))
+                replicas.append(min(
+                    self.replica_ids,
+                    key=lambda rid: (len(self.groups_of_replica(rid)), rid)))
         self.validate()
-        detail = "replica %d left" % (replica_id,)
-        if rehomed:
-            detail += "; " + ", ".join(
-                "%s now shares replica %d" % (gid, host) for gid, host in rehomed)
-        return AllocationAction("leave", detail, moved_replicas=1)
 
     # ------------------------------------------------------------------
     # Merging and splitting of under-utilised groups
     # ------------------------------------------------------------------
-    def _try_merge(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
+    def _try_merge(self, loads: Mapping[int, LoadSample]) -> Optional[str]:
         group_loads = self.group_loads(loads)
         # Candidates: groups with exactly one replica that is not already
         # shared, whose bottleneck utilisation is below the merge threshold.
@@ -299,14 +278,9 @@ class ReplicaAllocator:
         if freed_replica not in self.assignment[most_loaded]:
             self.assignment[most_loaded].append(freed_replica)
         self.validate()
-        return AllocationAction(
-            "merge",
-            "merged %s and %s onto replica %d, freed replica %d for %s"
-            % (group_a, group_b, keep_replica, freed_replica, most_loaded),
-            moved_replicas=1,
-        )
+        return "merge"
 
-    def _try_split(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
+    def _try_split(self, loads: Mapping[int, LoadSample]) -> Optional[str]:
         shared = self.shared_replicas()
         if not shared:
             return None
@@ -339,14 +313,9 @@ class ReplicaAllocator:
         members.remove(hottest)
         members.append(replica)
         self.validate()
-        return AllocationAction(
-            "split",
-            "split %s off shared replica %d onto replica %d (taken from %s)"
-            % (split_group, hottest, replica, donor),
-            moved_replicas=1,
-        )
+        return "split"
 
-    def _try_expand(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
+    def _try_expand(self, loads: Mapping[int, LoadSample]) -> Optional[str]:
         """Let an overloaded group spill onto the least-loaded machine.
 
         When the cluster has fewer machines than groups (an elastic cluster
@@ -372,14 +341,9 @@ class ReplicaAllocator:
             return None
         self.assignment[most_loaded].append(coldest)
         self.validate()
-        return AllocationAction(
-            "expand",
-            "group %s (load %.2f) expanded onto replica %d (load %.2f)"
-            % (most_loaded, hot.bottleneck, coldest, cold),
-            moved_replicas=1,
-        )
+        return "expand"
 
-    def _try_contract(self, loads: Mapping[int, LoadSample]) -> Optional[AllocationAction]:
+    def _try_contract(self, loads: Mapping[int, LoadSample]) -> Optional[str]:
         """Undo expansion once the pressure is gone.
 
         The least-loaded group whose extrapolated one-fewer-replica load
@@ -405,9 +369,5 @@ class ReplicaAllocator:
             victim = max(shared, key=lambda rid: (len(self.groups_of_replica(rid)), rid))
             members.remove(victim)
             self.validate()
-            return AllocationAction(
-                "contract",
-                "group %s released shared replica %d" % (group_id, victim),
-                moved_replicas=1,
-            )
+            return "contract"
         return None

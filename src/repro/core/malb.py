@@ -246,13 +246,8 @@ class MemoryAwareLoadBalancer(LoadBalancer):
             allocator.remove_replica(rid)
         for rid in sorted(current - known):
             allocator.add_replica(rid)
-        was_frozen = allocator.frozen
         if not self.static_allocation:
-            if was_frozen:
-                allocator.unfreeze()
             self._apply_demand_targets(max_moves=None)
-            if was_frozen:
-                allocator.freeze()
         if self.filter_plan is not None:
             self._enable_filtering()
         self._last_move_time = self._now_hint
