@@ -113,9 +113,6 @@ LAG_SUBSCRIPTION = PairingContract(
     program_pairs=(("crossed", "advanced"),),
 )
 
-CONTRACTS: Tuple[object, ...] = (TXN_LIFECYCLE, LAG_SUBSCRIPTION)
-
-
 # ----------------------------------------------------------------------
 # P1 -- protocol conformance
 # ----------------------------------------------------------------------

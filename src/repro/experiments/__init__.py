@@ -8,7 +8,6 @@ from repro.experiments.elasticity import (
     window_throughput,
 )
 from repro.experiments.configs import (
-    EXPERIMENT_INDEX,
     PAPER_FIGURES,
     figure10_configs,
     figure3_configs,
@@ -27,7 +26,6 @@ from repro.experiments.runner import (
 from repro.experiments.report import format_bar_chart, format_result_table
 
 __all__ = [
-    "EXPERIMENT_INDEX",
     "ElasticityConfig",
     "ElasticityResult",
     "ExperimentConfig",

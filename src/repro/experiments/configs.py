@@ -339,28 +339,6 @@ def figure10_configs(seed: int = 1,
 
 
 # ----------------------------------------------------------------------
-# Experiment index: maps every paper artefact to its bench target.
-# ----------------------------------------------------------------------
-EXPERIMENT_INDEX: Dict[str, str] = {
-    "figure3": "benchmarks/test_fig3_tpcw_methods.py",
-    "table1": "benchmarks/test_table1_tpcw_disk_io.py",
-    "table2": "benchmarks/test_table2_tpcw_groupings.py",
-    "figure4": "benchmarks/test_fig4_rubis_methods.py",
-    "table3": "benchmarks/test_table3_rubis_disk_io.py",
-    "table4": "benchmarks/test_table4_rubis_groupings.py",
-    "figure5": "benchmarks/test_fig5_grouping_methods.py",
-    "figure6": "benchmarks/test_fig6_dynamic_reconfiguration.py",
-    "figure7": "benchmarks/test_fig7_update_filtering.py",
-    "table5": "benchmarks/test_table5_update_filtering_io.py",
-    "figure8": "benchmarks/test_fig8_rubis_memory_sweep.py",
-    "figure9": "benchmarks/test_fig9_problem_space.py",
-    "figure10": "benchmarks/test_fig10_configuration_space.py",
-    "section5.3_working_sets": "benchmarks/test_sec53_working_set_measurement.py",
-    "section5.3_merging": "benchmarks/test_sec53_merging_ablation.py",
-}
-
-
-# ----------------------------------------------------------------------
 # Perf-harness / determinism scenarios (not paper artefacts).
 # ----------------------------------------------------------------------
 def golden_midsize_config(seed: int = 3) -> ExperimentConfig:

@@ -17,7 +17,6 @@ from repro.storage.engine import (
     WriteSet,
 )
 from repro.storage.pages import (
-    GB,
     KB,
     MB,
     PAGE_SIZE_BYTES,
@@ -36,7 +35,6 @@ __all__ = [
     "DatabaseEngine",
     "EngineConfig",
     "ExecutionPlan",
-    "GB",
     "KB",
     "MB",
     "PAGE_SIZE_BYTES",

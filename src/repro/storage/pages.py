@@ -22,7 +22,6 @@ PAGE_SIZE_BYTES: int = 8 * 1024
 # Convenience multipliers.
 KB: int = 1024
 MB: int = 1024 * 1024
-GB: int = 1024 * 1024 * 1024
 
 
 def pages_for_bytes(num_bytes: float) -> int:

@@ -56,9 +56,6 @@ DATABASE_SIZES = {
     "LargeDB": 500,   # ~2.9 GB
 }
 
-MIX_NAMES = ("browsing", "shopping", "ordering")
-
-
 def make_schema(ebs: int = BASE_EBS) -> Schema:
     """Build the TPC-W schema scaled to ``ebs`` emulated browsers."""
     if ebs <= 0:

@@ -13,6 +13,10 @@ from repro.storage.relation import Schema, index, table
 from repro.workloads.spec import Mix, WorkloadSpec, lookup, scan, transaction_type, write
 
 
+#: A gibibyte, for sizing the paper's databases.
+GB = 1024 * mb(1)
+
+
 def make_tiny_schema():
     return Schema.from_relations(
         "tiny",

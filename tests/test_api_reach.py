@@ -29,6 +29,13 @@ it never reports those either; a load made only to mutate the value
 fields, which are declared in the class body rather than assigned through
 ``self``, nor attributes written through any other receiver.
 
+* **Module constants.**  An upper-case name assigned at module level is
+  reached if it appears as an identifier token in a program file other
+  than on its own assignment line.  Only code counts: string literals do
+  not (the text ``"2.2 GB"`` in a title is not a use of ``GB``), and
+  neither do comments, docstrings or an ``__init__.py``'s import and
+  ``__all__`` lines.
+
 To fix a report, either delete the name, or, if a test uses it only to
 observe state, move it into that test or ``tests/conftest.py``.  Only a
 name the README documents as public API belongs in an allowlist below.
@@ -54,6 +61,9 @@ ALLOWLIST = set()
 
 #: The same discipline for attributes written but never read.
 ATTRIBUTE_ALLOWLIST = set()
+
+#: The same discipline for module constants.
+CONSTANT_ALLOWLIST = set()
 
 
 def _program_files():
@@ -103,10 +113,10 @@ def _reexport_lines(path, tree):
     return lines
 
 
-def _reference_tokens(path, tree):
+def _reference_tokens(path, tree, strings=True):
     """``(line, identifier)`` of every reference in a program file: names
-    and the identifiers inside string literals, outside comments,
-    docstrings and re-export lines."""
+    and, with ``strings``, the identifiers inside string literals, outside
+    comments, docstrings and re-export lines."""
     skipped = _docstring_lines(tree) | _reexport_lines(path, tree)
     for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
         line = token.start[0]
@@ -114,7 +124,7 @@ def _reference_tokens(path, tree):
             continue
         if token.type == tokenize.NAME:
             yield line, token.string
-        elif token.type in STRING_TOKENS:
+        elif strings and token.type in STRING_TOKENS:
             for name in IDENTIFIER.findall(token.string):
                 yield line, name
 
@@ -201,6 +211,39 @@ def _unread_attributes():
     return {name: sites for name, sites in writes.items() if name not in reads}
 
 
+# ----------------------------------------------------------------------
+# Module constants
+# ----------------------------------------------------------------------
+def _constants():
+    """Name -> [(path, line)] of every upper-case module-level assignment."""
+    found = {}
+    for path in _source_files():
+        for node in _parse(path).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    found.setdefault(target.id, []).append((path, target.lineno))
+    return found
+
+
+def _unreached_constants():
+    """Module constants no program file's code names except on their own
+    assignment lines."""
+    constants = _constants()
+    own_lines = {site for sites in constants.values() for site in sites}
+    unreached = set(constants)
+    for path in _program_files():
+        for line, name in _reference_tokens(path, _parse(path), strings=False):
+            if name in unreached and (path, line) not in own_lines:
+                unreached.discard(name)
+    return {name: constants[name] for name in unreached}
+
+
 def _report(kind, unreached, allowlist):
     reported = sorted(set(unreached) - allowlist)
     return "%s in src/repro but used only by tests:\n" % kind + "\n".join(
@@ -219,6 +262,12 @@ def test_every_attribute_is_read_by_the_program():
     assert not reported, message
 
 
+def test_every_module_constant_is_used_by_the_program():
+    message, reported = _report("assigned", _unreached_constants(), CONSTANT_ALLOWLIST)
+    assert not reported, message
+
+
 def test_allowlist_is_not_stale():
     assert ALLOWLIST <= set(_unreached())
     assert ATTRIBUTE_ALLOWLIST <= set(_unread_attributes())
+    assert CONSTANT_ALLOWLIST <= set(_unreached_constants())

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.storage.pages import GB
 from repro.workloads.rubis import make_rubis, make_schema
 
-from tests.conftest import mix_update_fraction, total_size_bytes
+from tests.conftest import GB, mix_update_fraction, total_size_bytes
 
 
 def test_database_is_about_2_2_gb():

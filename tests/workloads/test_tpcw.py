@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.storage.pages import GB
 from repro.workloads.tpcw import DATABASE_SIZES, make_schema, make_tpcw
 
-from tests.conftest import mix_update_fraction, total_size_bytes
+from tests.conftest import GB, mix_update_fraction, total_size_bytes
 
 
 def test_mid_db_is_about_1_8_gb():
