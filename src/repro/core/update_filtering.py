@@ -109,7 +109,7 @@ def compute_filter_plan(groups: Sequence[TransactionGroup],
             tables_per_replica[rid].update(group_tables[group.group_id])
 
     # Availability: top up groups that have fewer than MIN_COPIES replicas.
-    effective_min = min(MIN_COPIES, len(replica_ids)) if replica_ids else 0
+    effective_min = min(MIN_COPIES, len(replica_ids))
     for group in groups:
         assigned = group_replicas[group.group_id]
         needed = effective_min - len(set(assigned))

@@ -208,11 +208,11 @@ class FaultInjector:
 
         The link runs with the named fault knobs (the others zero) for
         ``duration_s`` seconds (e.g. a duplicate burst, a lossy window);
-        afterwards it returns to perfect.  If a later window
-        on the same link replaced this one's config before it ended, the
-        restore is skipped (and recorded as skipped): the later window
-        restores the link at its own end.  The channel's own seeded RNG
-        drives the per-message draws, so the window's effects are exactly
+        afterwards it returns to perfect.  If a later window on the same
+        link replaced this one's config before it ended, the restore is
+        skipped (and recorded as skipped): the later window restores the
+        link at its own end.  The channel's own seeded RNG drives the
+        per-message draws, so the window's effects are exactly
         reproducible.
         """
         if duration_s <= 0:

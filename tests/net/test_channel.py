@@ -114,15 +114,10 @@ def test_network_links_have_independent_seeded_streams():
     assert a == a2         # ...but reproducible per replica
 
 
-def test_network_links_start_perfect():
-    network = Network(Simulator())
-    assert network.link(0).config.is_perfect
-    assert not network.link(0).partitioned
-
-
 def test_network_degrade_and_restore():
     sim = Simulator()
     network = Network(sim)
+    assert network.link(2).config.is_perfect       # every link starts perfect
     flaky = ChannelConfig(drop_probability=0.3, jitter_s=0.002)
     network.degrade(2, flaky)
     assert network.link(2).config is flaky
