@@ -1,5 +1,8 @@
 """Tests for the closed-loop client population."""
 
+import pytest
+
+from repro.replication.cluster import ClusterConfig
 from repro.sim.clients import ClientPopulation
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import WorkloadGenerator
@@ -34,6 +37,14 @@ def _population(tiny_workload, clients=4, think=0.1, service=0.05):
     server = Server(sim, service)
     pop = ClientPopulation(sim, clients, think, 1, gen, server.submit)
     return sim, pop, server
+
+
+def test_invalid_client_config():
+    # The population's settings come from ClusterConfig, which rejects them.
+    with pytest.raises(ValueError):
+        ClusterConfig(clients_per_replica=0)
+    with pytest.raises(ValueError):
+        ClusterConfig(think_time_s=-0.1)
 
 
 def test_clients_issue_and_complete(tiny_workload):
