@@ -58,11 +58,10 @@ class LeastConnectionsBalancer(LoadBalancer):
     name = "LeastConnections"
 
     def dispatch(self, txn_type: TransactionType) -> int:
-        routing = self._require_routing()
-        replicas = routing.replica_ids()
-        if not replicas:
-            raise RuntimeError("cluster has no replicas")
-        return routing.least_loaded(replicas)
+        routing = self.routing
+        if routing is None:
+            raise RuntimeError("load balancer %r used before attach()" % (self.name,))
+        return routing.least_loaded(routing.replica_ids())
 
 
 @dataclass

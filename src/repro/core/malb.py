@@ -280,16 +280,18 @@ class MemoryAwareLoadBalancer(LoadBalancer):
         # RoutingTable.least_loaded, inlined (same argmin, same lowest-id
         # tie-break): this is the innermost loop of every dispatch.
         counts = routing.outstanding
-        best = -1
-        best_outstanding = -1
-        for rid in candidates:
-            outstanding = counts[rid]
-            if best < 0 or outstanding < best_outstanding or \
-                    (outstanding == best_outstanding and rid < best):
-                best = rid
-                best_outstanding = outstanding
-        if best < 0:
+        remaining = iter(candidates)
+        for best in remaining:
+            break
+        else:
             raise ValueError("least_loaded needs at least one candidate")
+        best_outstanding = counts[best]
+        for rid in remaining:
+            outstanding = counts[rid]
+            if outstanding <= best_outstanding:
+                if outstanding < best_outstanding or rid < best:
+                    best = rid
+                    best_outstanding = outstanding
         return best
 
     def _rebuild_candidate_cache(self) -> None:

@@ -182,18 +182,21 @@ class RoutingTable:
         Ties break deterministically by lowest replica id, independent of
         candidate order, so dispatch decisions are stable across membership
         churn (a joining replica re-orders nobody's candidate list into a
-        different choice).  This is the simulator's hottest loop: one dict
-        lookup and two comparisons per candidate.
+        different choice).  This is the simulator's hottest loop: it starts
+        from the first candidate, then makes one dict lookup and one
+        comparison per candidate that is not a tie or a new minimum.
         """
         counts = self.outstanding
-        best = -1
-        best_outstanding = -1
-        for rid in candidates:
-            outstanding = counts[rid]
-            if best < 0 or outstanding < best_outstanding or \
-                    (outstanding == best_outstanding and rid < best):
-                best = rid
-                best_outstanding = outstanding
-        if best < 0:
+        remaining = iter(candidates)
+        for best in remaining:
+            break
+        else:
             raise ValueError("least_loaded needs at least one candidate")
+        best_outstanding = counts[best]
+        for rid in remaining:
+            outstanding = counts[rid]
+            if outstanding <= best_outstanding:
+                if outstanding < best_outstanding or rid < best:
+                    best = rid
+                    best_outstanding = outstanding
         return best

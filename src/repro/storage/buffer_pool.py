@@ -28,33 +28,41 @@ This approximation reproduces the behaviours the paper relies on:
 Implementation notes: ``access_many`` is the single hottest function of the
 whole simulator (the engine charges each transaction's compiled access plan
 through one call, about five accesses per transaction), so per-relation state
-lives in one ``__slots__`` record reached through a single ``OrderedDict``
-lookup, and the pool keeps a running residency total so neither the
-accessors nor the eviction trigger ever re-sum the relation map.  Two more
-fast-path facts are maintained incrementally: the most recently used
-relation (so the common access-the-same-relation-again case skips the
-``move_to_end`` re-probe entirely), and the combined hot-set watermark
-(``_hot_total``): while the combined hot sets fit in capacity the pool can
-never overflow -- per-relation residency is capped at the hot watermark --
-so the eviction trigger is short-circuited to one attribute test instead of
-being evaluated per access.
+lives in one ``__slots__`` record reached through a single lookup in a plain
+``dict`` whose insertion order is the LRU order (a relation moves to the MRU
+end by deletion and re-insertion, which is cheaper than
+``OrderedDict.move_to_end``), and the pool keeps a running residency total so
+neither the accessors nor the eviction trigger ever re-sum the relation map.
+Two more fast-path facts are maintained incrementally: the most recently used
+relation (so the common access-the-same-relation-again case skips the move
+entirely), and the combined hot-set watermark (``_hot_total``): while the
+combined hot sets fit in capacity the pool can never overflow --
+per-relation residency is capped at the hot watermark -- so the eviction
+trigger is short-circuited to one attribute test instead of being evaluated
+per access.
 
 Within one ``access_many`` call the running state -- the MRU name, the
-residency total and the eviction flag -- lives in locals and is written back
-when the call returns.  One call can observe the pool mid-loop: the general
-eviction pass (``_evict_to_capacity``).  The locals are written back before
-it and re-read after it, so it sees, and may change, the live state.  The
-pool counts each fact once, in ``BufferPoolStats``: evicted bytes are
-published from ``stats.evicted_bytes`` (the telemetry ``buffer.totals``
-gauge), so eviction calls nothing.  A step whose hot set is fully resident
-only adds its request to the byte counter and moves on: its miss is exactly
-0.0, and adding 0.0 to the non-negative miss totals would not change them.
+residency total, the eviction flag, the byte counters and the LRU head once
+looked up -- lives in locals and is written back when the call returns.  A
+thrashing pool evicts on almost every step, so the call evicts inline: it
+shaves the excess off the LRU head, or, when the head holds less than the
+excess, empties and drops heads in LRU order until one absorbs the rest.
+The general eviction pass (``_evict_to_capacity``) runs only when that walk
+reaches the accessed relation itself, which alone then overflows the pool
+and is capped; it continues with the running excess, and the locals are
+written back before it and re-read after it, so it sees, and may change, the
+live state.  Both paths make the same float operations in the same order,
+so which one runs never changes a result.  The pool counts each fact once,
+in ``BufferPoolStats``: evicted bytes are published from
+``stats.evicted_bytes`` (the telemetry ``buffer.totals`` gauge), so eviction
+calls nothing.  A step whose hot set is fully resident only adds its request
+to the byte counter and moves on: its miss is exactly 0.0, and adding 0.0 to
+the non-negative miss totals would not change them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: One access: ``(relation, bytes_needed, hot_set_bytes, sequential)``.
 #: ``sequential`` only selects which miss total the step counts towards.
@@ -85,8 +93,12 @@ class BufferPoolStats:
 class _RelationState:
     """Cached-bytes and hot-set watermark of one relation.
 
-    The state (including the ``hot_max`` watermark) is dropped when a
-    relation is fully evicted.  That is safe for the access path: the
+    Two floats and nothing else: the hit fraction is recomputed on every
+    partial hit (``x ** skew`` is deterministic, so no memo of it is kept).
+    ``resident <= hot_max`` always holds, so a full hit never needs the
+    watermark.  The state (including the ``hot_max`` watermark) is dropped
+    when a relation is fully evicted, whether by ``access_many``'s inline
+    run of heads or by the general pass.  That is safe for the access path: the
     watermark cap can only bind at or above the *current* access's hot set
     (``new_resident <= hot_set_bytes <= hot_max`` always holds), so a
     re-learned, smaller watermark never shrinks anything actually cached --
@@ -94,21 +106,11 @@ class _RelationState:
     forgets relations whose bytes are all gone.
     """
 
-    __slots__ = ("resident", "hot_max", "pow_resident", "pow_hot", "pow_hit")
+    __slots__ = ("resident", "hot_max")
 
     def __init__(self, resident: float, hot_max: float) -> None:
         self.resident = resident
         self.hot_max = hot_max
-        # Memo of the last `(resident / hot) ** skew` evaluated for this
-        # relation: the exact inputs and the result.  Steady-state access
-        # sequences re-evaluate the curve at an unchanged operating point
-        # (resident only moves when there were misses), so caching one
-        # point per relation removes most libm pow calls; the exact float
-        # compare of both inputs *is* the invalidation, which keeps seeded
-        # outputs bit-identical.  -1.0 can never match a real input.
-        self.pow_resident = -1.0
-        self.pow_hot = -1.0
-        self.pow_hit = 0.0
 
 
 class BufferPool:
@@ -141,7 +143,7 @@ class BufferPool:
         # relation name -> _RelationState; insertion order is LRU order
         # (oldest first, most recently used last).  States are mutated in
         # place so the dict entry itself is written only on (re)insertion.
-        self._relations: "OrderedDict[str, _RelationState]" = OrderedDict()
+        self._relations: Dict[str, _RelationState] = {}
         # Running total of resident bytes across relations.  Maintained
         # incrementally so resident_bytes and the eviction trigger are
         # O(1) instead of re-summing the map on every access.
@@ -154,7 +156,7 @@ class BufferPool:
         self._maybe_evict = False
         # Name of the relation currently at the MRU end of the LRU order
         # (None when unknown).  Lets the hottest pattern -- consecutive
-        # accesses to the same relation -- skip the move_to_end re-probe.
+        # accesses to the same relation -- skip the move to the MRU end.
         self._mru: Optional[str] = None
         self.stats = BufferPoolStats()
 
@@ -207,6 +209,9 @@ class BufferPool:
         maybe_evict = self._maybe_evict
         requested = stats.bytes_requested
         missed = stats.bytes_missed
+        evicted = stats.evicted_bytes
+        # The LRU head's state, once looked up (None: not known).
+        head = None
         random_miss = 0.0
         sequential_miss = 0.0
         for relation, bytes_needed, hot_set_bytes, sequential in steps:
@@ -218,37 +223,33 @@ class BufferPool:
                 maybe_evict = hot_total > capacity
                 mru = relation              # inserted at the MRU end
                 resident = 0.0
+                hot_max = hot_set_bytes
             else:
                 resident = state.resident
-                if hot_set_bytes > state.hot_max:
-                    hot_total = self._hot_total + (hot_set_bytes - state.hot_max)
-                    self._hot_total = hot_total
-                    maybe_evict = hot_total > capacity
-                    state.hot_max = hot_set_bytes
                 if relation != mru:
-                    relations.move_to_end(relation)
+                    # Move to the MRU end.
+                    del relations[relation]
+                    relations[relation] = state
                     mru = relation
+                    if state is head:
+                        head = None
                 if resident >= hot_set_bytes:
                     # Full hit: the miss is exactly 0.0, and adding 0.0 to
-                    # the non-negative miss totals cannot change them.
+                    # the non-negative miss totals cannot change them.  The
+                    # watermark cannot grow: resident <= hot_max always.
                     requested += bytes_needed
                     continue
+                hot_max = state.hot_max
+                if hot_set_bytes > hot_max:
+                    hot_total = self._hot_total + (hot_set_bytes - hot_max)
+                    self._hot_total = hot_total
+                    maybe_evict = hot_total > capacity
+                    state.hot_max = hot_max = hot_set_bytes
             # hit fraction = (resident/hot) ** skew; the full-hit endpoint was
             # short-circuited above and the empty one is below (x**skew is by
             # far the costliest op here).
             if resident > 0.0:
-                # Exact one-point memo per relation (see _RelationState):
-                # at a pinned operating point -- residency capped by pool
-                # capacity or the hot-set watermark -- successive accesses
-                # re-evaluate pow at identical inputs.
-                if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
-                    hit_fraction = state.pow_hit
-                else:
-                    hit_fraction = (resident / hot_set_bytes) ** skew
-                    state.pow_resident = resident
-                    state.pow_hot = hot_set_bytes
-                    state.pow_hit = hit_fraction
-                miss_bytes = bytes_needed * (1.0 - hit_fraction)
+                miss_bytes = bytes_needed * (1.0 - (resident / hot_set_bytes) ** skew)
             else:
                 miss_bytes = bytes_needed
 
@@ -257,33 +258,62 @@ class BufferPool:
             # access's hot set -- a narrow access must never shrink what is
             # cached) and at the pool capacity.
             new_resident = resident + miss_bytes
-            if new_resident > state.hot_max:
-                new_resident = state.hot_max
+            if new_resident > hot_max:
+                new_resident = hot_max
             if new_resident > capacity:
                 new_resident = capacity
             state.resident = new_resident
             resident_total += new_resident - resident
             if maybe_evict and resident_total > capacity:
-                # Fast path of _evict_to_capacity: a full pool usually sheds
-                # the whole excess from its LRU head.  The same float
-                # operations in the same order, so the result is
+                # _evict_to_capacity inlined for every relation but the
+                # accessed one: shave the excess off the LRU head, emptying
+                # and dropping heads until one absorbs the rest.  The same
+                # float operations in the same order, so the result is
                 # bit-identical to the general pass.
                 excess = resident_total - capacity
-                for head_name in relations:
-                    break
-                head = relations[head_name]
-                if head_name != relation and head.resident > excess:
-                    head.resident -= excess
+                if head is None:
+                    for head in relations.values():
+                        break
+                head_resident = head.resident
+                if head_resident > excess and head is not state:
+                    head.resident = head_resident - excess
                     resident_total -= excess
-                    stats.evicted_bytes += excess
+                    evicted += excess
                 else:
-                    self._mru = mru
-                    self._resident_total = resident_total
-                    self._maybe_evict = maybe_evict
-                    self._evict_to_capacity(protect=relation)
-                    mru = self._mru
-                    resident_total = self._resident_total
-                    maybe_evict = self._maybe_evict
+                    hot_total = self._hot_total
+                    while head is not state:
+                        if head_resident > excess:
+                            head.resident = head_resident - excess
+                            resident_total -= excess
+                            evicted += excess
+                            break
+                        resident_total -= head_resident
+                        excess -= head_resident
+                        evicted += head_resident
+                        for head_name in relations:
+                            break
+                        del relations[head_name]
+                        hot_total -= head.hot_max
+                        for head in relations.values():
+                            break
+                        if excess <= 0:
+                            break
+                        head_resident = head.resident
+                    else:
+                        # Every other relation is gone and the accessed one
+                        # alone overflows the pool: the general pass caps it.
+                        self._mru = mru
+                        self._resident_total = resident_total
+                        self._hot_total = hot_total
+                        stats.evicted_bytes = evicted
+                        self._evict_to_capacity(relation, excess)
+                        mru = self._mru
+                        resident_total = self._resident_total
+                        hot_total = self._hot_total
+                        evicted = stats.evicted_bytes
+                        head = None
+                    self._hot_total = hot_total
+                    maybe_evict = hot_total > capacity
 
             requested += bytes_needed
             missed += miss_bytes
@@ -297,6 +327,7 @@ class BufferPool:
         stats.accesses += len(steps)
         stats.bytes_requested = requested
         stats.bytes_missed = missed
+        stats.evicted_bytes = evicted
         return random_miss, sequential_miss
 
     def warm(self, relation: str, resident_bytes: float, hot_set_bytes: Optional[float] = None) -> None:
@@ -321,7 +352,8 @@ class BufferPool:
                 self._maybe_evict = hot_total > self._capacity_f
                 state.hot_max = hot
             if relation != self._mru:
-                relations.move_to_end(relation)
+                del relations[relation]
+                relations[relation] = state
                 self._mru = relation
         new_resident = min(float(resident_bytes), hot, self._capacity_f)
         state.resident = new_resident
@@ -340,13 +372,18 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
-    def _evict_to_capacity(self, protect: Optional[str] = None) -> None:
+    def _evict_to_capacity(self, protect: Optional[str] = None,
+                           excess: Optional[float] = None) -> None:
         """Evict bytes from least-recently-used relations until under capacity.
 
         The most recently accessed relation (``protect``) is evicted last,
-        and only if it alone exceeds the pool capacity.
+        and only if it alone exceeds the pool capacity.  ``excess`` is the
+        number of bytes still to shed when ``access_many`` has already
+        evicted part of the overflow itself; by default it is the pool's
+        whole overflow.
         """
-        excess = self._resident_total - self.capacity_bytes
+        if excess is None:
+            excess = self._resident_total - self.capacity_bytes
         if excess <= 0:
             return
         relations = self._relations
