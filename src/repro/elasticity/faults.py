@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.net.channel import ChannelConfig
 
@@ -50,6 +50,9 @@ class FaultInjector:
         self.cluster = cluster
         self.records: List[FaultRecord] = []
         self._rng = random.Random(FAULT_SEED)
+        # Replica id -> configs of the flaky-link windows open on its link,
+        # in start order; the last one holds the link.
+        self._open_windows: Dict[int, List[ChannelConfig]] = {}
 
     # ------------------------------------------------------------------
     # Replica crashes
@@ -207,13 +210,13 @@ class FaultInjector:
         """Degrade one replica's link for a while, then restore it.
 
         The link runs with the named fault knobs (the others zero) for
-        ``duration_s`` seconds (e.g. a duplicate burst, a lossy window);
-        afterwards it returns to perfect.  If a later window on the same
-        link replaced this one's config before it ended, the restore is
-        skipped (and recorded as skipped): the later window restores the
-        link at its own end.  The channel's own seeded RNG drives the
-        per-message draws, so the window's effects are exactly
-        reproducible.
+        ``duration_s`` seconds (e.g. a duplicate burst, a lossy window).
+        Windows on one link nest: when the window holding the link ends,
+        the link returns to the latest still-open window's config, or to
+        perfect if none is open.  A window that ends while a later one
+        holds the link changes nothing (and is recorded as skipped).  The
+        channel's own seeded RNG drives the per-message draws, so the
+        window's effects are exactly reproducible.
         """
         if duration_s <= 0:
             raise ValueError("flaky-link duration must be positive")
@@ -226,6 +229,8 @@ class FaultInjector:
             config = ChannelConfig(drop_probability, duplicate_probability,
                                    jitter_s, reorder_probability,
                                    reorder_delay_s)
+            open_windows = self._open_windows.setdefault(target, [])
+            open_windows.append(config)
             network.degrade(target, config)
             self._record("flaky-link", target,
                          "drop=%.3f dup=%.3f jitter=%.4fs for %.2fs"
@@ -234,14 +239,25 @@ class FaultInjector:
                             config.jitter_s, duration_s))
 
             def restore() -> None:
-                # A later window on the same link replaced this window's
-                # config: the link is that window's to restore.
-                if network.link(target).config is not config:
+                # Windows are matched by identity: two windows may carry
+                # equal configs.
+                holds_link = network.link(target).config is config
+                open_windows[:] = [w for w in open_windows if w is not config]
+                if not holds_link:
                     self._record("skipped", target,
                                  "link holds a later window's config")
-                    return
-                network.restore(target)
-                self._record("link-restored", target, "")
+                elif open_windows:
+                    outer = open_windows[-1]
+                    network.degrade(target, outer)
+                    self._record("link-restored", target,
+                                 "to an open earlier window: drop=%.3f dup=%.3f"
+                                 " jitter=%.4fs"
+                                 % (outer.drop_probability,
+                                    outer.duplicate_probability,
+                                    outer.jitter_s))
+                else:
+                    network.restore(target)
+                    self._record("link-restored", target, "")
 
             self.cluster.sim.schedule(duration_s, restore)
 

@@ -172,6 +172,23 @@ def test_overlapping_flaky_windows_do_not_cut_each_other_short():
         ("link-restored", 12.0)]
 
 
+def test_nested_flaky_window_returns_the_link_to_the_outer_window():
+    # A short window inside a longer one: its end puts the outer window's
+    # config back instead of restoring the link to perfect.
+    cluster = make_networked_cluster()
+    injector = FaultInjector(cluster)
+    injector.schedule_flaky_link(1.0, 20.0, replica_id=0, drop_probability=0.4)
+    injector.schedule_flaky_link(2.0, 5.0, replica_id=0, drop_probability=0.2)
+    cluster.start()
+    cluster.sim.run_until(10.0)
+    assert cluster.network.link(0).config.drop_probability == 0.4
+    cluster.sim.run_until(21.5)
+    assert cluster.network.link(0).config.is_perfect
+    assert [(r.kind, r.time) for r in injector.records] == [
+        ("flaky-link", 1.0), ("flaky-link", 2.0), ("link-restored", 7.0),
+        ("link-restored", 21.0)]
+
+
 def test_heal_all_records_every_partitioned_link():
     cluster = make_networked_cluster()
     injector = FaultInjector(cluster)
