@@ -60,6 +60,10 @@ class MemoryAwareLoadBalancer(LoadBalancer):
     DEMAND_DECAY = 0.75
     #: how often, in seconds, the allocation is re-sized.
     REBALANCE_INTERVAL_S = 10.0
+    #: a periodic re-size moves at most this many replicas ...
+    REBALANCE_MAX_MOVES = 2
+    #: ... and only once some group is this many replicas from its target.
+    REBALANCE_MIN_DEVIATION = 2
     #: how long, in seconds, the allocation must be stable before update
     #: filtering activates.
     FILTERING_STABILIZATION_S = 60.0
@@ -179,24 +183,26 @@ class MemoryAwareLoadBalancer(LoadBalancer):
             targets[gid] += 1
         return targets
 
-    def _apply_demand_targets(self, max_moves: Optional[int] = 2,
-                              min_deviation: int = 1) -> int:
+    def _apply_demand_targets(self, max_moves: Optional[int]) -> int:
         """Move replicas toward the demand-proportional targets.
 
-        Returns the number of replicas moved.  ``max_moves`` bounds how much
-        the allocation changes per rebalance interval so the system is not
-        destabilised by large simultaneous moves (except for the initial
-        sizing, which applies the full target); ``min_deviation`` suppresses
-        moves when the current allocation is already within one replica of
-        the target, leaving fine-tuning to the utilisation-based allocator.
+        Returns the number of replicas moved.  ``None`` applies the full
+        target (initial sizing and membership changes).  A bounded call
+        (``max_moves``, the periodic re-size) limits how much the
+        allocation changes per rebalance interval, so the system is not
+        destabilised by large simultaneous moves, and moves nothing while
+        every group is fewer than ``REBALANCE_MIN_DEVIATION`` replicas from
+        its target, leaving fine-tuning to the utilisation-based allocator.
         """
         outstanding = self._require_routing().outstanding
         allocator = self._require_allocator()
         targets = self._demand_targets()
-        counts_now = allocator.replica_counts()
-        worst = max(abs(counts_now.get(gid, 0) - targets.get(gid, 1)) for gid in targets) if targets else 0
-        if worst < min_deviation and max_moves is not None:
-            return 0
+        if max_moves is not None:
+            counts_now = allocator.replica_counts()
+            worst = max(abs(counts_now.get(gid, 0) - targets.get(gid, 1))
+                        for gid in targets) if targets else 0
+            if worst < self.REBALANCE_MIN_DEVIATION:
+                return 0
         moves = 0
         budget = max_moves if max_moves is not None else len(allocator.replica_ids)
         while moves < budget:
@@ -324,7 +330,7 @@ class MemoryAwareLoadBalancer(LoadBalancer):
                 # Age the demand estimate so the allocation follows mix changes.
                 for name in list(self._observed_counts):
                     self._observed_counts[name] *= self.DEMAND_DECAY
-                moved = self._apply_demand_targets(max_moves=2, min_deviation=2)
+                moved = self._apply_demand_targets(self.REBALANCE_MAX_MOVES)
                 if moved == 0 and self.enable_merging:
                     # Demand targets are satisfied; let the utilisation-based
                     # allocator merge under-utilised singleton groups, undo
