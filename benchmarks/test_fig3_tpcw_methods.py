@@ -6,7 +6,7 @@ Paper (MidDB 1.8 GB, 512 MB RAM, 16 replicas): 3 / 37 / 50 / 76 tps.
 import pytest
 
 from benchmarks.conftest import run_all_cached
-from repro.experiments.configs import PAPER_FIGURES, figure3_configs
+from repro.experiments.configs import figure3_configs
 from repro.experiments.report import format_result_table, shape_check
 
 

@@ -6,7 +6,7 @@ Paper (2.2 GB DB, 512 MB RAM, 16 replicas): 3 / 31 / 34 / 43 tps.
 import pytest
 
 from benchmarks.conftest import run_all_cached
-from repro.experiments.configs import PAPER_FIGURES, figure4_configs
+from repro.experiments.configs import figure4_configs
 from repro.experiments.report import format_result_table, shape_check
 
 

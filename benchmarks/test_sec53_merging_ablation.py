@@ -11,7 +11,6 @@ import dataclasses
 
 from benchmarks.conftest import run_cached
 from repro.experiments.configs import figure3_configs
-from repro.experiments.runner import ExperimentConfig
 
 
 def test_section53_merging_ablation(benchmark, paper):

@@ -7,7 +7,7 @@ the read fraction relative to LeastConnections falls to 0.28 for MALB-SC.
 import pytest
 
 from benchmarks.conftest import run_all_cached
-from repro.experiments.configs import PAPER_FIGURES, figure3_configs
+from repro.experiments.configs import figure3_configs
 from repro.experiments.report import format_io_table
 
 

@@ -9,7 +9,7 @@ AdminRequest]=1.
 import pytest
 
 from benchmarks.conftest import run_cached
-from repro.experiments.configs import PAPER_FIGURES, figure3_configs
+from repro.experiments.configs import figure3_configs
 from repro.experiments.report import format_grouping_table
 
 

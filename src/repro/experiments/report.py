@@ -8,7 +8,7 @@ throughput-over-time series), each next to the paper's own numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentResult
 

@@ -7,8 +7,6 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 import repro
 from repro.analysis import (
     RULE_DOCS,

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core.malb import MemoryAwareLoadBalancer
-from repro.obs import ObservabilityHub, LatencyHistogram, STAGE_NAMES, Tracer
+from repro.obs import ObservabilityHub, LatencyHistogram, STAGE_NAMES
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.storage.pages import mb
 

@@ -1,7 +1,5 @@
 """Tests for the replica's transaction pipeline and update propagation."""
 
-import pytest
-
 from repro.replication import replica as replica_module
 from repro.replication.certifier import LAG_NOTIFICATION_THRESHOLD, Certifier
 from repro.replication.replica import Replica

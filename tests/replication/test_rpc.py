@@ -7,8 +7,6 @@ degradation contract: a partitioned replica sheds update transactions as
 ``certifier-unreachable`` while its read-only transactions keep committing.
 """
 
-import pytest
-
 from repro.core.baselines import LeastConnectionsBalancer
 from repro.net.channel import ChannelConfig
 from repro.net.invariants import ConsistencyChecker

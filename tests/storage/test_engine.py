@@ -10,7 +10,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.engine import AccessPlan, DatabaseEngine, EngineConfig
 from repro.storage.pages import PAGE_SIZE_BYTES, mb
 from repro.workloads.rubis import make_rubis
-from repro.workloads.spec import lookup, scan, transaction_type, write
+from repro.workloads.spec import lookup, scan, transaction_type
 from repro.workloads.tpcw import DATABASE_SIZES, make_tpcw
 
 

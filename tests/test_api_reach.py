@@ -36,6 +36,15 @@ fields, which are declared in the class body rather than assigned through
   neither do comments, docstrings or an ``__init__.py``'s import and
   ``__all__`` lines.
 
+* **Imports.**  Every name a file imports must be loaded in that file.
+  This covers every Python file under the program directories and
+  ``tests/``.  A name counts as loaded if the code reads it, if a type
+  string names it (a string annotation, or the first argument of
+  ``cast``), if the module's ``__all__`` lists it, or if another file
+  imports it from this module (a re-export).  ``from __future__`` imports
+  and the top-level imports of an ``__init__.py`` are exempt.  An unused
+  import has no allowlist: delete it.
+
 To fix a report, either delete the name, or, if a test uses it only to
 observe state, move it into that test or ``tests/conftest.py``.  Only a
 name the README documents as public API belongs in an allowlist below.
@@ -244,6 +253,100 @@ def _unreached_constants():
     return {name: constants[name] for name in unreached}
 
 
+# ----------------------------------------------------------------------
+# Imports
+# ----------------------------------------------------------------------
+def _checked_files():
+    yield from _program_files()
+    yield from (path for path in sorted((ROOT / "tests").rglob("*.py"))
+                if "__pycache__" not in path.parts)
+
+
+def _module_name(path):
+    """Dotted module name of a file (``src/`` is a path root)."""
+    src = ROOT / "src"
+    relative = path.relative_to(src if src in path.parents else ROOT)
+    parts = list(relative.with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _import_source(path, node):
+    """The absolute module an ``ImportFrom`` node imports from."""
+    if not node.level:
+        return node.module
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package.pop()
+    package = package[:len(package) - (node.level - 1)]
+    return ".".join(package + ([node.module] if node.module else []))
+
+
+def _type_string_names(node):
+    """Names inside the string constants of a type expression."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                expression = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(name.id for name in ast.walk(expression)
+                         if isinstance(name, ast.Name))
+    return names
+
+
+def _loaded_names(tree):
+    """Names a module reads, in code or in a type string, or exports
+    through ``__all__``."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            loaded.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            loaded |= _type_string_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            loaded |= _type_string_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            loaded |= _type_string_names(node.annotation)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "cast" and node.args:
+            loaded |= _type_string_names(node.args[0])
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            loaded.update(element.value for element in ast.walk(node.value)
+                          if isinstance(element, ast.Constant))
+    return loaded
+
+
+def _unused_imports():
+    """``(path, line, name)`` of every imported name its file never loads."""
+    trees = {path: _parse(path) for path in _checked_files()}
+    reexported = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _import_source(path, node)
+                reexported.update((source, alias.name) for alias in node.names)
+    unused = []
+    for path, tree in trees.items():
+        exempt = set(tree.body) if path.name == "__init__.py" else set()
+        loaded = _loaded_names(tree)
+        module = _module_name(path)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or node in exempt \
+                    or (isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded and (module, name) not in reexported:
+                    unused.append((path, node.lineno, name))
+    return unused
+
+
 def _report(kind, unreached, allowlist):
     reported = sorted(set(unreached) - allowlist)
     return "%s in src/repro but used only by tests:\n" % kind + "\n".join(
@@ -271,3 +374,10 @@ def test_allowlist_is_not_stale():
     assert ALLOWLIST <= set(_unreached())
     assert ATTRIBUTE_ALLOWLIST <= set(_unread_attributes())
     assert CONSTANT_ALLOWLIST <= set(_unreached_constants())
+
+
+def test_every_import_is_used():
+    unused = _unused_imports()
+    assert not unused, "imported but never used:\n" + "\n".join(
+        "  %s:%d %s" % (path.relative_to(ROOT), line, name)
+        for path, line, name in unused)

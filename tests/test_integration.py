@@ -1,14 +1,12 @@
 """End-to-end integration tests asserting the paper's qualitative behaviours
 on a scaled-down cluster (kept small so the suite stays fast)."""
 
-import pytest
-
 from repro.core.baselines import LeastConnectionsBalancer
 from repro.core.grouping import GroupingMethod
 from repro.core.malb import MemoryAwareLoadBalancer
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.storage.pages import mb
-from repro.workloads.spec import Mix, WorkloadSpec, lookup, scan, transaction_type, write
+from repro.workloads.spec import Mix, WorkloadSpec, lookup, transaction_type, write
 from repro.storage.relation import Schema, index, table
 
 
