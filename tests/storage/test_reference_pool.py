@@ -368,6 +368,14 @@ def test_both_eviction_paths_are_exercised_and_agree():
         assert pool_state(pool) == pool_state(reference)
     assert kinds["general"] == 1
     assert pool.tracked_relations() == ["b"]
+    # A run that ends exactly on a head: "a" holds the whole excess, so the
+    # run stops there and the empty relation "z" behind it stays tracked.
+    pool, reference = CountingPool(100), ReferencePool(100)
+    for steps in ([("a", 10.0, 10.0, False), ("z", 0.0, 5.0, False)],
+                  [("b", 100.0, 100.0, True)]):
+        assert pool.access_many(steps) == reference.access_many(steps)
+        assert pool_state(pool) == pool_state(reference)
+    assert pool.tracked_relations() == ["z", "b"]
 
 
 # --------------------------------------------------------------------------
