@@ -124,8 +124,7 @@ def _micro_shapes(tables):
     """
     from repro.storage.engine import WriteItem, WriteSet
 
-    return {(a, b): WriteSet("micro", (WriteItem(a, (), 256, 1),
-                                       WriteItem(b, (), 256, 1))).shape
+    return {(a, b): WriteSet("micro", (WriteItem(a, (), 1), WriteItem(b, (), 1))).shape
             for a in tables for b in tables}
 
 
@@ -146,13 +145,13 @@ def _certifier_micro(quick: bool, observer=None) -> ScenarioTiming:
         items = tuple(
             WriteItem(relation=rng.choice(tables),
                       keys=(rng.randrange(key_space), rng.randrange(key_space)),
-                      payload_bytes=256, pages_dirtied=1)
+                      pages_dirtied=1)
             for _ in range(2)
         )
         writeset = WriteSet(transaction_type="micro", items=items,
                             shape=shapes[items[0].relation, items[1].relation])
         snapshot = max(0, certifier.current_version - rng.randrange(8))
-        certifier.certify(writeset, snapshot_version=snapshot, now=float(i))
+        certifier.certify(writeset, snapshot_version=snapshot)
         if i % 1000 == 999:
             # Periodic truncation, as the cluster wires it in.
             certifier.truncate(max(0, certifier.current_version - 2000))
@@ -167,7 +166,8 @@ def _certifier_micro(quick: bool, observer=None) -> ScenarioTiming:
         extra={
             "aborts": float(certifier.stats.aborts),
             "retained_log_entries": float(len(certifier.log)),
-            "conflict_index_entries": float(len(certifier._last_writer)),
+            "conflict_index_entries": float(sum(
+                len(writers) for writers in certifier._last_writer.values())),
         },
     )
 
@@ -206,7 +206,7 @@ def _certifier_batch(quick: bool, observer=None) -> ScenarioTiming:
                 WriteItem(relation=relation,
                           keys=(base + rng.randrange(block),
                                 base + rng.randrange(block)),
-                          payload_bytes=256, pages_dirtied=1)
+                          pages_dirtied=1)
                 for _ in range(2)
             )
         else:
@@ -214,7 +214,7 @@ def _certifier_batch(quick: bool, observer=None) -> ScenarioTiming:
                 WriteItem(relation=rng.choice(tables),
                           keys=(rng.randrange(key_space),
                                 rng.randrange(key_space)),
-                          payload_bytes=256, pages_dirtied=1)
+                          pages_dirtied=1)
                 for _ in range(2)
             )
         # Each request carries how many versions its snapshot lags behind.
@@ -247,8 +247,7 @@ def _certifier_batch(quick: bool, observer=None) -> ScenarioTiming:
                 batch = [(writeset,
                           version - lag if version - lag > floor else floor)
                          for writeset, lag in chunk]
-                _, piggyback = certifier.certify_batch(
-                    batch, since_version=floor, now=float(index))
+                _, piggyback = certifier.certify_batch(batch, since_version=floor)
                 piggybacked += len(piggyback)
                 if piggyback:
                     applied[proxy] = piggyback[-1].version

@@ -18,11 +18,13 @@ backup's log in place, so replicas, stats, lag subscriptions and the RPC
 dedup cache keep talking to the same object across a leader crash.
 
 Conflict detection is indexed: alongside the log, the certifier maintains an
-inverted index mapping every ``(relation, key)`` ever written to the version
-of its *last* committed writer.  Certifying a writeset is then
-O(|writeset|) -- one index probe per written key -- instead of a scan over
-every writeset committed since the transaction's snapshot, which made
-certification O(log length) per request and dominated paper-scale runs.
+inverted index ``{relation: {key: version}}`` holding, for every key whose
+*last* committed writer is still in the log, that writer's version.
+Certifying a writeset is then O(|writeset|) -- one index probe per written
+key -- instead of a scan over every writeset committed since the
+transaction's snapshot, which made certification O(log length) per request
+and dominated paper-scale runs.  Keyed by relation first, the index builds
+no tuple per key: its int keys are the ones the writesets already hold.
 """
 
 from __future__ import annotations
@@ -188,11 +190,11 @@ class Certifier:
         #: Maintained as a plain attribute (== _log_offset + len(log));
         #: consulted on every lag check and certification.
         self.current_version = 0
-        # Inverted index: (relation, key) -> version of the last committed
-        # writeset that wrote it.  Entries at or below _log_offset are stale
+        # Inverted index: relation -> {key: version of the last committed
+        # writeset that wrote it}.  Entries at or below _log_offset are stale
         # (their writesets left the log) and are dropped when the log is
-        # truncated.
-        self._last_writer: Dict[Tuple[str, int], int] = {}
+        # truncated, as is a relation left with no entry.
+        self._last_writer: Dict[str, Dict[int, int]] = {}
         # At-least-once RPC dedup: per origin replica, the highest request id
         # ever served plus a bounded window of recent decisions, so a retried
         # or duplicated round trip is answered from cache instead of being
@@ -216,19 +218,19 @@ class Certifier:
         """
         return self._log_offset + 1
 
-    def certify(self, writeset: WriteSet, snapshot_version: int, now: float = 0.0) -> CertificationResult:
+    def certify(self, writeset: WriteSet, snapshot_version: int) -> CertificationResult:
         """Certify a single writeset executed against ``snapshot_version``.
 
         A one-request :meth:`certify_batch` that is not counted as a batch.
         """
         stats = self.stats
         results, _ = self.certify_batch(((writeset, snapshot_version),),
-                                        self.current_version, now)
+                                        self.current_version)
         stats.batches -= 1
         return results[0]
 
     def certify_batch(self, requests: Sequence[Tuple[WriteSet, int]],
-                      since_version: int, now: float = 0.0
+                      since_version: int
                       ) -> Tuple[List[CertificationResult], List[CertifiedWriteSet]]:
         """Serve one proxy's batched certification round trip.
 
@@ -240,8 +242,10 @@ class Certifier:
 
         The write-write conflict rule of (G)SI: a transaction aborts if any
         writeset committed after its snapshot -- and still within the
-        retained log -- wrote one of its keys.  Each key costs one index
-        probe, and the reported ``conflict_with`` is the oldest such
+        retained log -- wrote one of its keys.  Each item costs one lookup of
+        its relation's dict (a relation with none conflicts with nothing) and
+        each key one probe of it; every key is probed before any index entry
+        is written, and the reported ``conflict_with`` is the oldest such
         writeset.  The index records every item's keys, so a writeset
         carrying two items on one relation conflicts on all of them.
 
@@ -275,9 +279,11 @@ class Certifier:
             conflict: Optional[int] = None
             items = writeset.items
             for item in items:
-                relation = item.relation
+                writers = last_writer.get(item.relation)
+                if writers is None:
+                    continue
                 for key in item.keys:
-                    writer = last_writer.get((relation, key))
+                    writer = writers.get(key)
                     if writer is not None and writer > start and \
                             (conflict is None or writer < conflict):
                         conflict = writer
@@ -286,20 +292,22 @@ class Certifier:
                 append_result(new_result(result_cls, (False, version, conflict)))
                 continue
             version += 1
-            log_append(CertifiedWriteSet(version, writeset, now))
+            log_append(CertifiedWriteSet(version, writeset))
             for item in items:
-                relation = item.relation
+                writers = last_writer.get(item.relation)
+                if writers is None:
+                    writers = last_writer[item.relation] = {}
                 for key in item.keys:
-                    last_writer[(relation, key)] = version
+                    writers[key] = version
             append_result(new_result(result_cls, (True, version, None)))
         self.current_version = version
         stats.commits += version - first
         stats.aborts += count - (version - first)
         if self.backups and version > first:
-            self._mirror(first, now)
+            self._mirror(first)
         return results, self.writesets_since(since_version)
 
-    def _mirror(self, first: int, now: float) -> None:
+    def _mirror(self, first: int) -> None:
         """Append the log entries committed after ``first`` to every backup.
 
         Each writeset is certified at its commit version minus one, so it
@@ -309,7 +317,7 @@ class Certifier:
         committed = [(entry.writeset, entry.version - 1)
                      for entry in self.log[first - self._log_offset:]]
         for backup in self.backups:
-            mirrored, _ = backup.certify_batch(committed, backup.current_version, now)
+            mirrored, _ = backup.certify_batch(committed, backup.current_version)
             for result in mirrored:
                 if not result.committed:
                     raise RuntimeError("backup certifier diverged from the leader")
@@ -334,7 +342,7 @@ class Certifier:
 
     def certify_rpc(self, origin_replica: int, request_id: int,
                     requests: Sequence[Tuple[WriteSet, int]],
-                    since_version: int, now: float = 0.0
+                    since_version: int
                     ) -> Tuple[Optional[List[CertificationResult]],
                                List[CertifiedWriteSet]]:
         """Serve one *at-least-once* batched round trip, idempotently.
@@ -373,7 +381,7 @@ class Certifier:
             self.stats.stale_requests += 1
             return None, []
         cache.latest = request_id
-        results, piggyback = self.certify_batch(requests, since_version, now=now)
+        results, piggyback = self.certify_batch(requests, since_version)
         window[request_id] = results
         while len(window) > RPC_DEDUP_WINDOW:
             del window[next(iter(window))]
@@ -397,10 +405,11 @@ class Certifier:
     def truncate(self, oldest_needed_version: int) -> int:
         """Drop log entries no replica needs any more.  Returns entries dropped.
 
-        Also drops the index entries whose writesets left the log: they can
-        never win a conflict check (certification floors at the offset), so
-        removing them only frees memory, keeping the index proportional to
-        the retained log's key footprint on long runs.
+        Also drops the index entries whose writesets left the log, and every
+        relation left with no entry: they can never win a conflict check
+        (certification floors at the offset), so removing them only frees
+        memory, keeping the index to exactly the keys whose last writer is
+        still in the log.
         """
         for backup in self.backups:
             backup.truncate(oldest_needed_version)
@@ -413,9 +422,12 @@ class Certifier:
         self._log_offset += drop
         offset = self._log_offset
         last_writer = self._last_writer
-        stale = [key for key, version in last_writer.items() if version <= offset]
-        for key in stale:
-            del last_writer[key]
+        for relation in list(last_writer):
+            writers = last_writer[relation]
+            for key in [key for key, version in writers.items() if version <= offset]:
+                del writers[key]
+            if not writers:
+                del last_writer[relation]
         return drop
 
     # ------------------------------------------------------------------

@@ -388,7 +388,7 @@ class Replica:
             return
         results, piggyback = self.certifier.certify_batch(
             [(ctx.writeset, ctx.snapshot) for ctx in batch],
-            since_version=self.applied_version, now=self.sim.now)
+            since_version=self.applied_version)
         self._deliver_certification(batch, results, piggyback)
 
     def _deliver_certification(self, batch: List[TransactionContext],
@@ -488,7 +488,7 @@ class Replica:
         def at_certifier() -> None:
             results, piggyback = certifier.certify_rpc(
                 self.replica_id, request_id, requests,
-                since_version=self.applied_version, now=self.sim.now)
+                since_version=self.applied_version)
             if results is None:
                 # Stale retransmission from a round trip this replica has
                 # already resolved; the certifier refused to re-certify it.

@@ -38,9 +38,9 @@ from repro.storage.catalog import INDEX_PAGES_PER_LOOKUP, Catalog
 from repro.storage.pages import PAGE_SIZE_BYTES
 from repro.workloads.spec import AccessPattern, TransactionType
 
-# One write spec of a compiled plan: (relation, rows, payload bytes, pages
-# dirtied, key space, the key space's bit length).
-_WritePlan = Tuple[str, int, int, int, int, int]
+# One write spec of a compiled plan: (relation, rows, pages dirtied, key
+# space, the key space's bit length).
+_WritePlan = Tuple[str, int, int, int, int]
 
 
 class AccessPlan:
@@ -74,27 +74,26 @@ class AccessPlan:
 class WriteItem:
     """One table's worth of changes inside a writeset (see :class:`WriteSet`)."""
 
-    __slots__ = ("relation", "keys", "payload_bytes", "pages_dirtied")
+    __slots__ = ("relation", "keys", "pages_dirtied")
 
-    def __init__(self, relation: str, keys: Tuple[int, ...], payload_bytes: int,
+    def __init__(self, relation: str, keys: Tuple[int, ...],
                  pages_dirtied: int) -> None:
         self.relation = relation
         self.keys = keys
-        self.payload_bytes = payload_bytes
         self.pages_dirtied = pages_dirtied
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WriteItem):
             return NotImplemented
-        return (self.relation, self.keys, self.payload_bytes, self.pages_dirtied) == \
-            (other.relation, other.keys, other.payload_bytes, other.pages_dirtied)
+        return (self.relation, self.keys, self.pages_dirtied) == \
+            (other.relation, other.keys, other.pages_dirtied)
 
     def __hash__(self) -> int:
-        return hash((self.relation, self.keys, self.payload_bytes, self.pages_dirtied))
+        return hash((self.relation, self.keys, self.pages_dirtied))
 
     def __repr__(self) -> str:
-        return "WriteItem(relation=%r, keys=%r, payload_bytes=%r, pages_dirtied=%r)" % (
-            self.relation, self.keys, self.payload_bytes, self.pages_dirtied)
+        return "WriteItem(relation=%r, keys=%r, pages_dirtied=%r)" % (
+            self.relation, self.keys, self.pages_dirtied)
 
 
 class WriteShape:
@@ -238,8 +237,8 @@ class DatabaseEngine:
             writeset = WriteSet(
                 plan.name,
                 tuple([WriteItem(relation, self._generate_keys(key_space, key_bits, rows),
-                                 payload, pages)
-                       for relation, rows, payload, pages, key_space, key_bits in writes]),
+                                 pages)
+                       for relation, rows, pages, key_space, key_bits in writes]),
                 self.replica_id,
                 plan.shape,
             )
@@ -298,8 +297,8 @@ class DatabaseEngine:
             if key_space < 1:
                 raise ValueError("engine: empty key space for writes to %r"
                                  % (relation_name,))
-            writes.append((relation_name, write_spec.rows, write_spec.writeset_bytes,
-                           write_spec.pages_dirtied, key_space, key_space.bit_length()))
+            writes.append((relation_name, write_spec.rows, write_spec.pages_dirtied,
+                           key_space, key_space.bit_length()))
             shape_steps.append((relation_name, touched))
         return AccessPlan(txn_type, tuple(steps), cpu_seconds, write_bytes,
                           tuple(writes), WriteShape(tuple(shape_steps)))

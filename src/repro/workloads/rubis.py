@@ -154,37 +154,37 @@ def make_types() -> Dict[str, TransactionType]:
         transaction_type(
             "RegisterUser",
             reads=[lookup("users", pages=2, selectivity=0.20), scan("regions")],
-            writes=[write("users", rows=1, bytes_per_row=150, pages_dirtied=1)],
+            writes=[write("users", rows=1, pages_dirtied=1)],
             cpu_ms=5.0,
         ),
         transaction_type(
             "RegisterItem",
             reads=[lookup("users", pages=2, selectivity=0.15), scan("categories")],
-            writes=[write("items", rows=1, bytes_per_row=180, pages_dirtied=1)],
+            writes=[write("items", rows=1, pages_dirtied=1)],
             cpu_ms=6.0,
         ),
         transaction_type(
             "StoreBid",
             reads=[lookup("items", pages=2), lookup("bids", pages=4, selectivity=0.25),
                    lookup("users", pages=2, selectivity=0.25)],
-            writes=[write("bids", rows=1, bytes_per_row=90, pages_dirtied=1),
-                    write("items", rows=1, bytes_per_row=40, pages_dirtied=1)],
+            writes=[write("bids", rows=1, pages_dirtied=1),
+                    write("items", rows=1, pages_dirtied=1)],
             cpu_ms=7.0,
         ),
         transaction_type(
             "StoreComment",
             reads=[lookup("users", pages=2, selectivity=0.35), lookup("items", pages=2),
                    lookup("comments", pages=3, selectivity=0.40)],
-            writes=[write("comments", rows=1, bytes_per_row=200, pages_dirtied=1),
-                    write("users", rows=1, bytes_per_row=40, pages_dirtied=1)],
+            writes=[write("comments", rows=1, pages_dirtied=1),
+                    write("users", rows=1, pages_dirtied=1)],
             cpu_ms=6.0,
         ),
         transaction_type(
             "StoreBuyNow",
             reads=[lookup("items", pages=2), lookup("buy_now", pages=2, selectivity=0.40),
                    lookup("users", pages=2, selectivity=0.15)],
-            writes=[write("buy_now", rows=1, bytes_per_row=80, pages_dirtied=1),
-                    write("items", rows=1, bytes_per_row=40, pages_dirtied=1)],
+            writes=[write("buy_now", rows=1, pages_dirtied=1),
+                    write("items", rows=1, pages_dirtied=1)],
             cpu_ms=6.0,
         ),
     ]

@@ -107,7 +107,6 @@ class WriteSpec:
     Attributes:
         relation: the table written (indices on it are dirtied implicitly).
         rows: average number of rows inserted/updated per execution.
-        bytes_per_row: average bytes of writeset payload per row.
         pages_dirtied: average number of distinct pages dirtied per
             execution.  The paper stresses (Section 5.5) that small logical
             updates dirty whole 8 KB pages scattered over the database,
@@ -116,27 +115,18 @@ class WriteSpec:
 
     relation: str
     rows: int = 1
-    bytes_per_row: int = 100
     pages_dirtied: int = 1
 
     def __post_init__(self) -> None:
         if self.rows < 1:
             raise ValueError("rows must be >= 1")
-        if self.bytes_per_row < 1:
-            raise ValueError("bytes_per_row must be >= 1")
         if self.pages_dirtied < 1:
             raise ValueError("pages_dirtied must be >= 1")
 
-    @property
-    def writeset_bytes(self) -> int:
-        return self.rows * self.bytes_per_row
 
-
-def write(relation: str, rows: int = 1, bytes_per_row: int = 100,
-          pages_dirtied: int = 1) -> WriteSpec:
+def write(relation: str, rows: int = 1, pages_dirtied: int = 1) -> WriteSpec:
     """Convenience constructor for a :class:`WriteSpec`."""
-    return WriteSpec(relation=relation, rows=rows, bytes_per_row=bytes_per_row,
-                     pages_dirtied=pages_dirtied)
+    return WriteSpec(relation=relation, rows=rows, pages_dirtied=pages_dirtied)
 
 
 @dataclass(frozen=True)

@@ -175,15 +175,15 @@ def make_types() -> Dict[str, TransactionType]:
             reads=[lookup("shopping_cart", pages=4, selectivity=0.5),
                    lookup("shopping_cart_line", pages=5, selectivity=0.5),
                    lookup("item", pages=5)],
-            writes=[write("shopping_cart", rows=1, bytes_per_row=60, pages_dirtied=1),
-                    write("shopping_cart_line", rows=2, bytes_per_row=55, pages_dirtied=1)],
+            writes=[write("shopping_cart", rows=1, pages_dirtied=1),
+                    write("shopping_cart_line", rows=2, pages_dirtied=1)],
             cpu_ms=9.0,
         ),
         transaction_type(
             "CustomerRegistration",
             reads=[lookup("customer", pages=5, selectivity=0.25), lookup("country", pages=1)],
-            writes=[write("customer", rows=1, bytes_per_row=120, pages_dirtied=1),
-                    write("address", rows=1, bytes_per_row=80, pages_dirtied=1)],
+            writes=[write("customer", rows=1, pages_dirtied=1),
+                    write("address", rows=1, pages_dirtied=1)],
             cpu_ms=7.0,
         ),
         transaction_type(
@@ -193,7 +193,7 @@ def make_types() -> Dict[str, TransactionType]:
                    lookup("shopping_cart", pages=4, selectivity=0.5),
                    lookup("shopping_cart_line", pages=5, selectivity=0.5),
                    lookup("item", pages=4)],
-            writes=[write("shopping_cart", rows=1, bytes_per_row=60, pages_dirtied=1)],
+            writes=[write("shopping_cart", rows=1, pages_dirtied=1)],
             cpu_ms=9.0,
         ),
         transaction_type(
@@ -203,10 +203,10 @@ def make_types() -> Dict[str, TransactionType]:
                    lookup("shopping_cart", pages=4, selectivity=0.5),
                    lookup("shopping_cart_line", pages=5, selectivity=0.5),
                    lookup("item", pages=5), lookup("orders", pages=2, selectivity=0.35)],
-            writes=[write("orders", rows=1, bytes_per_row=90, pages_dirtied=1),
-                    write("order_line", rows=3, bytes_per_row=45, pages_dirtied=2),
-                    write("cc_xacts", rows=1, bytes_per_row=60, pages_dirtied=1),
-                    write("shopping_cart", rows=1, bytes_per_row=30, pages_dirtied=1)],
+            writes=[write("orders", rows=1, pages_dirtied=1),
+                    write("order_line", rows=3, pages_dirtied=2),
+                    write("cc_xacts", rows=1, pages_dirtied=1),
+                    write("shopping_cart", rows=1, pages_dirtied=1)],
             cpu_ms=14.0,
         ),
         transaction_type(
@@ -215,7 +215,7 @@ def make_types() -> Dict[str, TransactionType]:
             # history, then update the item record.
             reads=[lookup("order_line", pages=300, selectivity=0.45),
                    lookup("item", pages=3)],
-            writes=[write("item", rows=1, bytes_per_row=120, pages_dirtied=1)],
+            writes=[write("item", rows=1, pages_dirtied=1)],
             cpu_ms=25.0,
         ),
     ]

@@ -44,7 +44,7 @@ def make_tiny_workload():
         "Write": transaction_type(
             "Write",
             reads=[lookup("orders", pages=2), lookup("users", pages=1)],
-            writes=[write("orders", rows=1, bytes_per_row=100, pages_dirtied=1)],
+            writes=[write("orders", rows=1, pages_dirtied=1)],
             cpu_ms=6.0),
     }
     mixes = {

@@ -10,8 +10,7 @@ from repro.storage.engine import WriteItem, WriteSet
 
 def ws(table, keys, txn="T"):
     return WriteSet(transaction_type=txn,
-                    items=(WriteItem(relation=table, keys=tuple(keys), payload_bytes=100,
-                                     pages_dirtied=1),))
+                    items=(WriteItem(relation=table, keys=tuple(keys), pages_dirtied=1),))
 
 
 def test_commit_assigns_increasing_versions():
@@ -141,11 +140,18 @@ def test_conflict_index_is_swept_on_truncation():
     cert = Certifier()
     for i in range(10):
         cert.certify(ws("a", [i]), snapshot_version=i)
-    assert len(cert._last_writer) == 10
+    cert.certify(ws("b", [0]), snapshot_version=10)
+
+    def indexed_keys():
+        return sum(len(writers) for writers in cert._last_writer.values())
+
+    assert indexed_keys() == 11
     cert.truncate(oldest_needed_version=10)
     # Entries whose writesets left the log can never win a conflict check;
-    # the sweep drops them so the index tracks the retained log only.
-    assert len(cert._last_writer) == 0
+    # the sweep drops them, and every relation it empties, so the index
+    # tracks the retained log only.
+    assert indexed_keys() == 1
+    assert cert._last_writer == {"b": {0: 11}}
 
 
 def test_conflicts_below_the_truncation_horizon_are_forgotten():

@@ -149,7 +149,7 @@ def commit_remote_writesets(cluster, count):
     certifier = cluster.certifier
     for _ in range(count):
         key = 10 ** 6 + certifier.current_version     # outside every key space
-        writeset = WriteSet("remote", (WriteItem("orders", (key,), 100, 1),),
+        writeset = WriteSet("remote", (WriteItem("orders", (key,), 1),),
                             origin_replica=99)
         assert certifier.certify(writeset, certifier.current_version).committed
     for replica in cluster.replicas.values():

@@ -221,8 +221,7 @@ def _commit_writesets(certifier, count, origin_replica=0):
     for i in range(count):
         writeset = WriteSet(
             transaction_type="W",
-            items=(WriteItem(relation="users", keys=(i,), payload_bytes=64,
-                             pages_dirtied=1),),
+            items=(WriteItem(relation="users", keys=(i,), pages_dirtied=1),),
             origin_replica=origin_replica,
         )
         result = certifier.certify(writeset, snapshot_version=certifier.current_version)

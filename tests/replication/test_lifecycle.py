@@ -37,7 +37,7 @@ def make_conflict_workload():
     types = {
         "Write": transaction_type(
             "Write", reads=[lookup("hot", pages=1)],
-            writes=[write("hot", rows=1, bytes_per_row=50, pages_dirtied=1)],
+            writes=[write("hot", rows=1, pages_dirtied=1)],
             cpu_ms=1.0),
     }
     return WorkloadSpec(name="conflict", schema=schema, types=types,
@@ -52,7 +52,7 @@ def make_fast_update_workload():
     types = {
         "Write": transaction_type(
             "Write", reads=[],
-            writes=[write("t", rows=1, bytes_per_row=50, pages_dirtied=1)],
+            writes=[write("t", rows=1, pages_dirtied=1)],
             cpu_ms=0.2),
     }
     return WorkloadSpec(name="fast", schema=schema, types=types,
@@ -68,7 +68,7 @@ def make_stage_workload():
     types = {
         "Update": transaction_type(
             "Update", reads=[],
-            writes=[write("t", rows=1, bytes_per_row=50, pages_dirtied=1)],
+            writes=[write("t", rows=1, pages_dirtied=1)],
             cpu_ms=0.2),
         "Scan": transaction_type("Scan", reads=[scan("cold")], cpu_ms=0.1),
         "Compute": transaction_type("Compute", reads=[], cpu_ms=20.0),
@@ -94,7 +94,7 @@ def make_replica(workload, replica_id=0, sim=None, certifier=None,
 def remote_writeset(table_name="hot", key=0, origin=99):
     return WriteSet(transaction_type="remote",
                     items=(WriteItem(relation=table_name, keys=(key,),
-                                     payload_bytes=50, pages_dirtied=1),),
+                                     pages_dirtied=1),),
                     origin_replica=origin)
 
 

@@ -13,7 +13,7 @@ from tests.replication.test_replica import make_replica
 
 def ws(table, key):
     return WriteSet(transaction_type="T",
-                    items=(WriteItem(relation=table, keys=(key,), payload_bytes=50, pages_dirtied=1),))
+                    items=(WriteItem(relation=table, keys=(key,), pages_dirtied=1),))
 
 
 def test_replicated_log_mirrors_commits_and_fails_over():

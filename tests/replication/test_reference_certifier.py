@@ -58,11 +58,19 @@ class ReferenceCertifier:
         self.offset += drop
         return drop
 
+    def last_writers(self):
+        """``{relation: {key: version}}`` of every key's last retained writer."""
+        index = {}
+        for version, writeset in self.log:
+            for item in writeset.items:
+                for key in item.keys:
+                    index.setdefault(item.relation, {})[key] = version
+        return index
+
 
 def writeset(items):
     return WriteSet(transaction_type="T", items=tuple(
-        WriteItem(relation=relation, keys=tuple(keys), payload_bytes=8,
-                  pages_dirtied=1)
+        WriteItem(relation=relation, keys=tuple(keys), pages_dirtied=1)
         for relation, keys in items))
 
 
@@ -96,6 +104,7 @@ def check_same_state(certifier, reference):
     assert certifier.stats.commits == reference.commits
     assert certifier.stats.aborts == reference.aborts
     assert certifier.log_is_total_order()
+    assert certifier._last_writer == reference.last_writers()
 
 
 def drive(certifier, ops):
@@ -106,7 +115,7 @@ def drive(certifier, ops):
         pairs = [(writeset(items), max(0, current - lag)) for items, lag in stream]
         if kind == "batch":
             since = max(reference.offset, current - amount)
-            results, piggyback = certifier.certify_batch(pairs, since, now=1.0)
+            results, piggyback = certifier.certify_batch(pairs, since)
             expected = [reference.certify(ws, snapshot) for ws, snapshot in pairs]
             assert results == expected
             assert entries(piggyback) == reference.writesets_since(since)
@@ -141,3 +150,4 @@ def test_replicated_log_matches_reference(ops):
         check_backup = entries(backup.writesets_since(reference.offset))
         assert check_backup == entries(certifier.writesets_since(reference.offset))
         assert backup.current_version == reference.current_version
+        assert backup._last_writer == reference.last_writers()

@@ -29,8 +29,7 @@ from tests.conftest import count_completions, drain, make_tiny_workload
 def ws(key, origin=0):
     return WriteSet(
         transaction_type="T",
-        items=(WriteItem(relation="orders", keys=(key,), payload_bytes=50,
-                         pages_dirtied=1),),
+        items=(WriteItem(relation="orders", keys=(key,), pages_dirtied=1),),
         origin_replica=origin)
 
 
@@ -152,9 +151,9 @@ def test_retransmission_carries_the_writesets_execute_built():
         built.append(writeset)
         return plan, random_miss, sequential_miss, writeset
 
-    def recording_certify_rpc(origin, request_id, requests, since_version, now=0.0):
+    def recording_certify_rpc(origin, request_id, requests, since_version):
         arrivals.append((request_id, [writeset for writeset, _ in requests]))
-        return certify_rpc(origin, request_id, requests, since_version, now)
+        return certify_rpc(origin, request_id, requests, since_version)
 
     engine.execute = recording_execute
     certifier.certify_rpc = recording_certify_rpc

@@ -17,8 +17,8 @@ from repro.storage.engine import WriteItem, WriteSet
 # The frozen dataclasses the slotted classes replaced, as the reference for
 # repr and hash.
 OldWriteItem = make_dataclass(
-    "WriteItem", [("relation", str), ("keys", tuple), ("payload_bytes", int),
-                  ("pages_dirtied", int)], frozen=True)
+    "WriteItem", [("relation", str), ("keys", tuple), ("pages_dirtied", int)],
+    frozen=True)
 OldWriteSet = make_dataclass(
     "WriteSet", [("transaction_type", str), ("items", tuple),
                  ("origin_replica", object, None)],
@@ -27,8 +27,7 @@ OldWriteSet = make_dataclass(
 
 def make_ws(table_keys, txn="T", origin=None):
     items = tuple(
-        WriteItem(relation=table, keys=tuple(keys), payload_bytes=10 * max(1, len(keys)),
-                  pages_dirtied=1)
+        WriteItem(relation=table, keys=tuple(keys), pages_dirtied=1)
         for table, keys in table_keys.items())
     return WriteSet(transaction_type=txn, items=items, origin_replica=origin)
 
@@ -48,7 +47,6 @@ def test_writesets_are_slotted():
 item_fields = st.tuples(
     st.sampled_from(["t1", "t2"]),
     st.lists(st.integers(min_value=0, max_value=2), max_size=2).map(tuple),
-    st.integers(min_value=0, max_value=1),
     st.integers(min_value=0, max_value=1))
 writeset_fields = st.tuples(
     st.sampled_from(["A", "B"]),
@@ -56,7 +54,7 @@ writeset_fields = st.tuples(
     st.sampled_from([None, 0, 1]))
 
 # One value per field that no strategy above draws.
-ITEM_OTHER = ("t9", (99,), 7, 7)
+ITEM_OTHER = ("t9", (99,), 7)
 WRITESET_OTHER = ("Z", (ITEM_OTHER,), 9)
 
 
@@ -125,17 +123,15 @@ def test_repr_and_hash_match_the_old_dataclasses(fields):
 
 
 @settings(max_examples=100, deadline=None)
-@given(writeset_fields, writeset_fields, st.integers(min_value=1, max_value=2),
-       st.sampled_from([0.0, 1.5]))
-def test_certified_writeset_value_semantics(ws_a, ws_b, version, commit_time):
-    a = CertifiedWriteSet(version, build_ws(ws_a), commit_time)
-    b = CertifiedWriteSet(version, build_ws(ws_b), commit_time)
+@given(writeset_fields, writeset_fields, st.integers(min_value=1, max_value=2))
+def test_certified_writeset_value_semantics(ws_a, ws_b, version):
+    a = CertifiedWriteSet(version, build_ws(ws_a))
+    b = CertifiedWriteSet(version, build_ws(ws_b))
     assert (a == b) == (ws_a == ws_b)
     if a == b:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-    assert a != CertifiedWriteSet(version + 1, build_ws(ws_a), commit_time)
-    assert a != CertifiedWriteSet(version, build_ws(ws_a), commit_time + 1.0)
+    assert a != CertifiedWriteSet(version + 1, build_ws(ws_a))
     assert a != a.writeset
-    assert repr(a) == "CertifiedWriteSet(version=%r, writeset=%r, commit_time=%r)" \
-        % (version, build_old_ws(ws_a), commit_time)
+    assert repr(a) == "CertifiedWriteSet(version=%r, writeset=%r)" \
+        % (version, build_old_ws(ws_a))

@@ -36,10 +36,6 @@ def tables_of(writeset):
     return tuple(item.relation for item in writeset.items)
 
 
-def payload_bytes_of(writeset):
-    return sum(item.payload_bytes for item in writeset.items)
-
-
 def test_read_only_type_produces_no_writeset(tiny_engine, tiny_workload):
     plan, _, _, writeset = tiny_engine.execute(tiny_workload.type("Read"))
     assert writeset is None
@@ -51,7 +47,6 @@ def test_update_type_produces_writeset(tiny_engine, tiny_workload):
     plan, _, _, writeset = tiny_engine.execute(tiny_workload.type("Write"))
     assert writeset is not None
     assert tables_of(writeset) == ("orders",)
-    assert payload_bytes_of(writeset) == 100
     assert plan.effective_write_bytes == disk.effective_write_bytes(PAGE_SIZE_BYTES)
 
 
@@ -120,7 +115,7 @@ def test_plans_compile_once_per_engine(tiny_workload):
     assert engine.buffer_pool.hot_set_bytes_of("items") == float(catalog.size_bytes("items"))
     # Writes draw keys from the table's key space: relpages times
     # key_space_per_page.
-    (_, _, _, _, key_space, key_bits), = engine._plans["Write"].writes
+    (_, _, _, key_space, key_bits), = engine._plans["Write"].writes
     assert key_space == catalog.relpages("orders") * EngineConfig().key_space_per_page
     assert key_bits == key_space.bit_length()
     assert max(result[3].items[0].keys) < key_space
@@ -153,7 +148,7 @@ def test_plans_carry_every_per_type_constant(spec):
         assert plan.effective_write_bytes == disk.effective_write_bytes(written_bytes(txn_type))
         assert plan.is_update == bool(txn_type.writes) == (writeset is not None)
         assert plan.name == txn_type.name
-        for _, _, _, _, key_space, key_bits in plan.writes:
+        for _, _, _, key_space, key_bits in plan.writes:
             assert key_bits == key_space.bit_length()
 
 

@@ -198,8 +198,7 @@ class PerAccessEngine(DatabaseEngine):
                 key_space = max(1, catalog.relpages(spec.relation)) * \
                     config.key_space_per_page
                 keys = tuple(self.rng.randrange(key_space) for _ in range(spec.rows))
-                items.append(WriteItem(spec.relation, keys, spec.writeset_bytes,
-                                       spec.pages_dirtied))
+                items.append(WriteItem(spec.relation, keys, spec.pages_dirtied))
             writeset = WriteSet(transaction_type=txn_type.name, items=tuple(items))
         return (cpu_seconds, random_read_bytes, sequential_read_bytes,
                 disk.write_seconds(write_bytes),
@@ -485,7 +484,7 @@ def test_apply_per_shape_matches_per_item(type_shapes, batches):
                 assert shapes.setdefault(value, writeset.shape) is writeset.shape
             else:
                 writeset = WriteSet("T", tuple(
-                    WriteItem(relation, (1, 2), 100, pages) for relation, pages in value))
+                    WriteItem(relation, (1, 2), pages) for relation, pages in value))
             # A derived shape has the same steps as the engine's.
             assert WriteSet("T", writeset.items).shape.steps == writeset.shape.steps
             writesets.append(writeset)

@@ -16,7 +16,9 @@ test parses ``src/repro`` and looks each name up in every Python file under
   ``self.<name>: T =`` or ``self.<name> += ...`` is reached if some program
   file reads ``<anything>.<name>`` or passes ``"<name>"`` to ``getattr``.
   An augmented-assignment target is not a read, nor is a ``__slots__``
-  string or a docstring.
+  string or a docstring, and neither is a load inside ``__eq__``,
+  ``__hash__`` or ``__repr__``: value semantics compare, hash and print
+  every field, so a field that only they read is still unused.
 
 Both lookups are by bare name, so a name shared by two definitions or two
 attributes counts as reached if either is (``Replica.completed`` would pass
@@ -73,6 +75,9 @@ ATTRIBUTE_ALLOWLIST = set()
 
 #: The same discipline for module constants.
 CONSTANT_ALLOWLIST = set()
+
+#: Methods whose attribute loads do not count as reads.
+VALUE_METHODS = {"__eq__", "__hash__", "__repr__"}
 
 
 def _program_files():
@@ -200,11 +205,19 @@ def _attribute_writes():
 
 
 def _attribute_reads():
-    """Every attribute name some program file loads, or names as the
-    literal second argument of ``getattr``."""
+    """Every attribute name some program file loads outside
+    :data:`VALUE_METHODS`, or names as the literal second argument of
+    ``getattr``."""
     reads = set()
     for path in _program_files():
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        value_method_nodes = {
+            id(node) for method in ast.walk(tree)
+            if isinstance(method, ast.FunctionDef) and method.name in VALUE_METHODS
+            for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            if id(node) in value_method_nodes:
+                continue
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \

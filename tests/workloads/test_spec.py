@@ -27,8 +27,7 @@ def test_access_validation():
 
 
 def test_write_spec_validation():
-    w = write("orders", rows=2, bytes_per_row=50, pages_dirtied=2)
-    assert w.writeset_bytes == 100
+    write("orders", rows=2, pages_dirtied=2)
     with pytest.raises(ValueError):
         write("orders", rows=0)
 
